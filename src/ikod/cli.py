@@ -199,12 +199,19 @@ def _read_trace_csv(path: Path) -> np.ndarray:
         raise ConfigError(f"{path}: malformed trace ({exc})") from None
     if not entries:
         raise ConfigError(f"{path}: empty trace")
-    n_steps = max(e[0] for e in entries) + 1
-    n_layers = max(e[1] for e in entries) + 1
-    n_heads = max(e[2] for e in entries) + 1
-    values = np.zeros((n_steps, n_layers, n_heads))
+    if min(min(e[:3]) for e in entries) < 0:
+        raise ConfigError(f"{path}: negative step, layer or head index")
+    shape = tuple(max(e[i] for e in entries) + 1 for i in range(3))
+    values = np.zeros(shape)
+    seen = np.zeros(shape, dtype=bool)
     for s, li, h, a in entries:
+        if seen[s, li, h]:
+            raise ConfigError(f"{path}: duplicate cell step {s}, layer {li}, head {h}")
+        seen[s, li, h] = True
         values[s, li, h] = a
+    if not seen.all():
+        s, li, h = np.argwhere(~seen)[0].tolist()
+        raise ConfigError(f"{path}: missing cell step {s}, layer {li}, head {h}")
     return values
 
 

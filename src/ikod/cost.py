@@ -6,6 +6,11 @@ FLOPs (attention and feed-forward only). The merged second pass runs over the
 shortened length n_hat = n + (lam - 1) * l, so its relative cost g is below 1
 whenever any text is actually merged.
 
+The decode loop does not run full passes: each step evaluates one cached
+query, costing L * (8*d^2 + 4*d*d_ff + 4*n*d) against a cache of n rows
+(step_flops). The dual path adds a second such query against the merged
+cache at every generated token (dual_path_overhead).
+
 Python integers never overflow, so integer inputs give exact counts; float
 inputs propagate floats.
 """
@@ -16,10 +21,12 @@ import math
 
 __all__ = [
     "compressed_len",
+    "dual_path_overhead",
     "growth_rate_closed_form",
     "growth_rate_exact",
     "ikod_flops",
     "original_flops",
+    "step_flops",
 ]
 
 
@@ -84,3 +91,33 @@ def growth_rate_closed_form(seq_len, hidden, text_len, anchor_ratio):
     _check_positive(seq_len=seq_len, hidden=hidden, text_len=text_len)
     c = (1.0 - anchor_ratio) * text_len
     return 1.0 - c * (2 * seq_len - c + 6 * hidden) / (6 * seq_len * hidden + seq_len**2)
+
+
+def step_flops(n_layers, cache_len, d_model, d_ff):
+    """FLOPs of one cached query: L * (8*d^2 + 4*d*d_ff + 4*n*d).
+
+    Per layer: the four d x d projections (8d^2), the feed-forward block
+    (4*d*d_ff) and the attention scores and weighted sum over n cached rows
+    (4nd).
+    """
+    _check_positive(n_layers=n_layers, cache_len=cache_len, d_model=d_model, d_ff=d_ff)
+    return n_layers * (8 * d_model**2 + 4 * d_model * d_ff + 4 * cache_len * d_model)
+
+
+def dual_path_overhead(n_layers, d_model, d_ff, l_image, l_prompt, n_new, anchor_ratio):
+    """1 + g_step summed over a generation: the dual path's FLOPs over the
+    original path's, for n_new generated tokens after a prefill of l_image +
+    l_prompt positions.
+
+    The query that picks token i attends over n = l_image + l_prompt + i cached
+    rows; its merged twin attends over l_image + k + 2 rows, with k anchors
+    kept from the l_prompt + i text tokens. Prefill is left out.
+    """
+    _check_positive(n_new=n_new)
+    original = merged = 0
+    for i in range(n_new):
+        n = l_image + l_prompt + i
+        n_hat = compressed_len(n, l_prompt + i, anchor_ratio, integer=True)
+        original += step_flops(n_layers, n, d_model, d_ff)
+        merged += step_flops(n_layers, n_hat, d_model, d_ff)
+    return 1.0 + merged / original

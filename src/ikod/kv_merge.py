@@ -90,7 +90,8 @@ def layer_scores(trace: AttentionTrace, layout: SequenceLayout) -> np.ndarray:
     """Per layer and text token, the head-mean of the token's image attention.
 
     Every text token (instruction and generated) must have a recorded row from
-    the step where it was the query.
+    the step where it was the query. Reads the trace's image-mass ledger, so
+    repeated calls on a growing trace only sum the rows added since the last.
     """
     start = layout.l_image
     T = layout.text_len
@@ -100,11 +101,7 @@ def layer_scores(trace: AttentionTrace, layout: SequenceLayout) -> np.ndarray:
         raise TraceError(
             f"trace covers {len(trace)} positions, text sequence ends at {start + T}"
         )
-    out = np.empty((trace.n_layers, T))
-    for t in range(T):
-        rows = trace.rows_for(start + t)  # (n_layers, n_heads, start + t + 1)
-        out[:, t] = rows[..., :start].sum(axis=-1).mean(axis=-1)
-    return out
+    return trace.image_mass(start, start + T)
 
 
 def anchor_count(text_len: int, anchor_ratio: float) -> int:
@@ -206,9 +203,45 @@ def build_merge_plan(
     )
 
 
+def _bucket_bounds(plan: MergePlan) -> tuple[np.ndarray, np.ndarray]:
+    """(n_layers, k) bucket starts and ends, checked to tile the mergeable
+    range 0..T-3 in order, with the same bucket count k in every layer."""
+    counts = [len(lp.buckets) for lp in plan.layers]
+    for li, count in enumerate(counts):
+        if count == 0:
+            raise ValueError(f"merge plan layer {li} has no buckets")
+        if count != counts[0]:
+            raise ValueError(f"merge plan layer {li} has {count} buckets, layer 0 has {counts[0]}")
+    bounds = np.array([lp.buckets for lp in plan.layers], dtype=np.int64)
+    lo, hi = bounds[..., 0], bounds[..., 1]
+    top = plan.text_len - 3
+    checks = (
+        ((hi < lo).any(axis=1), "has an empty bucket"),
+        (
+            (lo[:, 1:] != hi[:, :-1] + 1).any(axis=1),
+            "has buckets that overlap, leave a gap or are out of order",
+        ),
+        ((lo[:, 0] != 0) | (hi[:, -1] != top), f"does not cover the mergeable range 0..{top}"),
+    )
+    for bad, problem in checks:
+        if bad.any():
+            raise ValueError(f"merge plan layer {int(np.argmax(bad))} {problem}")
+    return lo, hi
+
+
 def merge_cache(cache: LayeredKvCache, plan: MergePlan, layout: SequenceLayout) -> CompressedCache:
     """Build the compressed cache: image rows verbatim, each bucket's rows
-    averaged into one, the two protected rows verbatim."""
+    averaged into one, the two protected rows verbatim.
+
+    The bucket rows of all layers are built together in one (n_layers,
+    n_heads, k, d_head) block. One gather fills it with each bucket's first
+    row, which is already final for singleton buckets. The other (layer,
+    bucket) pairs are grouped by bucket length, with one gather and one mean
+    per distinct length. A group is gathered as (pairs, n_heads, length,
+    d_head), the layout of one bucket's rows in the cache, so each mean sums
+    its rows in the same order as a per-bucket `.mean(axis=1)` and the merged
+    rows are bit-identical to it.
+    """
     start = layout.l_image
     T = plan.text_len
     if layout.text_len != T:
@@ -217,27 +250,43 @@ def merge_cache(cache: LayeredKvCache, plan: MergePlan, layout: SequenceLayout) 
         raise ValueError(
             f"cache holds {cache.length} positions, layout describes {start + T}"
         )
-    if len(plan.layers) != cache.keys.shape[0]:
+    n_layers, n_heads = cache.keys.shape[:2]
+    if len(plan.layers) != n_layers:
         raise ValueError("plan layer count does not match the cache")
-    keys_out: list[np.ndarray] = []
-    values_out: list[np.ndarray] = []
-    for li, lp in enumerate(plan.layers):
-        k = cache.layer_keys(li)
-        v = cache.layer_values(li)
-        parts_k = [k[:, :start]]
-        parts_v = [v[:, :start]]
-        for lo, hi in lp.buckets:
-            if not 0 <= lo <= hi <= T - 3:
-                raise ValueError(f"bucket ({lo}, {hi}) outside mergeable range 0..{T - 3}")
-            parts_k.append(k[:, start + lo : start + hi + 1].mean(axis=1, keepdims=True))
-            parts_v.append(v[:, start + lo : start + hi + 1].mean(axis=1, keepdims=True))
-        parts_k.append(k[:, start + T - 2 : start + T])
-        parts_v.append(v[:, start + T - 2 : start + T])
-        keys_out.append(np.concatenate(parts_k, axis=1))
-        values_out.append(np.concatenate(parts_v, axis=1))
+    lo, hi = _bucket_bounds(plan)
+    k = lo.shape[1]
+    heads = np.arange(n_heads)[:, None]
+    gather = (np.arange(n_layers)[:, None, None], heads, start + lo[:, None, :])
+    bucket_keys = cache.keys[gather]  # (n_layers, n_heads, k, d_head)
+    bucket_values = cache.values[gather]
+
+    # (layer, bucket) pairs sorted by bucket length, cut into equal-length runs.
+    sizes = (hi - lo + 1).ravel()
+    order = np.argsort(sizes, kind="stable")
+    sizes, first = sizes[order], start + lo.ravel()[order]
+    layer, bucket = np.divmod(order, k)
+    cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, sizes.size]):
+        m = int(sizes[a])
+        if m == 1:
+            continue
+        gather = (layer[a:b, None, None], heads, first[a:b, None, None] + np.arange(m))
+        scatter = (layer[a:b, None], heads[:, 0], bucket[a:b, None])
+        bucket_keys[scatter] = cache.keys[gather].mean(axis=2)
+        bucket_values[scatter] = cache.values[gather].mean(axis=2)
+
+    # One array per layer: a stacked (L, H, n_hat, d) output raised peak memory.
+    image, protected = slice(0, start), slice(start + T - 2, start + T)
+
+    def per_layer(rows, merged):
+        return [
+            np.concatenate((rows[li, :, image], merged[li], rows[li, :, protected]), axis=1)
+            for li in range(n_layers)
+        ]
+
     return CompressedCache(
-        keys=keys_out,
-        values=values_out,
-        length=keys_out[0].shape[1],
+        keys=per_layer(cache.keys, bucket_keys),
+        values=per_layer(cache.values, bucket_values),
+        length=start + k + 2,
         image_len=start,
     )

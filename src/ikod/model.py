@@ -133,7 +133,11 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq", "seed", "d_head"):
             value = getattr(self, name)
-            if int(value) != value:
+            try:
+                whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
+            except (TypeError, ValueError):
+                whole = False
+            if not whole:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "max_seq"):
@@ -220,13 +224,18 @@ class AttentionTrace:
     """Attention rows recorded while each position was the query.
 
     Rows must be recorded continuously from an empty cache, so step index and
-    cache position coincide.
+    cache position coincide. Recorded rows are never modified.
     """
 
     def __init__(self, n_layers: int, n_heads: int):
         self.n_layers = n_layers
         self.n_heads = n_heads
         self.rows: list[np.ndarray] = []
+        # Image-mass ledger: column t holds row l_image + t's head-mean mass
+        # on the first l_image positions; the first `_ledger_len` are filled.
+        self._ledger_image = -1
+        self._ledger = np.empty((n_layers, 0))
+        self._ledger_len = 0
 
     def record(self, out: StepOutput) -> None:
         rows = out.attention_rows
@@ -242,6 +251,30 @@ class AttentionTrace:
         if not 0 <= position < len(self.rows):
             raise TraceError(f"no recorded row for position {position}")
         return self.rows[position]
+
+    def image_mass(self, l_image: int, stop: int) -> np.ndarray:
+        """(n_layers, stop - l_image) head-mean attention mass on positions
+        0..l_image-1, for the rows of positions l_image..stop-1.
+
+        Each row is summed once, the first time it is asked for, and kept in a
+        ledger; asking with a different l_image rebuilds the ledger.
+        """
+        if not 0 <= l_image <= stop <= len(self.rows):
+            raise TraceError(
+                f"no image mass for rows {l_image}..{stop - 1} of a {len(self.rows)}-row trace"
+            )
+        if l_image != self._ledger_image:
+            self._ledger_image, self._ledger_len = l_image, 0
+        n = stop - l_image
+        if n > self._ledger.shape[1]:
+            grown = np.empty((self.n_layers, max(n, 2 * self._ledger.shape[1])))
+            grown[:, : self._ledger_len] = self._ledger[:, : self._ledger_len]
+            self._ledger = grown
+        for t in range(self._ledger_len, n):
+            rows = self.rows[l_image + t]  # (n_layers, n_heads, l_image + t + 1)
+            self._ledger[:, t] = rows[..., :l_image].sum(axis=-1).mean(axis=-1)
+        self._ledger_len = max(self._ledger_len, n)
+        return self._ledger[:, :n].copy()
 
 
 def sinusoidal_positions(length: int, width: int) -> np.ndarray:
@@ -426,11 +459,26 @@ def save_checkpoint(model: TinyDecoder, path) -> None:
 
 def load_checkpoint(path) -> TinyDecoder:
     raw = Path(path).read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl].decode("ascii"))
+    nl = raw.find(b"\n")
+    if nl < 0:
+        raise ConfigError(f"{path}: checkpoint has no header line")
+    try:
+        header = json.loads(raw[:nl].decode("ascii"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: checkpoint header is not ASCII") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: checkpoint header is not JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise ConfigError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format") != _CHECKPOINT_FORMAT:
         raise ConfigError(f"unrecognized checkpoint format: {header.get('format')!r}")
-    cfg = ModelConfig(**header["config"])
+    config = header.get("config")
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: checkpoint header has no config object")
+    try:
+        cfg = ModelConfig(**config)
+    except TypeError as exc:
+        raise ConfigError(f"{path}: bad checkpoint config ({exc})") from None
     body = np.frombuffer(raw[nl + 1 :], dtype="<f8")
     shapes = [(cfg.vocab_size, cfg.d_model)]
     for _ in range(cfg.n_layers):

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from ikod.cli import main
+from ikod.cli import _read_trace_csv, main
+from ikod.model import ConfigError
 
 BASE_CONFIG = {
     "model": {
@@ -176,6 +177,27 @@ def test_analyze_empty_trace_exits_2(tmp_path):
     )
     (run / "trace.csv").write_text("step,layer,head,att_image\n")
     assert main(["analyze", str(run), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "body, problem",
+    [
+        ("0,0,0,0.5\n0,0,1,0.5\n1,0,0,0.5\n", "missing cell step 1, layer 0, head 1"),
+        ("0,0,0,0.5\n0,0,0,0.25\n", "duplicate cell step 0, layer 0, head 0"),
+        ("0,0,-1,0.5\n", "negative"),
+    ],
+)
+def test_analyze_rejects_incomplete_trace(tmp_path, capsys, body, problem):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "generation.json").write_text(
+        json.dumps({"request": {"image_count": 1, "prompt_tokens": []}, "result": {"tokens": [3]}})
+    )
+    (run / "trace.csv").write_text("step,layer,head,att_image\n" + body)
+    with pytest.raises(ConfigError, match=problem):
+        _read_trace_csv(run / "trace.csv")
+    assert main(["analyze", str(run), "--out", str(tmp_path / "x")]) == 2
+    assert problem in capsys.readouterr().err
 
 
 def test_sweep_rows_and_full_ratio_equals_baseline(tmp_path):

@@ -3,10 +3,12 @@ import pytest
 
 from ikod.cost import (
     compressed_len,
+    dual_path_overhead,
     growth_rate_closed_form,
     growth_rate_exact,
     ikod_flops,
     original_flops,
+    step_flops,
 )
 
 
@@ -93,3 +95,33 @@ def test_integer_inputs_stay_exact():
     big = original_flops(96, 1 << 20, 1 << 14)
     assert isinstance(big, int)
     assert big == 96 * (24 * (1 << 20) * (1 << 28) + 4 * (1 << 40) * (1 << 14))
+
+
+def test_step_flops_hand_cases():
+    # 2 * (8*16 + 4*4*8 + 4*3*4) = 2 * (128 + 128 + 48)
+    assert step_flops(2, 3, 4, 8) == 608
+    assert step_flops(1, 1, 1, 1) == 16
+    # d_ff is an independent input, not 4 * d_model.
+    assert step_flops(1, 5, 2, 3) - step_flops(1, 5, 2, 2) == 4 * 2
+    with pytest.raises(ValueError):
+        step_flops(1, 0, 4, 8)
+    with pytest.raises(ValueError):
+        step_flops(1, 3, 4, 0)
+
+
+def test_dual_path_overhead_hand_case():
+    # One image row, three prompt tokens, two new tokens, lambda 0.5, all
+    # widths 1, so a step costs 12 + 4n. Pick 0: n = 4 and T = 3 keep one
+    # anchor (n_hat = 4). Pick 1: n = 5 and T = 4 keep floor(0.5 * 2) = 1.
+    original = (12 + 4 * 4) + (12 + 4 * 5)
+    merged = (12 + 4 * 4) + (12 + 4 * 4)
+    assert dual_path_overhead(1, 1, 1, 1, 3, 2, 0.5) == 1.0 + merged / original
+
+
+def test_dual_path_overhead_bounds():
+    # Full ratio merges nothing: the second query costs exactly the first.
+    assert dual_path_overhead(2, 16, 64, 8, 6, 10, 1.0) == 2.0
+    # The decode_long benchmark shape predicts about 1.9.
+    assert dual_path_overhead(4, 128, 512, 64, 16, 256, 0.4) == pytest.approx(1.9126, abs=1e-4)
+    with pytest.raises(ValueError):
+        dual_path_overhead(1, 4, 8, 2, 2, 4, 0.5)  # too few prompt tokens to merge

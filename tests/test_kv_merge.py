@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ikod.kv_merge import (
     AnchorStrategy,
+    LayerPlan,
+    MergePlan,
     anchor_count,
     build_buckets,
     build_merge_plan,
@@ -267,3 +271,183 @@ def test_merge_plan_json_shape():
     assert doc["layers"][0]["anchors"] == [1]
     assert doc["layers"][0]["buckets"] == [[0, 2]]
     assert doc["strategy"] == "low_attention"
+
+
+def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_buckets):
+    cache = LayeredKvCache(n_layers, n_heads, d_head, l_image + T)
+    rng = np.random.default_rng(T)
+    cache.keys[...] = rng.normal(size=cache.keys.shape) * 1e3
+    cache.values[...] = rng.normal(size=cache.values.shape)
+    cache.length = l_image + T
+    layers = tuple(
+        LayerPlan(anchors=tuple(lo for lo, _ in b), buckets=tuple(b)) for b in layer_buckets
+    )
+    plan = MergePlan(layers, T, (T - 2, T - 1), 1.0, AnchorStrategy.LOW_ATTENTION)
+    return cache, plan, SequenceLayout.from_counts(l_image, T, 0)
+
+
+@pytest.mark.parametrize(
+    "buckets, problem",
+    [
+        ([(0, 2), (2, 4), (5, 5)], "overlap"),  # row 2 would count twice
+        ([(0, 1), (3, 4), (5, 5)], "leave a gap"),  # row 2 would be dropped
+        ([(3, 5), (0, 2), (6, 6)], "out of order"),
+        ([(0, 2), (4, 3), (3, 5)], "empty bucket"),
+        ([(1, 2), (3, 4), (5, 5)], "does not cover"),  # starts after 0
+        ([(0, 1), (2, 3), (4, 4)], "does not cover"),  # ends before T-3 = 5
+        ([(0, 2), (3, 5)], "has 2 buckets, layer 0 has 3"),
+        ([], "has no buckets"),
+    ],
+)
+def test_merge_cache_rejects_buckets_that_do_not_tile(buckets, problem):
+    cache, plan, layout = fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)], buckets])
+    with pytest.raises(ValueError, match=f"layer 1 .*{problem}"):
+        merge_cache(cache, plan, layout)
+
+
+def reference_merge(cache, plan, layout):
+    """Per-bucket `.mean(axis=1)`: the summation order merged rows must keep."""
+    start, T = layout.l_image, plan.text_len
+    keys, values = [], []
+    for li, lp in enumerate(plan.layers):
+        for out, src in ((keys, cache.layer_keys(li)), (values, cache.layer_values(li))):
+            parts = [src[:, :start]]
+            parts += [
+                src[:, start + lo : start + hi + 1].mean(axis=1, keepdims=True)
+                for lo, hi in lp.buckets
+            ]
+            parts.append(src[:, start + T - 2 : start + T])
+            out.append(np.concatenate(parts, axis=1))
+    return keys, values
+
+
+@st.composite
+def tiled_plans(draw):
+    """A random cache and a plan whose layers tile 0..T-3 with the same
+    bucket count but independently drawn bucket lengths."""
+    n_layers = draw(st.integers(1, 3))
+    n_heads = draw(st.integers(1, 3))
+    d_head = draw(st.integers(1, 4))
+    l_image = draw(st.integers(0, 4))
+    T = draw(st.integers(3, 40))
+    k = draw(st.integers(1, T - 2))
+    layers = []
+    for _ in range(n_layers):
+        cuts = []
+        if k > 1:
+            cuts = sorted(draw(st.sets(st.integers(1, T - 3), min_size=k - 1, max_size=k - 1)))
+        edges = [0, *cuts, T - 2]
+        buckets = tuple((a, b - 1) for a, b in zip(edges, edges[1:]))
+        layers.append(LayerPlan(anchors=tuple(lo for lo, _ in buckets), buckets=buckets))
+    plan = MergePlan(
+        layers=tuple(layers), text_len=T, protected=(T - 2, T - 1),
+        anchor_ratio=1.0, strategy=AnchorStrategy.LOW_ATTENTION,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = l_image + T
+    cache = LayeredKvCache(n_layers, n_heads, d_head, n + draw(st.integers(0, 3)))
+    scale = 10.0 ** rng.uniform(-6, 6, size=(n_layers, n_heads, n, 1))
+    cache.keys[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head)) * scale
+    cache.values[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head)) * scale
+    cache.length = n
+    return cache, plan, SequenceLayout.from_counts(l_image, T, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiled_plans())
+@example(fixed_case(1, 1, 1, 0, 3, [[(0, 0)]]))  # T = 3: one singleton bucket
+@example(fixed_case(2, 3, 1, 2, 40, [[(0, 37)]] * 2))  # one bucket spans 0..T-3
+@example(fixed_case(2, 2, 2, 1, 30, [[(i, i) for i in range(28)]] * 2))  # all singletons
+@example(fixed_case(2, 4, 1, 3, 40, [[(0, 8), (9, 37)], [(0, 29), (30, 37)]]))  # d_head = 1
+def test_merge_cache_matches_per_bucket_mean_bit_for_bit(case):
+    cache, plan, layout = case
+    merged = merge_cache(cache, plan, layout)
+    ref_keys, ref_values = reference_merge(cache, plan, layout)
+    k = len(plan.layers[0].buckets)
+    assert merged.length == layout.l_image + k + 2
+    for li in range(len(plan.layers)):
+        assert merged.keys[li].shape[1] == merged.length
+        assert np.array_equal(merged.keys[li], ref_keys[li])
+        assert np.array_equal(merged.values[li], ref_values[li])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_layers=st.integers(1, 3),
+    l_image=st.integers(0, 6),
+    T=st.integers(3, 60),
+    ratio=st.floats(0.01, 1.0),
+    strategy=st.sampled_from(list(AnchorStrategy)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merged_length_is_image_plus_anchors_plus_two(n_layers, l_image, T, ratio, strategy, seed):
+    rng = np.random.default_rng(seed)
+    cache = LayeredKvCache(n_layers, 2, 2, l_image + T)
+    cache.length = l_image + T
+    plan = build_merge_plan(rng.uniform(size=(n_layers, T)), ratio, strategy, Rng(seed))
+    merged = merge_cache(cache, plan, SequenceLayout.from_counts(l_image, T, 0))
+    expected = l_image + anchor_count(T, ratio) + 2
+    assert merged.length == expected
+    assert [merged.keys[li].shape[1] for li in range(n_layers)] == [expected] * n_layers
+    assert [merged.values[li].shape[1] for li in range(n_layers)] == [expected] * n_layers
+
+
+def random_trace(rng, n_layers, n_heads, n_rows) -> AttentionTrace:
+    trace = AttentionTrace(n_layers, n_heads)
+    for step in range(n_rows):
+        row = rng.uniform(size=(n_layers, n_heads, step + 1))
+        record_rows(trace, row / row.sum(axis=-1, keepdims=True))
+    return trace
+
+
+def direct_scores(trace: AttentionTrace, layout: SequenceLayout) -> np.ndarray:
+    start = layout.l_image
+    out = np.empty((trace.n_layers, layout.text_len))
+    for t in range(layout.text_len):
+        out[:, t] = trace.rows_for(start + t)[..., :start].sum(axis=-1).mean(axis=-1)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_layers=st.integers(1, 3),
+    n_heads=st.integers(1, 9),
+    l_image=st.integers(0, 10),
+    first=st.integers(1, 20),
+    growth=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_layer_scores_ledger_tracks_a_growing_trace(
+    n_layers, n_heads, l_image, first, growth, seed
+):
+    rng = np.random.default_rng(seed)
+    total = l_image + first + sum(growth)
+    full = random_trace(rng, n_layers, n_heads, total)
+    trace = AttentionTrace(n_layers, n_heads)
+    text = first
+    for row in full.rows[: l_image + text]:
+        record_rows(trace, row)
+    for extra in [0, *growth]:
+        for row in full.rows[l_image + text : l_image + text + extra]:
+            record_rows(trace, row)
+        text += extra
+        layout = SequenceLayout.from_counts(l_image, text, 0)
+        assert np.array_equal(layer_scores(trace, layout), direct_scores(trace, layout))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_layers=st.integers(1, 3),
+    n_heads=st.integers(1, 9),
+    images=st.lists(st.integers(0, 12), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_layer_scores_ledger_rebuilds_for_another_image_length(n_layers, n_heads, images, seed):
+    rng = np.random.default_rng(seed)
+    trace = random_trace(rng, n_layers, n_heads, 16)
+    for l_image in images:
+        layout = SequenceLayout.from_counts(l_image, 16 - l_image, 0)
+        scores = layer_scores(trace, layout)
+        assert np.array_equal(scores, direct_scores(trace, layout))
+        scores[...] = -1.0  # the caller owns the returned array
+        assert np.array_equal(layer_scores(trace, layout), direct_scores(trace, layout))

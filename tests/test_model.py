@@ -180,3 +180,35 @@ def test_trace_requires_continuous_recording():
         trace.record(out)  # duplicate row no longer matches the next position
     with pytest.raises(TraceError):
         trace.rows_for(5)
+
+
+@pytest.mark.parametrize("name", ["n_layers", "n_heads", "max_seq", "seed", "d_head"])
+def test_config_rejects_booleans(name):
+    with pytest.raises(ConfigError, match=name):
+        small_config(**{name: True})
+
+
+def test_config_rejects_non_numbers():
+    with pytest.raises(ConfigError, match="d_model"):
+        small_config(d_model=None)
+    with pytest.raises(ConfigError, match="d_ff"):
+        small_config(d_ff="16")
+
+
+@pytest.mark.parametrize(
+    "raw, problem",
+    [
+        (b'{"format": "toy-decoder-v1"}', "no header line"),
+        (b'{"format": "toy-decoder-v1", "x": "\xc3\xa9"}\n', "not ASCII"),
+        (b"not json\n", "not JSON"),
+        (b"[1, 2]\n", "not a JSON object"),
+        (b'{"format": "toy-decoder-v1"}\n', "no config object"),
+        (b'{"format": "toy-decoder-v1", "config": {"n_layers": 1}}\n', "bad checkpoint config"),
+        (b'{"format": "other"}\n', "unrecognized checkpoint format"),
+    ],
+)
+def test_checkpoint_rejects_malformed_headers(tmp_path, raw, problem):
+    path = tmp_path / "model.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match=problem):
+        load_checkpoint(path)
