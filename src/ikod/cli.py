@@ -30,7 +30,14 @@ from .cost import growth_rate_closed_form, growth_rate_exact, ikod_flops, origin
 from .decode import BaseStrategy, DecodePolicy, Mode, Prompt, ikod_generate
 from .kv_merge import AnchorStrategy
 from .metrics import BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores, load_caption_records
-from .model import CapacityError, ConfigError, ModelConfig, TinyDecoder, make_image_embeddings
+from .model import (
+    CapacityError,
+    ConfigError,
+    ModelConfig,
+    TinyDecoder,
+    make_image_embeddings,
+    require_int,
+)
 
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
@@ -56,23 +63,32 @@ def _load_json(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
+def _require_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def parse_base_strategy(d: dict) -> BaseStrategy:
+    d = _require_object(d, "policy.base")
     unknown = set(d) - {"kind", "k", "p", "temperature"}
     if unknown:
         raise ConfigError(f"unknown base strategy keys: {sorted(unknown)}")
     kind = d.get("kind", "greedy")
     temperature = d.get("temperature")
+    k = d.get("k")
+    if k is not None:
+        k = require_int(k, "policy.base.k")
     try:
         if kind == "nucleus":
             return BaseStrategy.nucleus(temperature=temperature)
-        return BaseStrategy(
-            kind=kind, k=d.get("k"), p=d.get("p"), temperature=temperature
-        )
+        return BaseStrategy(kind=kind, k=k, p=d.get("p"), temperature=temperature)
     except ValueError as exc:
         raise ConfigError(f"bad base strategy: {exc}") from None
 
 
 def parse_policy(d: dict) -> DecodePolicy:
+    d = _require_object(d, "policy")
     known = {
         "mode", "base", "alpha", "beta", "anchor_ratio", "anchor_strategy",
         "max_new_tokens", "seed",
@@ -80,6 +96,8 @@ def parse_policy(d: dict) -> DecodePolicy:
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"unknown policy keys: {sorted(unknown)}")
+    max_new_tokens = require_int(d.get("max_new_tokens", 16), "policy.max_new_tokens")
+    seed = require_int(d.get("seed", 0), "policy.seed")
     try:
         return DecodePolicy(
             mode=Mode(d.get("mode", "ikod")),
@@ -88,8 +106,8 @@ def parse_policy(d: dict) -> DecodePolicy:
             beta=float(d.get("beta", 0.1)),
             anchor_ratio=float(d.get("anchor_ratio", 0.4)),
             anchor_strategy=AnchorStrategy(d.get("anchor_strategy", "low_attention")),
-            max_new_tokens=int(d.get("max_new_tokens", 16)),
-            seed=int(d.get("seed", 0)),
+            max_new_tokens=max_new_tokens,
+            seed=seed,
         )
     except ValueError as exc:
         raise ConfigError(f"bad policy: {exc}") from None
@@ -103,14 +121,17 @@ def load_run_config(path) -> RunConfig:
         model = ModelConfig(**raw["model"])
     except TypeError as exc:
         raise ConfigError(f"bad model config: {exc}") from None
-    image_count = int(raw.get("image_count", 0))
+    image_count = require_int(raw.get("image_count", 0), "image_count")
     if image_count < 0:
         raise ConfigError("image_count must be non-negative")
+    tokens = raw.get("prompt_tokens", [])
+    if not isinstance(tokens, list):
+        raise ConfigError(f"prompt_tokens must be a JSON array of token ids, got {tokens!r}")
     return RunConfig(
         model=model,
         image_count=image_count,
-        image_seed=int(raw.get("image_seed", model.seed)),
-        prompt_tokens=tuple(int(t) for t in raw.get("prompt_tokens", [])),
+        image_seed=require_int(raw.get("image_seed", model.seed), "image_seed"),
+        prompt_tokens=tuple(require_int(t, f"prompt_tokens[{i}]") for i, t in enumerate(tokens)),
         policy=parse_policy(raw.get("policy", {})),
         output_dir=raw.get("output_dir"),
     )
@@ -317,14 +338,14 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise ConfigError("empty sweep grid")
 
-    model = TinyDecoder(rc.model)
-    prompt = _build_prompt(rc)
     gt_tokens: set[str] | None = None
     if args.ground_truth_tokens:
         gt = _load_json(args.ground_truth_tokens)
         if not isinstance(gt, list):
             raise ConfigError("ground truth file must hold a JSON array of token ids")
-        gt_tokens = {str(int(t)) for t in gt}
+        gt_tokens = {str(require_int(t, f"ground truth token [{i}]")) for i, t in enumerate(gt)}
+    model = TinyDecoder(rc.model)
+    prompt = _build_prompt(rc)
 
     def run_policy(policy: DecodePolicy) -> list:
         result = ikod_generate(model, prompt, policy)

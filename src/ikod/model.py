@@ -9,7 +9,8 @@ baked into keys before any downstream cache surgery.
 All weights are drawn from one SplitMix64 stream in a documented order
 (uniform in [-s, +s] with s = 1/sqrt(d_model)), which makes models byte-exact
 reproducible from (config, seed) and gives the checkpoint format a fixed
-layout.
+layout. Each matrix is one block draw (Rng.next_uniform_block), bit-identical
+to filling it row-major with scalar Rng.next_uniform calls.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "TraceError",
     "load_checkpoint",
     "make_image_embeddings",
+    "require_int",
     "save_checkpoint",
     "sinusoidal_positions",
 ]
@@ -53,6 +55,18 @@ class ConfigError(ValueError):
 
 class TraceError(ValueError):
     """An attention trace is missing required rows."""
+
+
+def require_int(value, name: str) -> int:
+    """value as an int when it is a whole number; booleans, fractions,
+    non-finite numbers and non-numbers raise a ConfigError naming the field."""
+    try:
+        whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class Role(IntEnum):
@@ -132,14 +146,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq", "seed", "d_head"):
-            value = getattr(self, name)
-            try:
-                whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
-            except (TypeError, ValueError):
-                whole = False
-            if not whole:
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "max_seq"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
@@ -285,8 +292,7 @@ def sinusoidal_positions(length: int, width: int) -> np.ndarray:
 
 
 def _uniform_matrix(rng: Rng, rows: int, cols: int, scale: float) -> Matrix:
-    n = rows * cols
-    flat = np.fromiter((rng.next_uniform() for _ in range(n)), dtype=np.float64, count=n)
+    flat = rng.next_uniform_block(rows * cols)
     return ((2.0 * flat - 1.0) * scale).reshape(rows, cols)
 
 

@@ -101,6 +101,31 @@ def test_decode_bad_policy_exits_2(tmp_path):
     assert main(["decode", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"image_count": 2.7}, "image_count"),
+        ({"image_count": True}, "image_count"),
+        ({"image_seed": None}, "image_seed"),
+        ({"prompt_tokens": [1.5, 3]}, "prompt_tokens[0]"),
+        ({"prompt_tokens": [5, True, 3]}, "prompt_tokens[1]"),
+        ({"prompt_tokens": [None]}, "prompt_tokens[0]"),
+        ({"prompt_tokens": 5}, "prompt_tokens"),
+        ({"policy": {"max_new_tokens": 2.9}}, "policy.max_new_tokens"),
+        ({"policy": {"seed": None}}, "policy.seed"),
+        ({"policy": {"base": {"kind": "top_k", "k": 2.5}}}, "policy.base.k"),
+        ({"policy": [1]}, "policy"),
+        ({"policy": {"base": "greedy"}}, "policy.base"),
+    ],
+)
+def test_decode_rejects_malformed_fields(tmp_path, capsys, overrides, field):
+    path = write_config(tmp_path, **overrides)
+    assert main(["decode", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be" in err or f"bad policy: {field} must be" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_decode_capacity_exits_3(tmp_path):
     cfg = write_config(tmp_path, model={"max_seq": 10})
     assert main(["decode", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
@@ -278,6 +303,21 @@ def test_sweep_ground_truth_column(tmp_path):
     rows = read_csv(out / "sweep.csv")
     idx = rows[0].index("halluc_rate")
     assert float(rows[1][idx]) == 0.0  # every token id is in the ground truth
+
+
+@pytest.mark.parametrize(
+    "tokens, problem",
+    [([True, 1.5], "[0] must be an integer, got True"), ([3, None], "[1] must be an integer, got None")],
+)
+def test_sweep_rejects_non_integer_ground_truth(tmp_path, capsys, tokens, problem):
+    cfg = write_config(tmp_path)
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps(tokens), encoding="utf-8")
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", str(cfg), "--out", str(out), "--ground-truth-tokens", str(gt)]
+    assert main(args) == 2
+    assert f"ground truth token {problem}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flops_reproduces_hand_case(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ikod.model import (
     TraceError,
     load_checkpoint,
     make_image_embeddings,
+    require_int,
     save_checkpoint,
 )
 from ikod.numerics import Rng
@@ -62,6 +65,39 @@ def test_first_embedding_entry_reproduces_the_stream():
     expected = (2.0 * Rng(42).next_uniform() - 1.0) * 0.5
     assert model.embedding[0, 0] == expected
     assert -0.5 <= model.embedding[0, 0] <= 0.5
+
+
+def _scalar_matrix(rng: Rng, rows: int, cols: int, scale: float) -> np.ndarray:
+    """One matrix from scalar next_uniform() calls, row-major, mapped to [-s, s]."""
+    flat = np.array([rng.next_uniform() for _ in range(rows * cols)], dtype=np.float64)
+    return ((2.0 * flat - 1.0) * scale).reshape(rows, cols)
+
+
+def test_every_weight_matrix_replays_the_scalar_stream():
+    # Distinct d_model, d_ff and vocab sizes make a shape or order slip visible.
+    cfg = small_config(d_ff=12, vocab_size=10, seed=17)
+    model = TinyDecoder(cfg)
+    rng, s = Rng(cfg.seed), 1.0 / math.sqrt(cfg.d_model)
+    d, f = cfg.d_model, cfg.d_ff
+    expected = [_scalar_matrix(rng, cfg.vocab_size, d, s)]
+    for _ in range(cfg.n_layers):
+        for rows, cols in [(d, d), (d, d), (d, d), (d, d), (d, f), (f, d)]:
+            expected.append(_scalar_matrix(rng, rows, cols, s))
+    expected.append(_scalar_matrix(rng, d, cfg.vocab_size, s))
+    actual = [model.embedding]
+    for lw in model.layers:
+        actual += [lw.w_q, lw.w_k, lw.w_v, lw.w_o, lw.w_ff1, lw.w_ff2]
+    actual.append(model.unembedding)
+    assert len(actual) == len(expected) == 2 + 6 * cfg.n_layers
+    for got, want in zip(actual, expected):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_image_embeddings_replay_the_scalar_stream():
+    got = make_image_embeddings(5, 8, seed=11)
+    want = _scalar_matrix(Rng(11), 5, 8, 1.0 / math.sqrt(8))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_image_embeddings_deterministic_and_prefix_stable():
@@ -193,6 +229,20 @@ def test_config_rejects_non_numbers():
         small_config(d_model=None)
     with pytest.raises(ConfigError, match="d_ff"):
         small_config(d_ff="16")
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
+def test_require_int_accepts_whole_numbers(value):
+    out = require_int(value, "field")
+    assert out == 3 and type(out) is int
+
+
+@pytest.mark.parametrize(
+    "value", [2.7, True, np.bool_(False), None, "3", [3], float("inf"), float("nan")]
+)
+def test_require_int_rejects_non_integers(value):
+    with pytest.raises(ConfigError, match="field must be an integer"):
+        require_int(value, "field")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ikod.numerics import Rng, ShapeError, matmul, softmax_rows
 
@@ -87,3 +89,46 @@ def test_rng_next_below_range_and_determinism():
     assert draws == [replay.next_below(10) for _ in range(200)]
     with pytest.raises(ValueError):
         rng.next_below(0)
+
+
+_GOLDEN = 0x9E3779B97F4A7C15
+
+# Seeds a few golden-ratio steps short of the 2**64 wrap, so the counter
+# state + i * golden overflows inside the first draws of a block.
+near_wrap_seeds = st.builds(
+    lambda k, d: (-k * _GOLDEN + d) % 2**64, st.integers(0, 4), st.integers(-3, 3)
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**64 - 1), near_wrap_seeds),
+    plan=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), max_size=8),
+)
+@example(seed=2**64 - 1, plan=[(0, 1), (5, 0), (0, 0), (1, 2)])
+@example(seed=0, plan=[(3, 0)])
+def test_uniform_block_matches_the_scalar_stream(seed, plan):
+    # plan: (block size, scalar next_u64 calls after the block) pairs.
+    block, scalar = Rng(seed), Rng(seed)
+    for n, between in plan:
+        got = block.next_uniform_block(n)
+        want = np.array([scalar.next_uniform() for _ in range(n)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert block.state == scalar.state
+        assert [block.next_u64() for _ in range(between)] == [
+            scalar.next_u64() for _ in range(between)
+        ]
+    assert block.state == scalar.state
+
+
+def test_uniform_block_rejects_bad_sizes():
+    rng = Rng(3)
+    with pytest.raises(ValueError):
+        rng.next_uniform_block(-1)
+    with pytest.raises(TypeError):
+        rng.next_uniform_block(2.5)
+    assert rng.state == 3
+    assert rng.next_uniform_block(np.int64(4)).shape == (4,)
+    assert rng.state == (3 + 4 * _GOLDEN) % 2**64
