@@ -25,12 +25,15 @@ from .decode import (
     DecodePolicy,
     GenerationResult,
     Mode,
+    Prefill,
     Prompt,
     StepDistributions,
     base_select,
+    check_request,
     collaborative_combine,
     ikod_generate,
     plausibility_mask,
+    prefill,
 )
 from .kv_merge import (
     AnchorStrategy,

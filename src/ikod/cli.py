@@ -11,9 +11,7 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,7 +25,15 @@ from .attn_analysis import (
     trace_image_attention,
 )
 from .cost import growth_rate_closed_form, growth_rate_exact, ikod_flops, original_flops
-from .decode import BaseStrategy, DecodePolicy, Mode, Prompt, ikod_generate
+from .decode import (
+    BaseStrategy,
+    DecodePolicy,
+    Mode,
+    Prompt,
+    check_request,
+    ikod_generate,
+    prefill,
+)
 from .kv_merge import AnchorStrategy
 from .metrics import BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores, load_caption_records
 from .model import (
@@ -36,6 +42,7 @@ from .model import (
     ModelConfig,
     TinyDecoder,
     make_image_embeddings,
+    require_float,
     require_int,
 )
 
@@ -75,14 +82,17 @@ def parse_base_strategy(d: dict) -> BaseStrategy:
     if unknown:
         raise ConfigError(f"unknown base strategy keys: {sorted(unknown)}")
     kind = d.get("kind", "greedy")
-    temperature = d.get("temperature")
-    k = d.get("k")
+    k, p, temperature = d.get("k"), d.get("p"), d.get("temperature")
     if k is not None:
         k = require_int(k, "policy.base.k")
+    if p is not None:
+        p = require_float(p, "policy.base.p")
+    if temperature is not None:
+        temperature = require_float(temperature, "policy.base.temperature")
     try:
         if kind == "nucleus":
             return BaseStrategy.nucleus(temperature=temperature)
-        return BaseStrategy(kind=kind, k=k, p=d.get("p"), temperature=temperature)
+        return BaseStrategy(kind=kind, k=k, p=p, temperature=temperature)
     except ValueError as exc:
         raise ConfigError(f"bad base strategy: {exc}") from None
 
@@ -98,13 +108,16 @@ def parse_policy(d: dict) -> DecodePolicy:
         raise ConfigError(f"unknown policy keys: {sorted(unknown)}")
     max_new_tokens = require_int(d.get("max_new_tokens", 16), "policy.max_new_tokens")
     seed = require_int(d.get("seed", 0), "policy.seed")
+    alpha = require_float(d.get("alpha", 2.0), "policy.alpha")
+    beta = require_float(d.get("beta", 0.1), "policy.beta")
+    anchor_ratio = require_float(d.get("anchor_ratio", 0.4), "policy.anchor_ratio")
     try:
         return DecodePolicy(
             mode=Mode(d.get("mode", "ikod")),
             base=parse_base_strategy(d.get("base", {})),
-            alpha=float(d.get("alpha", 2.0)),
-            beta=float(d.get("beta", 0.1)),
-            anchor_ratio=float(d.get("anchor_ratio", 0.4)),
+            alpha=alpha,
+            beta=beta,
+            anchor_ratio=anchor_ratio,
             anchor_strategy=AnchorStrategy(d.get("anchor_strategy", "low_attention")),
             max_new_tokens=max_new_tokens,
             seed=seed,
@@ -308,19 +321,6 @@ def _parse_list(text: str, convert):
         raise ConfigError(f"bad list value: {exc}") from None
 
 
-def _worker_count(n_points: int) -> int:
-    env = os.environ.get("IKOD_THREADS")
-    if env is None:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ConfigError(f"IKOD_THREADS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ConfigError("IKOD_THREADS must be at least 1")
-    return min(workers, n_points)
-
-
 def cmd_sweep(args) -> int:
     rc = load_run_config(args.config)
     base_policy = rc.policy if args.seed is None else replace(rc.policy, seed=args.seed)
@@ -338,6 +338,13 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise ConfigError("empty sweep grid")
 
+    policies = [
+        replace(base_policy, anchor_ratio=lam, alpha=alpha, beta=beta, anchor_strategy=strat)
+        for lam, alpha, beta, strat in grid
+    ]
+    if args.include_baseline:
+        policies = [replace(base_policy, mode=Mode.BASELINE)] + policies
+
     gt_tokens: set[str] | None = None
     if args.ground_truth_tokens:
         gt = _load_json(args.ground_truth_tokens)
@@ -346,9 +353,13 @@ def cmd_sweep(args) -> int:
         gt_tokens = {str(require_int(t, f"ground truth token [{i}]")) for i, t in enumerate(gt)}
     model = TinyDecoder(rc.model)
     prompt = _build_prompt(rc)
+    for policy in policies:
+        check_request(model, prompt, policy)
+    # Every grid point forks this one prefill of the shared prompt.
+    prefix = prefill(model, prompt)
 
     def run_policy(policy: DecodePolicy) -> list:
-        result = ikod_generate(model, prompt, policy)
+        result = ikod_generate(model, prefix, policy)
         stat = ImageAttentionStat.from_trace(result.trace, result.layout)
         mean_orig = float(stat.att_avg[stat.generated].mean())
         mean_aug = (
@@ -374,19 +385,7 @@ def cmd_sweep(args) -> int:
             " ".join(str(t) for t in result.tokens),
         ]
 
-    policies = [
-        replace(base_policy, anchor_ratio=lam, alpha=alpha, beta=beta, anchor_strategy=strat)
-        for lam, alpha, beta, strat in grid
-    ]
-    if args.include_baseline:
-        policies = [replace(base_policy, mode=Mode.BASELINE)] + policies
-
-    workers = _worker_count(len(policies))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_policy, policies))
-    else:
-        rows = [run_policy(p) for p in policies]
+    rows = [run_policy(p) for p in policies]
     indexed = [[i, *row] for i, row in enumerate(rows)]
 
     out_dir = Path(args.out)

@@ -8,10 +8,16 @@ against that merged view, and combines the two probability vectors as
 p_orig + alpha * p_aug restricted to tokens whose original probability is
 at least beta times the original maximum. The merged view is rebuilt from
 scratch each step and never mutates the live cache.
+
+The image and prompt positions can be run once with prefill() and the
+resulting Prefill forked by any number of generations: each fork copies the
+prompt's key/value rows into a fresh cache and shares its attention rows, so
+a policy sweep over one prompt prefills it once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,12 +39,15 @@ __all__ = [
     "DecodePolicy",
     "GenerationResult",
     "Mode",
+    "Prefill",
     "Prompt",
     "StepDistributions",
     "base_select",
+    "check_request",
     "collaborative_combine",
     "ikod_generate",
     "plausibility_mask",
+    "prefill",
 ]
 
 # Reserved end-of-sequence id; generation stops after emitting it.
@@ -74,8 +83,8 @@ class BaseStrategy:
             raise ValueError("top_p needs p in (0, 1]")
         if self.kind == "greedy" and (self.k is not None or self.p is not None):
             raise ValueError("greedy takes no k or p")
-        if self.temperature is not None and self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if self.temperature is not None and not 0.0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
 
     @classmethod
     def greedy(cls) -> "BaseStrategy":
@@ -108,8 +117,8 @@ class DecodePolicy:
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "anchor_strategy", AnchorStrategy(self.anchor_strategy))
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be non-negative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be non-negative and finite")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         if not 0.0 < self.anchor_ratio <= 1.0:
@@ -240,59 +249,138 @@ def _softmax_vec(logits: np.ndarray) -> np.ndarray:
     return softmax_rows(logits[None, :])[0]
 
 
+def _prompt_images(model: TinyDecoder, prompt: Prompt) -> np.ndarray:
+    d_model = model.config.d_model
+    images = np.asarray(prompt.image_embeddings, dtype=np.float64)
+    if images.size == 0:
+        images = images.reshape(0, d_model)
+    if images.ndim != 2 or images.shape[1] != d_model:
+        raise ValueError(f"image embeddings must have shape (n, {d_model})")
+    return images
+
+
+@dataclass(frozen=True)
+class Prefill:
+    """The image and prompt positions of one Prompt, run through the model
+    once and never modified afterwards. Each generation given a Prefill
+    forks it (see fork) instead of running the prompt again."""
+
+    model: TinyDecoder
+    n_image: int
+    l_others: int
+    keys: np.ndarray  # (n_layers, n_heads, n_image + l_others, d_head)
+    values: np.ndarray
+    rows: tuple[np.ndarray, ...]  # attention row of each prompt position
+    logits: np.ndarray  # predicting the first new token
+    last_input: int  # last prompt token, the merged path's first query
+
+    def fork(self) -> tuple[LayeredKvCache, AttentionTrace]:
+        """A fresh cache holding the prompt's key/value rows, and a trace
+        sharing its attention rows with its own image-mass ledger."""
+        cfg = self.model.config
+        length = self.n_image + self.l_others
+        cache = self.model.new_cache()
+        cache.keys[:, :, :length] = self.keys
+        cache.values[:, :, :length] = self.values
+        cache.length = length
+        trace = AttentionTrace(cfg.n_layers, cfg.n_heads)
+        trace.rows.extend(self.rows)
+        return cache, trace
+
+
+def _run_prompt(model: TinyDecoder, prompt: Prompt):
+    """(cache, trace, logits) after feeding the image embeddings, then the
+    prompt tokens, through forward_step on a fresh cache."""
+    cfg = model.config
+    cache = model.new_cache()
+    trace = AttentionTrace(cfg.n_layers, cfg.n_heads)
+    out = None
+    for emb in _prompt_images(model, prompt):
+        out = model.forward_step(cache, emb)
+        trace.record(out)
+    for tok in prompt.tokens:
+        out = model.forward_step(cache, int(tok))
+        trace.record(out)
+    return cache, trace, out.logits
+
+
+def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
+    """Run the prompt once, for generations that fork it."""
+    if len(prompt.tokens) < 1:
+        raise ValueError("prompt needs at least one text token")
+    cache, trace, logits = _run_prompt(model, prompt)
+    length = cache.length
+    keys, values = cache.keys[:, :, :length].copy(), cache.values[:, :, :length].copy()
+    for array in (keys, values, logits, *trace.rows):
+        array.flags.writeable = False
+    return Prefill(
+        model=model,
+        n_image=length - len(prompt.tokens),
+        l_others=len(prompt.tokens),
+        keys=keys,
+        values=values,
+        rows=tuple(trace.rows),
+        logits=logits,
+        last_input=int(prompt.tokens[-1]),
+    )
+
+
+def check_request(model: TinyDecoder, prompt: Prompt | Prefill, policy: DecodePolicy) -> None:
+    """Raise the error ikod_generate would raise for this request before it
+    runs any forward step: ValueError or CapacityError."""
+    cfg = model.config
+    if isinstance(prompt, Prefill):
+        if prompt.model is not model:
+            raise ValueError("prefill was computed by a different model")
+        n_image, l_others = prompt.n_image, prompt.l_others
+    else:
+        n_image, l_others = _prompt_images(model, prompt).shape[0], len(prompt.tokens)
+    if l_others < 1:
+        raise ValueError("prompt needs at least one text token")
+    if policy.mode is not Mode.BASELINE and l_others < 3:
+        raise ValueError("merged decoding needs at least three prompt text tokens")
+    length = n_image + l_others
+    if length + policy.max_new_tokens > cfg.max_seq:
+        raise CapacityError(
+            f"prompt of {length} plus {policy.max_new_tokens} new tokens exceeds "
+            f"max_seq {cfg.max_seq}"
+        )
+
+
 def ikod_generate(
     model: TinyDecoder,
-    prompt: Prompt,
+    prompt: Prompt | Prefill,
     policy: DecodePolicy,
     record_merge_plans: bool = False,
 ) -> GenerationResult:
     """Run the full generation loop under the given policy.
 
+    prompt is either a Prompt, which is run through the model first, or a
+    Prefill of this model, which is forked; both give bit-identical results.
     Every emitted token (the final one and the end token included) is fed back
     through the incremental path, so the trace holds an attention row for each
     generated token and the cache is identical across modes for equal token
     sequences.
     """
-    cfg = model.config
-    images = np.asarray(prompt.image_embeddings, dtype=np.float64)
-    if images.size == 0:
-        images = images.reshape(0, cfg.d_model)
-    if images.ndim != 2 or images.shape[1] != cfg.d_model:
-        raise ValueError(f"image embeddings must have shape (n, {cfg.d_model})")
-    n_image = images.shape[0]
-    l_others = len(prompt.tokens)
-    if l_others < 1:
-        raise ValueError("prompt needs at least one text token")
-    if policy.mode is not Mode.BASELINE and l_others < 3:
-        raise ValueError("merged decoding needs at least three prompt text tokens")
-    prefill = n_image + l_others
-    if prefill + policy.max_new_tokens > cfg.max_seq:
-        raise CapacityError(
-            f"prompt of {prefill} plus {policy.max_new_tokens} new tokens exceeds "
-            f"max_seq {cfg.max_seq}"
-        )
+    check_request(model, prompt, policy)
+    if isinstance(prompt, Prefill):
+        n_image, l_others = prompt.n_image, prompt.l_others
+        cache, trace = prompt.fork()
+        logits, current_input = prompt.logits, prompt.last_input
+    else:
+        l_others = len(prompt.tokens)
+        cache, trace, logits = _run_prompt(model, prompt)
+        n_image = cache.length - l_others
+        current_input = int(prompt.tokens[-1])
 
     rng = Rng(policy.seed)
-    cache = model.new_cache()
-    trace = AttentionTrace(cfg.n_layers, cfg.n_heads)
-
-    out = None
-    for emb in images:
-        out = model.forward_step(cache, emb)
-        trace.record(out)
-    current_input: int | np.ndarray = 0
-    for tok in prompt.tokens:
-        out = model.forward_step(cache, int(tok))
-        trace.record(out)
-        current_input = int(tok)
-
     generated: list[int] = []
     steps: list[StepDistributions] = []
     plans: list[MergePlan] | None = [] if record_merge_plans else None
     aug_att: list[float] = []
 
     for _ in range(policy.max_new_tokens):
-        p_orig = _softmax_vec(out.logits)
+        p_orig = _softmax_vec(logits)
         if policy.mode is Mode.BASELINE:
             p_aug = None
             v_head = None
@@ -327,6 +415,7 @@ def ikod_generate(
         generated.append(token)
         out = model.forward_step(cache, token)
         trace.record(out)
+        logits = out.logits
         current_input = token
         if token == EOS_TOKEN:
             break

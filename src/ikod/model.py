@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -39,6 +40,7 @@ __all__ = [
     "TraceError",
     "load_checkpoint",
     "make_image_embeddings",
+    "require_float",
     "require_int",
     "save_checkpoint",
     "sinusoidal_positions",
@@ -67,6 +69,22 @@ def require_int(value, name: str) -> int:
     if not whole:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_float(value, name: str) -> float:
+    """value as a float when it is a finite number; booleans, null, strings
+    and non-finite numbers raise a ConfigError naming the field."""
+    try:
+        finite = (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 class Role(IntEnum):
@@ -218,13 +236,6 @@ class LayeredKvCache:
 
     def layer_values(self, layer: int) -> np.ndarray:
         return self.values[layer, :, : self.length]
-
-    def clone(self) -> "LayeredKvCache":
-        out = LayeredKvCache(*self.keys.shape[:2], self.keys.shape[3], self.capacity)
-        out.keys[...] = self.keys
-        out.values[...] = self.values
-        out.length = self.length
-        return out
 
 
 class AttentionTrace:

@@ -116,6 +116,16 @@ def test_decode_bad_policy_exits_2(tmp_path):
         ({"policy": {"base": {"kind": "top_k", "k": 2.5}}}, "policy.base.k"),
         ({"policy": [1]}, "policy"),
         ({"policy": {"base": "greedy"}}, "policy.base"),
+        ({"policy": {"alpha": None}}, "policy.alpha"),
+        ({"policy": {"alpha": True}}, "policy.alpha"),
+        ({"policy": {"alpha": float("inf")}}, "policy.alpha"),
+        ({"policy": {"beta": "0.1"}}, "policy.beta"),
+        ({"policy": {"anchor_ratio": [0.4]}}, "policy.anchor_ratio"),
+        ({"policy": {"base": {"kind": "top_p", "p": True}}}, "policy.base.p"),
+        (
+            {"policy": {"base": {"kind": "top_p", "p": 0.9, "temperature": "2"}}},
+            "policy.base.temperature",
+        ),
     ],
 )
 def test_decode_rejects_malformed_fields(tmp_path, capsys, overrides, field):
@@ -262,19 +272,6 @@ def test_sweep_single_point_matches_decode_tokens(tmp_path):
     assert rows[1][-1] == " ".join(str(t) for t in tokens)
 
 
-def test_sweep_respects_thread_env(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    monkeypatch.setenv("IKOD_THREADS", "4")
-    out_par = tmp_path / "par"
-    main(["sweep", "--config", str(cfg), "--out", str(out_par), "--lambdas", "0.2,0.5,1.0"])
-    monkeypatch.delenv("IKOD_THREADS")
-    out_seq = tmp_path / "seq"
-    main(["sweep", "--config", str(cfg), "--out", str(out_seq), "--lambdas", "0.2,0.5,1.0"])
-    assert (out_par / "sweep.csv").read_bytes() == (out_seq / "sweep.csv").read_bytes()
-    monkeypatch.setenv("IKOD_THREADS", "zebra")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 2
-
-
 def test_sweep_strategy_grid_is_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "sweep"
@@ -287,6 +284,21 @@ def test_sweep_strategy_grid_is_deterministic(tmp_path):
     assert code == 0
     rows = read_csv(out / "sweep.csv")
     assert [r[5] for r in rows[1:]] == ["low_attention", "high_attention", "random"]
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_sweep_rejects_non_finite_alpha(tmp_path, capsys, alpha):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--alphas", alpha]) == 2
+    assert "alpha must be non-negative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_capacity_exits_3(tmp_path):
+    cfg = write_config(tmp_path, model={"max_seq": 10})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_empty_grid_exits_2(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ikod.decode import (
     EOS_TOKEN,
@@ -11,6 +13,7 @@ from ikod.decode import (
     collaborative_combine,
     ikod_generate,
     plausibility_mask,
+    prefill,
 )
 from ikod.kv_merge import AnchorStrategy
 from ikod.model import CapacityError, ModelConfig, TinyDecoder, make_image_embeddings
@@ -123,6 +126,27 @@ def test_base_select_rejects_bad_scores():
         base_select([-0.1, 1.0], BaseStrategy.greedy(), Rng(0))
 
 
+temperatures = st.none() | st.floats(0.0, 1e308, exclude_min=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.lists(st.just(0.0) | st.floats(0.0, 1e3), min_size=1, max_size=12).filter(
+        lambda s: sum(s) > 0.0
+    ),
+    base=st.just(BaseStrategy.greedy())
+    | st.builds(BaseStrategy.top_k, k=st.integers(1, 16), temperature=temperatures)
+    | st.builds(BaseStrategy.top_p, p=st.floats(0.0, 1.0, exclude_min=True), temperature=temperatures),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_base_select_never_picks_a_zero_score_token(scores, base, u):
+    class FixedDraw:  # the one uniform base_select asks for, edges included
+        def next_uniform(self):
+            return u
+
+    assert scores[base_select(np.array(scores), base, FixedDraw())] > 0.0
+
+
 def test_base_strategy_validation():
     with pytest.raises(ValueError):
         BaseStrategy(kind="beam")
@@ -132,7 +156,16 @@ def test_base_strategy_validation():
         BaseStrategy.top_p(0.0)
     with pytest.raises(ValueError):
         BaseStrategy.top_k(5, temperature=-1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            BaseStrategy.top_p(0.9, temperature=bad)
     assert BaseStrategy.nucleus().p == 1.0
+
+
+@pytest.mark.parametrize("alpha", [float("inf"), float("nan"), -0.5])
+def test_policy_rejects_negative_and_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be non-negative and finite"):
+        DecodePolicy(alpha=alpha)
 
 
 def make_model(seed=7, max_seq=96) -> TinyDecoder:
@@ -326,3 +359,108 @@ def test_generation_stops_after_end_token():
             stopped = True
             break
     assert stopped, "no seed in range produced the end token"
+
+
+def assert_same_generation(a, b):
+    """Bit-for-bit equality of everything a generation returns."""
+    assert a.tokens == b.tokens
+    assert len(a.steps) == len(b.steps)
+    for sa, sb in zip(a.steps, b.steps):
+        assert sa.chosen == sb.chosen
+        for name in ("p_orig", "p_aug", "p_combined", "v_head"):
+            x, y = getattr(sa, name), getattr(sb, name)
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert len(a.trace) == len(b.trace)
+    for ra, rb in zip(a.trace.rows, b.trace.rows):
+        assert ra.shape == rb.shape and ra.tobytes() == rb.tobytes()
+    assert np.array(a.aug_image_attention).tobytes() == np.array(b.aug_image_attention).tobytes()
+    assert a.merge_plans == b.merge_plans
+    assert (a.layout.roles == b.layout.roles).all()
+    n = a.cache.length
+    assert n == b.cache.length
+    assert a.cache.keys[:, :, :n].tobytes() == b.cache.keys[:, :, :n].tobytes()
+    assert a.cache.values[:, :, :n].tobytes() == b.cache.values[:, :, :n].tobytes()
+
+
+policies = st.builds(
+    DecodePolicy,
+    mode=st.sampled_from(list(Mode)),
+    base=st.just(BaseStrategy.greedy())
+    | st.builds(BaseStrategy.top_p, p=st.floats(0.05, 1.0), temperature=st.floats(0.1, 5.0)),
+    alpha=st.floats(0.0, 4.0),
+    beta=st.floats(0.0, 1.0),
+    anchor_ratio=st.floats(0.01, 1.0),
+    anchor_strategy=st.sampled_from(list(AnchorStrategy)),
+    max_new_tokens=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@st.composite
+def prompts(draw):
+    """A small model and a prompt that leaves room for six new tokens."""
+    n_heads, d_head = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    vocab = draw(st.integers(4, 24))
+    n_image = draw(st.integers(0, 5))
+    tokens = tuple(draw(st.lists(st.integers(1, vocab - 1), min_size=3, max_size=6)))
+    cfg = ModelConfig(
+        n_layers=draw(st.integers(1, 2)), n_heads=n_heads, d_model=n_heads * d_head,
+        d_ff=draw(st.integers(1, 16)), vocab_size=vocab,
+        max_seq=n_image + len(tokens) + 6 + draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    images = make_image_embeddings(n_image, cfg.d_model, draw(st.integers(0, 2**32 - 1)))
+    return TinyDecoder(cfg), Prompt(images, tokens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=prompts(), first=policies, second=policies)
+def test_forked_prefill_matches_fresh_generation(case, first, second):
+    model, prompt = case
+    assume(first != second)
+    prefix = prefill(model, prompt)
+    arrays = [prefix.keys, prefix.values, prefix.logits, *prefix.rows]
+    before = [a.copy() for a in arrays]
+    for policy in (first, second):
+        forked = ikod_generate(model, prefix, policy, record_merge_plans=True)
+        assert_same_generation(forked, ikod_generate(model, prompt, policy, record_merge_plans=True))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
+
+
+def test_prefill_is_read_only_and_records_the_prompt():
+    model = make_model()
+    prompt = make_prompt(model)
+    prefix = prefill(model, prompt)
+    assert (prefix.n_image, prefix.l_others, prefix.last_input) == (4, 4, 14)
+    assert prefix.keys.shape == (2, 2, 8, 8) and len(prefix.rows) == 8
+    for array in (prefix.keys, prefix.values, prefix.logits, prefix.rows[0]):
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+
+
+def test_prefill_of_another_model_is_rejected():
+    model, twin = make_model(), make_model()  # equal weights, different objects
+    prefix = prefill(model, make_prompt(model))
+    with pytest.raises(ValueError, match="different model"):
+        ikod_generate(twin, prefix, DecodePolicy(max_new_tokens=2))
+
+
+def test_request_errors_come_before_any_forward_step(monkeypatch):
+    model = make_model(max_seq=12)
+    prompt = make_prompt(model)  # prefill is 8 positions
+    short = Prompt(prompt.image_embeddings, (5, 9))
+    prefixes = (prefill(model, prompt), prefill(model, short))
+    calls = []
+    step = TinyDecoder.forward_step
+    monkeypatch.setattr(
+        TinyDecoder, "forward_step", lambda self, *args: calls.append(1) or step(self, *args)
+    )
+    for source in (prompt, prefixes[0]):
+        with pytest.raises(CapacityError):
+            ikod_generate(model, source, DecodePolicy(max_new_tokens=5))
+    for source in (short, prefixes[1]):
+        with pytest.raises(ValueError, match="three prompt text tokens"):
+            ikod_generate(model, source, DecodePolicy(mode=Mode.IKOD, max_new_tokens=2))
+    assert calls == []

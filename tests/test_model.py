@@ -14,6 +14,7 @@ from ikod.model import (
     TraceError,
     load_checkpoint,
     make_image_embeddings,
+    require_float,
     require_int,
     save_checkpoint,
 )
@@ -243,6 +244,21 @@ def test_require_int_accepts_whole_numbers(value):
 def test_require_int_rejects_non_integers(value):
     with pytest.raises(ConfigError, match="field must be an integer"):
         require_int(value, "field")
+
+
+@pytest.mark.parametrize("value", [2, 2.5, np.int64(2), np.float32(0.5), -1e308])
+def test_require_float_accepts_finite_numbers(value):
+    out = require_float(value, "field")
+    assert out == float(value) and type(out) is float
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.bool_(True), None, "0.1", [0.1], float("inf"), -float("inf"), float("nan"), 10**400],
+)
+def test_require_float_rejects_non_finite_and_non_numbers(value):
+    with pytest.raises(ConfigError, match="field must be a finite number"):
+        require_float(value, "field")
 
 
 @pytest.mark.parametrize(
