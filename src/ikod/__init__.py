@@ -59,6 +59,6 @@ from .model import (
     make_image_embeddings,
     save_checkpoint,
 )
-from .numerics import Matrix, Rng, ShapeError, matmul, softmax_rows
+from .numerics import Matrix, Rng, ShapeError, softmax_rows
 
 __version__ = "0.1.0"

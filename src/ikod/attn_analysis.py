@@ -45,8 +45,8 @@ class ImageAttentionStat:
     @classmethod
     def from_trace(cls, trace: AttentionTrace, layout: SequenceLayout) -> "ImageAttentionStat":
         n = len(trace)
-        if n > len(layout):
-            raise ValueError("trace is longer than the layout")
+        if n != len(layout):
+            raise TraceError(f"trace of {n} steps does not match a layout of {len(layout)}")
         values = np.empty((n, trace.n_layers, trace.n_heads))
         for step in range(n):
             rows = trace.rows_for(step)
@@ -119,19 +119,16 @@ def kde2d(points, grid, h_x: float = 0.5, h_y: float = 0.5) -> np.ndarray:
     return kern.sum(axis=1) / (pts.shape[0] * h_x * h_y)
 
 
-def degradation_report(trace: AttentionTrace, layout: SequenceLayout) -> list[tuple[float, float]]:
+def degradation_report(stat: ImageAttentionStat) -> list[tuple[float, float]]:
     """(relative position, mean image attention) per generated token.
 
     Relative position is t/L with 1-based t over the L generated tokens, so
     the last generated token sits at 1.0.
     """
-    if layout.l_gen < 1:
-        raise ValueError("need at least one generated token")
-    if len(trace) < len(layout):
-        raise TraceError("trace does not cover every layout position")
-    stat = ImageAttentionStat.from_trace(trace, layout)
     att = stat.att_avg[stat.generated]
     n = att.size
+    if n < 1:
+        raise ValueError("need at least one generated token")
     return [((t + 1) / n, float(att[t])) for t in range(n)]
 
 

@@ -21,6 +21,7 @@ from .attn_analysis import (
     ImageAttentionStat,
     degradation_report,
     kde2d,
+    segment_averages,
     synthetic_uniform_trace,
     trace_image_attention,
 )
@@ -40,6 +41,8 @@ from .model import (
     CapacityError,
     ConfigError,
     ModelConfig,
+    Role,
+    SequenceLayout,
     TinyDecoder,
     make_image_embeddings,
     require_float,
@@ -249,6 +252,30 @@ def _read_trace_csv(path: Path) -> np.ndarray:
     return values
 
 
+def _read_run(run_dir: Path) -> ImageAttentionStat:
+    """A decode run's trace.csv as image attention over its generation.json layout."""
+    gen = _load_json(run_dir / "generation.json")
+    try:
+        request, tokens = gen["request"], gen["result"]["tokens"]
+        image_count, prompt_tokens = request["image_count"], request["prompt_tokens"]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{run_dir}/generation.json: malformed ({exc})") from None
+    image_count = require_int(image_count, "request.image_count")
+    if image_count < 0:
+        raise ConfigError("request.image_count must be non-negative")
+    for name, value in (("request.prompt_tokens", prompt_tokens), ("result.tokens", tokens)):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a JSON array, got {value!r}")
+    values = _read_trace_csv(run_dir / "trace.csv")
+    steps = image_count + len(prompt_tokens) + len(tokens)
+    if values.shape[0] != steps:
+        raise ConfigError(
+            f"{run_dir}/trace.csv holds {values.shape[0]} steps, generation.json describes {steps}"
+        )
+    layout = SequenceLayout.from_counts(image_count, len(prompt_tokens), len(tokens))
+    return ImageAttentionStat(values=values, generated=layout.roles == Role.GENERATED)
+
+
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     if args.synthetic_uniform:
@@ -257,42 +284,25 @@ def cmd_analyze(args) -> int:
         trace, layout = synthetic_uniform_trace(
             args.image_count, args.other_count, args.gen_count
         )
-        report = degradation_report(trace, layout)
-        values = ImageAttentionStat.from_trace(trace, layout).values
-        prefill = args.image_count + args.other_count
+        stat = ImageAttentionStat.from_trace(trace, layout)
+    elif args.run_dir:
+        stat = _read_run(Path(args.run_dir))
     else:
-        if not args.run_dir:
-            raise ConfigError("pass a decode output directory or --synthetic-uniform")
-        run_dir = Path(args.run_dir)
-        gen = _load_json(run_dir / "generation.json")
-        try:
-            request = gen["request"]
-            prefill = int(request["image_count"]) + len(request["prompt_tokens"])
-            n_gen = len(gen["result"]["tokens"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{run_dir}/generation.json: malformed ({exc})") from None
-        values = _read_trace_csv(run_dir / "trace.csv")
-        if n_gen < 1 or values.shape[0] < prefill + n_gen:
-            raise ConfigError("trace holds no generated steps")
-        att_avg = values.mean(axis=(1, 2))
-        report = [((i + 1) / n_gen, float(att_avg[prefill + i])) for i in range(n_gen)]
+        raise ConfigError("pass a decode output directory or --synthetic-uniform")
+    report = degradation_report(stat)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "degradation.csv", ["relative_position", "att_avg"], report)
 
-    gen_values = values[prefill:]
-    n_gen = gen_values.shape[0]
+    n_gen = len(report)
     if n_gen >= 5:
-        w = n_gen // 5
-        seg_rows = [
-            (li, h, float(gen_values[:w, li, h].mean()), float(gen_values[-w:, li, h].mean()), w)
-            for li in range(gen_values.shape[1])
-            for h in range(gen_values.shape[2])
-        ]
+        _, n_layers, n_heads = stat.values.shape
+        cells = [(li, h) for li in range(n_layers) for h in range(n_heads)]
+        summaries = [segment_averages(stat, li, h) for li, h in cells]
         _write_csv(
             out_dir / "segments.csv",
             ["layer", "head", "att_first", "att_last", "segment_len"],
-            seg_rows,
+            [(*cell, s.att_first, s.att_last, s.segment_len) for cell, s in zip(cells, summaries)],
         )
     else:
         print(

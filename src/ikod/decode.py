@@ -9,10 +9,10 @@ p_orig + alpha * p_aug restricted to tokens whose original probability is
 at least beta times the original maximum. The merged view is rebuilt from
 scratch each step and never mutates the live cache.
 
-The image and prompt positions can be run once with prefill() and the
-resulting Prefill forked by any number of generations: each fork copies the
-prompt's key/value rows into a fresh cache and shares its attention rows, so
-a policy sweep over one prompt prefills it once.
+The image and prompt positions are run once by prefill(), and every
+generation forks the resulting Prefill: each fork copies the prompt's
+key/value rows into a fresh cache and shares its attention rows, so a policy
+sweep over one prompt prefills it once.
 """
 
 from __future__ import annotations
@@ -288,30 +288,19 @@ class Prefill:
         return cache, trace
 
 
-def _run_prompt(model: TinyDecoder, prompt: Prompt):
-    """(cache, trace, logits) after feeding the image embeddings, then the
-    prompt tokens, through forward_step on a fresh cache."""
-    cfg = model.config
-    cache = model.new_cache()
-    trace = AttentionTrace(cfg.n_layers, cfg.n_heads)
-    out = None
-    for emb in _prompt_images(model, prompt):
-        out = model.forward_step(cache, emb)
-        trace.record(out)
-    for tok in prompt.tokens:
-        out = model.forward_step(cache, int(tok))
-        trace.record(out)
-    return cache, trace, out.logits
-
-
 def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
-    """Run the prompt once, for generations that fork it."""
+    """Run the image embeddings, then the prompt tokens, through forward_step
+    on a fresh cache, for generations that fork the result."""
     if len(prompt.tokens) < 1:
         raise ValueError("prompt needs at least one text token")
-    cache, trace, logits = _run_prompt(model, prompt)
+    cache = model.new_cache()
+    outs = [model.forward_step(cache, emb) for emb in _prompt_images(model, prompt)]
+    outs += [model.forward_step(cache, int(tok)) for tok in prompt.tokens]
     length = cache.length
     keys, values = cache.keys[:, :, :length].copy(), cache.values[:, :, :length].copy()
-    for array in (keys, values, logits, *trace.rows):
+    rows = tuple(out.attention_rows for out in outs)
+    logits = outs[-1].logits
+    for array in (keys, values, logits, *rows):
         array.flags.writeable = False
     return Prefill(
         model=model,
@@ -319,7 +308,7 @@ def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
         l_others=len(prompt.tokens),
         keys=keys,
         values=values,
-        rows=tuple(trace.rows),
+        rows=rows,
         logits=logits,
         last_input=int(prompt.tokens[-1]),
     )
@@ -355,23 +344,18 @@ def ikod_generate(
 ) -> GenerationResult:
     """Run the full generation loop under the given policy.
 
-    prompt is either a Prompt, which is run through the model first, or a
-    Prefill of this model, which is forked; both give bit-identical results.
-    Every emitted token (the final one and the end token included) is fed back
-    through the incremental path, so the trace holds an attention row for each
-    generated token and the cache is identical across modes for equal token
-    sequences.
+    prompt is either a Prefill of this model or a Prompt, which is prefilled
+    first; either way the generation forks the Prefill. Every emitted token
+    (the final one and the end token included) is fed back through the
+    incremental path, so the trace holds an attention row for each generated
+    token and the cache is identical across modes for equal token sequences.
     """
     check_request(model, prompt, policy)
-    if isinstance(prompt, Prefill):
-        n_image, l_others = prompt.n_image, prompt.l_others
-        cache, trace = prompt.fork()
-        logits, current_input = prompt.logits, prompt.last_input
-    else:
-        l_others = len(prompt.tokens)
-        cache, trace, logits = _run_prompt(model, prompt)
-        n_image = cache.length - l_others
-        current_input = int(prompt.tokens[-1])
+    if isinstance(prompt, Prompt):
+        prompt = prefill(model, prompt)
+    n_image, l_others = prompt.n_image, prompt.l_others
+    cache, trace = prompt.fork()
+    logits, current_input = prompt.logits, prompt.last_input
 
     rng = Rng(policy.seed)
     generated: list[int] = []

@@ -227,10 +227,6 @@ class LayeredKvCache:
         self.values = np.zeros((n_layers, n_heads, max_seq, d_head))
         self.length = 0
 
-    @property
-    def capacity(self) -> int:
-        return self.keys.shape[2]
-
     def layer_keys(self, layer: int) -> np.ndarray:
         return self.keys[layer, :, : self.length]
 
@@ -383,21 +379,26 @@ class TinyDecoder:
             raise CapacityError(f"cache is full at {pos} of {cfg.max_seq} positions")
         x = self.content_embedding(inp) + self.positions[pos]
         rows = np.empty((cfg.n_layers, cfg.n_heads, pos + 1))
-        scale = 1.0 / math.sqrt(cfg.d_head)
         for li, lw in enumerate(self.layers):
-            qh = (x @ lw.w_q).reshape(cfg.n_heads, cfg.d_head)
             cache.keys[li, :, pos] = (x @ lw.w_k).reshape(cfg.n_heads, cfg.d_head)
             cache.values[li, :, pos] = (x @ lw.w_v).reshape(cfg.n_heads, cfg.d_head)
             # Contiguous copies keep the arithmetic identical to a read-only
             # pass over a derived cache of the same values.
             keys = np.ascontiguousarray(cache.keys[li, :, : pos + 1])
             vals = np.ascontiguousarray(cache.values[li, :, : pos + 1])
-            att = softmax_rows(np.einsum("hd,htd->ht", qh, keys) * scale)
-            rows[li] = att
-            x = x + np.einsum("ht,htd->hd", att, vals).reshape(cfg.d_model) @ lw.w_o
-            x = x + np.maximum(x @ lw.w_ff1, 0.0) @ lw.w_ff2
+            x, rows[li] = self._layer(lw, x, keys, vals)
         cache.length = pos + 1
         return StepOutput(logits=x @ self.unembedding, attention_rows=rows)
+
+    def _layer(self, lw: LayerWeights, x, keys, values):
+        """One layer for the query x: (x after the attention and feed-forward
+        residual blocks, the (n_heads, length) attention rows over keys)."""
+        cfg = self.config
+        qh = (x @ lw.w_q).reshape(cfg.n_heads, cfg.d_head)
+        att = softmax_rows(np.einsum("hd,htd->ht", qh, keys) * (1.0 / math.sqrt(cfg.d_head)))
+        x = x + np.einsum("ht,htd->hd", att, values).reshape(cfg.d_model) @ lw.w_o
+        x = x + np.maximum(x @ lw.w_ff1, 0.0) @ lw.w_ff2
+        return x, att
 
     def forward_query(self, keys, values, position: int, inp):
         """Evaluate one query against externally supplied per-layer key/value
@@ -414,13 +415,9 @@ class TinyDecoder:
             raise CapacityError(f"position {position} outside capacity {cfg.max_seq}")
         x = self.content_embedding(inp) + self.positions[position]
         rows = []
-        scale = 1.0 / math.sqrt(cfg.d_head)
-        for li, lw in enumerate(self.layers):
-            qh = (x @ lw.w_q).reshape(cfg.n_heads, cfg.d_head)
-            att = softmax_rows(np.einsum("hd,htd->ht", qh, keys[li]) * scale)
+        for lw, layer_keys, layer_values in zip(self.layers, keys, values):
+            x, att = self._layer(lw, x, layer_keys, layer_values)
             rows.append(att)
-            x = x + np.einsum("ht,htd->hd", att, values[li]).reshape(cfg.d_model) @ lw.w_o
-            x = x + np.maximum(x @ lw.w_ff1, 0.0) @ lw.w_ff2
         return x @ self.unembedding, rows
 
     def forward_full(self, embeddings) -> FullOutput:

@@ -6,7 +6,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["Matrix", "Rng", "ShapeError", "as_matrix", "matmul", "softmax_rows"]
+__all__ = ["Matrix", "Rng", "ShapeError", "softmax_rows"]
 
 # Matrices are plain row-major float64 ndarrays; the alias marks intent in
 # signatures without wrapping numpy.
@@ -17,28 +17,13 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible."""
 
 
-def as_matrix(data) -> Matrix:
-    m = np.asarray(data, dtype=np.float64)
+def softmax_rows(m) -> Matrix:
+    """Row-wise softmax with max-subtraction; every row sums to 1."""
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    return m
-
-
-def matmul(a, b) -> Matrix:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def softmax_rows(m) -> Matrix:
-    """Row-wise softmax with max-subtraction; every row sums to 1."""
-    m = as_matrix(m)
     e = np.exp(m - m.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 

@@ -161,7 +161,7 @@ def test_criterion_4_uniform_attention_prediction():
         predicted = uniform_attention_prediction(l_image, l_others, t)
         measured = att[t - 1]
         assert measured == pytest.approx(predicted, rel=1e-13), (t, measured, predicted)
-    column = [a for _, a in degradation_report(trace, layout)]
+    column = [a for _, a in degradation_report(stat)]
     assert all(a > b for a, b in zip(column, column[1:])), "column must strictly decrease"
     verdict(4, "uniform rows reproduce the analytic image share, strictly decreasing")
 

@@ -119,7 +119,7 @@ def test_kde_input_validation():
 
 def test_degradation_matches_uniform_prediction():
     trace, layout = synthetic_uniform_trace(4, 3, 8)
-    report = degradation_report(trace, layout)
+    report = degradation_report(ImageAttentionStat.from_trace(trace, layout))
     assert len(report) == 8
     for t, (rel, att) in enumerate(report, start=1):
         assert rel == pytest.approx(t / 8)
@@ -128,14 +128,14 @@ def test_degradation_matches_uniform_prediction():
 
 def test_degradation_single_token_has_relative_position_one():
     trace, layout = synthetic_uniform_trace(2, 2, 1)
-    report = degradation_report(trace, layout)
+    report = degradation_report(ImageAttentionStat.from_trace(trace, layout))
     assert len(report) == 1
     assert report[0][0] == 1.0
 
 
 def test_degradation_column_passes_through_monotone_series():
     trace, layout = synthetic_uniform_trace(4, 3, 12)
-    column = [att for _, att in degradation_report(trace, layout)]
+    column = [att for _, att in degradation_report(ImageAttentionStat.from_trace(trace, layout))]
     assert all(a > b for a, b in zip(column, column[1:]))
 
 

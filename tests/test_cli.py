@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from ikod.cli import _read_trace_csv, main
-from ikod.model import ConfigError
+from ikod.attn_analysis import ImageAttentionStat, degradation_report, segment_averages
+from ikod.cli import _build_prompt, _read_trace_csv, _write_csv, load_run_config, main
+from ikod.decode import ikod_generate
+from ikod.model import ConfigError, TinyDecoder
 
 BASE_CONFIG = {
     "model": {
@@ -233,6 +235,71 @@ def test_analyze_rejects_incomplete_trace(tmp_path, capsys, body, problem):
         _read_trace_csv(run / "trace.csv")
     assert main(["analyze", str(run), "--out", str(tmp_path / "x")]) == 2
     assert problem in capsys.readouterr().err
+
+
+def decoded_run(tmp_path, **policy):
+    """Directory of a 10-token decode of the base config and its generation.json."""
+    cfg = write_config(tmp_path, policy={"max_new_tokens": 10, **policy})
+    run = tmp_path / "run"
+    assert main(["decode", "--config", str(cfg), "--out", str(run)]) == 0
+    return run, json.loads((run / "generation.json").read_text())
+
+
+def test_analyze_rejects_extra_trace_steps(tmp_path, capsys):
+    run, gen = decoded_run(tmp_path)
+    request = gen["request"]
+    steps = request["image_count"] + len(request["prompt_tokens"]) + len(gen["result"]["tokens"])
+    extra = "".join(f"{steps + s},{li},{h},0.999\n" for s in range(6) for li in (0, 1) for h in (0, 1))
+    with open(run / "trace.csv", "a", encoding="utf-8") as fh:
+        fh.write(extra)
+    assert main(["analyze", str(run), "--out", str(tmp_path / "x")]) == 2
+    assert f"holds {steps + 6} steps, generation.json describes {steps}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "section, field, edit",
+    [
+        ("request", "image_count", lambda v: 3.7),
+        ("request", "image_count", lambda v: True),
+        ("request", "image_count", lambda v: "4"),
+        ("request", "image_count", lambda v: -4),
+        # Objects with as many keys as the arrays had, so the counts still add up.
+        ("request", "prompt_tokens", lambda v: dict(enumerate(v))),
+        ("result", "tokens", lambda v: dict(enumerate(v))),
+    ],
+    ids=["fraction", "boolean", "string", "negative", "prompt_tokens-object", "tokens-object"],
+)
+def test_analyze_rejects_malformed_generation_fields(tmp_path, capsys, section, field, edit):
+    run, gen = decoded_run(tmp_path)
+    gen[section][field] = edit(gen[section][field])
+    (run / "generation.json").write_text(json.dumps(gen), encoding="utf-8")
+    assert main(["analyze", str(run), "--out", str(tmp_path / "x")]) == 2
+    assert f"{section}.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", [{}, {"mode": "baseline", "base": {"kind": "top_p", "p": 0.9}}])
+def test_analyze_run_dir_matches_the_library_on_the_generation(tmp_path, policy):
+    run, _ = decoded_run(tmp_path, **policy)
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(run), "--out", str(out)]) == 0
+
+    rc = load_run_config(tmp_path / "config.json")
+    result = ikod_generate(TinyDecoder(rc.model), _build_prompt(rc), rc.policy)
+    stat = ImageAttentionStat.from_trace(result.trace, result.layout)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    _write_csv(
+        expected / "degradation.csv", ["relative_position", "att_avg"], degradation_report(stat)
+    )
+    summaries = [(li, h, segment_averages(stat, li, h)) for li in (0, 1) for h in (0, 1)]
+    _write_csv(
+        expected / "segments.csv",
+        ["layer", "head", "att_first", "att_last", "segment_len"],
+        [(li, h, s.att_first, s.att_last, s.segment_len) for li, h, s in summaries],
+    )
+    for name in ("degradation.csv", "segments.csv"):
+        assert (out / name).read_bytes() == (expected / name).read_bytes()
 
 
 def test_sweep_rows_and_full_ratio_equals_baseline(tmp_path):

@@ -464,3 +464,22 @@ def test_request_errors_come_before_any_forward_step(monkeypatch):
         with pytest.raises(ValueError, match="three prompt text tokens"):
             ikod_generate(model, source, DecodePolicy(mode=Mode.IKOD, max_new_tokens=2))
     assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=prompts(), policy=policies)
+def test_generation_matches_a_plain_forward_step_replay(case, policy):
+    """In every mode the cache and the trace of a generation are those of the
+    prompt and the emitted tokens fed through forward_step on a fresh cache:
+    neither the prefill fork nor the merged path leaves a mark on them."""
+    model, prompt = case
+    result = ikod_generate(model, prompt, policy)
+    cache = model.new_cache()
+    inputs = [*prompt.image_embeddings, *prompt.tokens, *result.tokens]
+    rows = [model.forward_step(cache, inp).attention_rows for inp in inputs]
+    assert result.cache.length == cache.length
+    assert result.cache.keys.tobytes() == cache.keys.tobytes()
+    assert result.cache.values.tobytes() == cache.values.tobytes()
+    assert len(result.trace) == len(rows)
+    for ra, rb in zip(result.trace.rows, rows):
+        assert ra.shape == rb.shape and ra.tobytes() == rb.tobytes()

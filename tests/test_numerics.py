@@ -5,37 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ikod.numerics import Rng, ShapeError, matmul, softmax_rows
-
-
-def test_matmul_identity():
-    out = matmul([[1.0, 0.0], [0.0, 1.0]], [[3.0, 4.0], [5.0, 6.0]])
-    np.testing.assert_array_equal(out, [[3.0, 4.0], [5.0, 6.0]])
-
-
-def test_matmul_hand_case():
-    np.testing.assert_array_equal(matmul([[1.0, 2.0]], [[3.0], [4.0]]), [[11.0]])
-
-
-def test_matmul_shape_mismatch_reports_shapes():
-    with pytest.raises(ShapeError, match="1x3 by 2x2"):
-        matmul(np.zeros((1, 3)), np.zeros((2, 2)))
-
-
-def test_matmul_rejects_non_finite():
-    with pytest.raises(ValueError):
-        matmul([[np.inf, 1.0]], [[1.0], [1.0]])
-
-
-def test_matmul_associative_on_random_matrices():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.normal(size=(4, 5))
-        b = rng.normal(size=(5, 3))
-        c = rng.normal(size=(3, 6))
-        np.testing.assert_allclose(
-            matmul(matmul(a, b), c), matmul(a, matmul(b, c)), rtol=1e-9
-        )
+from ikod.numerics import Rng, softmax_rows
 
 
 def test_softmax_symmetry():
