@@ -111,8 +111,8 @@ def kde2d(points, grid, h_x: float = 0.5, h_y: float = 0.5) -> np.ndarray:
         raise ValueError("grid must have shape (m, 2)")
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
-    if h_x <= 0 or h_y <= 0:
-        raise ValueError("bandwidths must be positive")
+    if not (0.0 < h_x < np.inf and 0.0 < h_y < np.inf):
+        raise ValueError("bandwidths must be positive and finite")
     u = (g[:, None, 0] - pts[None, :, 0]) / h_x
     v = (g[:, None, 1] - pts[None, :, 1]) / h_y
     kern = np.exp(-0.5 * (u * u + v * v)) / (2.0 * np.pi)

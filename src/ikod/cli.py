@@ -11,6 +11,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -278,6 +279,11 @@ def _read_run(run_dir: Path) -> ImageAttentionStat:
 
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
+    # Every argument is checked before the first file is written.
+    if args.kde_grid < 1:
+        raise ConfigError("--kde-grid must be at least 1")
+    if not 0.0 < args.bandwidth < math.inf:
+        raise ConfigError(f"--bandwidth must be positive and finite, got {args.bandwidth}")
     if args.synthetic_uniform:
         if args.gen_count < 1:
             raise ConfigError("--gen-count must be at least 1")

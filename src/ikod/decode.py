@@ -290,24 +290,26 @@ class Prefill:
 
 def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
     """Run the image embeddings, then the prompt tokens, through forward_step
-    on a fresh cache, for generations that fork the result."""
+    on a fresh cache sized to the prompt, for generations that fork the
+    result. The Prefill holds that cache's arrays, with no copy."""
     if len(prompt.tokens) < 1:
         raise ValueError("prompt needs at least one text token")
-    cache = model.new_cache()
-    outs = [model.forward_step(cache, emb) for emb in _prompt_images(model, prompt)]
+    cfg = model.config
+    images = _prompt_images(model, prompt)
+    length = images.shape[0] + len(prompt.tokens)
+    cache = LayeredKvCache(cfg.n_layers, cfg.n_heads, cfg.d_head, length)
+    outs = [model.forward_step(cache, emb) for emb in images]
     outs += [model.forward_step(cache, int(tok)) for tok in prompt.tokens]
-    length = cache.length
-    keys, values = cache.keys[:, :, :length].copy(), cache.values[:, :, :length].copy()
     rows = tuple(out.attention_rows for out in outs)
     logits = outs[-1].logits
-    for array in (keys, values, logits, *rows):
+    for array in (cache.keys, cache.values, logits, *rows):
         array.flags.writeable = False
     return Prefill(
         model=model,
-        n_image=length - len(prompt.tokens),
+        n_image=images.shape[0],
         l_others=len(prompt.tokens),
-        keys=keys,
-        values=values,
+        keys=cache.keys,
+        values=cache.values,
         rows=rows,
         logits=logits,
         last_input=int(prompt.tokens[-1]),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,25 @@ class MergePlan:
             ],
         }
 
+    @cached_property
+    def bucket_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n_layers, k) bucket starts and ends, checked to tile the mergeable
+        range 0..T-3 in order, with the same bucket count k in every layer.
+
+        Built on first use, so a malformed hand-built plan fails where it is
+        merged; build_merge_plan seeds it with the arrays it computed.
+        """
+        counts = [len(lp.buckets) for lp in self.layers]
+        for li, count in enumerate(counts):
+            if count == 0:
+                raise ValueError(f"merge plan layer {li} has no buckets")
+            if count != counts[0]:
+                raise ValueError(
+                    f"merge plan layer {li} has {count} buckets, layer 0 has {counts[0]}"
+                )
+        bounds = np.array([lp.buckets for lp in self.layers], dtype=np.int64)
+        return _checked_bounds(bounds[..., 0], bounds[..., 1], self.text_len)
+
 
 @dataclass
 class CompressedCache:
@@ -113,6 +133,39 @@ def anchor_count(text_len: int, anchor_ratio: float) -> int:
     return max(1, math.floor(anchor_ratio * (text_len - 2)))
 
 
+def _anchor_rows(
+    scores: np.ndarray,
+    anchor_ratio: float,
+    strategy: AnchorStrategy,
+    rng: Rng | None,
+) -> np.ndarray:
+    """(n_layers, k) anchors, ascending in each row; see select_anchors."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2:
+        raise ValueError("scores must be (n_layers, text_len)")
+    strategy = AnchorStrategy(strategy)
+    T = scores.shape[1]
+    k = anchor_count(T, anchor_ratio)
+    domain = T - 2
+    if strategy is AnchorStrategy.RANDOM:
+        if rng is None:
+            raise ValueError("random anchor selection needs an rng")
+        chosen = np.empty((scores.shape[0], k), dtype=np.int64)
+        for li in range(scores.shape[0]):
+            pool = list(range(domain))
+            for i in range(k):
+                j = i + rng.next_below(domain - i)
+                pool[i], pool[j] = pool[j], pool[i]
+            chosen[li] = pool[:k]
+    else:
+        # One stable sort over all layers ranks score ties by index, lowest first.
+        key = scores[:, :domain]
+        if strategy is AnchorStrategy.HIGH_ATTENTION:
+            key = -key
+        chosen = np.argsort(key, axis=1, kind="stable")[:, :k]
+    return np.sort(chosen, axis=1)
+
+
 def select_anchors(
     scores: np.ndarray,
     anchor_ratio: float,
@@ -123,34 +176,19 @@ def select_anchors(
 
     LOW_ATTENTION keeps the lowest-scoring tokens, HIGH_ATTENTION the highest;
     score ties break toward the lower index. RANDOM draws without replacement
-    from the supplied generator.
+    from the supplied generator, layer by layer.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError("scores must be (n_layers, text_len)")
-    strategy = AnchorStrategy(strategy)
-    T = scores.shape[1]
-    k = anchor_count(T, anchor_ratio)
-    domain = T - 2
-    if strategy is AnchorStrategy.RANDOM and rng is None:
-        raise ValueError("random anchor selection needs an rng")
-    anchors: list[list[int]] = []
-    for li in range(scores.shape[0]):
-        s = scores[li, :domain]
-        if strategy is AnchorStrategy.LOW_ATTENTION:
-            order = np.lexsort((np.arange(domain), s))
-            chosen = order[:k]
-        elif strategy is AnchorStrategy.HIGH_ATTENTION:
-            order = np.lexsort((np.arange(domain), -s))
-            chosen = order[:k]
-        else:
-            pool = list(range(domain))
-            for i in range(k):
-                j = i + rng.next_below(domain - i)
-                pool[i], pool[j] = pool[j], pool[i]
-            chosen = pool[:k]
-        anchors.append(sorted(int(i) for i in chosen))
-    return anchors
+    return _anchor_rows(scores, anchor_ratio, strategy, rng).tolist()
+
+
+def _bucket_arrays(anchors: np.ndarray, text_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) inclusive bucket bounds for each row of ascending anchors,
+    split at the floored midpoints between neighbouring anchors."""
+    mid = (anchors[:, :-1] + anchors[:, 1:]) // 2
+    n = anchors.shape[0]
+    lo = np.concatenate((np.zeros((n, 1), dtype=np.int64), mid + 1), axis=1)
+    hi = np.concatenate((mid, np.full((n, 1), text_len - 3, dtype=np.int64)), axis=1)
+    return lo, hi
 
 
 def build_buckets(anchors, text_len: int) -> list[tuple[int, int]]:
@@ -171,15 +209,8 @@ def build_buckets(anchors, text_len: int) -> list[tuple[int, int]]:
         raise ValueError("anchors must be strictly ascending")
     if ts[0] < 0 or ts[-1] > hi_max:
         raise ValueError(f"anchors must lie within 0..{hi_max}")
-    k = len(ts)
-    if k == 1:
-        return [(0, hi_max)]
-    buckets: list[tuple[int, int]] = []
-    for i in range(k):
-        lo = 0 if i == 0 else (ts[i - 1] + ts[i]) // 2 + 1
-        hi = hi_max if i == k - 1 else (ts[i] + ts[i + 1]) // 2
-        buckets.append((lo, hi))
-    return buckets
+    lo, hi = _bucket_arrays(np.array([ts], dtype=np.int64), text_len)
+    return list(zip(lo[0].tolist(), hi[0].tolist()))
 
 
 def build_merge_plan(
@@ -188,33 +219,34 @@ def build_merge_plan(
     strategy: AnchorStrategy = AnchorStrategy.LOW_ATTENTION,
     rng: Rng | None = None,
 ) -> MergePlan:
-    scores = np.asarray(scores, dtype=np.float64)
-    T = scores.shape[1]
-    per_layer = select_anchors(scores, anchor_ratio, strategy, rng)
+    """Anchors and buckets of every layer, computed in one pass over all layers."""
+    anchors = _anchor_rows(scores, anchor_ratio, strategy, rng)
+    T = np.shape(scores)[1]
+    lo, hi = _bucket_arrays(anchors, T)
+    # tuple(list(...)) sizes each tuple once: tuple(zip(...)) grows it step by
+    # step, and over a long decode that fragments the small-object heap.
     layers = tuple(
-        LayerPlan(anchors=tuple(a), buckets=tuple(build_buckets(a, T))) for a in per_layer
+        LayerPlan(anchors=tuple(a), buckets=tuple(list(zip(starts, ends))))
+        for a, starts, ends in zip(anchors.tolist(), lo.tolist(), hi.tolist())
     )
-    return MergePlan(
+    plan = MergePlan(
         layers=layers,
         text_len=T,
         protected=(T - 2, T - 1),
         anchor_ratio=float(anchor_ratio),
         strategy=AnchorStrategy(strategy),
     )
+    # The bounds already exist as arrays: check them once and seed the cache.
+    vars(plan)["bucket_bounds"] = _checked_bounds(lo, hi, T)
+    return plan
 
 
-def _bucket_bounds(plan: MergePlan) -> tuple[np.ndarray, np.ndarray]:
-    """(n_layers, k) bucket starts and ends, checked to tile the mergeable
-    range 0..T-3 in order, with the same bucket count k in every layer."""
-    counts = [len(lp.buckets) for lp in plan.layers]
-    for li, count in enumerate(counts):
-        if count == 0:
-            raise ValueError(f"merge plan layer {li} has no buckets")
-        if count != counts[0]:
-            raise ValueError(f"merge plan layer {li} has {count} buckets, layer 0 has {counts[0]}")
-    bounds = np.array([lp.buckets for lp in plan.layers], dtype=np.int64)
-    lo, hi = bounds[..., 0], bounds[..., 1]
-    top = plan.text_len - 3
+def _checked_bounds(
+    lo: np.ndarray, hi: np.ndarray, text_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), read-only, once they are checked to tile the mergeable range
+    0..T-3 in order in every layer."""
+    top = text_len - 3
     checks = (
         ((hi < lo).any(axis=1), "has an empty bucket"),
         (
@@ -226,6 +258,7 @@ def _bucket_bounds(plan: MergePlan) -> tuple[np.ndarray, np.ndarray]:
     for bad, problem in checks:
         if bad.any():
             raise ValueError(f"merge plan layer {int(np.argmax(bad))} {problem}")
+    lo.flags.writeable = hi.flags.writeable = False
     return lo, hi
 
 
@@ -240,7 +273,8 @@ def merge_cache(cache: LayeredKvCache, plan: MergePlan, layout: SequenceLayout) 
     per distinct length. A group is gathered as (pairs, n_heads, length,
     d_head), the layout of one bucket's rows in the cache, so each mean sums
     its rows in the same order as a per-bucket `.mean(axis=1)` and the merged
-    rows are bit-identical to it.
+    rows are bit-identical to it. Gathers and scatters index the caches and
+    the block as flat (rows, d_head) arrays, with one index array each.
     """
     start = layout.l_image
     T = plan.text_len
@@ -250,30 +284,39 @@ def merge_cache(cache: LayeredKvCache, plan: MergePlan, layout: SequenceLayout) 
         raise ValueError(
             f"cache holds {cache.length} positions, layout describes {start + T}"
         )
-    n_layers, n_heads = cache.keys.shape[:2]
+    n_layers, n_heads, capacity, d_head = cache.keys.shape
     if len(plan.layers) != n_layers:
         raise ValueError("plan layer count does not match the cache")
-    lo, hi = _bucket_bounds(plan)
+    lo, hi = plan.bucket_bounds
     k = lo.shape[1]
-    heads = np.arange(n_heads)[:, None]
-    gather = (np.arange(n_layers)[:, None, None], heads, start + lo[:, None, :])
-    bucket_keys = cache.keys[gather]  # (n_layers, n_heads, k, d_head)
-    bucket_values = cache.values[gather]
+    # Flat row indices: lane (layer * n_heads + head), then the cache row
+    # lane * capacity + position and the block row lane * k + bucket.
+    key_rows = cache.keys.reshape(-1, d_head)
+    value_rows = cache.values.reshape(-1, d_head)
+    lanes = np.arange(n_layers * n_heads).reshape(n_layers, n_heads)
+    bucket_first = lanes[..., None] * capacity + start + lo[:, None, :]  # (n_layers, n_heads, k)
+    bucket_keys = key_rows[bucket_first]  # (n_layers, n_heads, k, d_head)
+    bucket_values = value_rows[bucket_first]
+    merged_keys = bucket_keys.reshape(-1, d_head)  # views of the blocks
+    merged_values = bucket_values.reshape(-1, d_head)
 
     # (layer, bucket) pairs sorted by bucket length, cut into equal-length runs.
     sizes = (hi - lo + 1).ravel()
     order = np.argsort(sizes, kind="stable")
-    sizes, first = sizes[order], start + lo.ravel()[order]
+    sizes = sizes[order]
     layer, bucket = np.divmod(order, k)
+    lane = lanes[layer]  # (pairs, n_heads)
+    pair_first = lane * capacity + start + lo.ravel()[order][:, None]
+    slot = lane * k + bucket[:, None]
     cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
     for a, b in zip([0, *cuts], [*cuts, sizes.size]):
         m = int(sizes[a])
         if m == 1:
             continue
-        gather = (layer[a:b, None, None], heads, first[a:b, None, None] + np.arange(m))
-        scatter = (layer[a:b, None], heads[:, 0], bucket[a:b, None])
-        bucket_keys[scatter] = cache.keys[gather].mean(axis=2)
-        bucket_values[scatter] = cache.values[gather].mean(axis=2)
+        rows = pair_first[a:b, :, None] + np.arange(m)
+        # What .mean(axis=2) computes, without its Python wrapper.
+        merged_keys[slot[a:b]] = np.add.reduce(key_rows[rows], axis=2) / m
+        merged_values[slot[a:b]] = np.add.reduce(value_rows[rows], axis=2) / m
 
     # One array per layer: a stacked (L, H, n_hat, d) output raised peak memory.
     image, protected = slice(0, start), slice(start + T - 2, start + T)

@@ -95,51 +95,58 @@ class Role(IntEnum):
     GENERATED = 2
 
 
+_ROLE_CODES = np.array(list(Role), dtype=np.int8)
+
+
 @dataclass(frozen=True)
 class SequenceLayout:
     """Role labels per position: image block, then instruction text, then
-    generated text. The text segment (OTHER + GENERATED) is contiguous."""
+    generated text. The text segment (OTHER + GENERATED) is contiguous.
+    The role counts are taken once, at construction."""
 
     roles: np.ndarray
 
     def __post_init__(self):
-        roles = np.asarray(self.roles, dtype=np.int8)
-        if roles.ndim != 1:
+        codes = np.asarray(self.roles)
+        if codes.ndim != 1:
             raise ValueError("roles must be a flat sequence")
-        codes = roles.tolist()
-        if sorted(codes) != codes:
+        # Range first, so the cast below cannot wrap; then no fractions.
+        valid = codes.dtype.kind in "biuf" and (
+            codes.size == 0 or (codes.min() >= 0 and codes.max() < len(Role))
+        )
+        roles = codes.astype(np.int8) if valid else codes
+        if not valid or (roles != codes).any():
+            raise ValueError(
+                "role codes must be 0 (image), 1 (other text) or 2 (generated text)"
+            )
+        if (roles[1:] < roles[:-1]).any():
             raise ValueError(
                 "layout must be an image block, then other text, then generated text"
             )
         object.__setattr__(self, "roles", roles)
+        counts = np.bincount(roles, minlength=len(Role))
+        object.__setattr__(self, "_counts", tuple(counts.tolist()))
 
     @classmethod
     def from_counts(cls, l_image: int, l_others: int, l_gen: int = 0) -> "SequenceLayout":
         if min(l_image, l_others, l_gen) < 0:
             raise ValueError("counts must be non-negative")
-        roles = np.concatenate(
-            [
-                np.full(l_image, Role.IMAGE, dtype=np.int8),
-                np.full(l_others, Role.OTHER, dtype=np.int8),
-                np.full(l_gen, Role.GENERATED, dtype=np.int8),
-            ]
-        )
-        return cls(roles)
+        return cls(np.repeat(_ROLE_CODES, (l_image, l_others, l_gen)))
 
     def __len__(self) -> int:
         return int(self.roles.size)
 
     @property
     def l_image(self) -> int:
-        return int(np.count_nonzero(self.roles == Role.IMAGE))
+        return self._counts[Role.IMAGE]
 
     @property
     def l_others(self) -> int:
-        return int(np.count_nonzero(self.roles == Role.OTHER))
+        return self._counts[Role.OTHER]
 
     @property
     def l_gen(self) -> int:
-        return int(np.count_nonzero(self.roles == Role.GENERATED))
+        return self._counts[Role.GENERATED]
 
     @property
     def image_mask(self) -> np.ndarray:
@@ -226,12 +233,6 @@ class LayeredKvCache:
         self.keys = np.zeros((n_layers, n_heads, max_seq, d_head))
         self.values = np.zeros((n_layers, n_heads, max_seq, d_head))
         self.length = 0
-
-    def layer_keys(self, layer: int) -> np.ndarray:
-        return self.keys[layer, :, : self.length]
-
-    def layer_values(self, layer: int) -> np.ndarray:
-        return self.values[layer, :, : self.length]
 
 
 class AttentionTrace:
@@ -375,18 +376,17 @@ class TinyDecoder:
         attention rows over every cached position."""
         cfg = self.config
         pos = cache.length
-        if pos >= cfg.max_seq:
-            raise CapacityError(f"cache is full at {pos} of {cfg.max_seq} positions")
+        capacity = min(cfg.max_seq, cache.keys.shape[2])
+        if pos >= capacity:
+            raise CapacityError(f"cache is full at {pos} of {capacity} positions")
         x = self.content_embedding(inp) + self.positions[pos]
         rows = np.empty((cfg.n_layers, cfg.n_heads, pos + 1))
         for li, lw in enumerate(self.layers):
             cache.keys[li, :, pos] = (x @ lw.w_k).reshape(cfg.n_heads, cfg.d_head)
             cache.values[li, :, pos] = (x @ lw.w_v).reshape(cfg.n_heads, cfg.d_head)
-            # Contiguous copies keep the arithmetic identical to a read-only
-            # pass over a derived cache of the same values.
-            keys = np.ascontiguousarray(cache.keys[li, :, : pos + 1])
-            vals = np.ascontiguousarray(cache.values[li, :, : pos + 1])
-            x, rows[li] = self._layer(lw, x, keys, vals)
+            x, rows[li] = self._layer(
+                lw, x, cache.keys[li, :, : pos + 1], cache.values[li, :, : pos + 1]
+            )
         cache.length = pos + 1
         return StepOutput(logits=x @ self.unembedding, attention_rows=rows)
 

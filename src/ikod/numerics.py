@@ -22,7 +22,7 @@ def softmax_rows(m) -> Matrix:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     e = np.exp(m - m.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)

@@ -99,8 +99,8 @@ def test_criterion_2_full_ratio_identity_chain():
         plan = build_merge_plan(layer_scores(trace, layout), 1.0)
         merged = merge_cache(cache, plan, layout)
         for li in range(cfg.n_layers):
-            assert np.array_equal(merged.keys[li], cache.layer_keys(li))
-            assert np.array_equal(merged.values[li], cache.layer_values(li))
+            assert np.array_equal(merged.keys[li], cache.keys[li, :, :cache.length])
+            assert np.array_equal(merged.values[li], cache.values[li, :, :cache.length])
         logits, _ = model.forward_query(
             merged.keys, merged.values, cache.length - 1, int(prompt.tokens[-1])
         )

@@ -117,6 +117,14 @@ def test_kde_input_validation():
         kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_x=0.0)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -0.5])
+def test_kde_rejects_bandwidths_that_are_not_positive_and_finite(h):
+    with pytest.raises(ValueError, match="positive and finite"):
+        kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_x=h)
+    with pytest.raises(ValueError, match="positive and finite"):
+        kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_y=h)
+
+
 def test_degradation_matches_uniform_prediction():
     trace, layout = synthetic_uniform_trace(4, 3, 8)
     report = degradation_report(ImageAttentionStat.from_trace(trace, layout))

@@ -206,6 +206,23 @@ def test_analyze_without_input_exits_2(tmp_path):
     assert main(["analyze", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--bandwidth", "nan"],
+        ["--bandwidth", "inf"],
+        ["--bandwidth", "0"],
+        ["--kde-grid", "0"],
+    ],
+)
+def test_analyze_rejects_kde_arguments_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "analysis"
+    argv = ["analyze", "--synthetic-uniform", "--gen-count", "8", "--kde", *flags]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_analyze_empty_trace_exits_2(tmp_path):
     run = tmp_path / "run"
     run.mkdir()

@@ -206,8 +206,8 @@ def test_merge_cache_full_ratio_is_identity():
     plan = build_merge_plan(layer_scores(trace, layout), 1.0)
     merged = merge_cache(cache, plan, layout)
     for li in range(2):
-        np.testing.assert_array_equal(merged.keys[li], cache.layer_keys(li))
-        np.testing.assert_array_equal(merged.values[li], cache.layer_values(li))
+        np.testing.assert_array_equal(merged.keys[li], cache.keys[li, :, :cache.length])
+        np.testing.assert_array_equal(merged.values[li], cache.values[li, :, :cache.length])
     logits, _ = model.forward_query(merged.keys, merged.values, cache.length - 1, 7)
     np.testing.assert_allclose(logits, last.logits, atol=1e-9, rtol=0)
 
@@ -310,7 +310,7 @@ def reference_merge(cache, plan, layout):
     start, T = layout.l_image, plan.text_len
     keys, values = [], []
     for li, lp in enumerate(plan.layers):
-        for out, src in ((keys, cache.layer_keys(li)), (values, cache.layer_values(li))):
+        for out, src in ((keys, cache.keys[li, :, :cache.length]), (values, cache.values[li, :, :cache.length])):
             parts = [src[:, :start]]
             parts += [
                 src[:, start + lo : start + hi + 1].mean(axis=1, keepdims=True)
@@ -451,3 +451,97 @@ def test_layer_scores_ledger_rebuilds_for_another_image_length(n_layers, n_heads
         assert np.array_equal(scores, direct_scores(trace, layout))
         scores[...] = -1.0  # the caller owns the returned array
         assert np.array_equal(layer_scores(trace, layout), direct_scores(trace, layout))
+
+
+def reference_plan_layers(scores, anchor_ratio, strategy, rng):
+    """Per-layer plan as it was built before the all-layer pass: one lexsort
+    (or one draw loop) per layer, then the build_buckets midpoint loop."""
+    T = scores.shape[1]
+    k, domain = anchor_count(T, anchor_ratio), T - 2
+    layers = []
+    for s in scores[:, :domain]:
+        if strategy is AnchorStrategy.RANDOM:
+            pool = list(range(domain))
+            for i in range(k):
+                j = i + rng.next_below(domain - i)
+                pool[i], pool[j] = pool[j], pool[i]
+            chosen = pool[:k]
+        else:
+            key = s if strategy is AnchorStrategy.LOW_ATTENTION else -s
+            chosen = np.lexsort((np.arange(domain), key))[:k]
+        ts = sorted(int(i) for i in chosen)
+        buckets = []
+        for i in range(k):
+            lo = 0 if i == 0 else (ts[i - 1] + ts[i]) // 2 + 1
+            hi = T - 3 if i == k - 1 else (ts[i] + ts[i + 1]) // 2
+            buckets.append((lo, hi))
+        layers.append(LayerPlan(anchors=tuple(ts), buckets=tuple(buckets)))
+    return tuple(layers)
+
+
+# Few distinct values, signed zeros among them, so score ties are common.
+tie_prone_scores = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(-1.0, 1.0, allow_nan=False)
+)
+
+
+@st.composite
+def score_matrices(draw):
+    n_layers = draw(st.integers(1, 4))
+    T = draw(st.integers(3, 40))
+    cells = draw(st.lists(tie_prone_scores, min_size=n_layers * T, max_size=n_layers * T))
+    return np.array(cells, dtype=np.float64).reshape(n_layers, T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=score_matrices(),
+    ratio=st.floats(0.01, 1.0),
+    strategy=st.sampled_from(list(AnchorStrategy)),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(np.zeros((2, 3)), 1.0, AnchorStrategy.LOW_ATTENTION, 0)  # T = 3
+@example(np.array([[0.0, -0.0, 0.0, -0.0, 0.0, 0.0]]), 0.5, AnchorStrategy.HIGH_ATTENTION, 0)
+@example(np.array([[-0.0, 0.0, -0.0, 0.0, 1.0, 1.0]]), 0.5, AnchorStrategy.LOW_ATTENTION, 0)
+def test_plan_matches_the_per_layer_reference(scores, ratio, strategy, seed):
+    plan = build_merge_plan(scores, ratio, strategy, Rng(seed))
+    ref = reference_plan_layers(scores, ratio, strategy, Rng(seed))
+    assert plan.layers == ref
+    assert select_anchors(scores, ratio, strategy, Rng(seed)) == [list(lp.anchors) for lp in ref]
+    for lp in ref:
+        assert build_buckets(lp.anchors, scores.shape[1]) == list(lp.buckets)
+    # The bounds build_merge_plan seeds equal those a hand-built plan derives.
+    lo, hi = plan.bucket_bounds
+    rebuilt = MergePlan(ref, plan.text_len, plan.protected, plan.anchor_ratio, plan.strategy)
+    assert np.array_equal(lo, rebuilt.bucket_bounds[0])
+    assert np.array_equal(hi, rebuilt.bucket_bounds[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scores=score_matrices(),
+    n_heads=st.integers(1, 3),
+    d_head=st.integers(1, 4),
+    l_image=st.integers(0, 4),
+    spare=st.integers(0, 3),
+    ratio=st.floats(0.01, 1.0),
+    strategy=st.sampled_from(list(AnchorStrategy)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_cache_on_a_built_plan_matches_the_reference(
+    scores, n_heads, d_head, l_image, spare, ratio, strategy, seed
+):
+    n_layers, T = scores.shape
+    n = l_image + T
+    rng = np.random.default_rng(seed)
+    cache = LayeredKvCache(n_layers, n_heads, d_head, n + spare)
+    cache.keys[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head))
+    cache.values[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head))
+    cache.length = n
+    layout = SequenceLayout.from_counts(l_image, T, 0)
+    plan = build_merge_plan(scores, ratio, strategy, Rng(seed))
+    merged = merge_cache(cache, plan, layout)
+    ref_keys, ref_values = reference_merge(cache, plan, layout)
+    for li in range(n_layers):
+        for got, want in ((merged.keys[li], ref_keys[li]), (merged.values[li], ref_values[li])):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ikod.model import (
     AttentionTrace,
     CapacityError,
     ConfigError,
+    LayeredKvCache,
     ModelConfig,
     Role,
     SequenceLayout,
@@ -154,6 +157,62 @@ def test_incremental_matches_full_recompute():
             )
 
 
+def reference_step(model, cache, inp):
+    """forward_step as it ran when every layer attended over contiguous
+    copies of the cached rows: (logits, attention rows)."""
+    cfg = model.config
+    pos = cache.length
+    x = model.content_embedding(inp) + model.positions[pos]
+    rows = np.empty((cfg.n_layers, cfg.n_heads, pos + 1))
+    for li, lw in enumerate(model.layers):
+        cache.keys[li, :, pos] = (x @ lw.w_k).reshape(cfg.n_heads, cfg.d_head)
+        cache.values[li, :, pos] = (x @ lw.w_v).reshape(cfg.n_heads, cfg.d_head)
+        keys = np.ascontiguousarray(cache.keys[li, :, : pos + 1])
+        vals = np.ascontiguousarray(cache.values[li, :, : pos + 1])
+        x, rows[li] = model._layer(lw, x, keys, vals)
+    cache.length = pos + 1
+    return x @ model.unembedding, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_layers=st.integers(1, 3),
+    n_heads=st.integers(1, 4),
+    d_head=st.sampled_from([1, 2, 3, 4, 8, 16, 33]),
+    d_ff=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    inputs=st.lists(st.integers(0, 7) | st.integers(100, 10**6), min_size=1, max_size=24),
+)
+def test_forward_step_over_cache_views_matches_contiguous_copies(
+    n_layers, n_heads, d_head, d_ff, seed, inputs
+):
+    cfg = ModelConfig(
+        n_layers=n_layers, n_heads=n_heads, d_model=n_heads * d_head, d_ff=d_ff,
+        vocab_size=8, max_seq=32, seed=seed, d_head=d_head,
+    )
+    model = TinyDecoder(cfg)
+    # Tokens below 8 are vocabulary ids; larger draws seed a raw embedding.
+    feed = [
+        i if i < 8 else np.random.default_rng(i).normal(size=cfg.d_model) for i in inputs
+    ]
+    ref_cache = model.new_cache()
+    fresh = model.new_cache()
+    sized = LayeredKvCache(n_layers, n_heads, d_head, len(feed))  # a prompt-sized cache
+    for inp in feed:
+        logits, rows = reference_step(model, ref_cache, inp)
+        for cache in (fresh, sized):
+            out = model.forward_step(cache, inp)
+            assert out.logits.tobytes() == logits.tobytes()
+            assert out.attention_rows.shape == rows.shape
+            assert out.attention_rows.tobytes() == rows.tobytes()
+    for cache in (fresh, sized):
+        n = cache.length
+        assert cache.keys[:, :, :n].tobytes() == ref_cache.keys[:, :, :n].tobytes()
+        assert cache.values[:, :, :n].tobytes() == ref_cache.values[:, :, :n].tobytes()
+    with pytest.raises(CapacityError, match=f"cache is full at {len(feed)} of {len(feed)}"):
+        model.forward_step(sized, 1)
+
+
 def test_single_position_full_equals_first_step():
     model = TinyDecoder(small_config())
     emb = np.linspace(-1.0, 1.0, 8)
@@ -204,6 +263,20 @@ def test_layout_counts_and_order():
     assert layout.image_mask.sum() == 2
     with pytest.raises(ValueError):
         SequenceLayout(np.array([Role.OTHER, Role.IMAGE], dtype=np.int8))
+
+
+@pytest.mark.parametrize("codes", [[0, 0, 7, 7], [0, 1, 3], [-1, 0], [0, 1.5, 2], [0, 257]])
+def test_layout_rejects_codes_that_are_not_roles(codes):
+    # 257 would wrap to 1 in an int8 cast; 1.5 would truncate to 1.
+    with pytest.raises(ValueError, match="role codes"):
+        SequenceLayout(np.array(codes))
+
+
+def test_layout_counts_match_the_roles():
+    layout = SequenceLayout(np.array([0, 0, 0, 1, 2, 2]))
+    assert (layout.l_image, layout.l_others, layout.l_gen, layout.text_len) == (3, 1, 2, 3)
+    empty = SequenceLayout(np.array([], dtype=np.int8))
+    assert (empty.l_image, empty.l_others, empty.l_gen, len(empty)) == (0, 0, 0, 0)
 
 
 def test_trace_requires_continuous_recording():
