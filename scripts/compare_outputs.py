@@ -1,0 +1,127 @@
+"""Byte-compare what two ikod source trees write over one fixed grid of runs.
+
+Usage: python scripts/compare_outputs.py SRC_A SRC_B
+
+Each SRC is a directory holding the `ikod` package, such as a checkout's
+`src/`. For each tree, one subprocess with that tree on its import path runs
+every job of the grid through `ikod.cli.main`, in a fresh directory:
+`decode --emit-merge-plans` and `analyze --kde` for every config, and a
+`sweep` for every sixth config. The grid is two models (the second with
+d_head = 1) x 0, 6 and 24 images x three modes x greedy and top_p 0.9 at
+temperature 0.7 x three anchor strategies x seeds 0 and 17, or 216 configs.
+At 8 or fewer image positions every order of summing the image mass gives
+the same bits, so only the 24-image runs tell summation orders apart.
+
+The job exit codes and every output file are then compared byte for byte.
+The script prints the number of files compared and of files that differ or
+exist on one side only, and exits 1 if there is any difference.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MODELS = {
+    "d16": {"n_layers": 2, "n_heads": 2, "d_model": 16, "d_ff": 32, "vocab_size": 32,
+            "max_seq": 48, "seed": 3},
+    "dhead1": {"n_layers": 3, "n_heads": 4, "d_model": 4, "d_ff": 8, "vocab_size": 24,
+               "max_seq": 48, "seed": 11},
+}
+IMAGE_COUNTS = (0, 6, 24)
+BASES = {"greedy": {"kind": "greedy"}, "top_p": {"kind": "top_p", "p": 0.9, "temperature": 0.7}}
+STRATEGIES = ("low_attention", "high_attention", "random")
+MODES = ("baseline", "ikod", "ikod_no_od")
+SEEDS = (0, 17)
+PROMPT = [5, 9, 3, 17, 2, 11]
+SWEEP_ARGS = [
+    "--lambdas", "0.2,0.6,1.0", "--alphas", "0,2", "--strategies", "low_attention,random",
+    "--include-baseline", "--ground-truth-tokens", "configs/ground_truth.json",
+]
+
+# Runs in the subprocess, with the output directory as its working directory.
+RUNNER = """
+import contextlib, io, json, sys
+from pathlib import Path
+import ikod.cli
+src = Path(sys.argv[1]).resolve()
+assert src in Path(ikod.cli.__file__).resolve().parents, ikod.cli.__file__
+codes = []
+for argv in json.loads(Path("jobs.json").read_text()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(ikod.cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+Path("runs", "exit_codes.json").write_text(json.dumps(codes) + "\\n")
+"""
+
+
+def write_grid(root: Path) -> None:
+    """Config files and jobs.json for the whole grid, under root."""
+    (root / "configs").mkdir(parents=True)
+    (root / "runs").mkdir()
+    (root / "configs" / "ground_truth.json").write_text(json.dumps([3, 5, 9, 17]))
+    jobs = []
+    # Strategy and seed vary fastest, so the sweeps cover every model, image
+    # count, mode and base; a sweep sets its own strategies.
+    grid = itertools.product(MODELS, IMAGE_COUNTS, MODES, BASES, STRATEGIES, SEEDS)
+    for i, (model, images, mode, base, strategy, seed) in enumerate(grid):
+        name = f"{i:03d}-{model}-img{images}-{base}-{strategy}-{mode}-s{seed}"
+        config = f"configs/{name}.json"
+        (root / config).write_text(json.dumps({
+            "model": MODELS[model],
+            "image_count": images,
+            "prompt_tokens": PROMPT,
+            "policy": {"mode": mode, "base": BASES[base], "anchor_strategy": strategy,
+                       "max_new_tokens": 10, "seed": seed},
+        }))
+        run = f"runs/{name}"
+        jobs.append(["decode", "--config", config, "--out", f"{run}/decode", "--emit-merge-plans"])
+        jobs.append(["analyze", f"{run}/decode", "--out", f"{run}/analyze", "--kde"])
+        if i % 6 == 0:
+            jobs.append(["sweep", "--config", config, "--out", f"{run}/sweep", *SWEEP_ARGS])
+    (root / "jobs.json").write_text(json.dumps(jobs))
+
+
+def run_grid(src: Path, root: Path) -> None:
+    write_grid(root)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", RUNNER, str(src)], cwd=root, env=env, check=True)
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    sources = [Path(a).resolve() for a in argv]
+    for src in sources:
+        if not (src / "ikod" / "__init__.py").is_file():
+            print(f"error: {src} holds no ikod package", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = []
+        for side, src in zip("ab", sources):
+            run_grid(src, Path(tmp, side))
+            trees.append(files_under(Path(tmp, side, "runs")))
+    a, b = trees
+    differ = sorted(name for name in a.keys() & b.keys() if a[name] != b[name])
+    only = sorted(a.keys() ^ b.keys())
+    print(f"compared {len(a.keys() | b.keys())} files: {len(differ)} differ, "
+          f"{len(only)} exist on one side only")
+    for name in (differ + only)[:20]:
+        print(f"  {name}")
+    return 1 if differ or only else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -44,15 +44,16 @@ class ImageAttentionStat:
 
     @classmethod
     def from_trace(cls, trace: AttentionTrace, layout: SequenceLayout) -> "ImageAttentionStat":
+        """The image attention the trace recorded, one step per layout position."""
         n = len(trace)
         if n != len(layout):
             raise TraceError(f"trace of {n} steps does not match a layout of {len(layout)}")
-        values = np.empty((n, trace.n_layers, trace.n_heads))
-        for step in range(n):
-            rows = trace.rows_for(step)
-            values[step] = rows[..., layout.image_mask[: step + 1]].sum(axis=-1)
-        generated = np.asarray(layout.roles[:n] == Role.GENERATED)
-        return cls(values=values, generated=generated)
+        if trace.l_image != layout.l_image:
+            raise TraceError(
+                f"trace has {trace.l_image} image positions, layout has {layout.l_image}"
+            )
+        generated = np.asarray(layout.roles == Role.GENERATED)
+        return cls(values=trace.image_att[:n].copy(), generated=generated)
 
     @property
     def att_avg(self) -> np.ndarray:
@@ -152,7 +153,7 @@ def synthetic_uniform_trace(
     """Trace whose every query attends uniformly over the cached positions;
     its measured image attention matches the uniform-mix prediction exactly."""
     layout = SequenceLayout.from_counts(l_image, l_others, l_gen)
-    trace = AttentionTrace(n_layers, n_heads)
+    trace = AttentionTrace(n_layers, n_heads, l_image, len(layout))
     for step in range(len(layout)):
         row = np.full((n_layers, n_heads, step + 1), 1.0 / (step + 1))
         trace.record(StepOutput(logits=np.zeros(0), attention_rows=row))

@@ -144,13 +144,16 @@ def load_run_config(path) -> RunConfig:
     tokens = raw.get("prompt_tokens", [])
     if not isinstance(tokens, list):
         raise ConfigError(f"prompt_tokens must be a JSON array of token ids, got {tokens!r}")
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string or null, got {output_dir!r}")
     return RunConfig(
         model=model,
         image_count=image_count,
         image_seed=require_int(raw.get("image_seed", model.seed), "image_seed"),
         prompt_tokens=tuple(require_int(t, f"prompt_tokens[{i}]") for i, t in enumerate(tokens)),
         policy=parse_policy(raw.get("policy", {})),
-        output_dir=raw.get("output_dir"),
+        output_dir=output_dir,
     )
 
 
@@ -245,6 +248,10 @@ def _read_trace_csv(path: Path) -> np.ndarray:
     for s, li, h, a in entries:
         if seen[s, li, h]:
             raise ConfigError(f"{path}: duplicate cell step {s}, layer {li}, head {h}")
+        if not math.isfinite(a):
+            raise ConfigError(
+                f"{path}: non-finite att_image {a!r} at step {s}, layer {li}, head {h}"
+            )
         seen[s, li, h] = True
         values[s, li, h] = a
     if not seen.all():

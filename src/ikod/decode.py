@@ -11,8 +11,8 @@ scratch each step and never mutates the live cache.
 
 The image and prompt positions are run once by prefill(), and every
 generation forks the resulting Prefill: each fork copies the prompt's
-key/value rows into a fresh cache and shares its attention rows, so a policy
-sweep over one prompt prefills it once.
+key/value rows and recorded image attention into a fresh cache and trace, so
+a policy sweep over one prompt prefills it once.
 """
 
 from __future__ import annotations
@@ -270,50 +270,45 @@ class Prefill:
     l_others: int
     keys: np.ndarray  # (n_layers, n_heads, n_image + l_others, d_head)
     values: np.ndarray
-    rows: tuple[np.ndarray, ...]  # attention row of each prompt position
+    image_att: np.ndarray  # the prompt trace's image_att and text_scores
+    text_scores: np.ndarray
     logits: np.ndarray  # predicting the first new token
     last_input: int  # last prompt token, the merged path's first query
 
     def fork(self) -> tuple[LayeredKvCache, AttentionTrace]:
-        """A fresh cache holding the prompt's key/value rows, and a trace
-        sharing its attention rows with its own image-mass ledger."""
+        """A fresh cache and trace holding the prompt's key/value rows and
+        recorded image attention."""
         cfg = self.model.config
         length = self.n_image + self.l_others
         cache = self.model.new_cache()
         cache.keys[:, :, :length] = self.keys
         cache.values[:, :, :length] = self.values
         cache.length = length
-        trace = AttentionTrace(cfg.n_layers, cfg.n_heads)
-        trace.rows.extend(self.rows)
+        trace = AttentionTrace(cfg.n_layers, cfg.n_heads, self.n_image, cfg.max_seq)
+        trace.image_att[:length] = self.image_att
+        trace.text_scores[:, : self.l_others] = self.text_scores
+        trace.length = length
         return cache, trace
 
 
 def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
     """Run the image embeddings, then the prompt tokens, through forward_step
-    on a fresh cache sized to the prompt, for generations that fork the
-    result. The Prefill holds that cache's arrays, with no copy."""
+    on a fresh cache and trace sized to the prompt, for generations that fork
+    the result. The Prefill holds their arrays, with no copy."""
     if len(prompt.tokens) < 1:
         raise ValueError("prompt needs at least one text token")
     cfg = model.config
     images = _prompt_images(model, prompt)
-    length = images.shape[0] + len(prompt.tokens)
+    n_image, length = images.shape[0], images.shape[0] + len(prompt.tokens)
     cache = LayeredKvCache(cfg.n_layers, cfg.n_heads, cfg.d_head, length)
-    outs = [model.forward_step(cache, emb) for emb in images]
-    outs += [model.forward_step(cache, int(tok)) for tok in prompt.tokens]
-    rows = tuple(out.attention_rows for out in outs)
-    logits = outs[-1].logits
-    for array in (cache.keys, cache.values, logits, *rows):
+    trace = AttentionTrace(cfg.n_layers, cfg.n_heads, n_image, length)
+    for inp in [*images, *(int(tok) for tok in prompt.tokens)]:
+        out = model.forward_step(cache, inp)
+        trace.record(out)
+    arrays = (cache.keys, cache.values, trace.image_att, trace.text_scores, out.logits)
+    for array in arrays:
         array.flags.writeable = False
-    return Prefill(
-        model=model,
-        n_image=images.shape[0],
-        l_others=len(prompt.tokens),
-        keys=cache.keys,
-        values=cache.values,
-        rows=rows,
-        logits=logits,
-        last_input=int(prompt.tokens[-1]),
-    )
+    return Prefill(model, n_image, len(prompt.tokens), *arrays, int(prompt.tokens[-1]))
 
 
 def check_request(model: TinyDecoder, prompt: Prompt | Prefill, policy: DecodePolicy) -> None:
@@ -349,8 +344,9 @@ def ikod_generate(
     prompt is either a Prefill of this model or a Prompt, which is prefilled
     first; either way the generation forks the Prefill. Every emitted token
     (the final one and the end token included) is fed back through the
-    incremental path, so the trace holds an attention row for each generated
-    token and the cache is identical across modes for equal token sequences.
+    incremental path, so the trace records the image attention of each
+    generated token and the cache is identical across modes for equal token
+    sequences.
     """
     check_request(model, prompt, policy)
     if isinstance(prompt, Prompt):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .numerics import Rng
 __all__ = [
     "AnchorStrategy",
     "CompressedCache",
-    "LayerPlan",
     "MergePlan",
     "anchor_count",
     "build_buckets",
@@ -45,21 +43,39 @@ class AnchorStrategy(str, Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class LayerPlan:
-    anchors: tuple[int, ...]
-    buckets: tuple[tuple[int, int], ...]  # inclusive (start, end) ranges
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MergePlan:
-    layers: tuple[LayerPlan, ...]
+    """Anchors and inclusive bucket bounds of every layer, as read-only int64
+    (n_layers, k) arrays: layer li keeps anchors[li] and merges text rows
+    starts[li, b]..ends[li, b] into bucket b. Checked when the plan is built
+    to tile the mergeable range 0..T-3 in order in every layer."""
+
+    anchors: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
     text_len: int
-    protected: tuple[int, int]
     anchor_ratio: float
     strategy: AnchorStrategy
 
+    def __post_init__(self):
+        arrays = [np.array(a, dtype=np.int64) for a in (self.anchors, self.starts, self.ends)]
+        shapes = [a.shape for a in arrays]
+        if len(shapes[0]) != 2 or 0 in shapes[0] or shapes.count(shapes[0]) != 3:
+            raise ValueError(
+                f"merge plan needs anchors, starts and ends of one (n_layers, k) shape "
+                f"with k >= 1, got {shapes}"
+            )
+        for name, array in zip(("anchors", "starts", "ends"), arrays):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        _checked_bounds(self.starts, self.ends, self.text_len)
+
+    @property
+    def protected(self) -> tuple[int, int]:
+        return self.text_len - 2, self.text_len - 1
+
     def to_json_dict(self) -> dict:
+        protected = list(self.protected)
         return {
             "anchor_ratio": self.anchor_ratio,
             "strategy": self.strategy.value,
@@ -67,32 +83,15 @@ class MergePlan:
             "layers": [
                 {
                     "layer": li,
-                    "anchors": list(lp.anchors),
-                    "buckets": [[lo, hi] for lo, hi in lp.buckets],
-                    "protected": list(self.protected),
+                    "anchors": anchors,
+                    "buckets": [[lo, hi] for lo, hi in zip(starts, ends)],
+                    "protected": protected,
                 }
-                for li, lp in enumerate(self.layers)
+                for li, (anchors, starts, ends) in enumerate(
+                    zip(self.anchors.tolist(), self.starts.tolist(), self.ends.tolist())
+                )
             ],
         }
-
-    @cached_property
-    def bucket_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n_layers, k) bucket starts and ends, checked to tile the mergeable
-        range 0..T-3 in order, with the same bucket count k in every layer.
-
-        Built on first use, so a malformed hand-built plan fails where it is
-        merged; build_merge_plan seeds it with the arrays it computed.
-        """
-        counts = [len(lp.buckets) for lp in self.layers]
-        for li, count in enumerate(counts):
-            if count == 0:
-                raise ValueError(f"merge plan layer {li} has no buckets")
-            if count != counts[0]:
-                raise ValueError(
-                    f"merge plan layer {li} has {count} buckets, layer 0 has {counts[0]}"
-                )
-        bounds = np.array([lp.buckets for lp in self.layers], dtype=np.int64)
-        return _checked_bounds(bounds[..., 0], bounds[..., 1], self.text_len)
 
 
 @dataclass
@@ -110,18 +109,20 @@ def layer_scores(trace: AttentionTrace, layout: SequenceLayout) -> np.ndarray:
     """Per layer and text token, the head-mean of the token's image attention.
 
     Every text token (instruction and generated) must have a recorded row from
-    the step where it was the query. Reads the trace's image-mass ledger, so
-    repeated calls on a growing trace only sum the rows added since the last.
+    the step where it was the query, in a trace recorded for the layout's
+    image block; the trace took these scores when it recorded the rows.
     """
     start = layout.l_image
     T = layout.text_len
     if T < 1:
         raise ValueError("layout has no text tokens")
+    if trace.l_image != start:
+        raise TraceError(f"trace has {trace.l_image} image positions, layout has {start}")
     if len(trace) < start + T:
         raise TraceError(
             f"trace covers {len(trace)} positions, text sequence ends at {start + T}"
         )
-    return trace.image_mass(start, start + T)
+    return trace.text_scores[:, :T].copy()
 
 
 def anchor_count(text_len: int, anchor_ratio: float) -> int:
@@ -222,30 +223,13 @@ def build_merge_plan(
     """Anchors and buckets of every layer, computed in one pass over all layers."""
     anchors = _anchor_rows(scores, anchor_ratio, strategy, rng)
     T = np.shape(scores)[1]
-    lo, hi = _bucket_arrays(anchors, T)
-    # tuple(list(...)) sizes each tuple once: tuple(zip(...)) grows it step by
-    # step, and over a long decode that fragments the small-object heap.
-    layers = tuple(
-        LayerPlan(anchors=tuple(a), buckets=tuple(list(zip(starts, ends))))
-        for a, starts, ends in zip(anchors.tolist(), lo.tolist(), hi.tolist())
-    )
-    plan = MergePlan(
-        layers=layers,
-        text_len=T,
-        protected=(T - 2, T - 1),
-        anchor_ratio=float(anchor_ratio),
-        strategy=AnchorStrategy(strategy),
-    )
-    # The bounds already exist as arrays: check them once and seed the cache.
-    vars(plan)["bucket_bounds"] = _checked_bounds(lo, hi, T)
-    return plan
+    starts, ends = _bucket_arrays(anchors, T)
+    return MergePlan(anchors, starts, ends, T, float(anchor_ratio), AnchorStrategy(strategy))
 
 
-def _checked_bounds(
-    lo: np.ndarray, hi: np.ndarray, text_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi), read-only, once they are checked to tile the mergeable range
-    0..T-3 in order in every layer."""
+def _checked_bounds(lo: np.ndarray, hi: np.ndarray, text_len: int) -> None:
+    """Raise ValueError naming the first layer whose (lo, hi) bucket bounds do
+    not tile the mergeable range 0..T-3 in order."""
     top = text_len - 3
     checks = (
         ((hi < lo).any(axis=1), "has an empty bucket"),
@@ -258,8 +242,6 @@ def _checked_bounds(
     for bad, problem in checks:
         if bad.any():
             raise ValueError(f"merge plan layer {int(np.argmax(bad))} {problem}")
-    lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi
 
 
 def merge_cache(cache: LayeredKvCache, plan: MergePlan, layout: SequenceLayout) -> CompressedCache:
@@ -285,9 +267,9 @@ def merge_cache(cache: LayeredKvCache, plan: MergePlan, layout: SequenceLayout) 
             f"cache holds {cache.length} positions, layout describes {start + T}"
         )
     n_layers, n_heads, capacity, d_head = cache.keys.shape
-    if len(plan.layers) != n_layers:
+    lo, hi = plan.starts, plan.ends
+    if lo.shape[0] != n_layers:
         raise ValueError("plan layer count does not match the cache")
-    lo, hi = plan.bucket_bounds
     k = lo.shape[1]
     # Flat row indices: lane (layer * n_heads + head), then the cache row
     # lane * capacity + position and the block row lane * k + bucket.

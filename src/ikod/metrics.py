@@ -24,6 +24,9 @@ class CaptionRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CaptionRecord":
+        for name in ("mentioned", "ground_truth"):
+            if not isinstance(d[name], list):
+                raise TypeError(f"{name} must be a JSON array, got {d[name]!r}")
         return cls(
             mentioned=frozenset(str(x) for x in d["mentioned"]),
             ground_truth=frozenset(str(x) for x in d["ground_truth"]),

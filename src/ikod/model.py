@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from pathlib import Path
 
@@ -56,7 +56,7 @@ class ConfigError(ValueError):
 
 
 class TraceError(ValueError):
-    """An attention trace is missing required rows."""
+    """An attention trace is missing required rows or has another image block."""
 
 
 def require_int(value, name: str) -> int:
@@ -236,60 +236,46 @@ class LayeredKvCache:
 
 
 class AttentionTrace:
-    """Attention rows recorded while each position was the query.
+    """Per recorded position, the two reductions of its attention rows that
+    the analyses read, taken once when the row is recorded.
 
-    Rows must be recorded continuously from an empty cache, so step index and
-    cache position coincide. Recorded rows are never modified.
+    - image_att[n], (n_layers, n_heads): the mass row n puts on the image
+      positions, gathered by index, as ImageAttentionStat reports it.
+    - text_scores[:, n - l_image], for text rows: that mass summed over a
+      slice and averaged over heads, the score layer_scores returns.
+
+    The two sum in different orders, so they are kept apart. Sized and forked
+    like LayeredKvCache: rows must be recorded continuously from an empty
+    cache, so step index and cache position coincide.
     """
 
-    def __init__(self, n_layers: int, n_heads: int):
+    def __init__(self, n_layers: int, n_heads: int, l_image: int, capacity: int):
         self.n_layers = n_layers
         self.n_heads = n_heads
-        self.rows: list[np.ndarray] = []
-        # Image-mass ledger: column t holds row l_image + t's head-mean mass
-        # on the first l_image positions; the first `_ledger_len` are filled.
-        self._ledger_image = -1
-        self._ledger = np.empty((n_layers, 0))
-        self._ledger_len = 0
+        self.l_image = l_image
+        self.image_att = np.empty((capacity, n_layers, n_heads))
+        self.text_scores = np.empty((n_layers, max(capacity - l_image, 0)))
+        self.length = 0
+        self._image_cols = np.arange(l_image)
 
     def record(self, out: StepOutput) -> None:
         rows = out.attention_rows
-        expected = (self.n_layers, self.n_heads, len(self.rows) + 1)
+        n = self.length
+        if n >= len(self.image_att):
+            raise TraceError(f"trace is full at {n} positions")
+        expected = (self.n_layers, self.n_heads, n + 1)
         if rows.shape != expected:
             raise TraceError(f"expected rows of shape {expected}, got {rows.shape}")
-        self.rows.append(rows)
+        # An index gather lays the columns out as a boolean-mask gather does,
+        # and sums them in its order; a slice sums in another.
+        self.image_att[n] = np.add.reduce(rows[..., self._image_cols[: n + 1]], axis=-1)
+        if n >= self.l_image:
+            mass = np.add.reduce(rows[..., : self.l_image], axis=-1)
+            self.text_scores[:, n - self.l_image] = np.add.reduce(mass, axis=-1) / self.n_heads
+        self.length = n + 1
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def rows_for(self, position: int) -> np.ndarray:
-        if not 0 <= position < len(self.rows):
-            raise TraceError(f"no recorded row for position {position}")
-        return self.rows[position]
-
-    def image_mass(self, l_image: int, stop: int) -> np.ndarray:
-        """(n_layers, stop - l_image) head-mean attention mass on positions
-        0..l_image-1, for the rows of positions l_image..stop-1.
-
-        Each row is summed once, the first time it is asked for, and kept in a
-        ledger; asking with a different l_image rebuilds the ledger.
-        """
-        if not 0 <= l_image <= stop <= len(self.rows):
-            raise TraceError(
-                f"no image mass for rows {l_image}..{stop - 1} of a {len(self.rows)}-row trace"
-            )
-        if l_image != self._ledger_image:
-            self._ledger_image, self._ledger_len = l_image, 0
-        n = stop - l_image
-        if n > self._ledger.shape[1]:
-            grown = np.empty((self.n_layers, max(n, 2 * self._ledger.shape[1])))
-            grown[:, : self._ledger_len] = self._ledger[:, : self._ledger_len]
-            self._ledger = grown
-        for t in range(self._ledger_len, n):
-            rows = self.rows[l_image + t]  # (n_layers, n_heads, l_image + t + 1)
-            self._ledger[:, t] = rows[..., :l_image].sum(axis=-1).mean(axis=-1)
-        self._ledger_len = max(self._ledger_len, n)
-        return self._ledger[:, :n].copy()
+        return self.length
 
 
 def sinusoidal_positions(length: int, width: int) -> np.ndarray:
@@ -339,21 +325,9 @@ class TinyDecoder:
     def _draw_weights(cfg: ModelConfig):
         rng = Rng(cfg.seed)
         s = 1.0 / math.sqrt(cfg.d_model)
-        embedding = _uniform_matrix(rng, cfg.vocab_size, cfg.d_model, s)
-        layers = []
-        for _ in range(cfg.n_layers):
-            layers.append(
-                LayerWeights(
-                    w_q=_uniform_matrix(rng, cfg.d_model, cfg.d_model, s),
-                    w_k=_uniform_matrix(rng, cfg.d_model, cfg.d_model, s),
-                    w_v=_uniform_matrix(rng, cfg.d_model, cfg.d_model, s),
-                    w_o=_uniform_matrix(rng, cfg.d_model, cfg.d_model, s),
-                    w_ff1=_uniform_matrix(rng, cfg.d_model, cfg.d_ff, s),
-                    w_ff2=_uniform_matrix(rng, cfg.d_ff, cfg.d_model, s),
-                )
-            )
-        unembedding = _uniform_matrix(rng, cfg.d_model, cfg.vocab_size, s)
-        return embedding, tuple(layers), unembedding
+        return _assemble_weights(
+            cfg, [_uniform_matrix(rng, rows, cols, s) for rows, cols in _weight_shapes(cfg)]
+        )
 
     def new_cache(self) -> LayeredKvCache:
         cfg = self.config
@@ -454,11 +428,17 @@ class TinyDecoder:
 _CHECKPOINT_FORMAT = "toy-decoder-v1"
 
 
-def _weight_arrays(model: TinyDecoder):
-    yield model.embedding
-    for lw in model.layers:
-        yield from (lw.w_q, lw.w_k, lw.w_v, lw.w_o, lw.w_ff1, lw.w_ff2)
-    yield model.unembedding
+def _weight_shapes(cfg: ModelConfig) -> list[tuple[int, int]]:
+    """(rows, cols) of every weight matrix in draw and checkpoint order."""
+    d, f = cfg.d_model, cfg.d_ff
+    layer = [(d, d), (d, d), (d, d), (d, d), (d, f), (f, d)]  # LayerWeights order
+    return [(cfg.vocab_size, d), *layer * cfg.n_layers, (d, cfg.vocab_size)]
+
+
+def _assemble_weights(cfg: ModelConfig, arrays: list):
+    """(embedding, layers, unembedding) from the matrices in draw order."""
+    layers = tuple(LayerWeights(*arrays[1 + 6 * i : 7 + 6 * i]) for i in range(cfg.n_layers))
+    return arrays[0], layers, arrays[-1]
 
 
 def save_checkpoint(model: TinyDecoder, path) -> None:
@@ -467,7 +447,8 @@ def save_checkpoint(model: TinyDecoder, path) -> None:
     header = {"format": _CHECKPOINT_FORMAT, "config": model.config.to_json_dict()}
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        for arr in _weight_arrays(model):
+        layer_arrays = [getattr(lw, f.name) for lw in model.layers for f in fields(LayerWeights)]
+        for arr in (model.embedding, *layer_arrays, model.unembedding):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -494,27 +475,10 @@ def load_checkpoint(path) -> TinyDecoder:
     except TypeError as exc:
         raise ConfigError(f"{path}: bad checkpoint config ({exc})") from None
     body = np.frombuffer(raw[nl + 1 :], dtype="<f8")
-    shapes = [(cfg.vocab_size, cfg.d_model)]
-    for _ in range(cfg.n_layers):
-        shapes += [
-            (cfg.d_model, cfg.d_model),
-            (cfg.d_model, cfg.d_model),
-            (cfg.d_model, cfg.d_model),
-            (cfg.d_model, cfg.d_model),
-            (cfg.d_model, cfg.d_ff),
-            (cfg.d_ff, cfg.d_model),
-        ]
-    shapes.append((cfg.d_model, cfg.vocab_size))
-    expected = sum(r * c for r, c in shapes)
-    if body.size != expected:
-        raise ConfigError(f"checkpoint holds {body.size} values, expected {expected}")
-    arrays = []
-    offset = 0
-    for r, c in shapes:
-        arrays.append(body[offset : offset + r * c].reshape(r, c).copy())
-        offset += r * c
-    embedding = arrays[0]
-    layers = tuple(
-        LayerWeights(*arrays[1 + 6 * i : 7 + 6 * i]) for i in range(cfg.n_layers)
-    )
-    return TinyDecoder(cfg, weights=(embedding, layers, arrays[-1]))
+    shapes = _weight_shapes(cfg)
+    sizes = [r * c for r, c in shapes]
+    if body.size != sum(sizes):
+        raise ConfigError(f"checkpoint holds {body.size} values, expected {sum(sizes)}")
+    chunks = np.split(body, np.cumsum(sizes)[:-1])
+    arrays = [chunk.reshape(shape).copy() for chunk, shape in zip(chunks, shapes)]
+    return TinyDecoder(cfg, weights=_assemble_weights(cfg, arrays))

@@ -88,7 +88,7 @@ def test_criterion_2_full_ratio_identity_chain():
 
         # Identity of the merged cache itself, checked right after prefill.
         cache = model.new_cache()
-        trace = AttentionTrace(cfg.n_layers, cfg.n_heads)
+        trace = AttentionTrace(cfg.n_layers, cfg.n_heads, n_image, cfg.max_seq)
         for emb in prompt.image_embeddings:
             trace.record(model.forward_step(cache, emb))
         last = None

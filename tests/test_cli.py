@@ -128,6 +128,8 @@ def test_decode_bad_policy_exits_2(tmp_path):
             {"policy": {"base": {"kind": "top_p", "p": 0.9, "temperature": "2"}}},
             "policy.base.temperature",
         ),
+        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": ["run"]}, "output_dir"),
     ],
 )
 def test_decode_rejects_malformed_fields(tmp_path, capsys, overrides, field):
@@ -239,6 +241,10 @@ def test_analyze_empty_trace_exits_2(tmp_path):
         ("0,0,0,0.5\n0,0,1,0.5\n1,0,0,0.5\n", "missing cell step 1, layer 0, head 1"),
         ("0,0,0,0.5\n0,0,0,0.25\n", "duplicate cell step 0, layer 0, head 0"),
         ("0,0,-1,0.5\n", "negative"),
+        # Non-finite cells in the last, generated, step.
+        ("0,0,0,0.5\n1,0,0,nan\n", "non-finite att_image nan at step 1, layer 0, head 0"),
+        ("0,0,0,0.5\n1,0,0,inf\n", "non-finite att_image inf at step 1, layer 0, head 0"),
+        ("0,0,0,0.5\n1,0,0,-inf\n", "non-finite att_image -inf at step 1, layer 0, head 0"),
     ],
 )
 def test_analyze_rejects_incomplete_trace(tmp_path, capsys, body, problem):
@@ -461,6 +467,21 @@ def test_metrics_chair_and_binary(tmp_path, capsys):
     assert doc["records"] == 2
     assert doc["precision"] == 0.75
     assert doc["recall"] == 0.6
+
+
+@pytest.mark.parametrize("field", ["mentioned", "ground_truth"])
+def test_metrics_rejects_labels_that_are_not_arrays(tmp_path, capsys, field):
+    # A string would be split into characters and scored as one label each.
+    record = {"mentioned": ["cat"], "ground_truth": ["cat"], field: "cat"}
+    records = tmp_path / "records.jsonl"
+    records.write_text(
+        '{"mentioned": ["dog"], "ground_truth": ["dog"]}\n' + json.dumps(record) + "\n",
+        encoding="utf-8",
+    )
+    assert main(["metrics", "--records", str(records)]) == 2
+    assert f"records.jsonl:2: bad record ({field} must be a JSON array, got 'cat')" in (
+        capsys.readouterr().err
+    )
 
 
 def test_metrics_without_inputs_exits_2():

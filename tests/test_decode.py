@@ -16,7 +16,13 @@ from ikod.decode import (
     prefill,
 )
 from ikod.kv_merge import AnchorStrategy
-from ikod.model import CapacityError, ModelConfig, TinyDecoder, make_image_embeddings
+from ikod.model import (
+    AttentionTrace,
+    CapacityError,
+    ModelConfig,
+    TinyDecoder,
+    make_image_embeddings,
+)
 from ikod.numerics import Rng, ShapeError, softmax_rows
 
 
@@ -361,6 +367,21 @@ def test_generation_stops_after_end_token():
     assert stopped, "no seed in range produced the end token"
 
 
+def assert_same_trace(a, b):
+    """Bit-for-bit equality of the recorded summaries of two traces."""
+    n = len(a)
+    assert n == len(b) and a.l_image == b.l_image
+    assert a.image_att[:n].tobytes() == b.image_att[:n].tobytes()
+    text = max(n - a.l_image, 0)
+    assert a.text_scores[:, :text].tobytes() == b.text_scores[:, :text].tobytes()
+
+
+def plan_docs(result):
+    if result.merge_plans is None:
+        return None
+    return [plan.to_json_dict() for plan in result.merge_plans]
+
+
 def assert_same_generation(a, b):
     """Bit-for-bit equality of everything a generation returns."""
     assert a.tokens == b.tokens
@@ -372,11 +393,9 @@ def assert_same_generation(a, b):
             assert (x is None) == (y is None)
             if x is not None:
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    assert len(a.trace) == len(b.trace)
-    for ra, rb in zip(a.trace.rows, b.trace.rows):
-        assert ra.shape == rb.shape and ra.tobytes() == rb.tobytes()
+    assert_same_trace(a.trace, b.trace)
     assert np.array(a.aug_image_attention).tobytes() == np.array(b.aug_image_attention).tobytes()
-    assert a.merge_plans == b.merge_plans
+    assert plan_docs(a) == plan_docs(b)
     assert (a.layout.roles == b.layout.roles).all()
     n = a.cache.length
     assert n == b.cache.length
@@ -421,7 +440,7 @@ def test_forked_prefill_matches_fresh_generation(case, first, second):
     model, prompt = case
     assume(first != second)
     prefix = prefill(model, prompt)
-    arrays = [prefix.keys, prefix.values, prefix.logits, *prefix.rows]
+    arrays = [prefix.keys, prefix.values, prefix.logits, prefix.image_att, prefix.text_scores]
     before = [a.copy() for a in arrays]
     for policy in (first, second):
         forked = ikod_generate(model, prefix, policy, record_merge_plans=True)
@@ -434,8 +453,9 @@ def test_prefill_is_read_only_and_records_the_prompt():
     prompt = make_prompt(model)
     prefix = prefill(model, prompt)
     assert (prefix.n_image, prefix.l_others, prefix.last_input) == (4, 4, 14)
-    assert prefix.keys.shape == (2, 2, 8, 8) and len(prefix.rows) == 8
-    for array in (prefix.keys, prefix.values, prefix.logits, prefix.rows[0]):
+    assert prefix.keys.shape == (2, 2, 8, 8)
+    assert prefix.image_att.shape == (8, 2, 2) and prefix.text_scores.shape == (2, 4)
+    for array in (prefix.keys, prefix.values, prefix.logits, prefix.image_att, prefix.text_scores):
         with pytest.raises(ValueError):
             array[...] = 0.0
 
@@ -474,12 +494,12 @@ def test_generation_matches_a_plain_forward_step_replay(case, policy):
     neither the prefill fork nor the merged path leaves a mark on them."""
     model, prompt = case
     result = ikod_generate(model, prompt, policy)
+    cfg = model.config
     cache = model.new_cache()
-    inputs = [*prompt.image_embeddings, *prompt.tokens, *result.tokens]
-    rows = [model.forward_step(cache, inp).attention_rows for inp in inputs]
+    trace = AttentionTrace(cfg.n_layers, cfg.n_heads, len(prompt.image_embeddings), cfg.max_seq)
+    for inp in [*prompt.image_embeddings, *prompt.tokens, *result.tokens]:
+        trace.record(model.forward_step(cache, inp))
     assert result.cache.length == cache.length
     assert result.cache.keys.tobytes() == cache.keys.tobytes()
     assert result.cache.values.tobytes() == cache.values.tobytes()
-    assert len(result.trace) == len(rows)
-    for ra, rb in zip(result.trace.rows, rows):
-        assert ra.shape == rb.shape and ra.tobytes() == rb.tobytes()
+    assert_same_trace(result.trace, trace)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ikod.kv_merge import (
     AnchorStrategy,
-    LayerPlan,
     MergePlan,
     anchor_count,
     build_buckets,
@@ -33,7 +32,7 @@ def record_rows(trace: AttentionTrace, rows: np.ndarray) -> None:
 def test_layer_scores_head_mean():
     # Two image positions, one text token whose heads put 0.2 and 0.4 on them.
     layout = SequenceLayout.from_counts(2, 1, 0)
-    trace = AttentionTrace(1, 2)
+    trace = AttentionTrace(1, 2, 2, 3)
     record_rows(trace, np.full((1, 2, 1), 1.0))
     record_rows(trace, np.full((1, 2, 2), 0.5))
     text_row = np.array([[[0.15, 0.05, 0.8], [0.3, 0.1, 0.6]]])
@@ -45,7 +44,7 @@ def test_layer_scores_head_mean():
 
 def test_layer_scores_single_head_passthrough():
     layout = SequenceLayout.from_counts(1, 1, 0)
-    trace = AttentionTrace(1, 1)
+    trace = AttentionTrace(1, 1, 1, 2)
     record_rows(trace, np.full((1, 1, 1), 1.0))
     record_rows(trace, np.array([[[0.7, 0.3]]]))
     assert layer_scores(trace, layout)[0, 0] == pytest.approx(0.7)
@@ -53,7 +52,7 @@ def test_layer_scores_single_head_passthrough():
 
 def test_layer_scores_saturate_when_attention_sits_on_the_image():
     layout = SequenceLayout.from_counts(3, 2, 0)
-    trace = AttentionTrace(1, 2)
+    trace = AttentionTrace(1, 2, 3, 5)
     for step in range(5):
         row = np.zeros((1, 2, step + 1))
         on_image = min(step + 1, 3)
@@ -65,10 +64,20 @@ def test_layer_scores_saturate_when_attention_sits_on_the_image():
 
 def test_layer_scores_incomplete_trace():
     layout = SequenceLayout.from_counts(1, 2, 0)
-    trace = AttentionTrace(1, 1)
+    trace = AttentionTrace(1, 1, 1, 3)
     record_rows(trace, np.full((1, 1, 1), 1.0))
     with pytest.raises(TraceError):
         layer_scores(trace, layout)
+
+
+def test_layer_scores_rejects_a_trace_of_another_image_block():
+    # The trace takes its scores for one image block, when it records rows.
+    trace = AttentionTrace(1, 1, 1, 3)
+    for step in range(3):
+        record_rows(trace, np.full((1, 1, step + 1), 1.0 / (step + 1)))
+    assert layer_scores(trace, SequenceLayout.from_counts(1, 2, 0)).shape == (1, 2)
+    with pytest.raises(TraceError, match="1 image positions, layout has 2"):
+        layer_scores(trace, SequenceLayout.from_counts(2, 1, 0))
 
 
 def test_anchor_count_rounding():
@@ -179,8 +188,8 @@ def hand_cache() -> tuple[LayeredKvCache, SequenceLayout]:
 def test_merge_cache_averages_bucket_rows():
     cache, layout = hand_cache()
     plan = build_merge_plan(np.array([[0.0, 0.5, 0.9, 0.0, 0.0]]), 0.4)
-    assert plan.layers[0].anchors == (0,)
-    assert plan.layers[0].buckets == ((0, 2),)
+    assert plan.anchors.tolist() == [[0]]
+    assert (plan.starts.tolist(), plan.ends.tolist()) == ([[0]], [[2]])
     merged = merge_cache(cache, plan, layout)
     assert merged.length == 4  # image + one bucket + two protected
     np.testing.assert_array_equal(merged.keys[0][0, 0], [9.0, 9.0])
@@ -193,7 +202,7 @@ def test_merge_cache_full_ratio_is_identity():
     cfg = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq=16, seed=1)
     model = TinyDecoder(cfg)
     cache = model.new_cache()
-    trace = AttentionTrace(2, 2)
+    trace = AttentionTrace(2, 2, 2, cfg.max_seq)
     layout = SequenceLayout.from_counts(2, 4, 0)
     rng = np.random.default_rng(0)
     for _ in range(2):
@@ -221,23 +230,6 @@ def test_merge_cache_identical_rows_average_to_themselves():
     plan = build_merge_plan(np.zeros((1, 5)), 0.4)
     merged = merge_cache(cache, plan, layout)
     np.testing.assert_array_equal(merged.keys[0][0, 0], [0.5, -0.25])
-
-
-def test_merged_rows_stay_in_bucket_hull():
-    rng = np.random.default_rng(9)
-    cache = LayeredKvCache(n_layers=1, n_heads=2, d_head=4, max_seq=32)
-    n = 20
-    cache.keys[0, :, :n] = rng.normal(size=(2, n, 4))
-    cache.values[0, :, :n] = rng.normal(size=(2, n, 4))
-    cache.length = n
-    layout = SequenceLayout.from_counts(4, 16, 0)
-    plan = build_merge_plan(rng.uniform(size=(1, 16)), 0.3)
-    merged = merge_cache(cache, plan, layout)
-    for b, (lo, hi) in enumerate(plan.layers[0].buckets):
-        rows = cache.keys[0, :, 4 + lo : 4 + hi + 1]
-        got = merged.keys[0][:, 4 + b]
-        assert np.all(got >= rows.min(axis=1) - 1e-12)
-        assert np.all(got <= rows.max(axis=1) + 1e-12)
 
 
 def test_compressed_length_grows_with_ratio():
@@ -273,16 +265,20 @@ def test_merge_plan_json_shape():
     assert doc["strategy"] == "low_attention"
 
 
+def bucket_plan(layer_buckets, T: int) -> MergePlan:
+    """A plan from per-layer (start, end) buckets, anchored at each start."""
+    starts = [[lo for lo, _ in buckets] for buckets in layer_buckets]
+    ends = [[hi for _, hi in buckets] for buckets in layer_buckets]
+    return MergePlan(starts, starts, ends, T, 1.0, AnchorStrategy.LOW_ATTENTION)
+
+
 def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_buckets):
     cache = LayeredKvCache(n_layers, n_heads, d_head, l_image + T)
     rng = np.random.default_rng(T)
     cache.keys[...] = rng.normal(size=cache.keys.shape) * 1e3
     cache.values[...] = rng.normal(size=cache.values.shape)
     cache.length = l_image + T
-    layers = tuple(
-        LayerPlan(anchors=tuple(lo for lo, _ in b), buckets=tuple(b)) for b in layer_buckets
-    )
-    plan = MergePlan(layers, T, (T - 2, T - 1), 1.0, AnchorStrategy.LOW_ATTENTION)
+    plan = bucket_plan(layer_buckets, T)
     return cache, plan, SequenceLayout.from_counts(l_image, T, 0)
 
 
@@ -295,26 +291,50 @@ def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_buckets):
         ([(0, 2), (4, 3), (3, 5)], "empty bucket"),
         ([(1, 2), (3, 4), (5, 5)], "does not cover"),  # starts after 0
         ([(0, 1), (2, 3), (4, 4)], "does not cover"),  # ends before T-3 = 5
-        ([(0, 2), (3, 5)], "has 2 buckets, layer 0 has 3"),
-        ([], "has no buckets"),
     ],
 )
 def test_merge_cache_rejects_buckets_that_do_not_tile(buckets, problem):
-    cache, plan, layout = fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)], buckets])
+    # The plan is checked when it is built, so no such plan reaches merge_cache.
     with pytest.raises(ValueError, match=f"layer 1 .*{problem}"):
-        merge_cache(cache, plan, layout)
+        fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)], buckets])
+
+
+@pytest.mark.parametrize(
+    "anchors, starts, ends",
+    [
+        ([0, 3, 5], [0, 3, 5], [2, 4, 5]),  # one flat row, not (n_layers, k)
+        ([[0, 3, 5]], [[0, 3, 5]], [[2, 4, 5], [2, 4, 5]]),  # layer counts differ
+        ([[0, 3]], [[0, 3, 5]], [[2, 4, 5]]),  # bucket counts differ
+        ([[]], [[]], [[]]),  # no buckets
+        (np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2))),  # no layers
+    ],
+)
+def test_merge_plan_rejects_arrays_of_the_wrong_shape(anchors, starts, ends):
+    with pytest.raises(ValueError, match="one \\(n_layers, k\\) shape"):
+        MergePlan(anchors, starts, ends, 8, 1.0, AnchorStrategy.LOW_ATTENTION)
+
+
+def test_merge_plan_keeps_read_only_copies():
+    starts, ends = np.array([[0, 3]]), np.array([[2, 5]])
+    plan = MergePlan(starts, starts, ends, 8, 0.5, AnchorStrategy.LOW_ATTENTION)
+    starts[0, 0] = 1  # the caller's array stays the caller's
+    assert plan.starts.tolist() == [[0, 3]] and plan.protected == (6, 7)
+    for array in (plan.anchors, plan.starts, plan.ends):
+        assert array.dtype == np.int64
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
 
 
 def reference_merge(cache, plan, layout):
     """Per-bucket `.mean(axis=1)`: the summation order merged rows must keep."""
     start, T = layout.l_image, plan.text_len
     keys, values = [], []
-    for li, lp in enumerate(plan.layers):
+    for li, (starts, ends) in enumerate(zip(plan.starts.tolist(), plan.ends.tolist())):
         for out, src in ((keys, cache.keys[li, :, :cache.length]), (values, cache.values[li, :, :cache.length])):
             parts = [src[:, :start]]
             parts += [
                 src[:, start + lo : start + hi + 1].mean(axis=1, keepdims=True)
-                for lo, hi in lp.buckets
+                for lo, hi in zip(starts, ends)
             ]
             parts.append(src[:, start + T - 2 : start + T])
             out.append(np.concatenate(parts, axis=1))
@@ -337,12 +357,8 @@ def tiled_plans(draw):
         if k > 1:
             cuts = sorted(draw(st.sets(st.integers(1, T - 3), min_size=k - 1, max_size=k - 1)))
         edges = [0, *cuts, T - 2]
-        buckets = tuple((a, b - 1) for a, b in zip(edges, edges[1:]))
-        layers.append(LayerPlan(anchors=tuple(lo for lo, _ in buckets), buckets=buckets))
-    plan = MergePlan(
-        layers=tuple(layers), text_len=T, protected=(T - 2, T - 1),
-        anchor_ratio=1.0, strategy=AnchorStrategy.LOW_ATTENTION,
-    )
+        layers.append([(a, b - 1) for a, b in zip(edges, edges[1:])])
+    plan = bucket_plan(layers, T)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = l_image + T
     cache = LayeredKvCache(n_layers, n_heads, d_head, n + draw(st.integers(0, 3)))
@@ -363,9 +379,9 @@ def test_merge_cache_matches_per_bucket_mean_bit_for_bit(case):
     cache, plan, layout = case
     merged = merge_cache(cache, plan, layout)
     ref_keys, ref_values = reference_merge(cache, plan, layout)
-    k = len(plan.layers[0].buckets)
+    n_layers, k = plan.starts.shape
     assert merged.length == layout.l_image + k + 2
-    for li in range(len(plan.layers)):
+    for li in range(n_layers):
         assert merged.keys[li].shape[1] == merged.length
         assert np.array_equal(merged.keys[li], ref_keys[li])
         assert np.array_equal(merged.values[li], ref_values[li])
@@ -392,19 +408,17 @@ def test_merged_length_is_image_plus_anchors_plus_two(n_layers, l_image, T, rati
     assert [merged.values[li].shape[1] for li in range(n_layers)] == [expected] * n_layers
 
 
-def random_trace(rng, n_layers, n_heads, n_rows) -> AttentionTrace:
-    trace = AttentionTrace(n_layers, n_heads)
-    for step in range(n_rows):
-        row = rng.uniform(size=(n_layers, n_heads, step + 1))
-        record_rows(trace, row / row.sum(axis=-1, keepdims=True))
-    return trace
+def random_rows(rng, n_layers, n_heads, n_rows) -> list[np.ndarray]:
+    rows = [rng.uniform(size=(n_layers, n_heads, step + 1)) for step in range(n_rows)]
+    return [row / row.sum(axis=-1, keepdims=True) for row in rows]
 
 
-def direct_scores(trace: AttentionTrace, layout: SequenceLayout) -> np.ndarray:
+def direct_scores(rows: list[np.ndarray], layout: SequenceLayout) -> np.ndarray:
+    """The scores as layer_scores summed them from stored rows."""
     start = layout.l_image
-    out = np.empty((trace.n_layers, layout.text_len))
+    out = np.empty((rows[0].shape[0], layout.text_len))
     for t in range(layout.text_len):
-        out[:, t] = trace.rows_for(start + t)[..., :start].sum(axis=-1).mean(axis=-1)
+        out[:, t] = rows[start + t][..., :start].sum(axis=-1).mean(axis=-1)
     return out
 
 
@@ -422,43 +436,29 @@ def test_layer_scores_ledger_tracks_a_growing_trace(
 ):
     rng = np.random.default_rng(seed)
     total = l_image + first + sum(growth)
-    full = random_trace(rng, n_layers, n_heads, total)
-    trace = AttentionTrace(n_layers, n_heads)
+    rows = random_rows(rng, n_layers, n_heads, total)
+    trace = AttentionTrace(n_layers, n_heads, l_image, total)
     text = first
-    for row in full.rows[: l_image + text]:
+    for row in rows[: l_image + text]:
         record_rows(trace, row)
     for extra in [0, *growth]:
-        for row in full.rows[l_image + text : l_image + text + extra]:
+        for row in rows[l_image + text : l_image + text + extra]:
             record_rows(trace, row)
         text += extra
         layout = SequenceLayout.from_counts(l_image, text, 0)
-        assert np.array_equal(layer_scores(trace, layout), direct_scores(trace, layout))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n_layers=st.integers(1, 3),
-    n_heads=st.integers(1, 9),
-    images=st.lists(st.integers(0, 12), min_size=2, max_size=4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_layer_scores_ledger_rebuilds_for_another_image_length(n_layers, n_heads, images, seed):
-    rng = np.random.default_rng(seed)
-    trace = random_trace(rng, n_layers, n_heads, 16)
-    for l_image in images:
-        layout = SequenceLayout.from_counts(l_image, 16 - l_image, 0)
         scores = layer_scores(trace, layout)
-        assert np.array_equal(scores, direct_scores(trace, layout))
+        assert np.array_equal(scores, direct_scores(rows, layout))
         scores[...] = -1.0  # the caller owns the returned array
-        assert np.array_equal(layer_scores(trace, layout), direct_scores(trace, layout))
+        assert np.array_equal(layer_scores(trace, layout), direct_scores(rows, layout))
 
 
 def reference_plan_layers(scores, anchor_ratio, strategy, rng):
-    """Per-layer plan as it was built before the all-layer pass: one lexsort
-    (or one draw loop) per layer, then the build_buckets midpoint loop."""
+    """Per-layer anchors and buckets as they were built before the all-layer
+    pass: one lexsort (or one draw loop) per layer, then the build_buckets
+    midpoint loop."""
     T = scores.shape[1]
     k, domain = anchor_count(T, anchor_ratio), T - 2
-    layers = []
+    anchors, buckets = [], []
     for s in scores[:, :domain]:
         if strategy is AnchorStrategy.RANDOM:
             pool = list(range(domain))
@@ -470,13 +470,14 @@ def reference_plan_layers(scores, anchor_ratio, strategy, rng):
             key = s if strategy is AnchorStrategy.LOW_ATTENTION else -s
             chosen = np.lexsort((np.arange(domain), key))[:k]
         ts = sorted(int(i) for i in chosen)
-        buckets = []
+        layer = []
         for i in range(k):
             lo = 0 if i == 0 else (ts[i - 1] + ts[i]) // 2 + 1
             hi = T - 3 if i == k - 1 else (ts[i] + ts[i + 1]) // 2
-            buckets.append((lo, hi))
-        layers.append(LayerPlan(anchors=tuple(ts), buckets=tuple(buckets)))
-    return tuple(layers)
+            layer.append((lo, hi))
+        anchors.append(ts)
+        buckets.append(layer)
+    return anchors, buckets
 
 
 # Few distinct values, signed zeros among them, so score ties are common.
@@ -505,16 +506,18 @@ def score_matrices(draw):
 @example(np.array([[-0.0, 0.0, -0.0, 0.0, 1.0, 1.0]]), 0.5, AnchorStrategy.LOW_ATTENTION, 0)
 def test_plan_matches_the_per_layer_reference(scores, ratio, strategy, seed):
     plan = build_merge_plan(scores, ratio, strategy, Rng(seed))
-    ref = reference_plan_layers(scores, ratio, strategy, Rng(seed))
-    assert plan.layers == ref
-    assert select_anchors(scores, ratio, strategy, Rng(seed)) == [list(lp.anchors) for lp in ref]
-    for lp in ref:
-        assert build_buckets(lp.anchors, scores.shape[1]) == list(lp.buckets)
-    # The bounds build_merge_plan seeds equal those a hand-built plan derives.
-    lo, hi = plan.bucket_bounds
-    rebuilt = MergePlan(ref, plan.text_len, plan.protected, plan.anchor_ratio, plan.strategy)
-    assert np.array_equal(lo, rebuilt.bucket_bounds[0])
-    assert np.array_equal(hi, rebuilt.bucket_bounds[1])
+    anchors, buckets = reference_plan_layers(scores, ratio, strategy, Rng(seed))
+    assert plan.anchors.tolist() == anchors
+    starts, ends = plan.starts.tolist(), plan.ends.tolist()
+    assert [list(zip(lo, hi)) for lo, hi in zip(starts, ends)] == buckets
+    assert select_anchors(scores, ratio, strategy, Rng(seed)) == anchors
+    for ts, layer in zip(anchors, buckets):
+        assert build_buckets(ts, scores.shape[1]) == layer
+    # A plan built by hand from the reference writes the same JSON.
+    starts = [[lo for lo, _ in layer] for layer in buckets]
+    ends = [[hi for _, hi in layer] for layer in buckets]
+    rebuilt = MergePlan(anchors, starts, ends, plan.text_len, plan.anchor_ratio, plan.strategy)
+    assert rebuilt.to_json_dict() == plan.to_json_dict()
 
 
 @settings(max_examples=100, deadline=None)
@@ -545,3 +548,34 @@ def test_merge_cache_on_a_built_plan_matches_the_reference(
     for li in range(n_layers):
         for got, want in ((merged.keys[li], ref_keys[li]), (merged.values[li], ref_values[li])):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scores=score_matrices(),
+    n_heads=st.integers(1, 3),
+    d_head=st.integers(1, 4),
+    l_image=st.integers(0, 4),
+    ratio=st.floats(0.01, 1.0),
+    strategy=st.sampled_from(list(AnchorStrategy)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merged_rows_stay_in_bucket_hull(scores, n_heads, d_head, l_image, ratio, strategy, seed):
+    n_layers, T = scores.shape
+    n = l_image + T
+    rng = np.random.default_rng(seed)
+    cache = LayeredKvCache(n_layers, n_heads, d_head, n)
+    scale = 10.0 ** rng.uniform(-6, 6, size=(n_layers, n_heads, n, 1))
+    cache.keys[...] = rng.normal(size=cache.keys.shape) * scale
+    cache.values[...] = rng.normal(size=cache.values.shape) * scale
+    cache.length = n
+    plan = build_merge_plan(scores, ratio, strategy, Rng(seed))
+    merged = merge_cache(cache, plan, SequenceLayout.from_counts(l_image, T, 0))
+    for li in range(n_layers):
+        for b, (lo, hi) in enumerate(zip(plan.starts[li], plan.ends[li])):
+            for src, out in ((cache.keys, merged.keys), (cache.values, merged.values)):
+                rows = src[li, :, l_image + lo : l_image + hi + 1]
+                slack = 1e-12 * np.abs(rows).max(axis=1)  # a mean rounds
+                got = out[li][:, l_image + b]
+                assert np.all(got >= rows.min(axis=1) - slack)
+                assert np.all(got <= rows.max(axis=1) + slack)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ikod.model import (
@@ -13,6 +13,7 @@ from ikod.model import (
     ModelConfig,
     Role,
     SequenceLayout,
+    StepOutput,
     TinyDecoder,
     TraceError,
     load_checkpoint,
@@ -282,14 +283,57 @@ def test_layout_counts_match_the_roles():
 def test_trace_requires_continuous_recording():
     model = TinyDecoder(small_config())
     cache = model.new_cache()
-    trace = AttentionTrace(2, 2)
+    trace = AttentionTrace(2, 2, 0, 3)
     trace.record(model.forward_step(cache, 1))
     out = model.forward_step(cache, 2)
     trace.record(out)
     with pytest.raises(TraceError):
         trace.record(out)  # duplicate row no longer matches the next position
-    with pytest.raises(TraceError):
-        trace.rows_for(5)
+    trace.record(model.forward_step(cache, 3))
+    with pytest.raises(TraceError, match="full at 3"):
+        trace.record(model.forward_step(cache, 4))
+
+
+def reference_image_att(rows: np.ndarray, layout: SequenceLayout) -> np.ndarray:
+    """Image mass of one row as ImageAttentionStat.from_trace summed it from
+    stored rows: a boolean-mask gather."""
+    return rows[..., layout.image_mask[: rows.shape[-1]]].sum(axis=-1)
+
+
+def reference_text_score(rows: np.ndarray, l_image: int) -> np.ndarray:
+    """Score of one text row as layer_scores summed it from stored rows: a
+    slice sum, then the head mean."""
+    return rows[..., :l_image].sum(axis=-1).mean(axis=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_layers=st.integers(1, 3),
+    n_heads=st.integers(1, 5),
+    n_rows=st.integers(1, 40),
+    l_image=st.integers(0, 45),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_layers=1, n_heads=1, n_rows=30, l_image=20, seed=0)  # the gather is contiguous
+@example(n_layers=2, n_heads=3, n_rows=12, l_image=0, seed=1)
+@example(n_layers=2, n_heads=3, n_rows=12, l_image=12, seed=2)  # no text row
+@example(n_layers=3, n_heads=2, n_rows=10, l_image=40, seed=3)  # image block beyond the rows
+def test_trace_summaries_equal_the_stored_row_reductions(n_layers, n_heads, n_rows, l_image, seed):
+    rng = np.random.default_rng(seed)
+    rows = [
+        rng.normal(size=(n_layers, n_heads, n + 1)) * 10.0 ** rng.uniform(-3, 3, size=n + 1)
+        for n in range(n_rows)
+    ]
+    trace = AttentionTrace(n_layers, n_heads, l_image, n_rows)
+    for row in rows:
+        trace.record(StepOutput(logits=np.zeros(0), attention_rows=row))
+    layout = SequenceLayout.from_counts(l_image, max(n_rows - l_image, 0), 0)
+    assert len(trace) == n_rows
+    for n, row in enumerate(rows):
+        assert trace.image_att[n].tobytes() == reference_image_att(row, layout).tobytes()
+        if n >= l_image:
+            want = reference_text_score(row, l_image)
+            assert trace.text_scores[:, n - l_image].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["n_layers", "n_heads", "max_seq", "seed", "d_head"])
