@@ -12,12 +12,15 @@ scratch each step and never mutates the live cache.
 The image and prompt positions are run once by prefill(), and every
 generation forks the resulting Prefill: each fork copies the prompt's
 key/value rows and recorded image attention into a fresh cache and trace, so
-a policy sweep over one prompt prefills it once.
+a policy sweep over one prompt prefills it once. The Prefill's step tree keeps
+what forward_step wrote for each token history a fork decoded, and later forks
+copy it bit for bit, so a sweep also decodes each shared token prefix once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -259,11 +262,69 @@ def _prompt_images(model: TinyDecoder, prompt: Prompt) -> np.ndarray:
     return images
 
 
+class _StepTree:
+    """The decoded steps of the generations forked from one Prefill. Row r
+    holds what forward_step and AttentionTrace.record wrote for one token fed
+    after the history of its parent row (-1 is the prompt): the position's K/V
+    rows, image_att and text_scores entries, and the logits that follow.
+
+    Rows live in one max_seq-row block per field, allocated at the first
+    record; once full, the tree records nothing more and keeps replaying. A
+    row is claimed under the lock and published in children only after it is
+    written, so threads may share one tree.
+    """
+
+    def __init__(self):
+        self.children: dict[tuple[int, int], int] = {}
+        self.blocks: tuple[np.ndarray, ...] | None = None
+        self.used = 0
+        self.lock = threading.Lock()
+
+    def step(self, model: TinyDecoder, cache: LayeredKvCache, trace: AttentionTrace,
+             parent: int | None, token: int) -> tuple[int | None, np.ndarray]:
+        """Feed token to cache and trace after the history at row parent (None:
+        a history the tree does not hold). Returns the token's row, or None,
+        and the logits that follow it."""
+        row = None if parent is None else self.children.get((parent, token))
+        if row is not None:
+            pos, _ = model.open_position(cache), trace.open_row()
+            for view, block in zip(_step_views(cache, trace, pos), self.blocks):
+                view[...] = block[row]
+            cache.length = trace.length = pos + 1
+            return row, self.blocks[-1][row]
+        out = model.forward_step(cache, token)
+        trace.record(out)
+        if parent is None:
+            return None, out.logits
+        cfg = model.config
+        with self.lock:
+            if self.blocks is None:
+                kv = (cfg.n_layers, cfg.n_heads, cfg.d_head)
+                shapes = (kv, kv, kv[:2], kv[:1], (cfg.vocab_size,))
+                self.blocks = tuple(np.empty((cfg.max_seq, *shape)) for shape in shapes)
+            row = self.used
+            if row == cfg.max_seq:
+                return None, out.logits
+            self.used = row + 1
+        views = (*_step_views(cache, trace, cache.length - 1), out.logits)
+        for view, block in zip(views, self.blocks):
+            block[row] = view
+        return self.children.setdefault((parent, token), row), out.logits
+
+
+def _step_views(cache: LayeredKvCache, trace: AttentionTrace, pos: int) -> tuple:
+    """Views of what forward_step and record write for a text position."""
+    return (cache.keys[:, :, pos], cache.values[:, :, pos], trace.image_att[pos],
+            trace.text_scores[:, pos - trace.l_image])
+
+
 @dataclass(frozen=True)
 class Prefill:
     """The image and prompt positions of one Prompt, run through the model
-    once and never modified afterwards. Each generation given a Prefill
-    forks it (see fork) instead of running the prompt again."""
+    once; the prompt arrays stay read-only. Each generation given a Prefill
+    forks it (see fork) instead of running the prompt again, and replays from
+    the step tree every token history an earlier fork decoded. The tree holds
+    at most max_seq steps, and generations on several threads may share it."""
 
     model: TinyDecoder
     n_image: int
@@ -274,6 +335,7 @@ class Prefill:
     text_scores: np.ndarray
     logits: np.ndarray  # predicting the first new token
     last_input: int  # last prompt token, the merged path's first query
+    tree: _StepTree = field(default_factory=_StepTree, repr=False, compare=False)
 
     def fork(self) -> tuple[LayeredKvCache, AttentionTrace]:
         """A fresh cache and trace holding the prompt's key/value rows and
@@ -342,15 +404,18 @@ def ikod_generate(
     """Run the full generation loop under the given policy.
 
     prompt is either a Prefill of this model or a Prompt, which is prefilled
-    first; either way the generation forks the Prefill. Every emitted token
+    first; either way the generation forks the Prefill. Only a Prefill the
+    caller holds records the steps it decodes in its tree. Every emitted token
     (the final one and the end token included) is fed back through the
     incremental path, so the trace records the image attention of each
     generated token and the cache is identical across modes for equal token
     sequences.
     """
     check_request(model, prompt, policy)
+    node = -1  # the history's row in the prompt's step tree
     if isinstance(prompt, Prompt):
-        prompt = prefill(model, prompt)
+        # No other generation can reach this Prefill, so it records nothing.
+        prompt, node = prefill(model, prompt), None
     n_image, l_others = prompt.n_image, prompt.l_others
     cache, trace = prompt.fork()
     logits, current_input = prompt.logits, prompt.last_input
@@ -395,9 +460,7 @@ def ikod_generate(
             )
         )
         generated.append(token)
-        out = model.forward_step(cache, token)
-        trace.record(out)
-        logits = out.logits
+        node, logits = prompt.tree.step(model, cache, trace, node, token)
         current_input = token
         if token == EOS_TOKEN:
             break

@@ -258,11 +258,15 @@ class AttentionTrace:
         self.length = 0
         self._image_cols = np.arange(l_image)
 
+    def open_row(self) -> int:
+        """The row record fills next; TraceError when the trace is full."""
+        if self.length >= len(self.image_att):
+            raise TraceError(f"trace is full at {self.length} positions")
+        return self.length
+
     def record(self, out: StepOutput) -> None:
         rows = out.attention_rows
-        n = self.length
-        if n >= len(self.image_att):
-            raise TraceError(f"trace is full at {n} positions")
+        n = self.open_row()
         expected = (self.n_layers, self.n_heads, n + 1)
         if rows.shape != expected:
             raise TraceError(f"expected rows of shape {expected}, got {rows.shape}")
@@ -345,14 +349,18 @@ class TinyDecoder:
             raise ValueError(f"embedding must have shape ({self.config.d_model},), got {vec.shape}")
         return vec
 
+    def open_position(self, cache: LayeredKvCache) -> int:
+        """The position forward_step fills next; CapacityError when the cache is full."""
+        pos, capacity = cache.length, min(self.config.max_seq, cache.keys.shape[2])
+        if pos >= capacity:
+            raise CapacityError(f"cache is full at {pos} of {capacity} positions")
+        return pos
+
     def forward_step(self, cache: LayeredKvCache, inp) -> StepOutput:
         """Append one position to the cache and return logits plus the query's
         attention rows over every cached position."""
         cfg = self.config
-        pos = cache.length
-        capacity = min(cfg.max_seq, cache.keys.shape[2])
-        if pos >= capacity:
-            raise CapacityError(f"cache is full at {pos} of {capacity} positions")
+        pos = self.open_position(cache)
         x = self.content_embedding(inp) + self.positions[pos]
         rows = np.empty((cfg.n_layers, cfg.n_heads, pos + 1))
         for li, lw in enumerate(self.layers):

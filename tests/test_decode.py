@@ -1,8 +1,13 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ikod import decode
 from ikod.decode import (
     EOS_TOKEN,
     BaseStrategy,
@@ -19,8 +24,10 @@ from ikod.kv_merge import AnchorStrategy
 from ikod.model import (
     AttentionTrace,
     CapacityError,
+    LayeredKvCache,
     ModelConfig,
     TinyDecoder,
+    TraceError,
     make_image_embeddings,
 )
 from ikod.numerics import Rng, ShapeError, softmax_rows
@@ -407,7 +414,8 @@ policies = st.builds(
     DecodePolicy,
     mode=st.sampled_from(list(Mode)),
     base=st.just(BaseStrategy.greedy())
-    | st.builds(BaseStrategy.top_p, p=st.floats(0.05, 1.0), temperature=st.floats(0.1, 5.0)),
+    | st.builds(BaseStrategy.top_p, p=st.floats(0.05, 1.0), temperature=st.floats(0.1, 5.0))
+    | st.builds(BaseStrategy.top_k, k=st.integers(1, 8), temperature=st.floats(0.1, 5.0)),
     alpha=st.floats(0.0, 4.0),
     beta=st.floats(0.0, 1.0),
     anchor_ratio=st.floats(0.01, 1.0),
@@ -434,17 +442,27 @@ def prompts(draw):
     return TinyDecoder(cfg), Prompt(images, tokens)
 
 
+@st.composite
+def policy_sequences(draw):
+    """Two to five policies in order, drawn from a pool of one to three, so
+    repeats are common."""
+    pool = draw(st.lists(policies, min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5))
+
+
 @settings(max_examples=60, deadline=None)
-@given(case=prompts(), first=policies, second=policies)
-def test_forked_prefill_matches_fresh_generation(case, first, second):
+@given(case=prompts(), sequence=policy_sequences())
+def test_forked_prefill_matches_fresh_generation(case, sequence):
+    """Later generations replay from the step tree what earlier ones decoded;
+    each still equals its own run on a fresh prefill, bit for bit."""
     model, prompt = case
-    assume(first != second)
     prefix = prefill(model, prompt)
     arrays = [prefix.keys, prefix.values, prefix.logits, prefix.image_att, prefix.text_scores]
     before = [a.copy() for a in arrays]
-    for policy in (first, second):
-        forked = ikod_generate(model, prefix, policy, record_merge_plans=True)
-        assert_same_generation(forked, ikod_generate(model, prompt, policy, record_merge_plans=True))
+    for policy in sequence:
+        shared = ikod_generate(model, prefix, policy, record_merge_plans=True)
+        alone = ikod_generate(model, prefill(model, prompt), policy, record_merge_plans=True)
+        assert_same_generation(shared, alone)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
 
 
@@ -472,11 +490,7 @@ def test_request_errors_come_before_any_forward_step(monkeypatch):
     prompt = make_prompt(model)  # prefill is 8 positions
     short = Prompt(prompt.image_embeddings, (5, 9))
     prefixes = (prefill(model, prompt), prefill(model, short))
-    calls = []
-    step = TinyDecoder.forward_step
-    monkeypatch.setattr(
-        TinyDecoder, "forward_step", lambda self, *args: calls.append(1) or step(self, *args)
-    )
+    calls = count_forward_steps(monkeypatch)
     for source in (prompt, prefixes[0]):
         with pytest.raises(CapacityError):
             ikod_generate(model, source, DecodePolicy(max_new_tokens=5))
@@ -503,3 +517,228 @@ def test_generation_matches_a_plain_forward_step_replay(case, policy):
     assert result.cache.keys.tobytes() == cache.keys.tobytes()
     assert result.cache.values.tobytes() == cache.values.tobytes()
     assert_same_trace(result.trace, trace)
+
+
+def count_forward_steps(monkeypatch) -> list:
+    calls = []
+    step = TinyDecoder.forward_step
+    monkeypatch.setattr(
+        TinyDecoder, "forward_step", lambda self, *args: calls.append(1) or step(self, *args)
+    )
+    return calls
+
+
+def token_prefixes(tokens) -> set:
+    return {tuple(tokens[: i + 1]) for i in range(len(tokens))}
+
+
+def test_shared_prefill_decodes_each_token_prefix_once(monkeypatch):
+    model = make_model()
+    prompt = make_prompt(model)
+    # A sampled policy that emits the end token before its last step.
+    stops_early = next(
+        policy
+        for seed in range(40)
+        for policy in [DecodePolicy(base=BaseStrategy.nucleus(), max_new_tokens=12, seed=seed)]
+        if len(ikod_generate(model, prompt, policy).tokens) < 12
+    )
+    sequence = [
+        DecodePolicy(mode=Mode.BASELINE, max_new_tokens=12),
+        DecodePolicy(mode=Mode.IKOD, anchor_ratio=0.4, max_new_tokens=12),
+        DecodePolicy(mode=Mode.IKOD, anchor_ratio=0.8, alpha=0.5, max_new_tokens=16),
+        DecodePolicy(mode=Mode.IKOD_NO_OD, anchor_strategy=AnchorStrategy.RANDOM, max_new_tokens=12),
+        stops_early,
+        DecodePolicy(mode=Mode.BASELINE, max_new_tokens=12),
+        stops_early,
+    ]
+    expected = [ikod_generate(model, prefill(model, prompt), p) for p in sequence]
+    prefix = prefill(model, prompt)
+    calls = count_forward_steps(monkeypatch)
+    decoded: set = set()
+    for policy, reference in zip(sequence, expected):
+        before = len(calls)
+        result = ikod_generate(model, prefix, policy)
+        assert_same_generation(result, reference)
+        new = token_prefixes(result.tokens) - decoded
+        assert len(calls) - before == len(new)
+        decoded |= new
+    assert len(calls) - before == 0  # a repeated policy runs no forward step
+    assert len(calls) == len(decoded) == prefix.tree.used
+    assert len(decoded) < sum(len(r.tokens) for r in expected)  # some prefixes were shared
+
+
+def test_a_prompt_request_records_no_steps(monkeypatch):
+    """No other generation can reach a Prompt request's own Prefill, so its
+    tree stays empty and unallocated."""
+    model = make_model()
+    made = []
+    real_prefill = decode.prefill
+    monkeypatch.setattr(decode, "prefill", lambda *args: made.append(real_prefill(*args)) or made[-1])
+    for mode in Mode:
+        ikod_generate(model, make_prompt(model), DecodePolicy(mode=mode, max_new_tokens=6))
+    assert len(made) == len(Mode)
+    assert all(p.tree.used == 0 and p.tree.blocks is None and not p.tree.children for p in made)
+
+
+def test_step_tree_fills_to_max_seq_rows_then_keeps_replaying(monkeypatch):
+    model = make_model(max_seq=20)
+    prompt = make_prompt(model)  # prefill is 8 positions, so 12 new tokens fit
+    prefix = prefill(model, prompt)
+    sampled = [
+        DecodePolicy(
+            mode=(Mode.BASELINE, Mode.IKOD)[seed % 2],
+            base=BaseStrategy.nucleus(temperature=2.0), max_new_tokens=12, seed=seed,
+        )
+        for seed in range(30)
+    ]
+    for policy in sampled:
+        alone = ikod_generate(model, prefill(model, prompt), policy, record_merge_plans=True)
+        assert_same_generation(ikod_generate(model, prefix, policy, record_merge_plans=True), alone)
+    assert prefix.tree.used == len(prefix.tree.children) == model.config.max_seq
+    for block in prefix.tree.blocks:
+        assert len(block) == model.config.max_seq
+    # The first generation recorded its whole path into an empty tree.
+    calls = count_forward_steps(monkeypatch)
+    ikod_generate(model, prefix, sampled[0])
+    assert calls == []
+    assert prefix.tree.used == model.config.max_seq
+
+
+def test_step_rows_are_published_only_once_written():
+    """Another thread may copy a row as soon as it finds it in children, so
+    each row must hold its step before it is published there."""
+    model = make_model()
+    prompt = make_prompt(model)
+    prefix = prefill(model, prompt)
+    published = []
+
+    class WatchedChildren(dict):
+        def _seen(self, key, row):
+            if key not in self:
+                published.append((row, [block[row].copy() for block in prefix.tree.blocks]))
+
+        def __setitem__(self, key, row):
+            self._seen(key, row)
+            super().__setitem__(key, row)
+
+        def setdefault(self, key, row):
+            self._seen(key, row)
+            return super().setdefault(key, row)
+
+    prefix.tree.children = WatchedChildren()
+    for mode in Mode:
+        ikod_generate(model, prefix, DecodePolicy(mode=mode, max_new_tokens=12))
+    assert len(published) == prefix.tree.used > 12
+    for row, seen in published:
+        assert [block[row].tobytes() for block in prefix.tree.blocks] == [a.tobytes() for a in seen]
+
+
+def test_threads_sharing_a_prefill_match_their_sequential_runs():
+    model = make_model()
+    prompt = make_prompt(model)
+    # The two greedy baselines differ only in their unused seed, so they
+    # decode one path and race for every step of it.
+    sequence = [
+        DecodePolicy(mode=Mode.BASELINE, max_new_tokens=24, seed=0),
+        DecodePolicy(mode=Mode.BASELINE, max_new_tokens=24, seed=1),
+        DecodePolicy(mode=Mode.IKOD, anchor_ratio=0.4, max_new_tokens=24),
+        DecodePolicy(
+            mode=Mode.IKOD, base=BaseStrategy.top_k(4, temperature=1.5),
+            anchor_strategy=AnchorStrategy.RANDOM, max_new_tokens=24, seed=5,
+        ),
+    ]
+    expected = [ikod_generate(model, prefill(model, prompt), p, record_merge_plans=True) for p in sequence]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            prefix = prefill(model, prompt)
+            results: list = [None] * len(sequence)
+            errors: list = []
+
+            def run(i):
+                try:
+                    results[i] = ikod_generate(model, prefix, sequence[i], record_merge_plans=True)
+                except BaseException as exc:  # reported below, in the test's thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(sequence))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            for result, reference in zip(results, expected):
+                assert_same_generation(result, reference)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=prompts(), policy=policies, extra=st.integers(-3, 2))
+def test_decoding_never_exceeds_max_seq(case, policy, extra):
+    """Around capacity, a Prompt and a Prefill whose tree already holds the
+    path both raise CapacityError before any step, or both stay in max_seq."""
+    model, prompt = case
+    max_seq = model.config.max_seq
+    room = max_seq - len(prompt.image_embeddings) - len(prompt.tokens)
+    prefix = prefill(model, prompt)
+    warm = ikod_generate(model, prefix, replace(policy, max_new_tokens=room))
+    used = prefix.tree.used
+    requested = replace(policy, max_new_tokens=max(1, room + extra))
+    outcomes = []
+    for source in (prompt, prefix):
+        try:
+            outcomes.append(ikod_generate(model, source, requested))
+        except CapacityError:
+            outcomes.append(CapacityError)
+    assert prefix.tree.used == used == len(warm.tokens)
+    if requested.max_new_tokens > room:
+        assert outcomes == [CapacityError, CapacityError]
+        return
+    assert_same_generation(*outcomes)
+    for result in outcomes:
+        assert len(result.trace) == result.cache.length <= max_seq
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=prompts(), policy=policies, data=st.data())
+def test_replayed_step_raises_where_forward_step_would(case, policy, data):
+    """Into a cache or trace with no room left, a replayed step raises the
+    error forward_step or record raises; with room, it writes the same bytes."""
+    model, prompt = case
+    cfg = model.config
+    prefix = prefill(model, prompt)
+    tokens = ikod_generate(model, prefix, policy).tokens
+    k = data.draw(st.integers(0, len(tokens) - 1), label="step")
+    parent = -1
+    for token in tokens[:k]:
+        parent = prefix.tree.children[(parent, token)]
+    length = len(prompt.image_embeddings) + len(prompt.tokens) + k
+    cache_room = data.draw(st.integers(0, 1), label="cache room")
+    trace_room = data.draw(st.integers(0, 1), label="trace room")
+    outcomes = []
+    for replay in (True, False):
+        cache = LayeredKvCache(cfg.n_layers, cfg.n_heads, cfg.d_head, length + cache_room)
+        trace = AttentionTrace(cfg.n_layers, cfg.n_heads, prefix.n_image, length + trace_room)
+        for inp in [*prompt.image_embeddings, *prompt.tokens, *tokens[:k]]:
+            trace.record(model.forward_step(cache, inp))
+        try:
+            if replay:
+                _, logits = prefix.tree.step(model, cache, trace, parent, tokens[k])
+            else:
+                out = model.forward_step(cache, tokens[k])
+                trace.record(out)
+                logits = out.logits
+        except (CapacityError, TraceError) as exc:
+            outcomes.append(type(exc))
+            continue
+        n = cache.length
+        outcomes.append((
+            logits.tobytes(), n, len(trace),
+            cache.keys[:, :, :n].tobytes(), cache.values[:, :, :n].tobytes(),
+            trace.image_att[:n].tobytes(), trace.text_scores[:, : n - prefix.n_image].tobytes(),
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert (cache_room and trace_room) or outcomes[0] in (CapacityError, TraceError)
