@@ -47,7 +47,6 @@ from .kv_merge import (
 )
 from .metrics import BinaryMetrics, BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores
 from .model import (
-    AttentionTrace,
     CapacityError,
     ConfigError,
     LayeredKvCache,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AttentionTrace, Role, SequenceLayout, StepOutput, TraceError
+from .model import LayeredKvCache, Role, SequenceLayout, TraceError
 
 __all__ = [
     "ImageAttentionStat",
@@ -43,17 +43,17 @@ class ImageAttentionStat:
     generated: np.ndarray  # (n_steps,) True where the step's query is a generated token
 
     @classmethod
-    def from_trace(cls, trace: AttentionTrace, layout: SequenceLayout) -> "ImageAttentionStat":
-        """The image attention the trace recorded, one step per layout position."""
-        n = len(trace)
+    def from_trace(cls, cache: LayeredKvCache, layout: SequenceLayout) -> "ImageAttentionStat":
+        """The image attention the cache recorded, one step per layout position."""
+        n = cache.length
         if n != len(layout):
-            raise TraceError(f"trace of {n} steps does not match a layout of {len(layout)}")
-        if trace.l_image != layout.l_image:
+            raise TraceError(f"cache of {n} positions does not match a layout of {len(layout)}")
+        if cache.l_image != layout.l_image:
             raise TraceError(
-                f"trace has {trace.l_image} image positions, layout has {layout.l_image}"
+                f"cache has {cache.l_image} image positions, layout has {layout.l_image}"
             )
         generated = np.asarray(layout.roles == Role.GENERATED)
-        return cls(values=trace.image_att[:n].copy(), generated=generated)
+        return cls(values=cache.image_att[:n].copy(), generated=generated)
 
     @property
     def att_avg(self) -> np.ndarray:
@@ -134,10 +134,10 @@ def degradation_report(stat: ImageAttentionStat) -> list[tuple[float, float]]:
 
 
 def trace_image_attention(
-    trace: AttentionTrace, layout: SequenceLayout
+    cache: LayeredKvCache, layout: SequenceLayout
 ) -> list[tuple[int, int, int, float]]:
-    """Flat (step, layer, head, att_image) rows for the whole trace."""
-    stat = ImageAttentionStat.from_trace(trace, layout)
+    """Flat (step, layer, head, att_image) rows for every recorded position."""
+    stat = ImageAttentionStat.from_trace(cache, layout)
     n_steps, n_layers, n_heads = stat.values.shape
     return [
         (s, li, h, float(stat.values[s, li, h]))
@@ -149,12 +149,12 @@ def trace_image_attention(
 
 def synthetic_uniform_trace(
     l_image: int, l_others: int, l_gen: int, n_layers: int = 1, n_heads: int = 1
-) -> tuple[AttentionTrace, SequenceLayout]:
-    """Trace whose every query attends uniformly over the cached positions;
-    its measured image attention matches the uniform-mix prediction exactly."""
+) -> tuple[LayeredKvCache, SequenceLayout]:
+    """A cache, with no key/value rows, whose every query attended uniformly
+    over the cached positions; its measured image attention matches the
+    uniform-mix prediction exactly."""
     layout = SequenceLayout.from_counts(l_image, l_others, l_gen)
-    trace = AttentionTrace(n_layers, n_heads, l_image, len(layout))
+    cache = LayeredKvCache(n_layers, n_heads, 0, len(layout), l_image)
     for step in range(len(layout)):
-        row = np.full((n_layers, n_heads, step + 1), 1.0 / (step + 1))
-        trace.record(StepOutput(logits=np.zeros(0), attention_rows=row))
-    return trace, layout
+        cache.record(np.full((n_layers, n_heads, step + 1), 1.0 / (step + 1)))
+    return cache, layout

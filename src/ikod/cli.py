@@ -214,7 +214,7 @@ def cmd_decode(args) -> int:
     _write_csv(
         out_dir / "trace.csv",
         ["step", "layer", "head", "att_image"],
-        trace_image_attention(result.trace, result.layout),
+        trace_image_attention(result.cache, result.layout),
     )
     if args.emit_merge_plans and result.merge_plans is not None:
         plan_dir = out_dir / "merge_plans"
@@ -242,22 +242,26 @@ def _read_trace_csv(path: Path) -> np.ndarray:
         raise ConfigError(f"{path}: empty trace")
     if min(min(e[:3]) for e in entries) < 0:
         raise ConfigError(f"{path}: negative step, layer or head index")
-    shape = tuple(max(e[i] for e in entries) + 1 for i in range(3))
-    values = np.zeros(shape)
-    seen = np.zeros(shape, dtype=bool)
+    cells: dict[tuple[int, int, int], float] = {}
     for s, li, h, a in entries:
-        if seen[s, li, h]:
+        if (s, li, h) in cells:
             raise ConfigError(f"{path}: duplicate cell step {s}, layer {li}, head {h}")
         if not math.isfinite(a):
             raise ConfigError(
                 f"{path}: non-finite att_image {a!r} at step {s}, layer {li}, head {h}"
             )
-        seen[s, li, h] = True
-        values[s, li, h] = a
-    if not seen.all():
-        s, li, h = np.argwhere(~seen)[0].tolist()
+        cells[s, li, h] = a
+    shape = tuple(max(cell[i] for cell in cells) + 1 for i in range(3))
+    order = sorted(cells)
+    # Counted before anything is sized by an index. Sorted cells sit at flat
+    # row-major indices 0, 1, 2, ... up to the first missing cell.
+    if len(order) != math.prod(shape):
+        _, n_layers, n_heads = shape
+        flat = ((s * n_layers + li) * n_heads + h for s, li, h in order)
+        i = next((i for i, f in enumerate(flat) if f != i), len(order))
+        s, li, h = i // (n_layers * n_heads), i // n_heads % n_layers, i % n_heads
         raise ConfigError(f"{path}: missing cell step {s}, layer {li}, head {h}")
-    return values
+    return np.array([cells[c] for c in order]).reshape(shape)
 
 
 def _read_run(run_dir: Path) -> ImageAttentionStat:
@@ -383,7 +387,7 @@ def cmd_sweep(args) -> int:
 
     def run_policy(policy: DecodePolicy) -> list:
         result = ikod_generate(model, prefix, policy)
-        stat = ImageAttentionStat.from_trace(result.trace, result.layout)
+        stat = ImageAttentionStat.from_trace(result.cache, result.layout)
         mean_orig = float(stat.att_avg[stat.generated].mean())
         mean_aug = (
             float(np.mean(result.aug_image_attention)) if result.aug_image_attention else ""

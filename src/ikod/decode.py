@@ -11,8 +11,8 @@ scratch each step and never mutates the live cache.
 
 The image and prompt positions are run once by prefill(), and every
 generation forks the resulting Prefill: each fork copies the prompt's
-key/value rows and recorded image attention into a fresh cache and trace, so
-a policy sweep over one prompt prefills it once. The Prefill's step tree keeps
+key/value rows and recorded image attention into a fresh cache, so a policy
+sweep over one prompt prefills it once. The Prefill's step tree keeps
 what forward_step wrote for each token history a fork decoded, and later forks
 copy it bit for bit, so a sweep also decodes each shared token prefix once.
 """
@@ -27,13 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .kv_merge import AnchorStrategy, MergePlan, build_merge_plan, layer_scores, merge_cache
-from .model import (
-    AttentionTrace,
-    CapacityError,
-    LayeredKvCache,
-    SequenceLayout,
-    TinyDecoder,
-)
+from .model import CapacityError, LayeredKvCache, SequenceLayout, TinyDecoder, require_int
 from .numerics import Rng, ShapeError, softmax_rows
 
 __all__ = [
@@ -78,6 +72,8 @@ class BaseStrategy:
     temperature: float | None = None
 
     def __post_init__(self):
+        if self.k is not None:
+            object.__setattr__(self, "k", require_int(self.k, "k"))
         if self.kind not in ("greedy", "top_k", "top_p"):
             raise ValueError(f"unknown base strategy {self.kind!r}")
         if self.kind == "top_k" and (self.k is None or self.k < 1):
@@ -120,6 +116,8 @@ class DecodePolicy:
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "anchor_strategy", AnchorStrategy(self.anchor_strategy))
+        for name in ("max_new_tokens", "seed"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError("alpha must be non-negative and finite")
         if not 0.0 <= self.beta <= 1.0:
@@ -240,7 +238,6 @@ class StepDistributions:
 @dataclass
 class GenerationResult:
     tokens: list[int]
-    trace: AttentionTrace
     steps: list[StepDistributions]
     layout: SequenceLayout
     cache: LayeredKvCache
@@ -264,9 +261,9 @@ def _prompt_images(model: TinyDecoder, prompt: Prompt) -> np.ndarray:
 
 class _StepTree:
     """The decoded steps of the generations forked from one Prefill. Row r
-    holds what forward_step and AttentionTrace.record wrote for one token fed
-    after the history of its parent row (-1 is the prompt): the position's K/V
-    rows, image_att and text_scores entries, and the logits that follow.
+    holds what forward_step wrote for one token fed after the history of its
+    parent row (-1 is the prompt): the position's K/V rows, image_att and
+    text_scores entries, and the logits that follow.
 
     Rows live in one max_seq-row block per field, allocated at the first
     record; once full, the tree records nothing more and keeps replaying. A
@@ -280,20 +277,19 @@ class _StepTree:
         self.used = 0
         self.lock = threading.Lock()
 
-    def step(self, model: TinyDecoder, cache: LayeredKvCache, trace: AttentionTrace,
-             parent: int | None, token: int) -> tuple[int | None, np.ndarray]:
-        """Feed token to cache and trace after the history at row parent (None:
-        a history the tree does not hold). Returns the token's row, or None,
-        and the logits that follow it."""
+    def step(self, model: TinyDecoder, cache: LayeredKvCache, parent: int | None,
+             token: int) -> tuple[int | None, np.ndarray]:
+        """Feed token to cache after the history at row parent (None: a
+        history the tree does not hold). Returns the token's row, or None, and
+        the logits that follow it."""
         row = None if parent is None else self.children.get((parent, token))
         if row is not None:
-            pos, _ = model.open_position(cache), trace.open_row()
-            for view, block in zip(_step_views(cache, trace, pos), self.blocks):
+            pos = model.open_position(cache)
+            for view, block in zip(cache.position(pos), self.blocks):
                 view[...] = block[row]
-            cache.length = trace.length = pos + 1
+            cache.length = pos + 1
             return row, self.blocks[-1][row]
         out = model.forward_step(cache, token)
-        trace.record(out)
         if parent is None:
             return None, out.logits
         cfg = model.config
@@ -306,71 +302,64 @@ class _StepTree:
             if row == cfg.max_seq:
                 return None, out.logits
             self.used = row + 1
-        views = (*_step_views(cache, trace, cache.length - 1), out.logits)
-        for view, block in zip(views, self.blocks):
+        for view, block in zip((*cache.position(cache.length - 1), out.logits), self.blocks):
             block[row] = view
         return self.children.setdefault((parent, token), row), out.logits
-
-
-def _step_views(cache: LayeredKvCache, trace: AttentionTrace, pos: int) -> tuple:
-    """Views of what forward_step and record write for a text position."""
-    return (cache.keys[:, :, pos], cache.values[:, :, pos], trace.image_att[pos],
-            trace.text_scores[:, pos - trace.l_image])
 
 
 @dataclass(frozen=True)
 class Prefill:
     """The image and prompt positions of one Prompt, run through the model
-    once; the prompt arrays stay read-only. Each generation given a Prefill
-    forks it (see fork) instead of running the prompt again, and replays from
-    the step tree every token history an earlier fork decoded. The tree holds
-    at most max_seq steps, and generations on several threads may share it."""
+    once into a prompt-sized cache whose arrays stay read-only. Each
+    generation given a Prefill forks it (see fork) instead of running the
+    prompt again, and replays from the step tree every token history an
+    earlier fork decoded. The tree holds at most max_seq steps, and
+    generations on several threads may share it."""
 
     model: TinyDecoder
-    n_image: int
-    l_others: int
-    keys: np.ndarray  # (n_layers, n_heads, n_image + l_others, d_head)
-    values: np.ndarray
-    image_att: np.ndarray  # the prompt trace's image_att and text_scores
-    text_scores: np.ndarray
+    cache: LayeredKvCache
     logits: np.ndarray  # predicting the first new token
     last_input: int  # last prompt token, the merged path's first query
     tree: _StepTree = field(default_factory=_StepTree, repr=False, compare=False)
 
-    def fork(self) -> tuple[LayeredKvCache, AttentionTrace]:
-        """A fresh cache and trace holding the prompt's key/value rows and
-        recorded image attention."""
-        cfg = self.model.config
-        length = self.n_image + self.l_others
-        cache = self.model.new_cache()
-        cache.keys[:, :, :length] = self.keys
-        cache.values[:, :, :length] = self.values
-        cache.length = length
-        trace = AttentionTrace(cfg.n_layers, cfg.n_heads, self.n_image, cfg.max_seq)
-        trace.image_att[:length] = self.image_att
-        trace.text_scores[:, : self.l_others] = self.text_scores
-        trace.length = length
-        return cache, trace
+    @property
+    def n_image(self) -> int:
+        return self.cache.l_image
+
+    @property
+    def l_others(self) -> int:
+        return self.cache.length - self.cache.l_image
+
+    def fork(self) -> LayeredKvCache:
+        """A fresh cache holding the prompt's key/value rows and recorded image
+        attention."""
+        prompt, n = self.cache, self.cache.length
+        cache = self.model.new_cache(prompt.l_image)
+        cache.keys[:, :, :n] = prompt.keys
+        cache.values[:, :, :n] = prompt.values
+        cache.image_att[:n] = prompt.image_att
+        cache.text_scores[:, : self.l_others] = prompt.text_scores
+        cache.length = n
+        return cache
 
 
 def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
     """Run the image embeddings, then the prompt tokens, through forward_step
-    on a fresh cache and trace sized to the prompt, for generations that fork
-    the result. The Prefill holds their arrays, with no copy."""
+    on a fresh cache sized to the prompt, for generations that fork the
+    result. The Prefill holds that cache, with no copy."""
     if len(prompt.tokens) < 1:
         raise ValueError("prompt needs at least one text token")
+    tokens = [require_int(tok, f"prompt token [{i}]") for i, tok in enumerate(prompt.tokens)]
     cfg = model.config
     images = _prompt_images(model, prompt)
-    n_image, length = images.shape[0], images.shape[0] + len(prompt.tokens)
-    cache = LayeredKvCache(cfg.n_layers, cfg.n_heads, cfg.d_head, length)
-    trace = AttentionTrace(cfg.n_layers, cfg.n_heads, n_image, length)
-    for inp in [*images, *(int(tok) for tok in prompt.tokens)]:
+    cache = LayeredKvCache(
+        cfg.n_layers, cfg.n_heads, cfg.d_head, images.shape[0] + len(tokens), images.shape[0]
+    )
+    for inp in [*images, *tokens]:
         out = model.forward_step(cache, inp)
-        trace.record(out)
-    arrays = (cache.keys, cache.values, trace.image_att, trace.text_scores, out.logits)
-    for array in arrays:
+    for array in (cache.keys, cache.values, cache.image_att, cache.text_scores, out.logits):
         array.flags.writeable = False
-    return Prefill(model, n_image, len(prompt.tokens), *arrays, int(prompt.tokens[-1]))
+    return Prefill(model, cache, out.logits, tokens[-1])
 
 
 def check_request(model: TinyDecoder, prompt: Prompt | Prefill, policy: DecodePolicy) -> None:
@@ -407,17 +396,15 @@ def ikod_generate(
     first; either way the generation forks the Prefill. Only a Prefill the
     caller holds records the steps it decodes in its tree. Every emitted token
     (the final one and the end token included) is fed back through the
-    incremental path, so the trace records the image attention of each
-    generated token and the cache is identical across modes for equal token
-    sequences.
+    incremental path, so the cache records the image attention of each
+    generated token and is identical across modes for equal token sequences.
     """
     check_request(model, prompt, policy)
     node = -1  # the history's row in the prompt's step tree
     if isinstance(prompt, Prompt):
         # No other generation can reach this Prefill, so it records nothing.
         prompt, node = prefill(model, prompt), None
-    n_image, l_others = prompt.n_image, prompt.l_others
-    cache, trace = prompt.fork()
+    cache = prompt.fork()
     logits, current_input = prompt.logits, prompt.last_input
 
     rng = Rng(policy.seed)
@@ -433,12 +420,10 @@ def ikod_generate(
             v_head = None
             scores = p_orig
         else:
-            layout = SequenceLayout.from_counts(n_image, l_others, len(generated))
-            token_scores = layer_scores(trace, layout)
             plan = build_merge_plan(
-                token_scores, policy.anchor_ratio, policy.anchor_strategy, rng
+                layer_scores(cache), policy.anchor_ratio, policy.anchor_strategy, rng
             )
-            merged = merge_cache(cache, plan, layout)
+            merged = merge_cache(cache, plan)
             aug_logits, aug_rows = model.forward_query(
                 merged.keys, merged.values, cache.length - 1, current_input
             )
@@ -460,16 +445,15 @@ def ikod_generate(
             )
         )
         generated.append(token)
-        node, logits = prompt.tree.step(model, cache, trace, node, token)
+        node, logits = prompt.tree.step(model, cache, node, token)
         current_input = token
         if token == EOS_TOKEN:
             break
 
     return GenerationResult(
         tokens=generated,
-        trace=trace,
         steps=steps,
-        layout=SequenceLayout.from_counts(n_image, l_others, len(generated)),
+        layout=SequenceLayout.from_counts(prompt.n_image, prompt.l_others, len(generated)),
         cache=cache,
         aug_image_attention=aug_att,
         merge_plans=plans,

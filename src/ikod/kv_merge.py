@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import AttentionTrace, LayeredKvCache, SequenceLayout, TraceError
+from .model import LayeredKvCache
 from .numerics import Rng
 
 __all__ = [
@@ -105,24 +105,13 @@ class CompressedCache:
     image_len: int
 
 
-def layer_scores(trace: AttentionTrace, layout: SequenceLayout) -> np.ndarray:
-    """Per layer and text token, the head-mean of the token's image attention.
-
-    Every text token (instruction and generated) must have a recorded row from
-    the step where it was the query, in a trace recorded for the layout's
-    image block; the trace took these scores when it recorded the rows.
-    """
-    start = layout.l_image
-    T = layout.text_len
+def layer_scores(cache: LayeredKvCache) -> np.ndarray:
+    """Per layer and text token, the head-mean of the token's image attention,
+    which the cache took when it recorded the token."""
+    T = cache.length - cache.l_image
     if T < 1:
-        raise ValueError("layout has no text tokens")
-    if trace.l_image != start:
-        raise TraceError(f"trace has {trace.l_image} image positions, layout has {start}")
-    if len(trace) < start + T:
-        raise TraceError(
-            f"trace covers {len(trace)} positions, text sequence ends at {start + T}"
-        )
-    return trace.text_scores[:, :T].copy()
+        raise ValueError("cache holds no text tokens")
+    return cache.text_scores[:, :T].copy()
 
 
 def anchor_count(text_len: int, anchor_ratio: float) -> int:
@@ -244,7 +233,7 @@ def _checked_bounds(lo: np.ndarray, hi: np.ndarray, text_len: int) -> None:
             raise ValueError(f"merge plan layer {int(np.argmax(bad))} {problem}")
 
 
-def merge_cache(cache: LayeredKvCache, plan: MergePlan, layout: SequenceLayout) -> CompressedCache:
+def merge_cache(cache: LayeredKvCache, plan: MergePlan) -> CompressedCache:
     """Build the compressed cache: image rows verbatim, each bucket's rows
     averaged into one, the two protected rows verbatim.
 
@@ -258,13 +247,11 @@ def merge_cache(cache: LayeredKvCache, plan: MergePlan, layout: SequenceLayout) 
     rows are bit-identical to it. Gathers and scatters index the caches and
     the block as flat (rows, d_head) arrays, with one index array each.
     """
-    start = layout.l_image
+    start = cache.l_image
     T = plan.text_len
-    if layout.text_len != T:
-        raise ValueError(f"plan text length {T} != layout text length {layout.text_len}")
     if start + T != cache.length:
         raise ValueError(
-            f"cache holds {cache.length} positions, layout describes {start + T}"
+            f"plan text length {T} != cache text length {cache.length - start}"
         )
     n_layers, n_heads, capacity, d_head = cache.keys.shape
     lo, hi = plan.starts, plan.ends

@@ -27,7 +27,6 @@ import numpy as np
 from .numerics import Matrix, Rng, softmax_rows
 
 __all__ = [
-    "AttentionTrace",
     "CapacityError",
     "ConfigError",
     "FullOutput",
@@ -56,7 +55,7 @@ class ConfigError(ValueError):
 
 
 class TraceError(ValueError):
-    """An attention trace is missing required rows or has another image block."""
+    """Attention rows or a recorded cache do not match the positions they claim."""
 
 
 def require_int(value, name: str) -> int:
@@ -227,47 +226,36 @@ class FullOutput:
 
 
 class LayeredKvCache:
-    """Per-layer, per-head key/value rows sharing one length counter."""
+    """Per position, its key/value rows in every layer and head and the two
+    reductions of its attention rows that the analyses read, taken once when
+    the position is recorded:
 
-    def __init__(self, n_layers: int, n_heads: int, d_head: int, max_seq: int):
-        self.keys = np.zeros((n_layers, n_heads, max_seq, d_head))
-        self.values = np.zeros((n_layers, n_heads, max_seq, d_head))
-        self.length = 0
-
-
-class AttentionTrace:
-    """Per recorded position, the two reductions of its attention rows that
-    the analyses read, taken once when the row is recorded.
-
-    - image_att[n], (n_layers, n_heads): the mass row n puts on the image
-      positions, gathered by index, as ImageAttentionStat reports it.
+    - image_att[n], (n_layers, n_heads): the mass row n puts on the l_image
+      image positions, gathered by index, as ImageAttentionStat reports it.
     - text_scores[:, n - l_image], for text rows: that mass summed over a
       slice and averaged over heads, the score layer_scores returns.
 
-    The two sum in different orders, so they are kept apart. Sized and forked
-    like LayeredKvCache: rows must be recorded continuously from an empty
-    cache, so step index and cache position coincide.
+    The two sum in different orders, so they are kept apart. Positions are
+    recorded continuously from empty, so step index and position coincide.
     """
 
-    def __init__(self, n_layers: int, n_heads: int, l_image: int, capacity: int):
-        self.n_layers = n_layers
-        self.n_heads = n_heads
+    def __init__(self, n_layers: int, n_heads: int, d_head: int, capacity: int, l_image: int):
+        self.keys = np.zeros((n_layers, n_heads, capacity, d_head))
+        self.values = np.zeros((n_layers, n_heads, capacity, d_head))
         self.l_image = l_image
         self.image_att = np.empty((capacity, n_layers, n_heads))
         self.text_scores = np.empty((n_layers, max(capacity - l_image, 0)))
         self.length = 0
         self._image_cols = np.arange(l_image)
 
-    def open_row(self) -> int:
-        """The row record fills next; TraceError when the trace is full."""
-        if self.length >= len(self.image_att):
-            raise TraceError(f"trace is full at {self.length} positions")
-        return self.length
-
-    def record(self, out: StepOutput) -> None:
-        rows = out.attention_rows
-        n = self.open_row()
-        expected = (self.n_layers, self.n_heads, n + 1)
+    def record(self, rows: np.ndarray) -> None:
+        """Take the reductions of the (n_layers, n_heads, length + 1) attention
+        rows of position length, whose key/value rows are written, and advance
+        length past it."""
+        n = self.length
+        if n >= len(self.image_att):
+            raise CapacityError(f"cache is full at {n} of {len(self.image_att)} positions")
+        expected = (*self.image_att.shape[1:], n + 1)
         if rows.shape != expected:
             raise TraceError(f"expected rows of shape {expected}, got {rows.shape}")
         # An index gather lays the columns out as a boolean-mask gather does,
@@ -275,11 +263,13 @@ class AttentionTrace:
         self.image_att[n] = np.add.reduce(rows[..., self._image_cols[: n + 1]], axis=-1)
         if n >= self.l_image:
             mass = np.add.reduce(rows[..., : self.l_image], axis=-1)
-            self.text_scores[:, n - self.l_image] = np.add.reduce(mass, axis=-1) / self.n_heads
+            self.text_scores[:, n - self.l_image] = np.add.reduce(mass, axis=-1) / rows.shape[1]
         self.length = n + 1
 
-    def __len__(self) -> int:
-        return self.length
+    def position(self, pos: int) -> tuple:
+        """Views of what forward_step writes for the text position pos."""
+        return (self.keys[:, :, pos], self.values[:, :, pos], self.image_att[pos],
+                self.text_scores[:, pos - self.l_image])
 
 
 def sinusoidal_positions(length: int, width: int) -> np.ndarray:
@@ -333,9 +323,9 @@ class TinyDecoder:
             cfg, [_uniform_matrix(rng, rows, cols, s) for rows, cols in _weight_shapes(cfg)]
         )
 
-    def new_cache(self) -> LayeredKvCache:
+    def new_cache(self, l_image: int) -> LayeredKvCache:
         cfg = self.config
-        return LayeredKvCache(cfg.n_layers, cfg.n_heads, cfg.d_head, cfg.max_seq)
+        return LayeredKvCache(cfg.n_layers, cfg.n_heads, cfg.d_head, cfg.max_seq, l_image)
 
     def content_embedding(self, inp) -> np.ndarray:
         """Map a token id or a raw d_model vector to the content embedding."""
@@ -357,8 +347,8 @@ class TinyDecoder:
         return pos
 
     def forward_step(self, cache: LayeredKvCache, inp) -> StepOutput:
-        """Append one position to the cache and return logits plus the query's
-        attention rows over every cached position."""
+        """Append one position to the cache, recording its attention rows, and
+        return logits plus the query's rows over every cached position."""
         cfg = self.config
         pos = self.open_position(cache)
         x = self.content_embedding(inp) + self.positions[pos]
@@ -369,7 +359,7 @@ class TinyDecoder:
             x, rows[li] = self._layer(
                 lw, x, cache.keys[li, :, : pos + 1], cache.values[li, :, : pos + 1]
             )
-        cache.length = pos + 1
+        cache.record(rows)
         return StepOutput(logits=x @ self.unembedding, attention_rows=rows)
 
     def _layer(self, lw: LayerWeights, x, keys, values):

@@ -32,7 +32,7 @@ from ikod.decode import (
 )
 from ikod.kv_merge import build_buckets, build_merge_plan, layer_scores, merge_cache
 from ikod.metrics import BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores
-from ikod.model import AttentionTrace, ModelConfig, SequenceLayout, TinyDecoder, make_image_embeddings
+from ikod.model import ModelConfig, TinyDecoder, make_image_embeddings
 from ikod.numerics import softmax_rows
 
 
@@ -87,17 +87,14 @@ def test_criterion_2_full_ratio_identity_chain():
         )
 
         # Identity of the merged cache itself, checked right after prefill.
-        cache = model.new_cache()
-        trace = AttentionTrace(cfg.n_layers, cfg.n_heads, n_image, cfg.max_seq)
+        cache = model.new_cache(n_image)
         for emb in prompt.image_embeddings:
-            trace.record(model.forward_step(cache, emb))
+            model.forward_step(cache, emb)
         last = None
         for tok in prompt.tokens:
             last = model.forward_step(cache, int(tok))
-            trace.record(last)
-        layout = SequenceLayout.from_counts(n_image, n_text, 0)
-        plan = build_merge_plan(layer_scores(trace, layout), 1.0)
-        merged = merge_cache(cache, plan, layout)
+        plan = build_merge_plan(layer_scores(cache), 1.0)
+        merged = merge_cache(cache, plan)
         for li in range(cfg.n_layers):
             assert np.array_equal(merged.keys[li], cache.keys[li, :, :cache.length])
             assert np.array_equal(merged.values[li], cache.values[li, :, :cache.length])
@@ -143,7 +140,7 @@ def test_criterion_3_incremental_matches_full_recompute():
         n = int(rng.integers(2, 65))
         embeddings = rng.normal(size=(n, cfg.d_model))
         full = model.forward_full(embeddings)
-        cache = model.new_cache()
+        cache = model.new_cache(0)
         worst = 0.0
         for t in range(n):
             step = model.forward_step(cache, embeddings[t])

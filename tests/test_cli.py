@@ -239,6 +239,8 @@ def test_analyze_empty_trace_exits_2(tmp_path):
     "body, problem",
     [
         ("0,0,0,0.5\n0,0,1,0.5\n1,0,0,0.5\n", "missing cell step 1, layer 0, head 1"),
+        # Counted before any array is sized by the step index.
+        ("0,0,0,0.5\n1000000000000,0,0,0.5\n", "missing cell step 1, layer 0, head 0"),
         ("0,0,0,0.5\n0,0,0,0.25\n", "duplicate cell step 0, layer 0, head 0"),
         ("0,0,-1,0.5\n", "negative"),
         # Non-finite cells in the last, generated, step.
@@ -309,7 +311,7 @@ def test_analyze_run_dir_matches_the_library_on_the_generation(tmp_path, policy)
 
     rc = load_run_config(tmp_path / "config.json")
     result = ikod_generate(TinyDecoder(rc.model), _build_prompt(rc), rc.policy)
-    stat = ImageAttentionStat.from_trace(result.trace, result.layout)
+    stat = ImageAttentionStat.from_trace(result.cache, result.layout)
     expected = tmp_path / "expected"
     expected.mkdir()
     _write_csv(

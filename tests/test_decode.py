@@ -22,12 +22,11 @@ from ikod.decode import (
 )
 from ikod.kv_merge import AnchorStrategy
 from ikod.model import (
-    AttentionTrace,
     CapacityError,
+    ConfigError,
     LayeredKvCache,
     ModelConfig,
     TinyDecoder,
-    TraceError,
     make_image_embeddings,
 )
 from ikod.numerics import Rng, ShapeError, softmax_rows
@@ -196,7 +195,7 @@ def make_prompt(model: TinyDecoder, n_image=4, image_seed=11) -> Prompt:
 
 
 def greedy_reference(model: TinyDecoder, prompt: Prompt, max_new: int) -> list[int]:
-    cache = model.new_cache()
+    cache = model.new_cache(len(prompt.image_embeddings))
     out = None
     for emb in prompt.image_embeddings:
         out = model.forward_step(cache, emb)
@@ -258,7 +257,7 @@ def test_augmented_path_never_touches_the_cache():
         DecodePolicy(mode=Mode.IKOD, anchor_ratio=0.3, max_new_tokens=10, seed=2),
     )
     # Replay exactly the chosen tokens through the plain incremental path.
-    cache = model.new_cache()
+    cache = model.new_cache(len(prompt.image_embeddings))
     for emb in prompt.image_embeddings:
         model.forward_step(cache, emb)
     for tok in prompt.tokens:
@@ -375,9 +374,9 @@ def test_generation_stops_after_end_token():
 
 
 def assert_same_trace(a, b):
-    """Bit-for-bit equality of the recorded summaries of two traces."""
-    n = len(a)
-    assert n == len(b) and a.l_image == b.l_image
+    """Bit-for-bit equality of the recorded summaries of two caches."""
+    n = a.length
+    assert n == b.length and a.l_image == b.l_image
     assert a.image_att[:n].tobytes() == b.image_att[:n].tobytes()
     text = max(n - a.l_image, 0)
     assert a.text_scores[:, :text].tobytes() == b.text_scores[:, :text].tobytes()
@@ -400,7 +399,7 @@ def assert_same_generation(a, b):
             assert (x is None) == (y is None)
             if x is not None:
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    assert_same_trace(a.trace, b.trace)
+    assert_same_trace(a.cache, b.cache)
     assert np.array(a.aug_image_attention).tobytes() == np.array(b.aug_image_attention).tobytes()
     assert plan_docs(a) == plan_docs(b)
     assert (a.layout.roles == b.layout.roles).all()
@@ -457,7 +456,8 @@ def test_forked_prefill_matches_fresh_generation(case, sequence):
     each still equals its own run on a fresh prefill, bit for bit."""
     model, prompt = case
     prefix = prefill(model, prompt)
-    arrays = [prefix.keys, prefix.values, prefix.logits, prefix.image_att, prefix.text_scores]
+    c = prefix.cache
+    arrays = [c.keys, c.values, prefix.logits, c.image_att, c.text_scores]
     before = [a.copy() for a in arrays]
     for policy in sequence:
         shared = ikod_generate(model, prefix, policy, record_merge_plans=True)
@@ -471,11 +471,41 @@ def test_prefill_is_read_only_and_records_the_prompt():
     prompt = make_prompt(model)
     prefix = prefill(model, prompt)
     assert (prefix.n_image, prefix.l_others, prefix.last_input) == (4, 4, 14)
-    assert prefix.keys.shape == (2, 2, 8, 8)
-    assert prefix.image_att.shape == (8, 2, 2) and prefix.text_scores.shape == (2, 4)
-    for array in (prefix.keys, prefix.values, prefix.logits, prefix.image_att, prefix.text_scores):
+    c = prefix.cache
+    assert c.keys.shape == (2, 2, 8, 8)
+    assert c.image_att.shape == (8, 2, 2) and c.text_scores.shape == (2, 4)
+    for array in (c.keys, c.values, prefix.logits, c.image_att, c.text_scores):
         with pytest.raises(ValueError):
             array[...] = 0.0
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("max_new_tokens", lambda: DecodePolicy(max_new_tokens=2.5)),
+        ("seed", lambda: DecodePolicy(seed=1.5)),
+        ("k", lambda: BaseStrategy.top_k(2.5)),
+    ],
+    ids=["max_new_tokens", "seed", "k"],
+)
+def test_policy_rejects_fractional_counts(field, build):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer, got"):
+        build()
+
+
+def test_policy_takes_whole_numbers_as_ints():
+    policy = DecodePolicy(max_new_tokens=3.0, seed=np.int64(7), base=BaseStrategy.top_k(2.0))
+    assert (policy.max_new_tokens, policy.seed, policy.base.k) == (3, 7, 2)
+    assert all(type(v) is int for v in (policy.max_new_tokens, policy.seed, policy.base.k))
+
+
+def test_prefill_rejects_fractional_prompt_tokens(monkeypatch):
+    model = make_model()
+    prompt = Prompt(make_prompt(model).image_embeddings, (5, 9.7, 3, 14))
+    calls = count_forward_steps(monkeypatch)
+    with pytest.raises(ConfigError, match=r"prompt token \[1\] must be an integer, got 9.7"):
+        ikod_generate(model, prompt, DecodePolicy(max_new_tokens=2))
+    assert calls == []
 
 
 def test_prefill_of_another_model_is_rejected():
@@ -508,15 +538,13 @@ def test_generation_matches_a_plain_forward_step_replay(case, policy):
     neither the prefill fork nor the merged path leaves a mark on them."""
     model, prompt = case
     result = ikod_generate(model, prompt, policy)
-    cfg = model.config
-    cache = model.new_cache()
-    trace = AttentionTrace(cfg.n_layers, cfg.n_heads, len(prompt.image_embeddings), cfg.max_seq)
+    cache = model.new_cache(len(prompt.image_embeddings))
     for inp in [*prompt.image_embeddings, *prompt.tokens, *result.tokens]:
-        trace.record(model.forward_step(cache, inp))
+        model.forward_step(cache, inp)
     assert result.cache.length == cache.length
     assert result.cache.keys.tobytes() == cache.keys.tobytes()
     assert result.cache.values.tobytes() == cache.values.tobytes()
-    assert_same_trace(result.trace, trace)
+    assert_same_trace(result.cache, cache)
 
 
 def count_forward_steps(monkeypatch) -> list:
@@ -699,14 +727,14 @@ def test_decoding_never_exceeds_max_seq(case, policy, extra):
         return
     assert_same_generation(*outcomes)
     for result in outcomes:
-        assert len(result.trace) == result.cache.length <= max_seq
+        assert result.cache.length <= max_seq
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=prompts(), policy=policies, data=st.data())
 def test_replayed_step_raises_where_forward_step_would(case, policy, data):
-    """Into a cache or trace with no room left, a replayed step raises the
-    error forward_step or record raises; with room, it writes the same bytes."""
+    """Into a cache with no room left, a replayed step raises the error
+    forward_step raises; with room, it writes the same bytes."""
     model, prompt = case
     cfg = model.config
     prefix = prefill(model, prompt)
@@ -717,28 +745,26 @@ def test_replayed_step_raises_where_forward_step_would(case, policy, data):
         parent = prefix.tree.children[(parent, token)]
     length = len(prompt.image_embeddings) + len(prompt.tokens) + k
     cache_room = data.draw(st.integers(0, 1), label="cache room")
-    trace_room = data.draw(st.integers(0, 1), label="trace room")
     outcomes = []
     for replay in (True, False):
-        cache = LayeredKvCache(cfg.n_layers, cfg.n_heads, cfg.d_head, length + cache_room)
-        trace = AttentionTrace(cfg.n_layers, cfg.n_heads, prefix.n_image, length + trace_room)
+        cache = LayeredKvCache(
+            cfg.n_layers, cfg.n_heads, cfg.d_head, length + cache_room, prefix.n_image
+        )
         for inp in [*prompt.image_embeddings, *prompt.tokens, *tokens[:k]]:
-            trace.record(model.forward_step(cache, inp))
+            model.forward_step(cache, inp)
         try:
             if replay:
-                _, logits = prefix.tree.step(model, cache, trace, parent, tokens[k])
+                _, logits = prefix.tree.step(model, cache, parent, tokens[k])
             else:
-                out = model.forward_step(cache, tokens[k])
-                trace.record(out)
-                logits = out.logits
-        except (CapacityError, TraceError) as exc:
+                logits = model.forward_step(cache, tokens[k]).logits
+        except CapacityError as exc:
             outcomes.append(type(exc))
             continue
         n = cache.length
         outcomes.append((
-            logits.tobytes(), n, len(trace),
+            logits.tobytes(), n,
             cache.keys[:, :, :n].tobytes(), cache.values[:, :, :n].tobytes(),
-            trace.image_att[:n].tobytes(), trace.text_scores[:, : n - prefix.n_image].tobytes(),
+            cache.image_att[:n].tobytes(), cache.text_scores[:, : n - prefix.n_image].tobytes(),
         ))
     assert outcomes[0] == outcomes[1]
-    assert (cache_room and trace_room) or outcomes[0] in (CapacityError, TraceError)
+    assert cache_room or outcomes[0] is CapacityError

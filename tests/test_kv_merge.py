@@ -13,71 +13,45 @@ from ikod.kv_merge import (
     merge_cache,
     select_anchors,
 )
-from ikod.model import (
-    AttentionTrace,
-    LayeredKvCache,
-    ModelConfig,
-    SequenceLayout,
-    StepOutput,
-    TinyDecoder,
-    TraceError,
-)
+from ikod.model import LayeredKvCache, ModelConfig, SequenceLayout, TinyDecoder
 from ikod.numerics import Rng
-
-
-def record_rows(trace: AttentionTrace, rows: np.ndarray) -> None:
-    trace.record(StepOutput(logits=np.zeros(0), attention_rows=rows))
 
 
 def test_layer_scores_head_mean():
     # Two image positions, one text token whose heads put 0.2 and 0.4 on them.
-    layout = SequenceLayout.from_counts(2, 1, 0)
-    trace = AttentionTrace(1, 2, 2, 3)
-    record_rows(trace, np.full((1, 2, 1), 1.0))
-    record_rows(trace, np.full((1, 2, 2), 0.5))
+    trace = LayeredKvCache(1, 2, 0, 3, 2)
+    trace.record(np.full((1, 2, 1), 1.0))
+    trace.record(np.full((1, 2, 2), 0.5))
     text_row = np.array([[[0.15, 0.05, 0.8], [0.3, 0.1, 0.6]]])
-    record_rows(trace, text_row)
-    scores = layer_scores(trace, layout)
+    trace.record(text_row)
+    scores = layer_scores(trace)
     assert scores.shape == (1, 1)
     assert scores[0, 0] == pytest.approx(0.3)
 
 
 def test_layer_scores_single_head_passthrough():
-    layout = SequenceLayout.from_counts(1, 1, 0)
-    trace = AttentionTrace(1, 1, 1, 2)
-    record_rows(trace, np.full((1, 1, 1), 1.0))
-    record_rows(trace, np.array([[[0.7, 0.3]]]))
-    assert layer_scores(trace, layout)[0, 0] == pytest.approx(0.7)
+    trace = LayeredKvCache(1, 1, 0, 2, 1)
+    trace.record(np.full((1, 1, 1), 1.0))
+    trace.record(np.array([[[0.7, 0.3]]]))
+    assert layer_scores(trace)[0, 0] == pytest.approx(0.7)
 
 
 def test_layer_scores_saturate_when_attention_sits_on_the_image():
-    layout = SequenceLayout.from_counts(3, 2, 0)
-    trace = AttentionTrace(1, 2, 3, 5)
+    trace = LayeredKvCache(1, 2, 0, 5, 3)
     for step in range(5):
         row = np.zeros((1, 2, step + 1))
         on_image = min(step + 1, 3)
         row[..., :on_image] = 1.0 / on_image
-        record_rows(trace, row)
-    scores = layer_scores(trace, layout)
+        trace.record(row)
+    scores = layer_scores(trace)
     np.testing.assert_allclose(scores, 1.0, atol=1e-6)
 
 
 def test_layer_scores_incomplete_trace():
-    layout = SequenceLayout.from_counts(1, 2, 0)
-    trace = AttentionTrace(1, 1, 1, 3)
-    record_rows(trace, np.full((1, 1, 1), 1.0))
-    with pytest.raises(TraceError):
-        layer_scores(trace, layout)
-
-
-def test_layer_scores_rejects_a_trace_of_another_image_block():
-    # The trace takes its scores for one image block, when it records rows.
-    trace = AttentionTrace(1, 1, 1, 3)
-    for step in range(3):
-        record_rows(trace, np.full((1, 1, step + 1), 1.0 / (step + 1)))
-    assert layer_scores(trace, SequenceLayout.from_counts(1, 2, 0)).shape == (1, 2)
-    with pytest.raises(TraceError, match="1 image positions, layout has 2"):
-        layer_scores(trace, SequenceLayout.from_counts(2, 1, 0))
+    trace = LayeredKvCache(1, 1, 0, 3, 1)
+    trace.record(np.full((1, 1, 1), 1.0))
+    with pytest.raises(ValueError, match="no text tokens"):
+        layer_scores(trace)
 
 
 def test_anchor_count_rounding():
@@ -173,24 +147,44 @@ def test_buckets_match_nearest_anchor_oracle():
         assert flat == list(range(domain))  # disjoint cover in order
 
 
-def hand_cache() -> tuple[LayeredKvCache, SequenceLayout]:
+@settings(max_examples=30, deadline=None)
+@given(
+    T=st.integers(201, 2048),
+    n_layers=st.integers(1, 3),
+    ratio=st.floats(0.001, 1.0),
+    strategy=st.sampled_from(list(AnchorStrategy)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_long_text_buckets_match_nearest_anchor_oracle(T, n_layers, ratio, strategy, seed):
+    scores = np.random.default_rng(seed).uniform(size=(n_layers, T))
+    plan = build_merge_plan(scores, ratio, strategy, Rng(seed))
+    positions = np.arange(T - 2)
+    for anchors, lo, hi in zip(plan.anchors, plan.starts, plan.ends):
+        assert build_buckets(anchors, T) == list(zip(lo.tolist(), hi.tolist()))
+        # Brute force: each position joins the nearest anchor, the left one on ties.
+        nearest = np.argmin(np.abs(positions[:, None] - anchors[None, :]), axis=1)
+        assert lo[0] == 0 and hi[-1] == T - 3 and np.array_equal(lo[1:], hi[:-1] + 1)
+        assert np.array_equal(np.repeat(np.arange(anchors.size), hi - lo + 1), nearest)
+
+
+def hand_cache() -> LayeredKvCache:
     # One image row then five text rows with recognizable values.
-    cache = LayeredKvCache(n_layers=1, n_heads=1, d_head=2, max_seq=8)
+    cache = LayeredKvCache(n_layers=1, n_heads=1, d_head=2, capacity=8, l_image=1)
     rows = np.array(
         [[9.0, 9.0], [1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 10.0]]
     )
     cache.keys[0, 0, : len(rows)] = rows
     cache.values[0, 0, : len(rows)] = rows * 10.0
     cache.length = len(rows)
-    return cache, SequenceLayout.from_counts(1, 5, 0)
+    return cache
 
 
 def test_merge_cache_averages_bucket_rows():
-    cache, layout = hand_cache()
+    cache = hand_cache()
     plan = build_merge_plan(np.array([[0.0, 0.5, 0.9, 0.0, 0.0]]), 0.4)
     assert plan.anchors.tolist() == [[0]]
     assert (plan.starts.tolist(), plan.ends.tolist()) == ([[0]], [[2]])
-    merged = merge_cache(cache, plan, layout)
+    merged = merge_cache(cache, plan)
     assert merged.length == 4  # image + one bucket + two protected
     np.testing.assert_array_equal(merged.keys[0][0, 0], [9.0, 9.0])
     np.testing.assert_array_equal(merged.keys[0][0, 1], [3.0, 4.0])  # mean of three rows
@@ -201,19 +195,16 @@ def test_merge_cache_averages_bucket_rows():
 def test_merge_cache_full_ratio_is_identity():
     cfg = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq=16, seed=1)
     model = TinyDecoder(cfg)
-    cache = model.new_cache()
-    trace = AttentionTrace(2, 2, 2, cfg.max_seq)
-    layout = SequenceLayout.from_counts(2, 4, 0)
+    cache = model.new_cache(2)
     rng = np.random.default_rng(0)
     for _ in range(2):
-        trace.record(model.forward_step(cache, rng.normal(size=8)))
+        model.forward_step(cache, rng.normal(size=8))
     last = None
     for tok in (3, 5, 1, 7):
         out = model.forward_step(cache, tok)
-        trace.record(out)
         last = out
-    plan = build_merge_plan(layer_scores(trace, layout), 1.0)
-    merged = merge_cache(cache, plan, layout)
+    plan = build_merge_plan(layer_scores(cache), 1.0)
+    merged = merge_cache(cache, plan)
     for li in range(2):
         np.testing.assert_array_equal(merged.keys[li], cache.keys[li, :, :cache.length])
         np.testing.assert_array_equal(merged.values[li], cache.values[li, :, :cache.length])
@@ -222,24 +213,22 @@ def test_merge_cache_full_ratio_is_identity():
 
 
 def test_merge_cache_identical_rows_average_to_themselves():
-    cache = LayeredKvCache(n_layers=1, n_heads=1, d_head=2, max_seq=8)
+    cache = LayeredKvCache(n_layers=1, n_heads=1, d_head=2, capacity=8, l_image=0)
     cache.keys[0, 0, :5] = np.array([0.5, -0.25])
     cache.values[0, 0, :5] = np.array([1.5, 2.5])
     cache.length = 5
-    layout = SequenceLayout.from_counts(0, 5, 0)
     plan = build_merge_plan(np.zeros((1, 5)), 0.4)
-    merged = merge_cache(cache, plan, layout)
+    merged = merge_cache(cache, plan)
     np.testing.assert_array_equal(merged.keys[0][0, 0], [0.5, -0.25])
 
 
 def test_compressed_length_grows_with_ratio():
-    layout = SequenceLayout.from_counts(2, 30, 0)
-    cache = LayeredKvCache(n_layers=1, n_heads=1, d_head=2, max_seq=64)
+    cache = LayeredKvCache(n_layers=1, n_heads=1, d_head=2, capacity=64, l_image=2)
     cache.length = 32
     scores = np.random.default_rng(1).uniform(size=(1, 30))
     lengths = []
     for ratio in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-        merged = merge_cache(cache, build_merge_plan(scores, ratio), layout)
+        merged = merge_cache(cache, build_merge_plan(scores, ratio))
         lengths.append(merged.length)
         assert merged.length == 2 + anchor_count(30, ratio) + 2
     assert lengths == sorted(lengths)
@@ -247,13 +236,13 @@ def test_compressed_length_grows_with_ratio():
 
 
 def test_merge_cache_rejects_mismatched_layout():
-    cache, layout = hand_cache()
+    cache = hand_cache()
     plan = build_merge_plan(np.zeros((1, 5)), 0.4)
     with pytest.raises(ValueError):
-        merge_cache(cache, plan, SequenceLayout.from_counts(1, 4, 0))
+        merge_cache(cache, build_merge_plan(np.zeros((1, 4)), 0.4))
     cache.length = 5
     with pytest.raises(ValueError):
-        merge_cache(cache, plan, layout)
+        merge_cache(cache, plan)
 
 
 def test_merge_plan_json_shape():
@@ -273,7 +262,7 @@ def bucket_plan(layer_buckets, T: int) -> MergePlan:
 
 
 def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_buckets):
-    cache = LayeredKvCache(n_layers, n_heads, d_head, l_image + T)
+    cache = LayeredKvCache(n_layers, n_heads, d_head, l_image + T, l_image)
     rng = np.random.default_rng(T)
     cache.keys[...] = rng.normal(size=cache.keys.shape) * 1e3
     cache.values[...] = rng.normal(size=cache.values.shape)
@@ -361,7 +350,7 @@ def tiled_plans(draw):
     plan = bucket_plan(layers, T)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = l_image + T
-    cache = LayeredKvCache(n_layers, n_heads, d_head, n + draw(st.integers(0, 3)))
+    cache = LayeredKvCache(n_layers, n_heads, d_head, n + draw(st.integers(0, 3)), l_image)
     scale = 10.0 ** rng.uniform(-6, 6, size=(n_layers, n_heads, n, 1))
     cache.keys[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head)) * scale
     cache.values[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head)) * scale
@@ -377,7 +366,7 @@ def tiled_plans(draw):
 @example(fixed_case(2, 4, 1, 3, 40, [[(0, 8), (9, 37)], [(0, 29), (30, 37)]]))  # d_head = 1
 def test_merge_cache_matches_per_bucket_mean_bit_for_bit(case):
     cache, plan, layout = case
-    merged = merge_cache(cache, plan, layout)
+    merged = merge_cache(cache, plan)
     ref_keys, ref_values = reference_merge(cache, plan, layout)
     n_layers, k = plan.starts.shape
     assert merged.length == layout.l_image + k + 2
@@ -398,10 +387,10 @@ def test_merge_cache_matches_per_bucket_mean_bit_for_bit(case):
 )
 def test_merged_length_is_image_plus_anchors_plus_two(n_layers, l_image, T, ratio, strategy, seed):
     rng = np.random.default_rng(seed)
-    cache = LayeredKvCache(n_layers, 2, 2, l_image + T)
+    cache = LayeredKvCache(n_layers, 2, 2, l_image + T, l_image)
     cache.length = l_image + T
     plan = build_merge_plan(rng.uniform(size=(n_layers, T)), ratio, strategy, Rng(seed))
-    merged = merge_cache(cache, plan, SequenceLayout.from_counts(l_image, T, 0))
+    merged = merge_cache(cache, plan)
     expected = l_image + anchor_count(T, ratio) + 2
     assert merged.length == expected
     assert [merged.keys[li].shape[1] for li in range(n_layers)] == [expected] * n_layers
@@ -437,19 +426,19 @@ def test_layer_scores_ledger_tracks_a_growing_trace(
     rng = np.random.default_rng(seed)
     total = l_image + first + sum(growth)
     rows = random_rows(rng, n_layers, n_heads, total)
-    trace = AttentionTrace(n_layers, n_heads, l_image, total)
+    trace = LayeredKvCache(n_layers, n_heads, 0, total, l_image)
     text = first
     for row in rows[: l_image + text]:
-        record_rows(trace, row)
+        trace.record(row)
     for extra in [0, *growth]:
         for row in rows[l_image + text : l_image + text + extra]:
-            record_rows(trace, row)
+            trace.record(row)
         text += extra
         layout = SequenceLayout.from_counts(l_image, text, 0)
-        scores = layer_scores(trace, layout)
+        scores = layer_scores(trace)
         assert np.array_equal(scores, direct_scores(rows, layout))
         scores[...] = -1.0  # the caller owns the returned array
-        assert np.array_equal(layer_scores(trace, layout), direct_scores(rows, layout))
+        assert np.array_equal(layer_scores(trace), direct_scores(rows, layout))
 
 
 def reference_plan_layers(scores, anchor_ratio, strategy, rng):
@@ -537,13 +526,13 @@ def test_merge_cache_on_a_built_plan_matches_the_reference(
     n_layers, T = scores.shape
     n = l_image + T
     rng = np.random.default_rng(seed)
-    cache = LayeredKvCache(n_layers, n_heads, d_head, n + spare)
+    cache = LayeredKvCache(n_layers, n_heads, d_head, n + spare, l_image)
     cache.keys[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head))
     cache.values[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head))
     cache.length = n
     layout = SequenceLayout.from_counts(l_image, T, 0)
     plan = build_merge_plan(scores, ratio, strategy, Rng(seed))
-    merged = merge_cache(cache, plan, layout)
+    merged = merge_cache(cache, plan)
     ref_keys, ref_values = reference_merge(cache, plan, layout)
     for li in range(n_layers):
         for got, want in ((merged.keys[li], ref_keys[li]), (merged.values[li], ref_values[li])):
@@ -564,13 +553,13 @@ def test_merged_rows_stay_in_bucket_hull(scores, n_heads, d_head, l_image, ratio
     n_layers, T = scores.shape
     n = l_image + T
     rng = np.random.default_rng(seed)
-    cache = LayeredKvCache(n_layers, n_heads, d_head, n)
+    cache = LayeredKvCache(n_layers, n_heads, d_head, n, l_image)
     scale = 10.0 ** rng.uniform(-6, 6, size=(n_layers, n_heads, n, 1))
     cache.keys[...] = rng.normal(size=cache.keys.shape) * scale
     cache.values[...] = rng.normal(size=cache.values.shape) * scale
     cache.length = n
     plan = build_merge_plan(scores, ratio, strategy, Rng(seed))
-    merged = merge_cache(cache, plan, SequenceLayout.from_counts(l_image, T, 0))
+    merged = merge_cache(cache, plan)
     for li in range(n_layers):
         for b, (lo, hi) in enumerate(zip(plan.starts[li], plan.ends[li])):
             for src, out in ((cache.keys, merged.keys), (cache.values, merged.values)):

@@ -6,14 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ikod.model import (
-    AttentionTrace,
     CapacityError,
     ConfigError,
     LayeredKvCache,
     ModelConfig,
     Role,
     SequenceLayout,
-    StepOutput,
     TinyDecoder,
     TraceError,
     load_checkpoint,
@@ -117,14 +115,14 @@ def test_image_embeddings_deterministic_and_prefix_stable():
 
 def test_first_step_attention_is_a_point_mass():
     model = TinyDecoder(small_config())
-    out = model.forward_step(model.new_cache(), 1)
+    out = model.forward_step(model.new_cache(0), 1)
     assert out.attention_rows.shape == (2, 2, 1)
     assert np.all(out.attention_rows == 1.0)
 
 
 def test_attention_rows_are_distributions():
     model = TinyDecoder(small_config())
-    cache = model.new_cache()
+    cache = model.new_cache(0)
     rng = np.random.default_rng(0)
     for tok in rng.integers(0, 16, size=10):
         out = model.forward_step(cache, int(tok))
@@ -135,7 +133,7 @@ def test_attention_rows_are_distributions():
 
 def test_cache_overflow_raises():
     model = TinyDecoder(small_config(max_seq=3))
-    cache = model.new_cache()
+    cache = model.new_cache(0)
     for _ in range(3):
         model.forward_step(cache, 0)
     with pytest.raises(CapacityError):
@@ -149,7 +147,7 @@ def test_incremental_matches_full_recompute():
         n = int(rng.integers(2, 12))
         embeddings = rng.normal(size=(n, 8))
         full = model.forward_full(embeddings)
-        cache = model.new_cache()
+        cache = model.new_cache(0)
         for t in range(n):
             step = model.forward_step(cache, embeddings[t])
             np.testing.assert_allclose(step.logits, full.logits[t], atol=1e-5, rtol=0)
@@ -196,9 +194,9 @@ def test_forward_step_over_cache_views_matches_contiguous_copies(
     feed = [
         i if i < 8 else np.random.default_rng(i).normal(size=cfg.d_model) for i in inputs
     ]
-    ref_cache = model.new_cache()
-    fresh = model.new_cache()
-    sized = LayeredKvCache(n_layers, n_heads, d_head, len(feed))  # a prompt-sized cache
+    ref_cache = model.new_cache(0)
+    fresh = model.new_cache(0)
+    sized = LayeredKvCache(n_layers, n_heads, d_head, len(feed), 0)  # a prompt-sized cache
     for inp in feed:
         logits, rows = reference_step(model, ref_cache, inp)
         for cache in (fresh, sized):
@@ -218,7 +216,7 @@ def test_single_position_full_equals_first_step():
     model = TinyDecoder(small_config())
     emb = np.linspace(-1.0, 1.0, 8)
     full = model.forward_full(emb[None, :])
-    step = model.forward_step(model.new_cache(), emb)
+    step = model.forward_step(model.new_cache(0), emb)
     np.testing.assert_array_equal(step.logits, full.logits[0])
 
 
@@ -282,16 +280,14 @@ def test_layout_counts_match_the_roles():
 
 def test_trace_requires_continuous_recording():
     model = TinyDecoder(small_config())
-    cache = model.new_cache()
-    trace = AttentionTrace(2, 2, 0, 3)
-    trace.record(model.forward_step(cache, 1))
+    cache = LayeredKvCache(2, 2, 4, 3, 0)
+    model.forward_step(cache, 1)
     out = model.forward_step(cache, 2)
-    trace.record(out)
     with pytest.raises(TraceError):
-        trace.record(out)  # duplicate row no longer matches the next position
-    trace.record(model.forward_step(cache, 3))
-    with pytest.raises(TraceError, match="full at 3"):
-        trace.record(model.forward_step(cache, 4))
+        cache.record(out.attention_rows)  # duplicate row no longer matches the next position
+    model.forward_step(cache, 3)
+    with pytest.raises(CapacityError, match="full at 3"):
+        cache.record(np.full((2, 2, 4), 0.25))
 
 
 def reference_image_att(rows: np.ndarray, layout: SequenceLayout) -> np.ndarray:
@@ -324,11 +320,11 @@ def test_trace_summaries_equal_the_stored_row_reductions(n_layers, n_heads, n_ro
         rng.normal(size=(n_layers, n_heads, n + 1)) * 10.0 ** rng.uniform(-3, 3, size=n + 1)
         for n in range(n_rows)
     ]
-    trace = AttentionTrace(n_layers, n_heads, l_image, n_rows)
+    trace = LayeredKvCache(n_layers, n_heads, 0, n_rows, l_image)
     for row in rows:
-        trace.record(StepOutput(logits=np.zeros(0), attention_rows=row))
+        trace.record(row)
     layout = SequenceLayout.from_counts(l_image, max(n_rows - l_image, 0), 0)
-    assert len(trace) == n_rows
+    assert trace.length == n_rows
     for n, row in enumerate(rows):
         assert trace.image_att[n].tobytes() == reference_image_att(row, layout).tobytes()
         if n >= l_image:
