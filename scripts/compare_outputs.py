@@ -8,9 +8,13 @@ every job of the grid through `ikod.cli.main`, in a fresh directory:
 `decode --emit-merge-plans` and `analyze --kde` for every config, and a
 `sweep` for every sixth config. The grid is two models (the second with
 d_head = 1) x 0, 6 and 24 images x three modes x greedy and top_p 0.9 at
-temperature 0.7 x three anchor strategies x seeds 0 and 17, or 216 configs.
-At 8 or fewer image positions every order of summing the image mass gives
-the same bits, so only the 24-image runs tell summation orders apart.
+temperature 0.7 x three anchor strategies x seeds 0 and 17, or 216 configs,
+each decoding 10 tokens. At 8 or fewer image positions every order of summing
+the image mass gives the same bits, so only the 24-image runs tell summation
+orders apart. A long grid decodes 100 tokens (max_seq 160, 24 images, a
+vocabulary large enough that sampling rarely ends early) in the two merged
+modes x both bases x the low_attention and random strategies x both seeds,
+16 configs, so that merges carried across many steps are compared too.
 
 The job exit codes and every output file are then compared byte for byte.
 The script prints the number of files compared and of files that differ or
@@ -33,6 +37,8 @@ MODELS = {
     "dhead1": {"n_layers": 3, "n_heads": 4, "d_model": 4, "d_ff": 8, "vocab_size": 24,
                "max_seq": 48, "seed": 11},
 }
+LONG_MODEL = {"n_layers": 2, "n_heads": 2, "d_model": 16, "d_ff": 32, "vocab_size": 256,
+              "max_seq": 160, "seed": 5}
 IMAGE_COUNTS = (0, 6, 24)
 BASES = {"greedy": {"kind": "greedy"}, "top_p": {"kind": "top_p", "p": 0.9, "temperature": 0.7}}
 STRATEGIES = ("low_attention", "high_attention", "random")
@@ -70,16 +76,22 @@ def write_grid(root: Path) -> None:
     jobs = []
     # Strategy and seed vary fastest, so the sweeps cover every model, image
     # count, mode and base; a sweep sets its own strategies.
-    grid = itertools.product(MODELS, IMAGE_COUNTS, MODES, BASES, STRATEGIES, SEEDS)
-    for i, (model, images, mode, base, strategy, seed) in enumerate(grid):
+    grid = [
+        (model, MODELS[model], images, mode, base, strategy, seed, 10)
+        for model, images, mode, base, strategy, seed
+        in itertools.product(MODELS, IMAGE_COUNTS, MODES, BASES, STRATEGIES, SEEDS)
+    ]
+    long_grid = itertools.product(MODES[1:], BASES, ("low_attention", "random"), SEEDS)
+    grid += [("long", LONG_MODEL, 24, *row, 100) for row in long_grid]
+    for i, (model, spec, images, mode, base, strategy, seed, new_tokens) in enumerate(grid):
         name = f"{i:03d}-{model}-img{images}-{base}-{strategy}-{mode}-s{seed}"
         config = f"configs/{name}.json"
         (root / config).write_text(json.dumps({
-            "model": MODELS[model],
+            "model": spec,
             "image_count": images,
             "prompt_tokens": PROMPT,
             "policy": {"mode": mode, "base": BASES[base], "anchor_strategy": strategy,
-                       "max_new_tokens": 10, "seed": seed},
+                       "max_new_tokens": new_tokens, "seed": seed},
         }))
         run = f"runs/{name}"
         jobs.append(["decode", "--config", config, "--out", f"{run}/decode", "--emit-merge-plans"])

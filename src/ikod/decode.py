@@ -6,8 +6,9 @@ uncompressed cache, derives a merged cache from the attention recorded so
 far, re-evaluates the same query (same content embedding, same position)
 against that merged view, and combines the two probability vectors as
 p_orig + alpha * p_aug restricted to tokens whose original probability is
-at least beta times the original maximum. The merged view is rebuilt from
-scratch each step and never mutates the live cache.
+at least beta times the original maximum. The merged view lives in one
+block per generation: each step rebuilds only the buckets whose bounds
+changed since the last step, and never mutates the live cache.
 
 The image and prompt positions are run once by prefill(), and every
 generation forks the resulting Prefill: each fork copies the prompt's
@@ -412,6 +413,7 @@ def ikod_generate(
     steps: list[StepDistributions] = []
     plans: list[MergePlan] | None = [] if record_merge_plans else None
     aug_att: list[float] = []
+    merged = None
 
     for _ in range(policy.max_new_tokens):
         p_orig = _softmax_vec(logits)
@@ -423,7 +425,7 @@ def ikod_generate(
             plan = build_merge_plan(
                 layer_scores(cache), policy.anchor_ratio, policy.anchor_strategy, rng
             )
-            merged = merge_cache(cache, plan)
+            merged = merge_cache(cache, plan, merged)
             aug_logits, aug_rows = model.forward_query(
                 merged.keys, merged.values, cache.length - 1, current_input
             )

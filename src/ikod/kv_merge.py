@@ -9,14 +9,15 @@ through untouched.
 
 Indices inside plans are text-sequence indices: 0 is the first non-image
 token. With text length T the mergeable range is 0..T-3 and positions T-2 and
-T-1 are protected. The compressed cache is a derived view, rebuilt from the
-live cache at every step, and never feeds back into it.
+T-1 are protected. The compressed cache is derived from the live cache and
+never feeds back into it; a generation keeps one and updates it each step,
+rebuilding only the buckets whose bounds changed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -94,15 +95,24 @@ class MergePlan:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class CompressedCache:
-    """Merged per-layer rows: image block, one averaged row per bucket, then
-    the two protected text rows, in original positional order."""
+    """Merged rows of every layer: image block, one averaged row per bucket of
+    plan, then the two protected text rows, in original positional order.
 
-    keys: list[np.ndarray]  # per layer (n_heads, length, d_head)
-    values: list[np.ndarray]
+    keys and values are (n_layers, n_heads, length, d_head) views of two
+    blocks with as many rows as the source cache, allocated by the first merge
+    of a generation and updated in place by each merge given this one as
+    previous. Such a merge marks this one superseded: its rows are no longer
+    its own, and it cannot be given as previous again."""
+
+    keys: np.ndarray
+    values: np.ndarray
     length: int
     image_len: int
+    plan: MergePlan
+    source: LayeredKvCache = field(repr=False)
+    superseded: bool = False
 
 
 def layer_scores(cache: LayeredKvCache) -> np.ndarray:
@@ -233,19 +243,23 @@ def _checked_bounds(lo: np.ndarray, hi: np.ndarray, text_len: int) -> None:
             raise ValueError(f"merge plan layer {int(np.argmax(bad))} {problem}")
 
 
-def merge_cache(cache: LayeredKvCache, plan: MergePlan) -> CompressedCache:
-    """Build the compressed cache: image rows verbatim, each bucket's rows
-    averaged into one, the two protected rows verbatim.
+def merge_cache(
+    cache: LayeredKvCache, plan: MergePlan, previous: CompressedCache | None = None
+) -> CompressedCache:
+    """The compressed cache: image rows verbatim, each bucket's rows averaged
+    into one, the two protected rows verbatim.
 
-    The bucket rows of all layers are built together in one (n_layers,
-    n_heads, k, d_head) block. One gather fills it with each bucket's first
-    row, which is already final for singleton buckets. The other (layer,
-    bucket) pairs are grouped by bucket length, with one gather and one mean
-    per distinct length. A group is gathered as (pairs, n_heads, length,
-    d_head), the layout of one bucket's rows in the cache, so each mean sums
-    its rows in the same order as a per-bucket `.mean(axis=1)` and the merged
-    rows are bit-identical to it. Gathers and scatters index the caches and
-    the block as flat (rows, d_head) arrays, with one index array each.
+    previous, when given, is the merge this cache returned last; its blocks
+    are reused, and it is superseded. Recorded rows never change, so a bucket
+    whose (start, end) equals the previous plan's at the same slot keeps its
+    row, and the image rows are copied only by the first merge. Every other
+    bucket of every layer is built here: the (layer, bucket) pairs are grouped
+    by bucket length, with one gather and one mean per distinct length (a
+    singleton is a gather). A group is gathered as (pairs, n_heads, length, d_head), the
+    layout of one bucket's rows in the cache, so each mean sums its rows in
+    the same order as a per-bucket `.mean(axis=1)` and the merged rows are
+    bit-identical to it. Gathers and scatters index the cache and the blocks
+    as flat (rows, d_head) arrays, with one index array each.
     """
     start = cache.l_image
     T = plan.text_len
@@ -258,47 +272,57 @@ def merge_cache(cache: LayeredKvCache, plan: MergePlan) -> CompressedCache:
     if lo.shape[0] != n_layers:
         raise ValueError("plan layer count does not match the cache")
     k = lo.shape[1]
-    # Flat row indices: lane (layer * n_heads + head), then the cache row
-    # lane * capacity + position and the block row lane * k + bucket.
-    key_rows = cache.keys.reshape(-1, d_head)
-    value_rows = cache.values.reshape(-1, d_head)
-    lanes = np.arange(n_layers * n_heads).reshape(n_layers, n_heads)
-    bucket_first = lanes[..., None] * capacity + start + lo[:, None, :]  # (n_layers, n_heads, k)
-    bucket_keys = key_rows[bucket_first]  # (n_layers, n_heads, k, d_head)
-    bucket_values = value_rows[bucket_first]
-    merged_keys = bucket_keys.reshape(-1, d_head)  # views of the blocks
-    merged_values = bucket_values.reshape(-1, d_head)
+    build = np.ones((n_layers, k), dtype=bool)
+    if previous is None:
+        keys, values = np.empty(cache.keys.shape), np.empty(cache.values.shape)
+        keys[:, :, :start] = cache.keys[:, :, :start]
+        values[:, :, :start] = cache.values[:, :, :start]
+    else:
+        if previous.image_len != start:
+            raise ValueError(
+                f"previous merge has an image block of {previous.image_len} rows, "
+                f"the cache one of {start}"
+            )
+        if previous.source is not cache:
+            raise ValueError("previous merge was made from another cache")
+        if previous.superseded:
+            raise ValueError("previous merge was already superseded by a later one")
+        previous.superseded = True
+        keys, values = previous.keys.base, previous.values.base  # the blocks
+        kept = min(k, previous.plan.starts.shape[1])
+        build[:, :kept] = (lo[:, :kept] != previous.plan.starts[:, :kept]) | (
+            hi[:, :kept] != previous.plan.ends[:, :kept]
+        )
+    # Flat row indices: lane (layer * n_heads + head), then the row
+    # lane * capacity + position in the cache and in the blocks alike.
+    key_rows, value_rows = cache.keys.reshape(-1, d_head), cache.values.reshape(-1, d_head)
+    block_keys, block_values = keys.reshape(-1, d_head), values.reshape(-1, d_head)
+    lanes = np.arange(n_layers * n_heads).reshape(n_layers, n_heads) * capacity + start
 
-    # (layer, bucket) pairs sorted by bucket length, cut into equal-length runs.
-    sizes = (hi - lo + 1).ravel()
+    # (layer, bucket) pairs to build, sorted by bucket length and cut into
+    # equal-length runs.
+    layer, bucket = np.nonzero(build)
+    sizes = (hi - lo + 1)[layer, bucket]
     order = np.argsort(sizes, kind="stable")
-    sizes = sizes[order]
-    layer, bucket = np.divmod(order, k)
+    sizes, layer, bucket = sizes[order], layer[order], bucket[order]
     lane = lanes[layer]  # (pairs, n_heads)
-    pair_first = lane * capacity + start + lo.ravel()[order][:, None]
-    slot = lane * k + bucket[:, None]
-    cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
+    pair_first = lane + lo[layer, bucket][:, None]
+    slot = lane + bucket[:, None]
+    cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
     for a, b in zip([0, *cuts], [*cuts, sizes.size]):
+        if a == b:  # no bucket to build
+            break
         m = int(sizes[a])
         if m == 1:
+            block_keys[slot[a:b]] = np.take(key_rows, pair_first[a:b], axis=0)
+            block_values[slot[a:b]] = np.take(value_rows, pair_first[a:b], axis=0)
             continue
         rows = pair_first[a:b, :, None] + np.arange(m)
         # What .mean(axis=2) computes, without its Python wrapper.
-        merged_keys[slot[a:b]] = np.add.reduce(key_rows[rows], axis=2) / m
-        merged_values[slot[a:b]] = np.add.reduce(value_rows[rows], axis=2) / m
+        block_keys[slot[a:b]] = np.add.reduce(np.take(key_rows, rows, axis=0), axis=2) / m
+        block_values[slot[a:b]] = np.add.reduce(np.take(value_rows, rows, axis=0), axis=2) / m
 
-    # One array per layer: a stacked (L, H, n_hat, d) output raised peak memory.
-    image, protected = slice(0, start), slice(start + T - 2, start + T)
-
-    def per_layer(rows, merged):
-        return [
-            np.concatenate((rows[li, :, image], merged[li], rows[li, :, protected]), axis=1)
-            for li in range(n_layers)
-        ]
-
-    return CompressedCache(
-        keys=per_layer(cache.keys, bucket_keys),
-        values=per_layer(cache.values, bucket_values),
-        length=start + k + 2,
-        image_len=start,
-    )
+    n = start + k + 2
+    keys[:, :, start + k : n] = cache.keys[:, :, start + T - 2 : start + T]
+    values[:, :, start + k : n] = cache.values[:, :, start + T - 2 : start + T]
+    return CompressedCache(keys[:, :, :n], values[:, :, :n], n, start, plan, cache)

@@ -409,6 +409,21 @@ def assert_same_generation(a, b):
     assert a.cache.values[:, :, :n].tobytes() == b.cache.values[:, :, :n].tobytes()
 
 
+@pytest.mark.parametrize("strategy", list(AnchorStrategy))
+@pytest.mark.parametrize("base", [BaseStrategy.greedy(), BaseStrategy.top_p(0.9, temperature=0.7)])
+def test_merges_updated_step_to_step_match_merges_built_afresh(monkeypatch, strategy, base):
+    # A large vocabulary keeps sampling off the end token for all 64 steps.
+    model = TinyDecoder(replace(make_model().config, vocab_size=256))
+    prompt = make_prompt(model)
+    policy = DecodePolicy(base=base, anchor_strategy=strategy, max_new_tokens=64)
+    updated = ikod_generate(model, prompt, policy, record_merge_plans=True)
+    merge = decode.merge_cache
+    monkeypatch.setattr(decode, "merge_cache", lambda cache, plan, previous: merge(cache, plan))
+    fresh = ikod_generate(model, prompt, policy, record_merge_plans=True)
+    assert len(updated.tokens) == 64
+    assert_same_generation(updated, fresh)
+
+
 policies = st.builds(
     DecodePolicy,
     mode=st.sampled_from(list(Mode)),

@@ -568,3 +568,97 @@ def test_merged_rows_stay_in_bucket_hull(scores, n_heads, d_head, l_image, ratio
                 got = out[li][:, l_image + b]
                 assert np.all(got >= rows.min(axis=1) - slack)
                 assert np.all(got <= rows.max(axis=1) + slack)
+
+
+def changed_plan(plan: MergePlan, T: int, change: str) -> MergePlan:
+    """plan carried to text length T >= plan.text_len: its last bucket
+    stretched to T-3 ("stay"), then split off or joined to the one before
+    ("grow", "shrink"), or the cut after the leading bucket moved ("move").
+    A change that some layer has no room for is left out in every layer."""
+    layers = [[[lo, hi] for lo, hi in zip(*bounds)] for bounds in
+              zip(plan.starts.tolist(), plan.ends.tolist())]
+    for buckets in layers:
+        buckets[-1][1] = T - 3
+    if change == "grow" and all(b[-1][1] > b[-1][0] for b in layers):
+        for buckets in layers:
+            lo, hi = buckets.pop()
+            buckets += [[lo, hi - 1], [hi, hi]]
+    elif change == "shrink" and len(layers[0]) > 1:
+        for buckets in layers:
+            buckets[-2:] = [[buckets[-2][0], buckets[-1][1]]]
+    elif change == "move" and len(layers[0]) > 1:
+        for buckets in layers:
+            (a, b), (c, d) = buckets[:2]
+            cut = b - 1 if b > a else b + 1 if d > c else b
+            buckets[:2] = [[a, cut], [cut + 1, d]]
+    return bucket_plan([[tuple(b) for b in buckets] for buckets in layers], T)
+
+
+@st.composite
+def growing_merges(draw):
+    """A cache that grows step by step, and per step the plan to merge it
+    with: built from the prefix of one score matrix, or the previous step's
+    plan changed by hand."""
+    n_layers, n_heads = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d_head, l_image = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    lengths = [draw(st.integers(3, 12))]
+    for extra in draw(st.lists(st.integers(0, 4), min_size=1, max_size=8)):
+        lengths.append(lengths[-1] + extra)
+    scores = draw(st.lists(tie_prone_scores, min_size=n_layers * lengths[-1],
+                           max_size=n_layers * lengths[-1]))
+    changes = draw(st.lists(st.sampled_from(["built", "stay", "grow", "shrink", "move"]),
+                            min_size=len(lengths), max_size=len(lengths)))
+    capacity = l_image + lengths[-1] + draw(st.integers(0, 3))
+    cache = LayeredKvCache(n_layers, n_heads, d_head, capacity, l_image)
+    return (
+        cache,
+        np.array(scores, dtype=np.float64).reshape(n_layers, lengths[-1]),
+        list(zip(lengths, changes)),
+        draw(st.floats(0.01, 1.0)),
+        draw(st.sampled_from(list(AnchorStrategy))),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(growing_merges())
+def test_merge_from_the_previous_step_matches_a_fresh_merge(case):
+    cache, scores, steps, ratio, strategy, seed = case
+    rng, data = Rng(seed), np.random.default_rng(seed)
+    previous = None
+    for T, change in steps:
+        while cache.length < cache.l_image + T:  # record rows one by one, as forward_step does
+            for array in (cache.keys, cache.values):
+                row = data.normal(size=array.shape[:2] + array.shape[3:])
+                array[:, :, cache.length] = row * 10.0 ** data.uniform(-6, 6)
+            cache.length += 1
+        if change == "built" or previous is None:
+            plan = build_merge_plan(scores[:, :T], ratio, strategy, rng)
+        else:
+            plan = changed_plan(previous.plan, T, change)
+        before = cache.keys.tobytes(), cache.values.tobytes()
+        merged = merge_cache(cache, plan, previous)
+        fresh = merge_cache(cache, plan)
+        assert (cache.keys.tobytes(), cache.values.tobytes()) == before
+        assert merged.plan is plan and merged.source is cache
+        assert (merged.length, merged.image_len) == (fresh.length, fresh.image_len)
+        layout = SequenceLayout.from_counts(cache.l_image, T)
+        ref_keys, ref_values = reference_merge(cache, plan, layout)
+        for want in ((fresh.keys, fresh.values), (np.stack(ref_keys), np.stack(ref_values))):
+            for got, rows in zip((merged.keys, merged.values), want):
+                assert got.shape == rows.shape and got.tobytes() == rows.tobytes()
+        previous = merged
+
+
+def test_merge_rejects_a_previous_merge_of_another_cache_or_a_superseded_one():
+    cache, plan, _ = fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)]] * 2)
+    twin, _, _ = fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)]] * 2)
+    other_image, _, _ = fixed_case(2, 2, 3, 3, 7, [[(0, 2), (3, 4)]] * 2)
+    with pytest.raises(ValueError, match="another cache"):
+        merge_cache(cache, plan, merge_cache(twin, plan))
+    with pytest.raises(ValueError, match="image block of 3 rows, the cache one of 2"):
+        merge_cache(cache, plan, merge_cache(other_image, bucket_plan([[(0, 2), (3, 4)]] * 2, 7)))
+    first = merge_cache(cache, plan)
+    merge_cache(cache, plan, first)
+    with pytest.raises(ValueError, match="already superseded"):
+        merge_cache(cache, plan, first)
