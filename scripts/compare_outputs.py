@@ -15,6 +15,12 @@ orders apart. A long grid decodes 100 tokens (max_seq 160, 24 images, a
 vocabulary large enough that sampling rarely ends early) in the two merged
 modes x both bases x the low_attention and random strategies x both seeds,
 16 configs, so that merges carried across many steps are compared too.
+Last come `analyze --synthetic-uniform` at four image/prompt/generated
+counts (no images, fewer than five generated tokens, 16 generated) and at a
+negative count, a `decode` of each of nine malformed policies, and a
+`decode` and `analyze` of one policy whose alpha, beta and base.p are
+integers (2, 0, 1). The error jobs write no files, so for them only the
+exit codes in `exit_codes.json` are compared.
 
 The job exit codes and every output file are then compared byte for byte.
 The script prints the number of files compared and of files that differ or
@@ -45,6 +51,15 @@ STRATEGIES = ("low_attention", "high_attention", "random")
 MODES = ("baseline", "ikod", "ikod_no_od")
 SEEDS = (0, 17)
 PROMPT = [5, 9, 3, 17, 2, 11]
+# (image, prompt, generated) counts of the synthetic-uniform analyses.
+SYNTHETIC_COUNTS = ((0, 4, 16), (8, 4, 3), (8, 4, 16), (24, 0, 7))
+# Policy fields every decode must reject with exit code 2.
+MALFORMED_POLICIES = (
+    {"alpha": True}, {"alpha": None}, {"beta": "0.1"}, {"anchor_ratio": 0},
+    {"mode": "fast"}, {"gamma": 1}, {"base": {"kind": "top_p", "p": True}},
+    {"base": {"kind": "top_k", "k": 2.5}}, {"base": {"kind": "greedy", "temperature": "2"}},
+)
+INTEGER_POLICY = {"alpha": 2, "beta": 0, "base": {"kind": "top_p", "p": 1}}
 SWEEP_ARGS = [
     "--lambdas", "0.2,0.6,1.0", "--alphas", "0,2", "--strategies", "low_attention,random",
     "--include-baseline", "--ground-truth-tokens", "configs/ground_truth.json",
@@ -98,6 +113,20 @@ def write_grid(root: Path) -> None:
         jobs.append(["analyze", f"{run}/decode", "--out", f"{run}/analyze", "--kde"])
         if i % 6 == 0:
             jobs.append(["sweep", "--config", config, "--out", f"{run}/sweep", *SWEEP_ARGS])
+    for images, others, generated in SYNTHETIC_COUNTS:
+        jobs.append(["analyze", "--synthetic-uniform", "--kde", "--image-count", str(images),
+                     "--other-count", str(others), "--gen-count", str(generated),
+                     "--out", f"runs/synthetic-{images}-{others}-{generated}"])
+    jobs.append(["analyze", "--synthetic-uniform", "--image-count", "-1",
+                 "--out", "runs/synthetic-negative"])
+    policies = [(f"malformed-{i}", policy) for i, policy in enumerate(MALFORMED_POLICIES)]
+    for name, policy in [*policies, ("integer-policy", INTEGER_POLICY)]:
+        config = f"configs/{name}.json"
+        (root / config).write_text(json.dumps({
+            "model": MODELS["d16"], "image_count": 6, "prompt_tokens": PROMPT, "policy": policy,
+        }))
+        jobs.append(["decode", "--config", config, "--out", f"runs/{name}/decode"])
+    jobs.append(["analyze", "runs/integer-policy/decode", "--out", "runs/integer-policy/analyze"])
     (root / "jobs.json").write_text(json.dumps(jobs))
 
 

@@ -6,7 +6,6 @@ from .attn_analysis import (
     ImageAttentionStat,
     SegmentSummary,
     degradation_report,
-    image_attention,
     kde2d,
     segment_averages,
     synthetic_uniform_trace,
@@ -43,7 +42,6 @@ from .kv_merge import (
     build_merge_plan,
     layer_scores,
     merge_cache,
-    select_anchors,
 )
 from .metrics import BinaryMetrics, BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores
 from .model import (
@@ -51,8 +49,6 @@ from .model import (
     ConfigError,
     LayeredKvCache,
     ModelConfig,
-    Role,
-    SequenceLayout,
     TinyDecoder,
     load_checkpoint,
     make_image_embeddings,

@@ -6,33 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LayeredKvCache, Role, SequenceLayout, TraceError
+from .model import LayeredKvCache, TraceError
 
 __all__ = [
     "ImageAttentionStat",
     "SegmentSummary",
     "degradation_report",
-    "image_attention",
     "kde2d",
     "segment_averages",
     "synthetic_uniform_trace",
     "trace_image_attention",
     "uniform_attention_prediction",
 ]
-
-
-def image_attention(att_row, layout: SequenceLayout) -> float:
-    """Attention mass a query row places on image positions.
-
-    The row covers a leading prefix of the layout (the cached positions at
-    that step), so it may be shorter than the full layout but never longer.
-    """
-    row = np.asarray(att_row, dtype=np.float64)
-    if row.ndim != 1:
-        raise ValueError("attention row must be one-dimensional")
-    if row.size > len(layout):
-        raise ValueError(f"row of length {row.size} exceeds layout of {len(layout)}")
-    return float(row[layout.image_mask[: row.size]].sum())
 
 
 @dataclass
@@ -43,17 +28,15 @@ class ImageAttentionStat:
     generated: np.ndarray  # (n_steps,) True where the step's query is a generated token
 
     @classmethod
-    def from_trace(cls, cache: LayeredKvCache, layout: SequenceLayout) -> "ImageAttentionStat":
-        """The image attention the cache recorded, one step per layout position."""
-        n = cache.length
-        if n != len(layout):
-            raise TraceError(f"cache of {n} positions does not match a layout of {len(layout)}")
-        if cache.l_image != layout.l_image:
+    def from_trace(cls, cache: LayeredKvCache, n_generated: int) -> "ImageAttentionStat":
+        """The image attention the cache recorded, one step per position, the
+        last n_generated of them generated tokens."""
+        n, text_len = cache.length, cache.length - cache.l_image
+        if not 0 <= n_generated <= text_len:
             raise TraceError(
-                f"cache has {cache.l_image} image positions, layout has {layout.l_image}"
+                f"{n_generated} generated tokens do not fit the cache's {text_len} text positions"
             )
-        generated = np.asarray(layout.roles == Role.GENERATED)
-        return cls(values=cache.image_att[:n].copy(), generated=generated)
+        return cls(values=cache.image_att[:n].copy(), generated=np.arange(n) >= n - n_generated)
 
     @property
     def att_avg(self) -> np.ndarray:
@@ -134,10 +117,10 @@ def degradation_report(stat: ImageAttentionStat) -> list[tuple[float, float]]:
 
 
 def trace_image_attention(
-    cache: LayeredKvCache, layout: SequenceLayout
+    cache: LayeredKvCache, n_generated: int
 ) -> list[tuple[int, int, int, float]]:
     """Flat (step, layer, head, att_image) rows for every recorded position."""
-    stat = ImageAttentionStat.from_trace(cache, layout)
+    stat = ImageAttentionStat.from_trace(cache, n_generated)
     n_steps, n_layers, n_heads = stat.values.shape
     return [
         (s, li, h, float(stat.values[s, li, h]))
@@ -149,12 +132,15 @@ def trace_image_attention(
 
 def synthetic_uniform_trace(
     l_image: int, l_others: int, l_gen: int, n_layers: int = 1, n_heads: int = 1
-) -> tuple[LayeredKvCache, SequenceLayout]:
-    """A cache, with no key/value rows, whose every query attended uniformly
-    over the cached positions; its measured image attention matches the
-    uniform-mix prediction exactly."""
-    layout = SequenceLayout.from_counts(l_image, l_others, l_gen)
-    cache = LayeredKvCache(n_layers, n_heads, 0, len(layout), l_image)
-    for step in range(len(layout)):
+) -> LayeredKvCache:
+    """A cache, with no key/value rows, of l_image image, l_others prompt and
+    l_gen generated positions whose every query attended uniformly over the
+    cached positions; its measured image attention matches the uniform-mix
+    prediction exactly."""
+    if min(l_image, l_others, l_gen) < 0:
+        raise ValueError("counts must be non-negative")
+    n = l_image + l_others + l_gen
+    cache = LayeredKvCache(n_layers, n_heads, 0, n, l_image)
+    for step in range(n):
         cache.record(np.full((n_layers, n_heads, step + 1), 1.0 / (step + 1)))
-    return cache, layout
+    return cache

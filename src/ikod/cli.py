@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +42,8 @@ from .model import (
     CapacityError,
     ConfigError,
     ModelConfig,
-    Role,
-    SequenceLayout,
     TinyDecoder,
     make_image_embeddings,
-    require_float,
     require_int,
 )
 
@@ -80,54 +77,30 @@ def _require_object(value, name: str) -> dict:
     return value
 
 
+def _construct(cls, given: dict, name: str):
+    """cls(**given) for the JSON object under name, each error a ConfigError
+    naming the field, as in policy.alpha."""
+    unknown = set(given) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(f"{name}.{exc}") from None
+
+
 def parse_base_strategy(d: dict) -> BaseStrategy:
     d = _require_object(d, "policy.base")
-    unknown = set(d) - {"kind", "k", "p", "temperature"}
-    if unknown:
-        raise ConfigError(f"unknown base strategy keys: {sorted(unknown)}")
-    kind = d.get("kind", "greedy")
-    k, p, temperature = d.get("k"), d.get("p"), d.get("temperature")
-    if k is not None:
-        k = require_int(k, "policy.base.k")
-    if p is not None:
-        p = require_float(p, "policy.base.p")
-    if temperature is not None:
-        temperature = require_float(temperature, "policy.base.temperature")
-    try:
-        if kind == "nucleus":
-            return BaseStrategy.nucleus(temperature=temperature)
-        return BaseStrategy(kind=kind, k=k, p=p, temperature=temperature)
-    except ValueError as exc:
-        raise ConfigError(f"bad base strategy: {exc}") from None
+    if d.get("kind") == "nucleus":
+        d = {**d, "kind": "top_p", "p": 1.0}
+    return _construct(BaseStrategy, d, "policy.base")
 
 
 def parse_policy(d: dict) -> DecodePolicy:
     d = _require_object(d, "policy")
-    known = {
-        "mode", "base", "alpha", "beta", "anchor_ratio", "anchor_strategy",
-        "max_new_tokens", "seed",
-    }
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown policy keys: {sorted(unknown)}")
-    max_new_tokens = require_int(d.get("max_new_tokens", 16), "policy.max_new_tokens")
-    seed = require_int(d.get("seed", 0), "policy.seed")
-    alpha = require_float(d.get("alpha", 2.0), "policy.alpha")
-    beta = require_float(d.get("beta", 0.1), "policy.beta")
-    anchor_ratio = require_float(d.get("anchor_ratio", 0.4), "policy.anchor_ratio")
-    try:
-        return DecodePolicy(
-            mode=Mode(d.get("mode", "ikod")),
-            base=parse_base_strategy(d.get("base", {})),
-            alpha=alpha,
-            beta=beta,
-            anchor_ratio=anchor_ratio,
-            anchor_strategy=AnchorStrategy(d.get("anchor_strategy", "low_attention")),
-            max_new_tokens=max_new_tokens,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad policy: {exc}") from None
+    if "base" in d:
+        d = {**d, "base": parse_base_strategy(d["base"])}
+    return _construct(DecodePolicy, d, "policy")
 
 
 def load_run_config(path) -> RunConfig:
@@ -214,7 +187,7 @@ def cmd_decode(args) -> int:
     _write_csv(
         out_dir / "trace.csv",
         ["step", "layer", "head", "att_image"],
-        trace_image_attention(result.cache, result.layout),
+        trace_image_attention(result.cache, len(result.tokens)),
     )
     if args.emit_merge_plans and result.merge_plans is not None:
         plan_dir = out_dir / "merge_plans"
@@ -265,7 +238,8 @@ def _read_trace_csv(path: Path) -> np.ndarray:
 
 
 def _read_run(run_dir: Path) -> ImageAttentionStat:
-    """A decode run's trace.csv as image attention over its generation.json layout."""
+    """A decode run's trace.csv as image attention, its last len(result.tokens)
+    steps the generated ones."""
     gen = _load_json(run_dir / "generation.json")
     try:
         request, tokens = gen["request"], gen["result"]["tokens"]
@@ -284,8 +258,7 @@ def _read_run(run_dir: Path) -> ImageAttentionStat:
         raise ConfigError(
             f"{run_dir}/trace.csv holds {values.shape[0]} steps, generation.json describes {steps}"
         )
-    layout = SequenceLayout.from_counts(image_count, len(prompt_tokens), len(tokens))
-    return ImageAttentionStat(values=values, generated=layout.roles == Role.GENERATED)
+    return ImageAttentionStat(values=values, generated=np.arange(steps) >= steps - len(tokens))
 
 
 def cmd_analyze(args) -> int:
@@ -296,12 +269,14 @@ def cmd_analyze(args) -> int:
     if not 0.0 < args.bandwidth < math.inf:
         raise ConfigError(f"--bandwidth must be positive and finite, got {args.bandwidth}")
     if args.synthetic_uniform:
+        counts = (("--image-count", args.image_count), ("--other-count", args.other_count))
+        for flag, count in counts:
+            if count < 0:
+                raise ConfigError(f"{flag} must be non-negative")
         if args.gen_count < 1:
             raise ConfigError("--gen-count must be at least 1")
-        trace, layout = synthetic_uniform_trace(
-            args.image_count, args.other_count, args.gen_count
-        )
-        stat = ImageAttentionStat.from_trace(trace, layout)
+        trace = synthetic_uniform_trace(args.image_count, args.other_count, args.gen_count)
+        stat = ImageAttentionStat.from_trace(trace, args.gen_count)
     elif args.run_dir:
         stat = _read_run(Path(args.run_dir))
     else:
@@ -387,7 +362,7 @@ def cmd_sweep(args) -> int:
 
     def run_policy(policy: DecodePolicy) -> list:
         result = ikod_generate(model, prefix, policy)
-        stat = ImageAttentionStat.from_trace(result.cache, result.layout)
+        stat = ImageAttentionStat.from_trace(result.cache, len(result.tokens))
         mean_orig = float(stat.att_avg[stat.generated].mean())
         mean_aug = (
             float(np.mean(result.aug_image_attention)) if result.aug_image_attention else ""

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .kv_merge import AnchorStrategy, MergePlan, build_merge_plan, layer_scores, merge_cache
-from .model import CapacityError, LayeredKvCache, SequenceLayout, TinyDecoder, require_int
+from .model import CapacityError, LayeredKvCache, TinyDecoder, require_float, require_int
 from .numerics import Rng, ShapeError, softmax_rows
 
 __all__ = [
@@ -58,6 +58,12 @@ class Mode(str, Enum):
     IKOD_NO_OD = "ikod_no_od"
 
 
+def _real(value, name: str) -> float:
+    """A float as it is, for the range check that names a non-finite one;
+    anything else must be a finite number (require_float)."""
+    return float(value) if isinstance(value, float) else require_float(value, name)
+
+
 @dataclass(frozen=True)
 class BaseStrategy:
     """Base token-selection rule applied to the combined scores.
@@ -73,16 +79,17 @@ class BaseStrategy:
     temperature: float | None = None
 
     def __post_init__(self):
-        if self.k is not None:
-            object.__setattr__(self, "k", require_int(self.k, "k"))
+        for name, check in (("k", require_int), ("p", _real), ("temperature", _real)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check(getattr(self, name), name))
         if self.kind not in ("greedy", "top_k", "top_p"):
-            raise ValueError(f"unknown base strategy {self.kind!r}")
+            raise ValueError(f"kind must be greedy, top_k or top_p, got {self.kind!r}")
         if self.kind == "top_k" and (self.k is None or self.k < 1):
-            raise ValueError("top_k needs k >= 1")
+            raise ValueError("k must be at least 1 for top_k")
         if self.kind == "top_p" and (self.p is None or not 0.0 < self.p <= 1.0):
-            raise ValueError("top_p needs p in (0, 1]")
+            raise ValueError("p must lie in (0, 1] for top_p")
         if self.kind == "greedy" and (self.k is not None or self.p is not None):
-            raise ValueError("greedy takes no k or p")
+            raise ValueError(f"{'k' if self.k is not None else 'p'} must be unset for greedy")
         if self.temperature is not None and not 0.0 < self.temperature < math.inf:
             raise ValueError("temperature must be positive and finite")
 
@@ -115,10 +122,17 @@ class DecodePolicy:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", Mode(self.mode))
-        object.__setattr__(self, "anchor_strategy", AnchorStrategy(self.anchor_strategy))
+        for name, kind in (("mode", Mode), ("anchor_strategy", AnchorStrategy)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, kind(value))
+            except ValueError:
+                choices = ", ".join(member.value for member in kind)
+                raise ValueError(f"{name} must be one of {choices}, got {value!r}") from None
         for name in ("max_new_tokens", "seed"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
+        for name in ("alpha", "beta", "anchor_ratio"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError("alpha must be non-negative and finite")
         if not 0.0 <= self.beta <= 1.0:
@@ -240,7 +254,6 @@ class StepDistributions:
 class GenerationResult:
     tokens: list[int]
     steps: list[StepDistributions]
-    layout: SequenceLayout
     cache: LayeredKvCache
     aug_image_attention: list[float]
     merge_plans: list[MergePlan] | None
@@ -436,7 +449,7 @@ def ikod_generate(
             else:
                 scores = np.where(v_head, p_aug, 0.0)
             aug_att.append(
-                float(np.mean([r[:, : merged.image_len].sum(axis=1) for r in aug_rows]))
+                float(np.mean([r[:, : cache.l_image].sum(axis=1) for r in aug_rows]))
             )
             if plans is not None:
                 plans.append(plan)
@@ -455,7 +468,6 @@ def ikod_generate(
     return GenerationResult(
         tokens=generated,
         steps=steps,
-        layout=SequenceLayout.from_counts(prompt.n_image, prompt.l_others, len(generated)),
         cache=cache,
         aug_image_attention=aug_att,
         merge_plans=plans,

@@ -34,7 +34,6 @@ __all__ = [
     "build_merge_plan",
     "layer_scores",
     "merge_cache",
-    "select_anchors",
 ]
 
 
@@ -109,7 +108,6 @@ class CompressedCache:
     keys: np.ndarray
     values: np.ndarray
     length: int
-    image_len: int
     plan: MergePlan
     source: LayeredKvCache = field(repr=False)
     superseded: bool = False
@@ -131,54 +129,6 @@ def anchor_count(text_len: int, anchor_ratio: float) -> int:
     if not 0.0 < anchor_ratio <= 1.0:
         raise ValueError("anchor_ratio must be in (0, 1]")
     return max(1, math.floor(anchor_ratio * (text_len - 2)))
-
-
-def _anchor_rows(
-    scores: np.ndarray,
-    anchor_ratio: float,
-    strategy: AnchorStrategy,
-    rng: Rng | None,
-) -> np.ndarray:
-    """(n_layers, k) anchors, ascending in each row; see select_anchors."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError("scores must be (n_layers, text_len)")
-    strategy = AnchorStrategy(strategy)
-    T = scores.shape[1]
-    k = anchor_count(T, anchor_ratio)
-    domain = T - 2
-    if strategy is AnchorStrategy.RANDOM:
-        if rng is None:
-            raise ValueError("random anchor selection needs an rng")
-        chosen = np.empty((scores.shape[0], k), dtype=np.int64)
-        for li in range(scores.shape[0]):
-            pool = list(range(domain))
-            for i in range(k):
-                j = i + rng.next_below(domain - i)
-                pool[i], pool[j] = pool[j], pool[i]
-            chosen[li] = pool[:k]
-    else:
-        # One stable sort over all layers ranks score ties by index, lowest first.
-        key = scores[:, :domain]
-        if strategy is AnchorStrategy.HIGH_ATTENTION:
-            key = -key
-        chosen = np.argsort(key, axis=1, kind="stable")[:, :k]
-    return np.sort(chosen, axis=1)
-
-
-def select_anchors(
-    scores: np.ndarray,
-    anchor_ratio: float,
-    strategy: AnchorStrategy = AnchorStrategy.LOW_ATTENTION,
-    rng: Rng | None = None,
-) -> list[list[int]]:
-    """Per-layer sorted anchor indices drawn from the mergeable range 0..T-3.
-
-    LOW_ATTENTION keeps the lowest-scoring tokens, HIGH_ATTENTION the highest;
-    score ties break toward the lower index. RANDOM draws without replacement
-    from the supplied generator, layer by layer.
-    """
-    return _anchor_rows(scores, anchor_ratio, strategy, rng).tolist()
 
 
 def _bucket_arrays(anchors: np.ndarray, text_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,11 +169,39 @@ def build_merge_plan(
     strategy: AnchorStrategy = AnchorStrategy.LOW_ATTENTION,
     rng: Rng | None = None,
 ) -> MergePlan:
-    """Anchors and buckets of every layer, computed in one pass over all layers."""
-    anchors = _anchor_rows(scores, anchor_ratio, strategy, rng)
-    T = np.shape(scores)[1]
+    """Anchors and buckets of every layer, computed in one pass over all layers.
+
+    Each layer's anchors are drawn from the mergeable range 0..T-3 and kept
+    sorted. LOW_ATTENTION keeps the lowest-scoring tokens, HIGH_ATTENTION the
+    highest; score ties break toward the lower index. RANDOM draws without
+    replacement from the supplied generator, layer by layer.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2:
+        raise ValueError("scores must be (n_layers, text_len)")
+    strategy = AnchorStrategy(strategy)
+    T = scores.shape[1]
+    k = anchor_count(T, anchor_ratio)
+    domain = T - 2
+    if strategy is AnchorStrategy.RANDOM:
+        if rng is None:
+            raise ValueError("random anchor selection needs an rng")
+        chosen = np.empty((scores.shape[0], k), dtype=np.int64)
+        for li in range(scores.shape[0]):
+            pool = list(range(domain))
+            for i in range(k):
+                j = i + rng.next_below(domain - i)
+                pool[i], pool[j] = pool[j], pool[i]
+            chosen[li] = pool[:k]
+    else:
+        # One stable sort over all layers ranks score ties by index, lowest first.
+        key = scores[:, :domain]
+        if strategy is AnchorStrategy.HIGH_ATTENTION:
+            key = -key
+        chosen = np.argsort(key, axis=1, kind="stable")[:, :k]
+    anchors = np.sort(chosen, axis=1)
     starts, ends = _bucket_arrays(anchors, T)
-    return MergePlan(anchors, starts, ends, T, float(anchor_ratio), AnchorStrategy(strategy))
+    return MergePlan(anchors, starts, ends, T, float(anchor_ratio), strategy)
 
 
 def _checked_bounds(lo: np.ndarray, hi: np.ndarray, text_len: int) -> None:
@@ -278,11 +256,6 @@ def merge_cache(
         keys[:, :, :start] = cache.keys[:, :, :start]
         values[:, :, :start] = cache.values[:, :, :start]
     else:
-        if previous.image_len != start:
-            raise ValueError(
-                f"previous merge has an image block of {previous.image_len} rows, "
-                f"the cache one of {start}"
-            )
         if previous.source is not cache:
             raise ValueError("previous merge was made from another cache")
         if previous.superseded:
@@ -325,4 +298,4 @@ def merge_cache(
     n = start + k + 2
     keys[:, :, start + k : n] = cache.keys[:, :, start + T - 2 : start + T]
     values[:, :, start + k : n] = cache.values[:, :, start + T - 2 : start + T]
-    return CompressedCache(keys[:, :, :n], values[:, :, :n], n, start, plan, cache)
+    return CompressedCache(keys[:, :, :n], values[:, :, :n], n, plan, cache)

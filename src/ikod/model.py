@@ -19,7 +19,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
-from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +31,6 @@ __all__ = [
     "FullOutput",
     "LayeredKvCache",
     "ModelConfig",
-    "Role",
-    "SequenceLayout",
     "StepOutput",
     "TinyDecoder",
     "TraceError",
@@ -84,77 +81,6 @@ def require_float(value, name: str) -> float:
     if not finite:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
-
-
-class Role(IntEnum):
-    """Per-position token role. Codes are ordered so a valid layout is sorted."""
-
-    IMAGE = 0
-    OTHER = 1
-    GENERATED = 2
-
-
-_ROLE_CODES = np.array(list(Role), dtype=np.int8)
-
-
-@dataclass(frozen=True)
-class SequenceLayout:
-    """Role labels per position: image block, then instruction text, then
-    generated text. The text segment (OTHER + GENERATED) is contiguous.
-    The role counts are taken once, at construction."""
-
-    roles: np.ndarray
-
-    def __post_init__(self):
-        codes = np.asarray(self.roles)
-        if codes.ndim != 1:
-            raise ValueError("roles must be a flat sequence")
-        # Range first, so the cast below cannot wrap; then no fractions.
-        valid = codes.dtype.kind in "biuf" and (
-            codes.size == 0 or (codes.min() >= 0 and codes.max() < len(Role))
-        )
-        roles = codes.astype(np.int8) if valid else codes
-        if not valid or (roles != codes).any():
-            raise ValueError(
-                "role codes must be 0 (image), 1 (other text) or 2 (generated text)"
-            )
-        if (roles[1:] < roles[:-1]).any():
-            raise ValueError(
-                "layout must be an image block, then other text, then generated text"
-            )
-        object.__setattr__(self, "roles", roles)
-        counts = np.bincount(roles, minlength=len(Role))
-        object.__setattr__(self, "_counts", tuple(counts.tolist()))
-
-    @classmethod
-    def from_counts(cls, l_image: int, l_others: int, l_gen: int = 0) -> "SequenceLayout":
-        if min(l_image, l_others, l_gen) < 0:
-            raise ValueError("counts must be non-negative")
-        return cls(np.repeat(_ROLE_CODES, (l_image, l_others, l_gen)))
-
-    def __len__(self) -> int:
-        return int(self.roles.size)
-
-    @property
-    def l_image(self) -> int:
-        return self._counts[Role.IMAGE]
-
-    @property
-    def l_others(self) -> int:
-        return self._counts[Role.OTHER]
-
-    @property
-    def l_gen(self) -> int:
-        return self._counts[Role.GENERATED]
-
-    @property
-    def image_mask(self) -> np.ndarray:
-        return self.roles == Role.IMAGE
-
-    @property
-    def text_len(self) -> int:
-        """Instruction plus generated tokens (everything after the image block)."""
-        return len(self) - self.l_image
 
 
 @dataclass(frozen=True)

@@ -151,8 +151,8 @@ def test_criterion_3_incremental_matches_full_recompute():
 
 def test_criterion_4_uniform_attention_prediction():
     l_image, l_others, l_gen = 6, 4, 40
-    trace, layout = synthetic_uniform_trace(l_image, l_others, l_gen, n_layers=2, n_heads=3)
-    stat = ImageAttentionStat.from_trace(trace, layout)
+    trace = synthetic_uniform_trace(l_image, l_others, l_gen, n_layers=2, n_heads=3)
+    stat = ImageAttentionStat.from_trace(trace, l_gen)
     att = stat.att_avg[stat.generated]
     for t in range(1, l_gen + 1):
         predicted = uniform_attention_prediction(l_image, l_others, t)

@@ -6,35 +6,13 @@ import pytest
 from ikod.attn_analysis import (
     ImageAttentionStat,
     degradation_report,
-    image_attention,
     kde2d,
     segment_averages,
     synthetic_uniform_trace,
     trace_image_attention,
     uniform_attention_prediction,
 )
-from ikod.model import SequenceLayout
-
-
-def test_image_attention_hand_sum():
-    layout = SequenceLayout.from_counts(2, 1, 0)
-    assert image_attention([0.2, 0.3, 0.5], layout) == pytest.approx(0.5)
-
-
-def test_image_attention_without_image_positions_is_zero():
-    layout = SequenceLayout.from_counts(0, 3, 0)
-    assert image_attention([0.2, 0.3, 0.5], layout) == 0.0
-
-
-def test_image_attention_all_image_positions_is_one():
-    layout = SequenceLayout.from_counts(3, 1, 0)
-    assert image_attention([0.25, 0.35, 0.4], layout) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_image_attention_rejects_overlong_row():
-    layout = SequenceLayout.from_counts(1, 1, 0)
-    with pytest.raises(ValueError):
-        image_attention([0.5, 0.3, 0.2], layout)
+from ikod.model import TraceError
 
 
 def _stat_from_generated(series: np.ndarray) -> ImageAttentionStat:
@@ -126,8 +104,8 @@ def test_kde_rejects_bandwidths_that_are_not_positive_and_finite(h):
 
 
 def test_degradation_matches_uniform_prediction():
-    trace, layout = synthetic_uniform_trace(4, 3, 8)
-    report = degradation_report(ImageAttentionStat.from_trace(trace, layout))
+    trace = synthetic_uniform_trace(4, 3, 8)
+    report = degradation_report(ImageAttentionStat.from_trace(trace, 8))
     assert len(report) == 8
     for t, (rel, att) in enumerate(report, start=1):
         assert rel == pytest.approx(t / 8)
@@ -135,21 +113,42 @@ def test_degradation_matches_uniform_prediction():
 
 
 def test_degradation_single_token_has_relative_position_one():
-    trace, layout = synthetic_uniform_trace(2, 2, 1)
-    report = degradation_report(ImageAttentionStat.from_trace(trace, layout))
+    trace = synthetic_uniform_trace(2, 2, 1)
+    report = degradation_report(ImageAttentionStat.from_trace(trace, 1))
     assert len(report) == 1
     assert report[0][0] == 1.0
 
 
 def test_degradation_column_passes_through_monotone_series():
-    trace, layout = synthetic_uniform_trace(4, 3, 12)
-    column = [att for _, att in degradation_report(ImageAttentionStat.from_trace(trace, layout))]
+    trace = synthetic_uniform_trace(4, 3, 12)
+    column = [att for _, att in degradation_report(ImageAttentionStat.from_trace(trace, 12))]
     assert all(a > b for a, b in zip(column, column[1:]))
 
 
 def test_trace_table_covers_every_cell():
-    trace, layout = synthetic_uniform_trace(2, 2, 3, n_layers=2, n_heads=3)
-    rows = trace_image_attention(trace, layout)
-    assert len(rows) == len(layout) * 2 * 3
+    trace = synthetic_uniform_trace(2, 2, 3, n_layers=2, n_heads=3)
+    rows = trace_image_attention(trace, 3)
+    assert len(rows) == 7 * 2 * 3
     steps = {r[0] for r in rows}
-    assert steps == set(range(len(layout)))
+    assert steps == set(range(7))
+
+
+@pytest.mark.parametrize("counts", [(-1, 2, 3), (2, -1, 3), (2, 2, -1)])
+def test_synthetic_uniform_trace_rejects_negative_counts(counts):
+    with pytest.raises(ValueError, match="non-negative"):
+        synthetic_uniform_trace(*counts)
+
+
+@pytest.mark.parametrize("l_image", [0, 3])
+def test_from_trace_marks_the_last_n_generated_text_positions(l_image):
+    trace = synthetic_uniform_trace(l_image, 2, 3)
+    text_len = 5
+    for n_generated in (0, 1, text_len):
+        stat = ImageAttentionStat.from_trace(trace, n_generated)
+        want = [False] * (l_image + text_len - n_generated) + [True] * n_generated
+        assert stat.generated.tolist() == want
+        assert stat.values.tobytes() == trace.image_att[: trace.length].tobytes()
+    for n_generated in (-1, text_len + 1):
+        with pytest.raises(TraceError, match=f"{n_generated} generated tokens"):
+            ImageAttentionStat.from_trace(trace, n_generated)
+

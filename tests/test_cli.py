@@ -140,6 +140,37 @@ def test_decode_rejects_malformed_fields(tmp_path, capsys, overrides, field):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "policy, problem",
+    [
+        ({"mode": "fast"}, "policy.mode must be one of baseline, ikod, ikod_no_od, got 'fast'"),
+        ({"anchor_strategy": None}, "policy.anchor_strategy must be one of"),
+        ({"beta": 1.5}, "policy.beta must lie in [0, 1]"),
+        ({"max_new_tokens": 0}, "policy.max_new_tokens must be at least 1"),
+        ({"base": {"kind": "beam"}}, "policy.base.kind must be greedy, top_k or top_p, got 'beam'"),
+        ({"base": {"kind": "top_k"}}, "policy.base.k must be at least 1 for top_k"),
+        ({"base": {"kind": "top_p", "p": 1.5}}, "policy.base.p must lie in (0, 1] for top_p"),
+        ({"base": {"kind": "greedy", "p": 0.5}}, "policy.base.p must be unset for greedy"),
+        ({"base": {"kind": "nucleus", "temperature": 0}}, "policy.base.temperature must be"),
+        ({"gamma": 1}, "unknown policy keys: ['gamma']"),
+        ({"base": {"kind": "top_k", "k": 2, "n": 1}}, "unknown policy.base keys: ['n']"),
+    ],
+)
+def test_decode_policy_errors_name_the_field(tmp_path, capsys, policy, problem):
+    path = write_config(tmp_path, policy=policy)
+    assert main(["decode", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert f"error: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_decode_writes_whole_number_policy_values_as_floats(tmp_path):
+    policy = {"alpha": 2, "beta": 0, "base": {"kind": "top_p", "p": 1}}
+    path = write_config(tmp_path, policy=policy)
+    assert main(["decode", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
+    written = (tmp_path / "x" / "generation.json").read_text()
+    assert '"alpha": 2.0' in written and '"beta": 0.0' in written and '"p": 1.0' in written
+
+
 def test_decode_capacity_exits_3(tmp_path):
     cfg = write_config(tmp_path, model={"max_seq": 10})
     assert main(["decode", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
@@ -223,6 +254,14 @@ def test_analyze_rejects_kde_arguments_before_writing(tmp_path, capsys, flags):
     assert main([*argv, "--out", str(out)]) == 2
     assert flags[0] in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--image-count", "--other-count", "--gen-count"])
+def test_analyze_rejects_negative_synthetic_counts_before_writing(tmp_path, capsys, flag):
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--synthetic-uniform", flag, "-1", "--out", str(out)]) == 2
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_empty_trace_exits_2(tmp_path):
@@ -311,7 +350,7 @@ def test_analyze_run_dir_matches_the_library_on_the_generation(tmp_path, policy)
 
     rc = load_run_config(tmp_path / "config.json")
     result = ikod_generate(TinyDecoder(rc.model), _build_prompt(rc), rc.policy)
-    stat = ImageAttentionStat.from_trace(result.cache, result.layout)
+    stat = ImageAttentionStat.from_trace(result.cache, len(result.tokens))
     expected = tmp_path / "expected"
     expected.mkdir()
     _write_csv(

@@ -402,7 +402,6 @@ def assert_same_generation(a, b):
     assert_same_trace(a.cache, b.cache)
     assert np.array(a.aug_image_attention).tobytes() == np.array(b.aug_image_attention).tobytes()
     assert plan_docs(a) == plan_docs(b)
-    assert (a.layout.roles == b.layout.roles).all()
     n = a.cache.length
     assert n == b.cache.length
     assert a.cache.keys[:, :, :n].tobytes() == b.cache.keys[:, :, :n].tobytes()
@@ -506,6 +505,28 @@ def test_prefill_is_read_only_and_records_the_prompt():
 def test_policy_rejects_fractional_counts(field, build):
     with pytest.raises(ConfigError, match=f"{field} must be an integer, got"):
         build()
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("alpha", lambda: DecodePolicy(alpha=True)),
+        ("beta", lambda: DecodePolicy(beta="0.1")),
+        ("anchor_ratio", lambda: DecodePolicy(anchor_ratio=None)),
+        ("p", lambda: BaseStrategy(kind="top_p", p=True)),
+        ("temperature", lambda: BaseStrategy.top_k(2, temperature="2")),
+    ],
+    ids=["alpha-bool", "beta-string", "anchor_ratio-none", "p-bool", "temperature-string"],
+)
+def test_policy_rejects_booleans_and_non_numbers(field, build):
+    with pytest.raises(ConfigError, match=f"{field} must be a finite number, got"):
+        build()
+
+
+def test_policy_takes_numbers_as_floats():
+    policy = DecodePolicy(alpha=2, beta=0, anchor_ratio=np.float64(0.5), base=BaseStrategy.top_p(1))
+    values = (policy.alpha, policy.beta, policy.anchor_ratio, policy.base.p)
+    assert values == (2.0, 0.0, 0.5, 1.0) and all(type(v) is float for v in values)
 
 
 def test_policy_takes_whole_numbers_as_ints():

@@ -11,9 +11,8 @@ from ikod.kv_merge import (
     build_merge_plan,
     layer_scores,
     merge_cache,
-    select_anchors,
 )
-from ikod.model import LayeredKvCache, ModelConfig, SequenceLayout, TinyDecoder
+from ikod.model import LayeredKvCache, ModelConfig, TinyDecoder
 from ikod.numerics import Rng
 
 
@@ -64,42 +63,47 @@ def test_anchor_count_rounding():
         anchor_count(6, 0.0)
 
 
+def plan_anchors(scores, ratio, strategy=AnchorStrategy.LOW_ATTENTION, rng=None) -> list:
+    """Per-layer anchors of the plan build_merge_plan makes, as lists."""
+    return build_merge_plan(scores, ratio, strategy, rng).anchors.tolist()
+
+
 def test_select_anchors_low_attention_hand_case():
     scores = np.array([[0.9, 0.1, 0.5, 0.3, 0.0, 0.0]])  # last two are protected
-    assert select_anchors(scores, 0.5, AnchorStrategy.LOW_ATTENTION) == [[1, 3]]
+    assert plan_anchors(scores, 0.5, AnchorStrategy.LOW_ATTENTION) == [[1, 3]]
 
 
 def test_select_anchors_high_attention_hand_case():
     scores = np.array([[0.9, 0.1, 0.5, 0.3, 0.0, 0.0]])
-    assert select_anchors(scores, 0.5, AnchorStrategy.HIGH_ATTENTION) == [[0, 2]]
+    assert plan_anchors(scores, 0.5, AnchorStrategy.HIGH_ATTENTION) == [[0, 2]]
 
 
 def test_select_anchors_full_ratio_keeps_whole_domain():
     scores = np.random.default_rng(0).uniform(size=(2, 9))
-    assert select_anchors(scores, 1.0) == [list(range(7)), list(range(7))]
+    assert plan_anchors(scores, 1.0) == [list(range(7)), list(range(7))]
 
 
 def test_select_anchors_ties_break_to_lower_index():
     scores = np.zeros((1, 6))
-    assert select_anchors(scores, 0.5, AnchorStrategy.LOW_ATTENTION) == [[0, 1]]
-    assert select_anchors(scores, 0.5, AnchorStrategy.HIGH_ATTENTION) == [[0, 1]]
+    assert plan_anchors(scores, 0.5, AnchorStrategy.LOW_ATTENTION) == [[0, 1]]
+    assert plan_anchors(scores, 0.5, AnchorStrategy.HIGH_ATTENTION) == [[0, 1]]
 
 
 def test_select_anchors_random_is_seeded_and_without_replacement():
     scores = np.zeros((3, 20))
-    a = select_anchors(scores, 0.4, AnchorStrategy.RANDOM, Rng(5))
-    b = select_anchors(scores, 0.4, AnchorStrategy.RANDOM, Rng(5))
+    a = plan_anchors(scores, 0.4, AnchorStrategy.RANDOM, Rng(5))
+    b = plan_anchors(scores, 0.4, AnchorStrategy.RANDOM, Rng(5))
     assert a == b
     for layer in a:
         assert layer == sorted(set(layer))
         assert all(0 <= i <= 17 for i in layer)
     with pytest.raises(ValueError):
-        select_anchors(scores, 0.4, AnchorStrategy.RANDOM)
+        plan_anchors(scores, 0.4, AnchorStrategy.RANDOM)
 
 
 def test_select_anchors_rejects_short_text():
     with pytest.raises(ValueError):
-        select_anchors(np.zeros((1, 2)), 0.5)
+        plan_anchors(np.zeros((1, 2)), 0.5)
 
 
 def test_build_buckets_hand_case():
@@ -267,8 +271,7 @@ def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_buckets):
     cache.keys[...] = rng.normal(size=cache.keys.shape) * 1e3
     cache.values[...] = rng.normal(size=cache.values.shape)
     cache.length = l_image + T
-    plan = bucket_plan(layer_buckets, T)
-    return cache, plan, SequenceLayout.from_counts(l_image, T, 0)
+    return cache, bucket_plan(layer_buckets, T)
 
 
 @pytest.mark.parametrize(
@@ -314,9 +317,9 @@ def test_merge_plan_keeps_read_only_copies():
             array[0, 0] = 0
 
 
-def reference_merge(cache, plan, layout):
+def reference_merge(cache, plan):
     """Per-bucket `.mean(axis=1)`: the summation order merged rows must keep."""
-    start, T = layout.l_image, plan.text_len
+    start, T = cache.l_image, plan.text_len
     keys, values = [], []
     for li, (starts, ends) in enumerate(zip(plan.starts.tolist(), plan.ends.tolist())):
         for out, src in ((keys, cache.keys[li, :, :cache.length]), (values, cache.values[li, :, :cache.length])):
@@ -355,7 +358,7 @@ def tiled_plans(draw):
     cache.keys[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head)) * scale
     cache.values[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head)) * scale
     cache.length = n
-    return cache, plan, SequenceLayout.from_counts(l_image, T, 0)
+    return cache, plan
 
 
 @settings(max_examples=150, deadline=None)
@@ -365,11 +368,11 @@ def tiled_plans(draw):
 @example(fixed_case(2, 2, 2, 1, 30, [[(i, i) for i in range(28)]] * 2))  # all singletons
 @example(fixed_case(2, 4, 1, 3, 40, [[(0, 8), (9, 37)], [(0, 29), (30, 37)]]))  # d_head = 1
 def test_merge_cache_matches_per_bucket_mean_bit_for_bit(case):
-    cache, plan, layout = case
+    cache, plan = case
     merged = merge_cache(cache, plan)
-    ref_keys, ref_values = reference_merge(cache, plan, layout)
+    ref_keys, ref_values = reference_merge(cache, plan)
     n_layers, k = plan.starts.shape
-    assert merged.length == layout.l_image + k + 2
+    assert merged.length == cache.l_image + k + 2
     for li in range(n_layers):
         assert merged.keys[li].shape[1] == merged.length
         assert np.array_equal(merged.keys[li], ref_keys[li])
@@ -402,11 +405,10 @@ def random_rows(rng, n_layers, n_heads, n_rows) -> list[np.ndarray]:
     return [row / row.sum(axis=-1, keepdims=True) for row in rows]
 
 
-def direct_scores(rows: list[np.ndarray], layout: SequenceLayout) -> np.ndarray:
+def direct_scores(rows: list[np.ndarray], start: int, text_len: int) -> np.ndarray:
     """The scores as layer_scores summed them from stored rows."""
-    start = layout.l_image
-    out = np.empty((rows[0].shape[0], layout.text_len))
-    for t in range(layout.text_len):
+    out = np.empty((rows[0].shape[0], text_len))
+    for t in range(text_len):
         out[:, t] = rows[start + t][..., :start].sum(axis=-1).mean(axis=-1)
     return out
 
@@ -434,11 +436,10 @@ def test_layer_scores_ledger_tracks_a_growing_trace(
         for row in rows[l_image + text : l_image + text + extra]:
             trace.record(row)
         text += extra
-        layout = SequenceLayout.from_counts(l_image, text, 0)
         scores = layer_scores(trace)
-        assert np.array_equal(scores, direct_scores(rows, layout))
+        assert np.array_equal(scores, direct_scores(rows, l_image, text))
         scores[...] = -1.0  # the caller owns the returned array
-        assert np.array_equal(layer_scores(trace), direct_scores(rows, layout))
+        assert np.array_equal(layer_scores(trace), direct_scores(rows, l_image, text))
 
 
 def reference_plan_layers(scores, anchor_ratio, strategy, rng):
@@ -499,7 +500,6 @@ def test_plan_matches_the_per_layer_reference(scores, ratio, strategy, seed):
     assert plan.anchors.tolist() == anchors
     starts, ends = plan.starts.tolist(), plan.ends.tolist()
     assert [list(zip(lo, hi)) for lo, hi in zip(starts, ends)] == buckets
-    assert select_anchors(scores, ratio, strategy, Rng(seed)) == anchors
     for ts, layer in zip(anchors, buckets):
         assert build_buckets(ts, scores.shape[1]) == layer
     # A plan built by hand from the reference writes the same JSON.
@@ -530,10 +530,9 @@ def test_merge_cache_on_a_built_plan_matches_the_reference(
     cache.keys[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head))
     cache.values[:, :, :n] = rng.normal(size=(n_layers, n_heads, n, d_head))
     cache.length = n
-    layout = SequenceLayout.from_counts(l_image, T, 0)
     plan = build_merge_plan(scores, ratio, strategy, Rng(seed))
     merged = merge_cache(cache, plan)
-    ref_keys, ref_values = reference_merge(cache, plan, layout)
+    ref_keys, ref_values = reference_merge(cache, plan)
     for li in range(n_layers):
         for got, want in ((merged.keys[li], ref_keys[li]), (merged.values[li], ref_values[li])):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -641,9 +640,8 @@ def test_merge_from_the_previous_step_matches_a_fresh_merge(case):
         fresh = merge_cache(cache, plan)
         assert (cache.keys.tobytes(), cache.values.tobytes()) == before
         assert merged.plan is plan and merged.source is cache
-        assert (merged.length, merged.image_len) == (fresh.length, fresh.image_len)
-        layout = SequenceLayout.from_counts(cache.l_image, T)
-        ref_keys, ref_values = reference_merge(cache, plan, layout)
+        assert merged.length == fresh.length
+        ref_keys, ref_values = reference_merge(cache, plan)
         for want in ((fresh.keys, fresh.values), (np.stack(ref_keys), np.stack(ref_values))):
             for got, rows in zip((merged.keys, merged.values), want):
                 assert got.shape == rows.shape and got.tobytes() == rows.tobytes()
@@ -651,12 +649,12 @@ def test_merge_from_the_previous_step_matches_a_fresh_merge(case):
 
 
 def test_merge_rejects_a_previous_merge_of_another_cache_or_a_superseded_one():
-    cache, plan, _ = fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)]] * 2)
-    twin, _, _ = fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)]] * 2)
-    other_image, _, _ = fixed_case(2, 2, 3, 3, 7, [[(0, 2), (3, 4)]] * 2)
+    cache, plan = fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)]] * 2)
+    twin, _ = fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)]] * 2)
+    other_image, _ = fixed_case(2, 2, 3, 3, 7, [[(0, 2), (3, 4)]] * 2)
     with pytest.raises(ValueError, match="another cache"):
         merge_cache(cache, plan, merge_cache(twin, plan))
-    with pytest.raises(ValueError, match="image block of 3 rows, the cache one of 2"):
+    with pytest.raises(ValueError, match="another cache"):
         merge_cache(cache, plan, merge_cache(other_image, bucket_plan([[(0, 2), (3, 4)]] * 2, 7)))
     first = merge_cache(cache, plan)
     merge_cache(cache, plan, first)

@@ -10,8 +10,6 @@ from ikod.model import (
     ConfigError,
     LayeredKvCache,
     ModelConfig,
-    Role,
-    SequenceLayout,
     TinyDecoder,
     TraceError,
     load_checkpoint,
@@ -254,30 +252,6 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
         load_checkpoint(path)
 
 
-def test_layout_counts_and_order():
-    layout = SequenceLayout.from_counts(2, 3, 4)
-    assert (layout.l_image, layout.l_others, layout.l_gen) == (2, 3, 4)
-    assert len(layout) == 9
-    assert layout.text_len == 7
-    assert layout.image_mask.sum() == 2
-    with pytest.raises(ValueError):
-        SequenceLayout(np.array([Role.OTHER, Role.IMAGE], dtype=np.int8))
-
-
-@pytest.mark.parametrize("codes", [[0, 0, 7, 7], [0, 1, 3], [-1, 0], [0, 1.5, 2], [0, 257]])
-def test_layout_rejects_codes_that_are_not_roles(codes):
-    # 257 would wrap to 1 in an int8 cast; 1.5 would truncate to 1.
-    with pytest.raises(ValueError, match="role codes"):
-        SequenceLayout(np.array(codes))
-
-
-def test_layout_counts_match_the_roles():
-    layout = SequenceLayout(np.array([0, 0, 0, 1, 2, 2]))
-    assert (layout.l_image, layout.l_others, layout.l_gen, layout.text_len) == (3, 1, 2, 3)
-    empty = SequenceLayout(np.array([], dtype=np.int8))
-    assert (empty.l_image, empty.l_others, empty.l_gen, len(empty)) == (0, 0, 0, 0)
-
-
 def test_trace_requires_continuous_recording():
     model = TinyDecoder(small_config())
     cache = LayeredKvCache(2, 2, 4, 3, 0)
@@ -290,10 +264,10 @@ def test_trace_requires_continuous_recording():
         cache.record(np.full((2, 2, 4), 0.25))
 
 
-def reference_image_att(rows: np.ndarray, layout: SequenceLayout) -> np.ndarray:
+def reference_image_att(rows: np.ndarray, l_image: int) -> np.ndarray:
     """Image mass of one row as ImageAttentionStat.from_trace summed it from
     stored rows: a boolean-mask gather."""
-    return rows[..., layout.image_mask[: rows.shape[-1]]].sum(axis=-1)
+    return rows[..., np.arange(rows.shape[-1]) < l_image].sum(axis=-1)
 
 
 def reference_text_score(rows: np.ndarray, l_image: int) -> np.ndarray:
@@ -323,10 +297,9 @@ def test_trace_summaries_equal_the_stored_row_reductions(n_layers, n_heads, n_ro
     trace = LayeredKvCache(n_layers, n_heads, 0, n_rows, l_image)
     for row in rows:
         trace.record(row)
-    layout = SequenceLayout.from_counts(l_image, max(n_rows - l_image, 0), 0)
     assert trace.length == n_rows
     for n, row in enumerate(rows):
-        assert trace.image_att[n].tobytes() == reference_image_att(row, layout).tobytes()
+        assert trace.image_att[n].tobytes() == reference_image_att(row, l_image).tobytes()
         if n >= l_image:
             want = reference_text_score(row, l_image)
             assert trace.text_scores[:, n - l_image].tobytes() == want.tobytes()
