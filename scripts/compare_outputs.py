@@ -17,10 +17,12 @@ modes x both bases x the low_attention and random strategies x both seeds,
 16 configs, so that merges carried across many steps are compared too.
 Last come `analyze --synthetic-uniform` at four image/prompt/generated
 counts (no images, fewer than five generated tokens, 16 generated) and at a
-negative count, a `decode` of each of nine malformed policies, and a
-`decode` and `analyze` of one policy whose alpha, beta and base.p are
-integers (2, 0, 1). The error jobs write no files, so for them only the
-exit codes in `exit_codes.json` are compared.
+negative count, a `decode` of each of eleven malformed policies (two give
+`k` or `p` to a sampler that does not read it) and of a config with
+misspelled top-level keys, and a `decode` and `analyze` of one policy whose
+alpha, beta and base.p are integers (2, 0, 1). The error jobs write no
+files; `exit_codes.json` holds each job's exit code, and for a job that
+fails also the first line it wrote to stderr, so a changed message shows.
 
 The job exit codes and every output file are then compared byte for byte.
 The script prints the number of files compared and of files that differ or
@@ -58,7 +60,10 @@ MALFORMED_POLICIES = (
     {"alpha": True}, {"alpha": None}, {"beta": "0.1"}, {"anchor_ratio": 0},
     {"mode": "fast"}, {"gamma": 1}, {"base": {"kind": "top_p", "p": True}},
     {"base": {"kind": "top_k", "k": 2.5}}, {"base": {"kind": "greedy", "temperature": "2"}},
+    {"base": {"kind": "top_p", "p": 0.9, "k": 3}}, {"base": {"kind": "nucleus", "p": 0.5}},
 )
+# Top-level keys every decode must reject with exit code 2.
+MISSPELLED = {"imagecount": 6, "polcy": {"mode": "baseline"}}
 INTEGER_POLICY = {"alpha": 2, "beta": 0, "base": {"kind": "top_p", "p": 1}}
 SWEEP_ARGS = [
     "--lambdas", "0.2,0.6,1.0", "--alphas", "0,2", "--strategies", "low_attention,random",
@@ -74,11 +79,13 @@ src = Path(sys.argv[1]).resolve()
 assert src in Path(ikod.cli.__file__).resolve().parents, ikod.cli.__file__
 codes = []
 for argv in json.loads(Path("jobs.json").read_text()):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            codes.append(ikod.cli.main(argv))
+            code = ikod.cli.main(argv)
         except SystemExit as exc:
-            codes.append(exc.code)
+            code = exc.code
+    codes.append([code, err.getvalue().partition("\\n")[0]] if code else code)
 Path("runs", "exit_codes.json").write_text(json.dumps(codes) + "\\n")
 """
 
@@ -119,11 +126,12 @@ def write_grid(root: Path) -> None:
                      "--out", f"runs/synthetic-{images}-{others}-{generated}"])
     jobs.append(["analyze", "--synthetic-uniform", "--image-count", "-1",
                  "--out", "runs/synthetic-negative"])
-    policies = [(f"malformed-{i}", policy) for i, policy in enumerate(MALFORMED_POLICIES)]
-    for name, policy in [*policies, ("integer-policy", INTEGER_POLICY)]:
+    configs = [(f"malformed-{i}", {"policy": p}) for i, p in enumerate(MALFORMED_POLICIES)]
+    configs += [("misspelled", MISSPELLED), ("integer-policy", {"policy": INTEGER_POLICY})]
+    for name, fields in configs:
         config = f"configs/{name}.json"
         (root / config).write_text(json.dumps({
-            "model": MODELS["d16"], "image_count": 6, "prompt_tokens": PROMPT, "policy": policy,
+            "model": MODELS["d16"], "image_count": 6, "prompt_tokens": PROMPT, **fields,
         }))
         jobs.append(["decode", "--config", config, "--out", f"runs/{name}/decode"])
     jobs.append(["analyze", "runs/integer-policy/decode", "--out", "runs/integer-policy/analyze"])

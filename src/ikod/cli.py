@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +27,7 @@ from .attn_analysis import (
     trace_image_attention,
 )
 from .cost import growth_rate_closed_form, growth_rate_exact, ikod_flops, original_flops
-from .decode import (
-    BaseStrategy,
-    DecodePolicy,
-    Mode,
-    Prompt,
-    check_request,
-    ikod_generate,
-    prefill,
-)
-from .kv_merge import AnchorStrategy
+from .decode import DecodePolicy, Mode, Prompt, check_counts, ikod_generate, prefill
 from .metrics import BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores, load_caption_records
 from .model import (
     CapacityError,
@@ -44,6 +35,7 @@ from .model import (
     ModelConfig,
     TinyDecoder,
     make_image_embeddings,
+    read_config,
     require_int,
 )
 
@@ -51,14 +43,32 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 
+_MODEL_SEED = object()  # image_seed's default: the model's seed
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """A decode or sweep config file, read by load_run_config."""
+
     model: ModelConfig
-    image_count: int
-    image_seed: int
-    prompt_tokens: tuple[int, ...]
-    policy: DecodePolicy
-    output_dir: str | None
+    image_count: int = 0
+    image_seed: int = _MODEL_SEED
+    prompt_tokens: tuple[int, ...] = ()
+    policy: DecodePolicy = field(default_factory=DecodePolicy)
+    output_dir: str | None = None
+
+    def __post_init__(self):
+        if require_int(self.image_count, "image_count") < 0:
+            raise ConfigError("image_count must be non-negative")
+        seed = self.model.seed if self.image_seed is _MODEL_SEED else self.image_seed
+        object.__setattr__(self, "image_seed", require_int(seed, "image_seed"))
+        tokens = self.prompt_tokens
+        if not isinstance(tokens, (list, tuple)):
+            raise ConfigError(f"prompt_tokens must be a JSON array of token ids, got {tokens!r}")
+        tokens = tuple(require_int(t, f"prompt_tokens[{i}]") for i, t in enumerate(tokens))
+        object.__setattr__(self, "prompt_tokens", tokens)
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
 
 
 def _load_json(path) -> dict:
@@ -71,63 +81,8 @@ def _load_json(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
-def _require_object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    return value
-
-
-def _construct(cls, given: dict, name: str):
-    """cls(**given) for the JSON object under name, each error a ConfigError
-    naming the field, as in policy.alpha."""
-    unknown = set(given) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    try:
-        return cls(**given)
-    except ValueError as exc:
-        raise ConfigError(f"{name}.{exc}") from None
-
-
-def parse_base_strategy(d: dict) -> BaseStrategy:
-    d = _require_object(d, "policy.base")
-    if d.get("kind") == "nucleus":
-        d = {**d, "kind": "top_p", "p": 1.0}
-    return _construct(BaseStrategy, d, "policy.base")
-
-
-def parse_policy(d: dict) -> DecodePolicy:
-    d = _require_object(d, "policy")
-    if "base" in d:
-        d = {**d, "base": parse_base_strategy(d["base"])}
-    return _construct(DecodePolicy, d, "policy")
-
-
 def load_run_config(path) -> RunConfig:
-    raw = _load_json(path)
-    if not isinstance(raw, dict) or "model" not in raw:
-        raise ConfigError(f"{path}: expected an object with a 'model' section")
-    try:
-        model = ModelConfig(**raw["model"])
-    except TypeError as exc:
-        raise ConfigError(f"bad model config: {exc}") from None
-    image_count = require_int(raw.get("image_count", 0), "image_count")
-    if image_count < 0:
-        raise ConfigError("image_count must be non-negative")
-    tokens = raw.get("prompt_tokens", [])
-    if not isinstance(tokens, list):
-        raise ConfigError(f"prompt_tokens must be a JSON array of token ids, got {tokens!r}")
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string or null, got {output_dir!r}")
-    return RunConfig(
-        model=model,
-        image_count=image_count,
-        image_seed=require_int(raw.get("image_seed", model.seed), "image_seed"),
-        prompt_tokens=tuple(require_int(t, f"prompt_tokens[{i}]") for i, t in enumerate(tokens)),
-        policy=parse_policy(raw.get("policy", {})),
-        output_dir=output_dir,
-    )
+    return read_config(RunConfig, _load_json(path), "")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -159,6 +114,7 @@ def cmd_decode(args) -> int:
     if not out:
         raise ConfigError("no output directory: pass --out or set output_dir in the config")
     out_dir = Path(out)
+    check_counts(rc.model.max_seq, rc.image_count, len(rc.prompt_tokens), policy)
     model = TinyDecoder(rc.model)
     result = ikod_generate(model, _build_prompt(rc), policy, record_merge_plans=args.emit_merge_plans)
 
@@ -275,7 +231,14 @@ def cmd_analyze(args) -> int:
                 raise ConfigError(f"{flag} must be non-negative")
         if args.gen_count < 1:
             raise ConfigError("--gen-count must be at least 1")
-        trace = synthetic_uniform_trace(args.image_count, args.other_count, args.gen_count)
+        try:
+            trace = synthetic_uniform_trace(args.image_count, args.other_count, args.gen_count)
+        except MemoryError:
+            raise ConfigError(
+                "--image-count, --other-count and --gen-count describe "
+                f"{args.image_count + args.other_count + args.gen_count} positions, "
+                "too many to hold in memory"
+            ) from None
         stat = ImageAttentionStat.from_trace(trace, args.gen_count)
     elif args.run_dir:
         stat = _read_run(Path(args.run_dir))
@@ -329,13 +292,9 @@ def cmd_sweep(args) -> int:
     lambdas = _parse_list(args.lambdas, float) if args.lambdas else [base_policy.anchor_ratio]
     alphas = _parse_list(args.alphas, float) if args.alphas else [base_policy.alpha]
     betas = _parse_list(args.betas, float) if args.betas else [base_policy.beta]
-    if args.strategies:
-        try:
-            strategies = [AnchorStrategy(s) for s in _parse_list(args.strategies, str)]
-        except ValueError as exc:
-            raise ConfigError(f"bad strategy: {exc}") from None
-    else:
-        strategies = [base_policy.anchor_strategy]
+    strategies = (
+        _parse_list(args.strategies, str) if args.strategies else [base_policy.anchor_strategy]
+    )
     grid = list(itertools.product(lambdas, alphas, betas, strategies))
     if not grid:
         raise ConfigError("empty sweep grid")
@@ -353,12 +312,11 @@ def cmd_sweep(args) -> int:
         if not isinstance(gt, list):
             raise ConfigError("ground truth file must hold a JSON array of token ids")
         gt_tokens = {str(require_int(t, f"ground truth token [{i}]")) for i, t in enumerate(gt)}
-    model = TinyDecoder(rc.model)
-    prompt = _build_prompt(rc)
     for policy in policies:
-        check_request(model, prompt, policy)
+        check_counts(rc.model.max_seq, rc.image_count, len(rc.prompt_tokens), policy)
+    model = TinyDecoder(rc.model)
     # Every grid point forks this one prefill of the shared prompt.
-    prefix = prefill(model, prompt)
+    prefix = prefill(model, _build_prompt(rc))
 
     def run_policy(policy: DecodePolicy) -> list:
         result = ikod_generate(model, prefix, policy)
@@ -423,6 +381,10 @@ def cmd_flops(args) -> int:
         }
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except OverflowError:
+        raise ConfigError(
+            "--layers, --seq-len, --hidden and --text-len give costs too large for a float"
+        ) from None
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
     if args.out:

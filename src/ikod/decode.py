@@ -28,7 +28,14 @@ from enum import Enum
 import numpy as np
 
 from .kv_merge import AnchorStrategy, MergePlan, build_merge_plan, layer_scores, merge_cache
-from .model import CapacityError, LayeredKvCache, TinyDecoder, require_float, require_int
+from .model import (
+    CapacityError,
+    LayeredKvCache,
+    TinyDecoder,
+    json_fields,
+    require_float,
+    require_int,
+)
 from .numerics import Rng, ShapeError, softmax_rows
 
 __all__ = [
@@ -41,6 +48,7 @@ __all__ = [
     "Prompt",
     "StepDistributions",
     "base_select",
+    "check_counts",
     "check_request",
     "collaborative_combine",
     "ikod_generate",
@@ -68,9 +76,10 @@ def _real(value, name: str) -> float:
 class BaseStrategy:
     """Base token-selection rule applied to the combined scores.
 
-    kind is one of greedy | top_k | top_p; nucleus sampling is top_p with
-    p = 1.0. A temperature, when set, raises the probabilities to 1/t and
-    renormalizes before any truncation.
+    kind is one of greedy | top_k | top_p; k is set only for top_k and p
+    only for top_p. kind nucleus, with p unset, becomes top_p with p = 1.0.
+    A temperature, when set, raises the probabilities to 1/t and renormalizes
+    before any truncation.
     """
 
     kind: str = "greedy"
@@ -82,14 +91,18 @@ class BaseStrategy:
         for name, check in (("k", require_int), ("p", _real), ("temperature", _real)):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check(getattr(self, name), name))
-        if self.kind not in ("greedy", "top_k", "top_p"):
+        if self.kind not in ("greedy", "top_k", "top_p", "nucleus"):
             raise ValueError(f"kind must be greedy, top_k or top_p, got {self.kind!r}")
+        for name, kind in (("k", "top_k"), ("p", "top_p")):
+            if getattr(self, name) is not None and self.kind != kind:
+                raise ValueError(f"{name} must be unset for {self.kind}")
+        if self.kind == "nucleus":
+            object.__setattr__(self, "kind", "top_p")
+            object.__setattr__(self, "p", 1.0)
         if self.kind == "top_k" and (self.k is None or self.k < 1):
             raise ValueError("k must be at least 1 for top_k")
         if self.kind == "top_p" and (self.p is None or not 0.0 < self.p <= 1.0):
             raise ValueError("p must lie in (0, 1] for top_p")
-        if self.kind == "greedy" and (self.k is not None or self.p is not None):
-            raise ValueError(f"{'k' if self.k is not None else 'p'} must be unset for greedy")
         if self.temperature is not None and not 0.0 < self.temperature < math.inf:
             raise ValueError("temperature must be positive and finite")
 
@@ -107,7 +120,7 @@ class BaseStrategy:
 
     @classmethod
     def nucleus(cls, temperature: float | None = None) -> "BaseStrategy":
-        return cls(kind="top_p", p=1.0, temperature=temperature)
+        return cls(kind="nucleus", temperature=temperature)
 
 
 @dataclass(frozen=True)
@@ -143,23 +156,7 @@ class DecodePolicy:
             raise ValueError("max_new_tokens must be at least 1")
 
     def to_json_dict(self) -> dict:
-        base = {"kind": self.base.kind}
-        if self.base.k is not None:
-            base["k"] = self.base.k
-        if self.base.p is not None:
-            base["p"] = self.base.p
-        if self.base.temperature is not None:
-            base["temperature"] = self.base.temperature
-        return {
-            "mode": self.mode.value,
-            "base": base,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "anchor_ratio": self.anchor_ratio,
-            "anchor_strategy": self.anchor_strategy.value,
-            "max_new_tokens": self.max_new_tokens,
-            "seed": self.seed,
-        }
+        return json_fields(self)
 
 
 def plausibility_mask(p_orig, beta: float) -> np.ndarray:
@@ -379,22 +376,27 @@ def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
 def check_request(model: TinyDecoder, prompt: Prompt | Prefill, policy: DecodePolicy) -> None:
     """Raise the error ikod_generate would raise for this request before it
     runs any forward step: ValueError or CapacityError."""
-    cfg = model.config
     if isinstance(prompt, Prefill):
         if prompt.model is not model:
             raise ValueError("prefill was computed by a different model")
         n_image, l_others = prompt.n_image, prompt.l_others
     else:
         n_image, l_others = _prompt_images(model, prompt).shape[0], len(prompt.tokens)
+    check_counts(model.config.max_seq, n_image, l_others, policy)
+
+
+def check_counts(max_seq: int, n_image: int, l_others: int, policy: DecodePolicy) -> None:
+    """check_request on the counts alone: a prompt of n_image image and
+    l_others text positions, for a model of max_seq positions."""
     if l_others < 1:
         raise ValueError("prompt needs at least one text token")
     if policy.mode is not Mode.BASELINE and l_others < 3:
         raise ValueError("merged decoding needs at least three prompt text tokens")
     length = n_image + l_others
-    if length + policy.max_new_tokens > cfg.max_seq:
+    if length + policy.max_new_tokens > max_seq:
         raise CapacityError(
             f"prompt of {length} plus {policy.max_new_tokens} new tokens exceeds "
-            f"max_seq {cfg.max_seq}"
+            f"max_seq {max_seq}"
         )
 
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +36,10 @@ __all__ = [
     "StepOutput",
     "TinyDecoder",
     "TraceError",
+    "json_fields",
     "load_checkpoint",
     "make_image_embeddings",
+    "read_config",
     "require_float",
     "require_int",
     "save_checkpoint",
@@ -83,6 +87,52 @@ def require_float(value, name: str) -> float:
     return float(value)
 
 
+def read_config(cls, value, name: str):
+    """The dataclass cls built from the JSON object value found under the key
+    name ("" for a file's top level); fields typed as dataclasses are read the
+    same way from nested objects. A non-object, unknown or missing keys and
+    each field's ValueError raise a ConfigError naming the key, as in
+    policy.base.k."""
+    where, prefix = name or "config", f"{name}." if name else ""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(value) - set(declared)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = [
+        key for key, f in declared.items()
+        if key not in value and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"missing {where} keys: {missing}")
+    types = typing.get_type_hints(cls)
+    given = {
+        key: read_config(types[key], v, prefix + key) if is_dataclass(types[key]) else v
+        for key, v in value.items()
+    }
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def json_fields(obj) -> dict:
+    """The dataclass obj as a JSON object, the inverse of read_config: fields
+    in declaration order, None left out, enums by value, nested dataclasses
+    as objects."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = json_fields(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        if value is not None:
+            out[f.name] = value
+    return out
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_layers: int
@@ -114,16 +164,7 @@ class ModelConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_model": self.d_model,
-            "d_ff": self.d_ff,
-            "vocab_size": self.vocab_size,
-            "max_seq": self.max_seq,
-            "seed": self.seed,
-            "d_head": self.d_head,
-        }
+        return json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -391,13 +432,7 @@ def load_checkpoint(path) -> TinyDecoder:
         raise ConfigError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format") != _CHECKPOINT_FORMAT:
         raise ConfigError(f"unrecognized checkpoint format: {header.get('format')!r}")
-    config = header.get("config")
-    if not isinstance(config, dict):
-        raise ConfigError(f"{path}: checkpoint header has no config object")
-    try:
-        cfg = ModelConfig(**config)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: bad checkpoint config ({exc})") from None
+    cfg = read_config(ModelConfig, header.get("config"), "config")
     body = np.frombuffer(raw[nl + 1 :], dtype="<f8")
     shapes = _weight_shapes(cfg)
     sizes = [r * c for r, c in shapes]

@@ -154,10 +154,38 @@ def test_decode_rejects_malformed_fields(tmp_path, capsys, overrides, field):
         ({"base": {"kind": "nucleus", "temperature": 0}}, "policy.base.temperature must be"),
         ({"gamma": 1}, "unknown policy keys: ['gamma']"),
         ({"base": {"kind": "top_k", "k": 2, "n": 1}}, "unknown policy.base keys: ['n']"),
+        ({"base": {"kind": "top_p", "p": 0.9, "k": 3}}, "policy.base.k must be unset for top_p"),
+        ({"base": {"kind": "nucleus", "p": 0.5}}, "policy.base.p must be unset for nucleus"),
     ],
 )
 def test_decode_policy_errors_name_the_field(tmp_path, capsys, policy, problem):
     path = write_config(tmp_path, policy=policy)
+    assert main(["decode", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert f"error: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (
+            lambda cfg: cfg.update(imagecount=6, polcy={"mode": "baseline"}),
+            "unknown config keys: ['imagecount', 'polcy']",
+        ),
+        (lambda cfg: cfg.pop("model"), "missing config keys: ['model']"),
+        (lambda cfg: cfg.update(model=[]), "model must be a JSON object, got []"),
+        (lambda cfg: cfg["model"].pop("max_seq"), "missing model keys: ['max_seq']"),
+        (lambda cfg: cfg["model"].update(width=8), "unknown model keys: ['width']"),
+        (lambda cfg: cfg["model"].update(n_heads=0), "model.n_heads must be at least 1"),
+    ],
+    ids=["unknown-top-level", "no-model", "model-array", "missing-model-key", "unknown-model-key",
+         "model-field"],
+)
+def test_decode_rejects_malformed_config_objects(tmp_path, capsys, edit, problem):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    edit(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["decode", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert f"error: {problem}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
@@ -174,6 +202,19 @@ def test_decode_writes_whole_number_policy_values_as_floats(tmp_path):
 def test_decode_capacity_exits_3(tmp_path):
     cfg = write_config(tmp_path, model={"max_seq": 10})
     assert main(["decode", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("command", ["decode", "sweep"])
+def test_capacity_is_checked_before_any_array_is_sized(tmp_path, capsys, monkeypatch, command):
+    def no_images(*args):
+        raise AssertionError("image embeddings drawn before the capacity check")
+
+    monkeypatch.setattr("ikod.cli.make_image_embeddings", no_images)
+    cfg = write_config(tmp_path, image_count=10**12, model={"max_seq": 32})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "error: prompt of 1000000000004 plus 8 new tokens exceeds max_seq 32" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_decode_emits_merge_plans(tmp_path):
@@ -261,6 +302,19 @@ def test_analyze_rejects_negative_synthetic_counts_before_writing(tmp_path, caps
     out = tmp_path / "analysis"
     assert main(["analyze", "--synthetic-uniform", flag, "-1", "--out", str(out)]) == 2
     assert f"error: {flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_rejects_a_synthetic_trace_too_large_for_memory(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*counts):
+        raise MemoryError
+
+    monkeypatch.setattr("ikod.cli.synthetic_uniform_trace", out_of_memory)
+    out = tmp_path / "analysis"
+    argv = ["analyze", "--synthetic-uniform", "--gen-count", "1000000000000", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--gen-count" in err and "1000000000012 positions" in err
     assert not out.exists()
 
 
@@ -491,6 +545,15 @@ def test_flops_rejects_text_not_shorter_than_sequence(capsys):
         ["flops", "--layers", "2", "--seq-len", "8", "--hidden", "4", "--text-len", "8", "--lam", "0.5"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--layers", "--seq-len", "--hidden"])
+def test_flops_rejects_numbers_too_large_for_a_float(capsys, flag):
+    args = {"--layers": "2", "--seq-len": "8", "--hidden": "4", "--text-len": "4", "--lam": "0.5"}
+    args[flag] = "1" + "0" * 400
+    assert main(["flops", *[item for pair in args.items() for item in pair]]) == 2
+    err = capsys.readouterr().err
+    assert "error: --layers, --seq-len, --hidden and --text-len give costs too large" in err
 
 
 def test_metrics_chair_and_binary(tmp_path, capsys):

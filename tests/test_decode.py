@@ -172,6 +172,22 @@ def test_base_strategy_validation():
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
             BaseStrategy.top_p(0.9, temperature=bad)
     assert BaseStrategy.nucleus().p == 1.0
+    assert BaseStrategy(kind="nucleus", temperature=0.5) == BaseStrategy.top_p(1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "given, problem",
+    [
+        ({"kind": "top_p", "p": 0.9, "k": 3}, "k must be unset for top_p"),
+        ({"kind": "top_k", "k": 3, "p": 0.5}, "p must be unset for top_k"),
+        ({"kind": "nucleus", "p": 0.5}, "p must be unset for nucleus"),
+        ({"kind": "nucleus", "k": 3}, "k must be unset for nucleus"),
+        ({"kind": "greedy", "k": 3, "p": 0.5}, "k must be unset for greedy"),
+    ],
+)
+def test_base_strategy_rejects_fields_its_kind_does_not_read(given, problem):
+    with pytest.raises(ValueError, match=problem):
+        BaseStrategy(**given)
 
 
 @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), -0.5])

@@ -1,10 +1,14 @@
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ikod.decode import BaseStrategy, DecodePolicy, Mode
+from ikod.kv_merge import AnchorStrategy
 from ikod.model import (
     CapacityError,
     ConfigError,
@@ -14,6 +18,7 @@ from ikod.model import (
     TraceError,
     load_checkpoint,
     make_image_embeddings,
+    read_config,
     require_float,
     require_int,
     save_checkpoint,
@@ -354,9 +359,14 @@ def test_require_float_rejects_non_finite_and_non_numbers(value):
         (b'{"format": "toy-decoder-v1", "x": "\xc3\xa9"}\n', "not ASCII"),
         (b"not json\n", "not JSON"),
         (b"[1, 2]\n", "not a JSON object"),
-        (b'{"format": "toy-decoder-v1"}\n', "no config object"),
-        (b'{"format": "toy-decoder-v1", "config": {"n_layers": 1}}\n', "bad checkpoint config"),
+        (b'{"format": "toy-decoder-v1"}\n', "config must be a JSON object, got None"),
+        (b'{"format": "toy-decoder-v1", "config": {"n_layers": 1}}\n', "missing config keys"),
         (b'{"format": "other"}\n', "unrecognized checkpoint format"),
+        (b'{"format": "toy-decoder-v1", "config": null}\n', "config must be a JSON object"),
+        (
+            b'{"format": "toy-decoder-v1", "config": {"n_layers": 1, "width": 8}}\n',
+            r"unknown config keys: \['width'\]",
+        ),
     ],
 )
 def test_checkpoint_rejects_malformed_headers(tmp_path, raw, problem):
@@ -364,3 +374,44 @@ def test_checkpoint_rejects_malformed_headers(tmp_path, raw, problem):
     path.write_bytes(raw)
     with pytest.raises(ConfigError, match=problem):
         load_checkpoint(path)
+
+
+temperatures = st.none() | st.floats(0.0, 1e308, exclude_min=True)
+config_objects = st.builds(
+    lambda n_layers, n_heads, d_head, explicit, rest: ModelConfig(
+        n_layers, n_heads, n_heads * d_head, *rest, d_head=d_head if explicit else 0
+    ),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(1, 64),
+    st.booleans(),
+    st.tuples(st.integers(1, 4096), st.integers(2, 10**6), st.integers(1, 10**6), st.integers()),
+) | st.builds(
+    DecodePolicy,
+    mode=st.sampled_from(Mode),
+    base=st.just(BaseStrategy.greedy())
+    | st.builds(BaseStrategy.top_k, k=st.integers(1, 10**6), temperature=temperatures)
+    | st.builds(BaseStrategy.top_p, p=st.floats(0.0, 1.0, exclude_min=True), temperature=temperatures)
+    | st.builds(BaseStrategy.nucleus, temperature=temperatures),
+    alpha=st.floats(0.0, 1e308),
+    beta=st.floats(0.0, 1.0),
+    anchor_ratio=st.floats(0.0, 1.0, exclude_min=True),
+    anchor_strategy=st.sampled_from(AnchorStrategy),
+    max_new_tokens=st.integers(1, 10**9),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+def written_keys(obj) -> list[str]:
+    return [f.name for f in fields(obj) if getattr(obj, f.name) is not None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=config_objects)
+def test_config_objects_round_trip_through_their_json(obj):
+    doc = json.loads(json.dumps(obj.to_json_dict()))
+    assert read_config(type(obj), doc, "section") == obj
+    assert list(doc) == written_keys(obj)
+    if isinstance(obj, DecodePolicy):
+        assert list(doc["base"]) == written_keys(obj.base)
+        assert doc["mode"] == obj.mode.value and doc["anchor_strategy"] == obj.anchor_strategy.value
