@@ -107,6 +107,16 @@ def _build_prompt(rc: RunConfig) -> Prompt:
     return Prompt(image_embeddings=embeddings, tokens=rc.prompt_tokens)
 
 
+def _build_model(cfg: ModelConfig) -> TinyDecoder:
+    try:
+        return TinyDecoder(cfg)
+    except MemoryError:
+        raise ConfigError(
+            f"model of max_seq {cfg.max_seq}, d_model {cfg.d_model}, d_ff {cfg.d_ff} and "
+            f"vocab_size {cfg.vocab_size} is too large to hold in memory"
+        ) from None
+
+
 def cmd_decode(args) -> int:
     rc = load_run_config(args.config)
     policy = rc.policy if args.seed is None else replace(rc.policy, seed=args.seed)
@@ -115,7 +125,7 @@ def cmd_decode(args) -> int:
         raise ConfigError("no output directory: pass --out or set output_dir in the config")
     out_dir = Path(out)
     check_counts(rc.model.max_seq, rc.image_count, len(rc.prompt_tokens), policy)
-    model = TinyDecoder(rc.model)
+    model = _build_model(rc.model)
     result = ikod_generate(model, _build_prompt(rc), policy, record_merge_plans=args.emit_merge_plans)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -286,16 +296,29 @@ def _parse_list(text: str, convert):
         raise ConfigError(f"bad list value: {exc}") from None
 
 
+def _sweep_axis(text: str | None, flag: str, policy: DecodePolicy, name: str) -> list:
+    """The values of the policy field name listed by the sweep flag, each
+    checked as that field of policy, with errors naming the flag; the
+    policy's own value when the flag is absent."""
+    if not text:
+        return [getattr(policy, name)]
+    convert = str if name == "anchor_strategy" else float
+    try:
+        return [getattr(replace(policy, **{name: v}), name) for v in _parse_list(text, convert)]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def cmd_sweep(args) -> int:
     rc = load_run_config(args.config)
     base_policy = rc.policy if args.seed is None else replace(rc.policy, seed=args.seed)
-    lambdas = _parse_list(args.lambdas, float) if args.lambdas else [base_policy.anchor_ratio]
-    alphas = _parse_list(args.alphas, float) if args.alphas else [base_policy.alpha]
-    betas = _parse_list(args.betas, float) if args.betas else [base_policy.beta]
-    strategies = (
-        _parse_list(args.strategies, str) if args.strategies else [base_policy.anchor_strategy]
+    axes = (
+        (args.lambdas, "--lambdas", "anchor_ratio"),
+        (args.alphas, "--alphas", "alpha"),
+        (args.betas, "--betas", "beta"),
+        (args.strategies, "--strategies", "anchor_strategy"),
     )
-    grid = list(itertools.product(lambdas, alphas, betas, strategies))
+    grid = list(itertools.product(*(_sweep_axis(t, f, base_policy, n) for t, f, n in axes)))
     if not grid:
         raise ConfigError("empty sweep grid")
 
@@ -314,7 +337,7 @@ def cmd_sweep(args) -> int:
         gt_tokens = {str(require_int(t, f"ground truth token [{i}]")) for i, t in enumerate(gt)}
     for policy in policies:
         check_counts(rc.model.max_seq, rc.image_count, len(rc.prompt_tokens), policy)
-    model = TinyDecoder(rc.model)
+    model = _build_model(rc.model)
     # Every grid point forks this one prefill of the shared prompt.
     prefix = prefill(model, _build_prompt(rc))
 

@@ -76,8 +76,9 @@ def _real(value, name: str) -> float:
 class BaseStrategy:
     """Base token-selection rule applied to the combined scores.
 
-    kind is one of greedy | top_k | top_p; k is set only for top_k and p
-    only for top_p. kind nucleus, with p unset, becomes top_p with p = 1.0.
+    kind is one of greedy | top_k | top_p | nucleus; k is set only for top_k
+    and p only for top_p. kind nucleus, with p unset, becomes top_p with
+    p = 1.0.
     A temperature, when set, raises the probabilities to 1/t and renormalizes
     before any truncation.
     """
@@ -92,7 +93,7 @@ class BaseStrategy:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check(getattr(self, name), name))
         if self.kind not in ("greedy", "top_k", "top_p", "nucleus"):
-            raise ValueError(f"kind must be greedy, top_k or top_p, got {self.kind!r}")
+            raise ValueError(f"kind must be greedy, top_k, top_p or nucleus, got {self.kind!r}")
         for name, kind in (("k", "top_k"), ("p", "top_p")):
             if getattr(self, name) is not None and self.kind != kind:
                 raise ValueError(f"{name} must be unset for {self.kind}")
@@ -355,9 +356,9 @@ class Prefill:
 
 
 def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
-    """Run the image embeddings, then the prompt tokens, through forward_step
-    on a fresh cache sized to the prompt, for generations that fork the
-    result. The Prefill holds that cache, with no copy."""
+    """Run the image embeddings, then the prompt tokens, through
+    forward_prompt on a fresh cache sized to the prompt, for generations that
+    fork the result. The Prefill holds that cache, with no copy."""
     if len(prompt.tokens) < 1:
         raise ValueError("prompt needs at least one text token")
     tokens = [require_int(tok, f"prompt token [{i}]") for i, tok in enumerate(prompt.tokens)]
@@ -366,11 +367,10 @@ def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
     cache = LayeredKvCache(
         cfg.n_layers, cfg.n_heads, cfg.d_head, images.shape[0] + len(tokens), images.shape[0]
     )
-    for inp in [*images, *tokens]:
-        out = model.forward_step(cache, inp)
-    for array in (cache.keys, cache.values, cache.image_att, cache.text_scores, out.logits):
+    logits = model.forward_prompt(cache, [*images, *tokens])
+    for array in (cache.keys, cache.values, cache.image_att, cache.text_scores, logits):
         array.flags.writeable = False
-    return Prefill(model, cache, out.logits, tokens[-1])
+    return Prefill(model, cache, logits, tokens[-1])
 
 
 def check_request(model: TinyDecoder, prompt: Prompt | Prefill, policy: DecodePolicy) -> None:

@@ -246,6 +246,13 @@ def sinusoidal_positions(length: int, width: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
+def _row_times(x: np.ndarray, w: Matrix) -> np.ndarray:
+    """Each row of x times w, every row bit-identical to x[i] @ w: numpy runs
+    the stacked (n, 1, d) product as one matrix-vector product per row. A 2-D
+    x @ w runs one matrix-matrix product, which sums in another order."""
+    return np.matmul(x[:, None, :], w)[:, 0]
+
+
 def _uniform_matrix(rng: Rng, rows: int, cols: int, scale: float) -> Matrix:
     flat = rng.next_uniform_block(rows * cols)
     return ((2.0 * flat - 1.0) * scale).reshape(rows, cols)
@@ -329,13 +336,56 @@ class TinyDecoder:
         cache.record(rows)
         return StepOutput(logits=x @ self.unembedding, attention_rows=rows)
 
+    def forward_prompt(self, cache: LayeredKvCache, inputs) -> np.ndarray:
+        """Run inputs (token ids or d_model vectors) into the empty cache one
+        layer at a time, record every position's attention rows in order, and
+        return the logits after the last position.
+
+        Byte-identical to one forward_step per input: each projection and
+        feed-forward row is computed as forward_step computes it (_row_times),
+        and each position attends through the same _attend call.
+        """
+        cfg = self.config
+        if cache.length != 0:
+            raise ValueError(f"cache must be empty, holds {cache.length} positions")
+        if len(inputs) < 1:
+            raise ValueError("need at least one position")
+        capacity = min(cfg.max_seq, cache.keys.shape[2])
+        x = np.array([self.content_embedding(inp) for inp in inputs[:capacity]])
+        n = len(x)
+        if len(inputs) > n:
+            raise CapacityError(f"cache is full at {n} of {capacity} positions")
+        x = x + self.positions[:n]
+        rows = [np.empty((cfg.n_layers, cfg.n_heads, p + 1)) for p in range(n)]
+        heads = (n, cfg.n_heads, cfg.d_head)
+        for li, lw in enumerate(self.layers):
+            q = _row_times(x, lw.w_q).reshape(heads)
+            cache.keys[li, :, :n] = _row_times(x, lw.w_k).reshape(heads).transpose(1, 0, 2)
+            cache.values[li, :, :n] = _row_times(x, lw.w_v).reshape(heads).transpose(1, 0, 2)
+            mixed = np.empty((n, cfg.d_model))
+            for p in range(n):
+                rows[p][li], mixed[p] = self._attend(
+                    q[p], cache.keys[li, :, : p + 1], cache.values[li, :, : p + 1]
+                )
+            x = x + _row_times(mixed, lw.w_o)
+            x = x + _row_times(np.maximum(_row_times(x, lw.w_ff1), 0.0), lw.w_ff2)
+        for position_rows in rows:
+            cache.record(position_rows)
+        return x[-1] @ self.unembedding
+
+    def _attend(self, qh, keys, values):
+        """The (n_heads, length) attention rows of the per-head query qh over
+        keys, and the values they mix, as one d_model row."""
+        cfg = self.config
+        att = softmax_rows(np.einsum("hd,htd->ht", qh, keys) * (1.0 / math.sqrt(cfg.d_head)))
+        return att, np.einsum("ht,htd->hd", att, values).reshape(cfg.d_model)
+
     def _layer(self, lw: LayerWeights, x, keys, values):
         """One layer for the query x: (x after the attention and feed-forward
         residual blocks, the (n_heads, length) attention rows over keys)."""
         cfg = self.config
-        qh = (x @ lw.w_q).reshape(cfg.n_heads, cfg.d_head)
-        att = softmax_rows(np.einsum("hd,htd->ht", qh, keys) * (1.0 / math.sqrt(cfg.d_head)))
-        x = x + np.einsum("ht,htd->hd", att, values).reshape(cfg.d_model) @ lw.w_o
+        att, mixed = self._attend((x @ lw.w_q).reshape(cfg.n_heads, cfg.d_head), keys, values)
+        x = x + mixed @ lw.w_o
         x = x + np.maximum(x @ lw.w_ff1, 0.0) @ lw.w_ff2
         return x, att
 

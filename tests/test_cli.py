@@ -147,7 +147,8 @@ def test_decode_rejects_malformed_fields(tmp_path, capsys, overrides, field):
         ({"anchor_strategy": None}, "policy.anchor_strategy must be one of"),
         ({"beta": 1.5}, "policy.beta must lie in [0, 1]"),
         ({"max_new_tokens": 0}, "policy.max_new_tokens must be at least 1"),
-        ({"base": {"kind": "beam"}}, "policy.base.kind must be greedy, top_k or top_p, got 'beam'"),
+        ({"base": {"kind": "beam"}},
+         "policy.base.kind must be greedy, top_k, top_p or nucleus, got 'beam'"),
         ({"base": {"kind": "top_k"}}, "policy.base.k must be at least 1 for top_k"),
         ({"base": {"kind": "top_p", "p": 1.5}}, "policy.base.p must lie in (0, 1] for top_p"),
         ({"base": {"kind": "greedy", "p": 0.5}}, "policy.base.p must be unset for greedy"),
@@ -478,6 +479,40 @@ def test_sweep_rejects_non_finite_alpha(tmp_path, capsys, alpha):
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--alphas", alpha]) == 2
     assert "alpha must be non-negative and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, problem",
+    [
+        ("--strategies", "low,random",
+         "--strategies: anchor_strategy must be one of low_attention, high_attention, random, "
+         "got 'low'"),
+        ("--alphas", "1,inf", "--alphas: alpha must be non-negative and finite"),
+        ("--alphas", "1,x", "--alphas: bad list value"),
+        ("--lambdas", "0.5,0", "--lambdas: anchor_ratio must lie in (0, 1]"),
+        ("--betas", "1.5", "--betas: beta must lie in [0, 1]"),
+    ],
+)
+def test_sweep_grid_errors_name_the_flag(tmp_path, capsys, flag, value, problem):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), flag, value]) == 2
+    assert f"error: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "sweep"])
+@pytest.mark.parametrize(
+    "model",
+    [{"max_seq": 10**15}, {"d_model": 10**15}, {"d_ff": 10**15}, {"vocab_size": 10**15}],
+)
+def test_model_too_large_for_memory_exits_2(tmp_path, capsys, command, model):
+    # Each size is beyond the address space, so the allocation fails at once.
+    cfg = write_config(tmp_path, model=model)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "error: model of max_seq" in err and "too large to hold in memory" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_capacity_exits_3(tmp_path):

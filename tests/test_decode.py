@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ikod import decode
@@ -539,6 +539,12 @@ def test_policy_rejects_booleans_and_non_numbers(field, build):
         build()
 
 
+def test_base_strategy_error_names_every_accepted_kind():
+    with pytest.raises(ValueError) as err:
+        BaseStrategy(kind="beam")
+    assert str(err.value) == "kind must be greedy, top_k, top_p or nucleus, got 'beam'"
+
+
 def test_policy_takes_numbers_as_floats():
     policy = DecodePolicy(alpha=2, beta=0, anchor_ratio=np.float64(0.5), base=BaseStrategy.top_p(1))
     values = (policy.alpha, policy.beta, policy.anchor_ratio, policy.base.p)
@@ -599,12 +605,52 @@ def test_generation_matches_a_plain_forward_step_replay(case, policy):
     assert_same_trace(result.cache, cache)
 
 
-def count_forward_steps(monkeypatch) -> list:
-    calls = []
-    step = TinyDecoder.forward_step
-    monkeypatch.setattr(
-        TinyDecoder, "forward_step", lambda self, *args: calls.append(1) or step(self, *args)
+@settings(max_examples=80, deadline=None)
+@given(
+    n_layers=st.integers(1, 3),
+    n_heads=st.integers(1, 3),
+    d_head=st.integers(1, 5),
+    d_ff=st.integers(1, 17),
+    n_image=st.integers(0, 6),
+    token_draws=st.lists(st.integers(0, 2**16), min_size=1, max_size=8),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(n_layers=2, n_heads=3, d_head=1, d_ff=7, n_image=0, token_draws=[5], seed=1)
+def test_prefill_matches_a_forward_step_replay(
+    n_layers, n_heads, d_head, d_ff, n_image, token_draws, seed
+):
+    """The layer-major prefill pass writes the bytes one forward_step per
+    prompt position writes, and ends on the same logits. Entries past
+    cache.length are never written, so they are not compared."""
+    vocab = 2 + seed % 23
+    cfg = ModelConfig(
+        n_layers=n_layers, n_heads=n_heads, d_model=n_heads * d_head, d_ff=d_ff,
+        vocab_size=vocab, max_seq=n_image + len(token_draws) + 1, seed=seed,
     )
+    model = TinyDecoder(cfg)
+    images = make_image_embeddings(n_image, cfg.d_model, seed % 2**32)
+    prompt = Prompt(images, tuple(t % vocab for t in token_draws))
+    prefix = prefill(model, prompt)
+    cache = model.new_cache(n_image)
+    for inp in [*images, *prompt.tokens]:
+        out = model.forward_step(cache, inp)
+    n = cache.length
+    assert prefix.cache.keys.tobytes() == cache.keys[:, :, :n].tobytes()
+    assert prefix.cache.values.tobytes() == cache.values[:, :, :n].tobytes()
+    assert_same_trace(prefix.cache, cache)
+    assert prefix.logits.tobytes() == out.logits.tobytes()
+
+
+def count_forward_steps(monkeypatch) -> list:
+    """The calls into the model's cache-filling arithmetic from here on:
+    forward_step and forward_prompt, the prefill pass."""
+    calls = []
+    for name in ("forward_step", "forward_prompt"):
+        method = getattr(TinyDecoder, name)
+        monkeypatch.setattr(
+            TinyDecoder, name,
+            lambda self, *args, method=method: calls.append(1) or method(self, *args),
+        )
     return calls
 
 

@@ -16,6 +16,7 @@ from ikod.model import (
     ModelConfig,
     TinyDecoder,
     TraceError,
+    _row_times,
     load_checkpoint,
     make_image_embeddings,
     read_config,
@@ -213,6 +214,37 @@ def test_forward_step_over_cache_views_matches_contiguous_copies(
         assert cache.values[:, :, :n].tobytes() == ref_cache.values[:, :, :n].tobytes()
     with pytest.raises(CapacityError, match=f"cache is full at {len(feed)} of {len(feed)}"):
         model.forward_step(sized, 1)
+
+
+@pytest.mark.parametrize(
+    "n, d, cols",
+    [(1, 1, 1), (3, 7, 5), (80, 256, 256), (80, 256, 1024), (80, 1024, 256), (144, 64, 256),
+     (200, 400, 1200)],
+)
+def test_row_times_rows_equal_vector_products(n, d, cols):
+    """Prefill's stacked product must give every row the bits of the vector
+    product forward_step takes; a 2-D matrix product sums in another order."""
+    rng = np.random.default_rng(n * d + cols)
+    x, w = rng.uniform(-1, 1, size=(n, d)), rng.uniform(-1, 1, size=(d, cols))
+    stacked = _row_times(x, w)
+    assert stacked.shape == (n, cols)
+    for i in range(n):
+        assert stacked[i].tobytes() == (x[i] @ w).tobytes()
+
+
+def test_forward_prompt_needs_an_empty_cache_with_room():
+    model = TinyDecoder(small_config(max_seq=4))
+    cache = model.new_cache(0)
+    model.forward_step(cache, 1)
+    with pytest.raises(ValueError, match="cache must be empty, holds 1 positions"):
+        model.forward_prompt(cache, [2])
+    with pytest.raises(ValueError, match="at least one position"):
+        model.forward_prompt(model.new_cache(0), [])
+    with pytest.raises(CapacityError, match="cache is full at 4 of 4 positions"):
+        model.forward_prompt(model.new_cache(0), [1, 2, 3, 4, 5])
+    # A bad input inside the capacity is named first, as forward_step would.
+    with pytest.raises(ValueError, match="token 99 outside vocabulary"):
+        model.forward_prompt(model.new_cache(0), [1, 99, 3, 4, 5])
 
 
 def test_single_position_full_equals_first_step():
