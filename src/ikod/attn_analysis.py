@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ __all__ = [
     "SegmentSummary",
     "degradation_report",
     "kde2d",
+    "kde_peak",
     "segment_averages",
     "synthetic_uniform_trace",
     "trace_image_attention",
@@ -81,11 +83,24 @@ def uniform_attention_prediction(l_image: int, l_others: int, l_gen: int) -> flo
     return l_image / total
 
 
+def kde_peak(h_x: float, h_y: float) -> float:
+    """The largest density kde2d can return, 1 / (2 pi h_x h_y), reached at a
+    lone point's own location; inf when that overflows a float."""
+    area = 2.0 * math.pi * h_x * h_y
+    return 1.0 / area if area > 0.0 else math.inf
+
+
+# Kernel cells (grid locations x points) per block of kde2d, so the block's
+# temporaries hold about a million floats each however large the grid is.
+_KDE_BLOCK_CELLS = 1 << 20
+
+
 def kde2d(points, grid, h_x: float = 0.5, h_y: float = 0.5) -> np.ndarray:
     """Gaussian-kernel density of 2-d points evaluated at the grid locations.
 
     density(g) = 1/(n*h_x*h_y) * sum_i exp(-0.5*(u^2 + v^2)) / (2*pi) with
-    u = (g_x - x_i)/h_x, v = (g_y - y_i)/h_y.
+    u = (g_x - x_i)/h_x, v = (g_y - y_i)/h_y. Bandwidths so small that the
+    peak density (kde_peak) overflows are rejected.
     """
     pts = np.asarray(points, dtype=np.float64)
     g = np.asarray(grid, dtype=np.float64)
@@ -97,10 +112,18 @@ def kde2d(points, grid, h_x: float = 0.5, h_y: float = 0.5) -> np.ndarray:
         raise ValueError("need at least one point")
     if not (0.0 < h_x < np.inf and 0.0 < h_y < np.inf):
         raise ValueError("bandwidths must be positive and finite")
-    u = (g[:, None, 0] - pts[None, :, 0]) / h_x
-    v = (g[:, None, 1] - pts[None, :, 1]) / h_y
-    kern = np.exp(-0.5 * (u * u + v * v)) / (2.0 * np.pi)
-    return kern.sum(axis=1) / (pts.shape[0] * h_x * h_y)
+    if math.isinf(kde_peak(h_x, h_y)):
+        raise ValueError(f"bandwidths {h_x} and {h_y} are too small: the peak density overflows")
+    sums = np.empty(g.shape[0])
+    block = max(1, _KDE_BLOCK_CELLS // pts.shape[0])
+    # u^2 + v^2 past the float range is an infinite distance: a zero kernel.
+    with np.errstate(over="ignore"):
+        for lo in range(0, g.shape[0], block):
+            u = (g[lo : lo + block, None, 0] - pts[None, :, 0]) / h_x
+            v = (g[lo : lo + block, None, 1] - pts[None, :, 1]) / h_y
+            kern = np.exp(-0.5 * (u * u + v * v)) / (2.0 * np.pi)
+            sums[lo : lo + block] = kern.sum(axis=1)
+    return sums / (pts.shape[0] * h_x * h_y)
 
 
 def degradation_report(stat: ImageAttentionStat) -> list[tuple[float, float]]:

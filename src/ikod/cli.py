@@ -22,6 +22,7 @@ from .attn_analysis import (
     ImageAttentionStat,
     degradation_report,
     kde2d,
+    kde_peak,
     segment_averages,
     synthetic_uniform_trace,
     trace_image_attention,
@@ -41,6 +42,8 @@ from .model import (
 
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+# Largest --kde-grid: a 1000 x 1000 grid is a million kde.csv rows.
+KDE_GRID_MAX = 1000
 
 
 _MODEL_SEED = object()  # image_seed's default: the model's seed
@@ -230,10 +233,14 @@ def _read_run(run_dir: Path) -> ImageAttentionStat:
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     # Every argument is checked before the first file is written.
-    if args.kde_grid < 1:
-        raise ConfigError("--kde-grid must be at least 1")
+    if not 1 <= args.kde_grid <= KDE_GRID_MAX:
+        raise ConfigError(f"--kde-grid must be between 1 and {KDE_GRID_MAX}, got {args.kde_grid}")
     if not 0.0 < args.bandwidth < math.inf:
         raise ConfigError(f"--bandwidth must be positive and finite, got {args.bandwidth}")
+    if math.isinf(kde_peak(args.bandwidth, args.bandwidth)):
+        raise ConfigError(
+            f"--bandwidth {args.bandwidth} is too small: the peak density 1/(2*pi*h**2) overflows"
+        )
     if args.synthetic_uniform:
         counts = (("--image-count", args.image_count), ("--other-count", args.other_count))
         for flag, count in counts:
@@ -277,12 +284,12 @@ def cmd_analyze(args) -> int:
 
     if args.kde:
         axis = np.linspace(0.0, 1.0, args.kde_grid)
-        grid = np.array([(x, y) for x in axis for y in axis])
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         density = kde2d(report, grid, h_x=args.bandwidth, h_y=args.bandwidth)
         _write_csv(
             out_dir / "kde.csv",
             ["x", "y", "density"],
-            [(float(x), float(y), float(d)) for (x, y), d in zip(grid, density)],
+            zip(grid[:, 0].tolist(), grid[:, 1].tolist(), density.tolist()),
         )
     print(f"analyzed {n_gen} generated steps -> {out_dir}")
     return 0

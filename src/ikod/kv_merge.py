@@ -186,11 +186,16 @@ def build_merge_plan(
     if strategy is AnchorStrategy.RANDOM:
         if rng is None:
             raise ValueError("random anchor selection needs an rng")
-        chosen = np.empty((scores.shape[0], k), dtype=np.int64)
-        for li in range(scores.shape[0]):
+        # The step's n_layers * k next_below draws as one block: draw i of a
+        # layer swaps pool slot i with slot i + next_u64() % (domain - i).
+        n_layers = scores.shape[0]
+        draws = rng.next_u64_block(n_layers * k).reshape(n_layers, k)
+        offsets = np.arange(k)
+        swaps = (draws % (domain - offsets).astype(np.uint64)).astype(np.int64) + offsets
+        chosen = np.empty((n_layers, k), dtype=np.int64)
+        for li, row in enumerate(swaps.tolist()):
             pool = list(range(domain))
-            for i in range(k):
-                j = i + rng.next_below(domain - i)
+            for i, j in enumerate(row):
                 pool[i], pool[j] = pool[j], pool[i]
             chosen[li] = pool[:k]
     else:

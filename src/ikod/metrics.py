@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+from .model import ConfigError, read_config
+
 __all__ = [
     "BinaryMetrics",
     "BinaryOutcomes",
@@ -19,18 +21,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CaptionRecord:
+    """Object labels, held as frozensets of strings; each field also accepts
+    a JSON array (list), but not a string, which would split into letters."""
+
     mentioned: frozenset[str]
     ground_truth: frozenset[str]
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CaptionRecord":
+    def __post_init__(self):
         for name in ("mentioned", "ground_truth"):
-            if not isinstance(d[name], list):
-                raise TypeError(f"{name} must be a JSON array, got {d[name]!r}")
-        return cls(
-            mentioned=frozenset(str(x) for x in d["mentioned"]),
-            ground_truth=frozenset(str(x) for x in d["ground_truth"]),
-        )
+            labels = getattr(self, name)
+            if not isinstance(labels, (list, tuple, set, frozenset)):
+                raise ValueError(f"{name} must be a JSON array, got {labels!r}")
+            object.__setattr__(self, name, frozenset(str(x) for x in labels))
 
     @property
     def hallucinated(self) -> frozenset[str]:
@@ -84,7 +86,9 @@ def binary_metrics(outcomes: BinaryOutcomes) -> BinaryMetrics:
 
 
 def load_caption_records(path) -> list[CaptionRecord]:
-    """One JSON object per line: {"mentioned": [...], "ground_truth": [...]}."""
+    """One JSON object per line: {"mentioned": [...], "ground_truth": [...]},
+    read as read_config reads a config, so a non-object, unknown or missing
+    keys and non-array labels raise a ValueError naming the line and key."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -92,7 +96,9 @@ def load_caption_records(path) -> list[CaptionRecord]:
             if not line:
                 continue
             try:
-                records.append(CaptionRecord.from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad record ({exc})") from exc
+                records.append(read_config(CaptionRecord, json.loads(line), "record"))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: bad record ({exc})") from None
+            except ConfigError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return records

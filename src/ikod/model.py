@@ -9,8 +9,10 @@ baked into keys before any downstream cache surgery.
 All weights are drawn from one SplitMix64 stream in a documented order
 (uniform in [-s, +s] with s = 1/sqrt(d_model)), which makes models byte-exact
 reproducible from (config, seed) and gives the checkpoint format a fixed
-layout. Each matrix is one block draw (Rng.next_uniform_block), bit-identical
-to filling it row-major with scalar Rng.next_uniform calls.
+layout. Each matrix is one block draw (Rng.next_uniform_block with scale s),
+bit-identical to filling it row-major with (2 * Rng.next_uniform() - 1) * s.
+The draw runs in cache-sized windows and writes each matrix's one array
+directly, with no full-size temporaries.
 """
 
 from __future__ import annotations
@@ -254,8 +256,7 @@ def _row_times(x: np.ndarray, w: Matrix) -> np.ndarray:
 
 
 def _uniform_matrix(rng: Rng, rows: int, cols: int, scale: float) -> Matrix:
-    flat = rng.next_uniform_block(rows * cols)
-    return ((2.0 * flat - 1.0) * scale).reshape(rows, cols)
+    return rng.next_uniform_block(rows * cols, scale).reshape(rows, cols)
 
 
 def make_image_embeddings(count: int, d_model: int, seed: int) -> np.ndarray:

@@ -7,11 +7,13 @@ from ikod.attn_analysis import (
     ImageAttentionStat,
     degradation_report,
     kde2d,
+    kde_peak,
     segment_averages,
     synthetic_uniform_trace,
     trace_image_attention,
     uniform_attention_prediction,
 )
+import ikod.attn_analysis as attn_analysis
 from ikod.model import TraceError
 
 
@@ -101,6 +103,28 @@ def test_kde_rejects_bandwidths_that_are_not_positive_and_finite(h):
         kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_x=h)
     with pytest.raises(ValueError, match="positive and finite"):
         kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_y=h)
+
+
+@pytest.mark.filterwarnings("error")
+def test_kde_tiny_bandwidths_give_finite_densities_or_an_error():
+    pts, grid = [(0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
+    # 1e-154 squared is still a normal float; the kernels between distinct
+    # locations overflow their exponent and are zero.
+    density = kde2d(pts, grid, h_x=1e-154, h_y=1e-154)
+    assert density.tolist() == [kde_peak(1e-154, 1e-154) / 2, 0.0, kde_peak(1e-154, 1e-154) / 2]
+    for h in (1e-160, 1e-320, 5e-324):
+        assert kde_peak(h, h) == math.inf
+        with pytest.raises(ValueError, match="too small"):
+            kde2d(pts, grid, h_x=h, h_y=h)
+    assert kde_peak(0.5, 0.5) == pytest.approx(2.0 / math.pi)
+
+
+def test_kde_in_blocks_matches_one_block(monkeypatch):
+    rng = np.random.default_rng(3)
+    pts, grid = rng.uniform(size=(7, 2)), rng.uniform(size=(50, 2))
+    whole = kde2d(pts, grid)
+    monkeypatch.setattr(attn_analysis, "_KDE_BLOCK_CELLS", 20)  # 2 locations per block
+    assert kde2d(pts, grid).tobytes() == whole.tobytes()
 
 
 def test_degradation_matches_uniform_prediction():

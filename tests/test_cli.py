@@ -287,9 +287,12 @@ def test_analyze_without_input_exits_2(tmp_path):
         ["--bandwidth", "nan"],
         ["--bandwidth", "inf"],
         ["--bandwidth", "0"],
+        ["--bandwidth", "1e-320"],
         ["--kde-grid", "0"],
+        ["--kde-grid", "100000"],
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_analyze_rejects_kde_arguments_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "analysis"
     argv = ["analyze", "--synthetic-uniform", "--gen-count", "8", "--kde", *flags]
@@ -618,9 +621,33 @@ def test_metrics_rejects_labels_that_are_not_arrays(tmp_path, capsys, field):
         encoding="utf-8",
     )
     assert main(["metrics", "--records", str(records)]) == 2
-    assert f"records.jsonl:2: bad record ({field} must be a JSON array, got 'cat')" in (
+    assert f"records.jsonl:2: record.{field} must be a JSON array, got 'cat'" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        (
+            '{"mentioned": ["cat"], "ground_truth": ["cat"], "extra": 1}',
+            "unknown record keys: ['extra']",
+        ),
+        ('[["cat"], ["cat"]]', "record must be a JSON object, got [['cat'], ['cat']]"),
+        ('"cat"', "record must be a JSON object, got 'cat'"),
+        ('{"mentioned": ["cat"]}', "missing record keys: ['ground_truth']"),
+        ('{"mentioned": ["cat"], ', "bad record (Expecting property name"),
+    ],
+)
+def test_metrics_record_errors_name_the_key_or_type(tmp_path, capsys, line, problem):
+    records = tmp_path / "records.jsonl"
+    good = '{"mentioned": ["dog"], "ground_truth": ["dog"]}'
+    records.write_text(good + "\n" + line + "\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["metrics", "--records", str(records), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {records}:2: {problem}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_metrics_without_inputs_exits_2():

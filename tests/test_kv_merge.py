@@ -495,9 +495,12 @@ def score_matrices(draw):
 @example(np.array([[0.0, -0.0, 0.0, -0.0, 0.0, 0.0]]), 0.5, AnchorStrategy.HIGH_ATTENTION, 0)
 @example(np.array([[-0.0, 0.0, -0.0, 0.0, 1.0, 1.0]]), 0.5, AnchorStrategy.LOW_ATTENTION, 0)
 def test_plan_matches_the_per_layer_reference(scores, ratio, strategy, seed):
-    plan = build_merge_plan(scores, ratio, strategy, Rng(seed))
-    anchors, buckets = reference_plan_layers(scores, ratio, strategy, Rng(seed))
+    block_rng, scalar_rng = Rng(seed), Rng(seed)
+    plan = build_merge_plan(scores, ratio, strategy, block_rng)
+    anchors, buckets = reference_plan_layers(scores, ratio, strategy, scalar_rng)
     assert plan.anchors.tolist() == anchors
+    # The block draw leaves the stream where the scalar draws do.
+    assert block_rng.state == scalar_rng.state
     starts, ends = plan.starts.tolist(), plan.ends.tolist()
     assert [list(zip(lo, hi)) for lo, hi in zip(starts, ends)] == buckets
     for ts, layer in zip(anchors, buckets):

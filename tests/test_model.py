@@ -82,7 +82,15 @@ def _scalar_matrix(rng: Rng, rows: int, cols: int, scale: float) -> np.ndarray:
 
 def test_every_weight_matrix_replays_the_scalar_stream():
     # Distinct d_model, d_ff and vocab sizes make a shape or order slip visible.
-    cfg = small_config(d_ff=12, vocab_size=10, seed=17)
+    # At d_model 130 each 130 x 130 matrix spans two windows of the block draw.
+    for cfg in (
+        small_config(d_ff=12, vocab_size=10, seed=17),
+        small_config(n_layers=1, d_model=130, d_ff=12, vocab_size=10, seed=2**64 - 1),
+    ):
+        _assert_weights_replay_the_scalar_stream(cfg)
+
+
+def _assert_weights_replay_the_scalar_stream(cfg: ModelConfig) -> None:
     model = TinyDecoder(cfg)
     rng, s = Rng(cfg.seed), 1.0 / math.sqrt(cfg.d_model)
     d, f = cfg.d_model, cfg.d_ff
@@ -99,6 +107,14 @@ def test_every_weight_matrix_replays_the_scalar_stream():
     for got, want in zip(actual, expected):
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_drawn_matrices_start_on_a_cache_line():
+    model = TinyDecoder(small_config(d_model=130, d_ff=12, vocab_size=10))
+    arrays = [model.embedding, model.unembedding, make_image_embeddings(3, 130, seed=1)]
+    arrays += [getattr(lw, f.name) for lw in model.layers for f in fields(lw)]
+    for a in arrays:
+        assert a.ctypes.data % 64 == 0 and a.flags.c_contiguous
 
 
 def test_image_embeddings_replay_the_scalar_stream():

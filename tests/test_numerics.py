@@ -70,23 +70,52 @@ near_wrap_seeds = st.builds(
 )
 
 
+# Block sizes at and around the block draw's window of 2**14 draws.
+W = 1 << 14
+window_plan = [(0, 0), (1, 1), (W - 1, 0), (W, 2), (W + 1, 0), (3 * W + 5, 1)]
+# 1 / sqrt(d_model), the weight scale, for d_model from 1 to 10**12.
+weight_scales = st.integers(1, 10**12).map(lambda d: 1.0 / math.sqrt(d))
+
+
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.one_of(st.integers(0, 2**64 - 1), near_wrap_seeds),
     plan=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), max_size=8),
+    scale=st.one_of(st.none(), weight_scales),
 )
-@example(seed=2**64 - 1, plan=[(0, 1), (5, 0), (0, 0), (1, 2)])
-@example(seed=0, plan=[(3, 0)])
-def test_uniform_block_matches_the_scalar_stream(seed, plan):
-    # plan: (block size, scalar next_u64 calls after the block) pairs.
+@example(seed=2**64 - 1, plan=[(0, 1), (5, 0), (0, 0), (1, 2)], scale=None)
+@example(seed=0, plan=[(3, 0)], scale=None)
+@example(seed=0, plan=window_plan, scale=None)
+@example(seed=(-2 * _GOLDEN + 1) % 2**64, plan=window_plan, scale=None)
+@example(seed=2**64 - 1, plan=window_plan, scale=1.0)
+@example(seed=12345, plan=window_plan, scale=1e-6)
+def test_uniform_block_matches_the_scalar_stream(seed, plan, scale):
+    # plan: (block size, scalar next_u64 calls after the block) pairs. With a
+    # scale s, each block value is (2u - 1) * s of the scalar draw u.
     block, scalar = Rng(seed), Rng(seed)
     for n, between in plan:
-        got = block.next_uniform_block(n)
-        want = np.array([scalar.next_uniform() for _ in range(n)], dtype=np.float64)
+        got = block.next_uniform_block(n, scale)
+        want = [scalar.next_uniform() for _ in range(n)]
+        if scale is not None:
+            want = [(2.0 * u - 1.0) * scale for u in want]
         assert got.dtype == np.float64 and got.shape == (n,)
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
         assert block.state == scalar.state
+        assert [block.next_u64() for _ in range(between)] == [
+            scalar.next_u64() for _ in range(between)
+        ]
+    assert block.state == scalar.state
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, (-3 * _GOLDEN - 2) % 2**64])
+def test_u64_block_matches_the_scalar_stream(seed):
+    block, scalar = Rng(seed), Rng(seed)
+    for n, between in window_plan[:5]:
+        got = block.next_u64_block(n)
+        assert got.dtype == np.uint64 and got.shape == (n,)
+        assert got.tolist() == [scalar.next_u64() for _ in range(n)]
         assert [block.next_u64() for _ in range(between)] == [
             scalar.next_u64() for _ in range(between)
         ]
@@ -95,10 +124,11 @@ def test_uniform_block_matches_the_scalar_stream(seed, plan):
 
 def test_uniform_block_rejects_bad_sizes():
     rng = Rng(3)
-    with pytest.raises(ValueError):
-        rng.next_uniform_block(-1)
-    with pytest.raises(TypeError):
-        rng.next_uniform_block(2.5)
+    for draw in (rng.next_uniform_block, rng.next_u64_block):
+        with pytest.raises(ValueError):
+            draw(-1)
+        with pytest.raises(TypeError):
+            draw(2.5)
     assert rng.state == 3
     assert rng.next_uniform_block(np.int64(4)).shape == (4,)
     assert rng.state == (3 + 4 * _GOLDEN) % 2**64
