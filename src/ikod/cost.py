@@ -17,7 +17,7 @@ inputs propagate floats.
 
 from __future__ import annotations
 
-import math
+from .kv_merge import anchor_count
 
 __all__ = [
     "compressed_len",
@@ -45,9 +45,9 @@ def original_flops(n_layers, seq_len, hidden):
 def compressed_len(seq_len, text_len, anchor_ratio, integer: bool = False):
     """Sequence length after merging: n + (lam - 1) * l.
 
-    With integer=True the text remainder is rounded the way the merge does
-    (floor(lam * (l - 2)) anchors, at least 1, plus the 2 protected rows), so
-    the result never drops below seq_len - text_len + 3.
+    With integer=True the text remainder is what the merge keeps: the
+    anchor_count(l, lam) anchors plus the 2 protected rows, so the result never
+    drops below seq_len - text_len + 3.
     """
     if text_len > seq_len:
         raise ValueError(f"text length {text_len} exceeds sequence length {seq_len}")
@@ -55,10 +55,7 @@ def compressed_len(seq_len, text_len, anchor_ratio, integer: bool = False):
         raise ValueError("anchor_ratio must lie in (0, 1]")
     _check_positive(seq_len=seq_len, text_len=text_len)
     if integer:
-        if text_len < 3:
-            raise ValueError("integer rounding needs a text length of at least 3")
-        kept = max(1, math.floor(anchor_ratio * (text_len - 2)))
-        return (seq_len - text_len) + kept + 2
+        return (seq_len - text_len) + anchor_count(text_len, anchor_ratio) + 2
     return seq_len + (anchor_ratio - 1.0) * text_len
 
 

@@ -35,6 +35,7 @@ from .model import (
     json_fields,
     require_float,
     require_int,
+    require_member,
 )
 from .numerics import Rng, ShapeError, softmax_rows
 
@@ -137,12 +138,7 @@ class DecodePolicy:
 
     def __post_init__(self):
         for name, kind in (("mode", Mode), ("anchor_strategy", AnchorStrategy)):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, kind(value))
-            except ValueError:
-                choices = ", ".join(member.value for member in kind)
-                raise ValueError(f"{name} must be one of {choices}, got {value!r}") from None
+            object.__setattr__(self, name, require_member(kind, getattr(self, name), name))
         for name in ("max_new_tokens", "seed"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
         for name in ("alpha", "beta", "anchor_ratio"):

@@ -9,7 +9,8 @@ through untouched.
 
 Indices inside plans are text-sequence indices: 0 is the first non-image
 token. With text length T the mergeable range is 0..T-3 and positions T-2 and
-T-1 are protected. The compressed cache is derived from the live cache and
+T-1 are protected. A plan is its anchors and T, and its bucket bounds are
+derived from them. The compressed cache is derived from the live cache and
 never feeds back into it; a generation keeps one and updates it each step,
 rebuilding only the buckets whose bounds changed.
 """
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import LayeredKvCache
+from .model import LayeredKvCache, require_float, require_int, require_member
 from .numerics import Rng
 
 __all__ = [
@@ -45,30 +46,31 @@ class AnchorStrategy(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class MergePlan:
-    """Anchors and inclusive bucket bounds of every layer, as read-only int64
-    (n_layers, k) arrays: layer li keeps anchors[li] and merges text rows
-    starts[li, b]..ends[li, b] into bucket b. Checked when the plan is built
-    to tile the mergeable range 0..T-3 in order in every layer."""
+    """Anchors of every layer, as a read-only int64 (n_layers, k) array whose
+    rows ascend strictly within the mergeable range 0..T-3, checked when the
+    plan is built. The bucket bounds follow from the anchors: layer li merges
+    text rows starts[li, b]..ends[li, b] (inclusive, derived read-only arrays
+    of the same shape) into bucket b, the rows nearest anchors[li, b]."""
 
     anchors: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
     text_len: int
     anchor_ratio: float
     strategy: AnchorStrategy
+    starts: np.ndarray = field(init=False)
+    ends: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        arrays = [np.array(a, dtype=np.int64) for a in (self.anchors, self.starts, self.ends)]
-        shapes = [a.shape for a in arrays]
-        if len(shapes[0]) != 2 or 0 in shapes[0] or shapes.count(shapes[0]) != 3:
-            raise ValueError(
-                f"merge plan needs anchors, starts and ends of one (n_layers, k) shape "
-                f"with k >= 1, got {shapes}"
-            )
-        for name, array in zip(("anchors", "starts", "ends"), arrays):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-        _checked_bounds(self.starts, self.ends, self.text_len)
+        text_len = require_int(self.text_len, "text_len")
+        anchor_ratio = require_float(self.anchor_ratio, "anchor_ratio")
+        if not 0.0 < anchor_ratio <= 1.0:
+            raise ValueError("anchor_ratio must lie in (0, 1]")
+        strategy = require_member(AnchorStrategy, self.strategy, "strategy")
+        anchors, starts, ends = _anchor_buckets(self.anchors, text_len)
+        for name, value in zip(
+            ("text_len", "anchor_ratio", "strategy", "anchors", "starts", "ends"),
+            (text_len, anchor_ratio, strategy, anchors, starts, ends),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def protected(self) -> tuple[int, int]:
@@ -127,18 +129,37 @@ def anchor_count(text_len: int, anchor_ratio: float) -> int:
     if text_len < 3:
         raise ValueError(f"text sequence of {text_len} tokens is too short to merge")
     if not 0.0 < anchor_ratio <= 1.0:
-        raise ValueError("anchor_ratio must be in (0, 1]")
+        raise ValueError("anchor_ratio must lie in (0, 1]")
     return max(1, math.floor(anchor_ratio * (text_len - 2)))
 
 
-def _bucket_arrays(anchors: np.ndarray, text_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) inclusive bucket bounds for each row of ascending anchors,
-    split at the floored midpoints between neighbouring anchors."""
+def _anchor_buckets(anchors, text_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """anchors as a read-only int64 (n_layers, k) copy, and the read-only
+    inclusive bucket bounds (starts, ends) of its rows, split at the floored
+    midpoints between neighbouring anchors. Raises ValueError unless there is
+    a layer and an anchor and every row ascends strictly within 0..T-3."""
+    hi_max = text_len - 3
+    if hi_max < 0:
+        raise ValueError(f"text sequence of {text_len} tokens has no mergeable range")
+    given = np.asarray(anchors)
+    if given.ndim != 2 or given.shape[0] == 0:
+        raise ValueError(f"anchors must be an (n_layers, k) array, got shape {given.shape}")
+    if given.shape[1] == 0:
+        raise ValueError("need at least one anchor")
+    if given.dtype.kind not in "iu":
+        raise ValueError(f"anchors must be integers, got {given.dtype}")
+    anchors = given.astype(np.int64)
+    if (anchors[:, 1:] <= anchors[:, :-1]).any():
+        raise ValueError("anchors must be strictly ascending")
+    if anchors[:, 0].min() < 0 or anchors[:, -1].max() > hi_max:
+        raise ValueError(f"anchors must lie within 0..{hi_max}")
     mid = (anchors[:, :-1] + anchors[:, 1:]) // 2
     n = anchors.shape[0]
-    lo = np.concatenate((np.zeros((n, 1), dtype=np.int64), mid + 1), axis=1)
-    hi = np.concatenate((mid, np.full((n, 1), text_len - 3, dtype=np.int64)), axis=1)
-    return lo, hi
+    starts = np.concatenate((np.zeros((n, 1), dtype=np.int64), mid + 1), axis=1)
+    ends = np.concatenate((mid, np.full((n, 1), hi_max, dtype=np.int64)), axis=1)
+    for array in (anchors, starts, ends):
+        array.flags.writeable = False
+    return anchors, starts, ends
 
 
 def build_buckets(anchors, text_len: int) -> list[tuple[int, int]]:
@@ -149,18 +170,8 @@ def build_buckets(anchors, text_len: int) -> list[tuple[int, int]]:
     going to the left anchor. The first bucket absorbs everything before the
     first anchor and the last bucket everything after the last one.
     """
-    hi_max = text_len - 3
-    if hi_max < 0:
-        raise ValueError(f"text sequence of {text_len} tokens has no mergeable range")
-    ts = [int(a) for a in anchors]
-    if not ts:
-        raise ValueError("need at least one anchor")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("anchors must be strictly ascending")
-    if ts[0] < 0 or ts[-1] > hi_max:
-        raise ValueError(f"anchors must lie within 0..{hi_max}")
-    lo, hi = _bucket_arrays(np.array([ts], dtype=np.int64), text_len)
-    return list(zip(lo[0].tolist(), hi[0].tolist()))
+    _, starts, ends = _anchor_buckets([list(anchors)], text_len)
+    return list(zip(starts[0].tolist(), ends[0].tolist()))
 
 
 def build_merge_plan(
@@ -179,7 +190,7 @@ def build_merge_plan(
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError("scores must be (n_layers, text_len)")
-    strategy = AnchorStrategy(strategy)
+    strategy = require_member(AnchorStrategy, strategy, "strategy")
     T = scores.shape[1]
     k = anchor_count(T, anchor_ratio)
     domain = T - 2
@@ -204,26 +215,7 @@ def build_merge_plan(
         if strategy is AnchorStrategy.HIGH_ATTENTION:
             key = -key
         chosen = np.argsort(key, axis=1, kind="stable")[:, :k]
-    anchors = np.sort(chosen, axis=1)
-    starts, ends = _bucket_arrays(anchors, T)
-    return MergePlan(anchors, starts, ends, T, float(anchor_ratio), strategy)
-
-
-def _checked_bounds(lo: np.ndarray, hi: np.ndarray, text_len: int) -> None:
-    """Raise ValueError naming the first layer whose (lo, hi) bucket bounds do
-    not tile the mergeable range 0..T-3 in order."""
-    top = text_len - 3
-    checks = (
-        ((hi < lo).any(axis=1), "has an empty bucket"),
-        (
-            (lo[:, 1:] != hi[:, :-1] + 1).any(axis=1),
-            "has buckets that overlap, leave a gap or are out of order",
-        ),
-        ((lo[:, 0] != 0) | (hi[:, -1] != top), f"does not cover the mergeable range 0..{top}"),
-    )
-    for bad, problem in checks:
-        if bad.any():
-            raise ValueError(f"merge plan layer {int(np.argmax(bad))} {problem}")
+    return MergePlan(np.sort(chosen, axis=1), T, anchor_ratio, strategy)
 
 
 def merge_cache(

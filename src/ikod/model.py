@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import Matrix, Rng, softmax_rows
+from .numerics import Matrix, Rng, _cache_aligned_empty, softmax_rows
 
 __all__ = [
     "CapacityError",
@@ -44,6 +44,7 @@ __all__ = [
     "read_config",
     "require_float",
     "require_int",
+    "require_member",
     "save_checkpoint",
     "sinusoidal_positions",
 ]
@@ -87,6 +88,16 @@ def require_float(value, name: str) -> float:
     if not finite:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def require_member(kind: type[Enum], value, name: str):
+    """value as a member of the enum kind; anything else raises a ConfigError
+    naming the field and listing the choices."""
+    try:
+        return kind(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in kind)
+        raise ConfigError(f"{name} must be one of {choices}, got {value!r}") from None
 
 
 def read_config(cls, value, name: str):
@@ -489,6 +500,8 @@ def load_checkpoint(path) -> TinyDecoder:
     sizes = [r * c for r, c in shapes]
     if body.size != sum(sizes):
         raise ConfigError(f"checkpoint holds {body.size} values, expected {sum(sizes)}")
-    chunks = np.split(body, np.cumsum(sizes)[:-1])
-    arrays = [chunk.reshape(shape).copy() for chunk, shape in zip(chunks, shapes)]
+    # Each matrix starts on a cache line, as drawn weights do.
+    arrays = [_cache_aligned_empty(r * c).reshape(r, c) for r, c in shapes]
+    for matrix, chunk in zip(arrays, np.split(body, np.cumsum(sizes)[:-1])):
+        matrix.flat = chunk
     return TinyDecoder(cfg, weights=_assemble_weights(cfg, arrays))

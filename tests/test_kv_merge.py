@@ -160,15 +160,20 @@ def test_buckets_match_nearest_anchor_oracle():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_long_text_buckets_match_nearest_anchor_oracle(T, n_layers, ratio, strategy, seed):
-    scores = np.random.default_rng(seed).uniform(size=(n_layers, T))
-    plan = build_merge_plan(scores, ratio, strategy, Rng(seed))
+    rng = np.random.default_rng(seed)
+    scores = rng.uniform(size=(n_layers, T))
+    # A built plan, and a plan of k anchors per layer drawn uniformly from 0..T-3.
+    k = int(rng.integers(1, T - 1))
+    drawn = [np.sort(rng.choice(T - 2, size=k, replace=False)) for _ in range(n_layers)]
+    plans = build_merge_plan(scores, ratio, strategy, Rng(seed)), MergePlan(drawn, T, ratio, strategy)
     positions = np.arange(T - 2)
-    for anchors, lo, hi in zip(plan.anchors, plan.starts, plan.ends):
-        assert build_buckets(anchors, T) == list(zip(lo.tolist(), hi.tolist()))
-        # Brute force: each position joins the nearest anchor, the left one on ties.
-        nearest = np.argmin(np.abs(positions[:, None] - anchors[None, :]), axis=1)
-        assert lo[0] == 0 and hi[-1] == T - 3 and np.array_equal(lo[1:], hi[:-1] + 1)
-        assert np.array_equal(np.repeat(np.arange(anchors.size), hi - lo + 1), nearest)
+    for plan in plans:
+        for anchors, lo, hi in zip(plan.anchors, plan.starts, plan.ends):
+            assert build_buckets(anchors, T) == list(zip(lo.tolist(), hi.tolist()))
+            # Brute force: each position joins the nearest anchor, the left one on ties.
+            nearest = np.argmin(np.abs(positions[:, None] - anchors[None, :]), axis=1)
+            assert lo[0] == 0 and hi[-1] == T - 3 and np.array_equal(lo[1:], hi[:-1] + 1)
+            assert np.array_equal(np.repeat(np.arange(anchors.size), hi - lo + 1), nearest)
 
 
 def hand_cache() -> LayeredKvCache:
@@ -258,59 +263,72 @@ def test_merge_plan_json_shape():
     assert doc["strategy"] == "low_attention"
 
 
-def bucket_plan(layer_buckets, T: int) -> MergePlan:
-    """A plan from per-layer (start, end) buckets, anchored at each start."""
-    starts = [[lo for lo, _ in buckets] for buckets in layer_buckets]
-    ends = [[hi for _, hi in buckets] for buckets in layer_buckets]
-    return MergePlan(starts, starts, ends, T, 1.0, AnchorStrategy.LOW_ATTENTION)
+def anchor_plan(layer_anchors, T: int) -> MergePlan:
+    """A plan from per-layer anchors, as build_merge_plan would hold them."""
+    return MergePlan(layer_anchors, T, 1.0, AnchorStrategy.LOW_ATTENTION)
 
 
-def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_buckets):
+def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_anchors):
     cache = LayeredKvCache(n_layers, n_heads, d_head, l_image + T, l_image)
     rng = np.random.default_rng(T)
     cache.keys[...] = rng.normal(size=cache.keys.shape) * 1e3
     cache.values[...] = rng.normal(size=cache.values.shape)
     cache.length = l_image + T
-    return cache, bucket_plan(layer_buckets, T)
+    return cache, anchor_plan(layer_anchors, T)
 
 
 @pytest.mark.parametrize(
-    "buckets, problem",
+    "anchors, problem",
     [
-        ([(0, 2), (2, 4), (5, 5)], "overlap"),  # row 2 would count twice
-        ([(0, 1), (3, 4), (5, 5)], "leave a gap"),  # row 2 would be dropped
-        ([(3, 5), (0, 2), (6, 6)], "out of order"),
-        ([(0, 2), (4, 3), (3, 5)], "empty bucket"),
-        ([(1, 2), (3, 4), (5, 5)], "does not cover"),  # starts after 0
-        ([(0, 1), (2, 3), (4, 4)], "does not cover"),  # ends before T-3 = 5
+        pytest.param([[0, 3, 5], [3, 1, 5]], "strictly ascending", id="descending"),
+        pytest.param([[0, 3, 5], [1, 3, 3]], "strictly ascending", id="duplicate"),
+        pytest.param([[0, 3, 5], [-1, 3, 5]], "within 0..5", id="below-0"),
+        pytest.param([[0, 3, 5], [0, 3, 6]], "within 0..5", id="above-T-3"),  # T-3 = 5
+        pytest.param([[], []], "at least one anchor", id="no-anchors"),
+        pytest.param([0, 3, 5], "an \\(n_layers, k\\) array", id="wrong-ndim"),
+        pytest.param(np.zeros((0, 2), dtype=np.int64), "an \\(n_layers, k\\)", id="no-layers"),
+        pytest.param([[0.0, 3.0]], "must be integers", id="not-integers"),
     ],
 )
-def test_merge_cache_rejects_buckets_that_do_not_tile(buckets, problem):
+def test_merge_plan_rejects_malformed_anchors(anchors, problem):
     # The plan is checked when it is built, so no such plan reaches merge_cache.
-    with pytest.raises(ValueError, match=f"layer 1 .*{problem}"):
-        fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)], buckets])
+    with pytest.raises(ValueError, match=problem):
+        anchor_plan(anchors, 8)
 
 
 @pytest.mark.parametrize(
-    "anchors, starts, ends",
+    "field, value, problem",
     [
-        ([0, 3, 5], [0, 3, 5], [2, 4, 5]),  # one flat row, not (n_layers, k)
-        ([[0, 3, 5]], [[0, 3, 5]], [[2, 4, 5], [2, 4, 5]]),  # layer counts differ
-        ([[0, 3]], [[0, 3, 5]], [[2, 4, 5]]),  # bucket counts differ
-        ([[]], [[]], [[]]),  # no buckets
-        (np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2))),  # no layers
+        ("text_len", 8.5, "text_len must be an integer"),
+        ("text_len", True, "text_len must be an integer"),
+        ("text_len", 2, "no mergeable range"),
+        ("anchor_ratio", 0.0, "anchor_ratio must lie in"),
+        ("anchor_ratio", 1.5, "anchor_ratio must lie in"),
+        ("anchor_ratio", float("nan"), "anchor_ratio must be a finite number"),
+        ("anchor_ratio", "0.5", "anchor_ratio must be a finite number"),
+        ("strategy", "x", "strategy must be one of low_attention, high_attention, random"),
     ],
 )
-def test_merge_plan_rejects_arrays_of_the_wrong_shape(anchors, starts, ends):
-    with pytest.raises(ValueError, match="one \\(n_layers, k\\) shape"):
-        MergePlan(anchors, starts, ends, 8, 1.0, AnchorStrategy.LOW_ATTENTION)
+def test_merge_plan_rejects_malformed_scalars(field, value, problem):
+    given = dict(anchors=[[0, 3]], text_len=8, anchor_ratio=0.5, strategy="low_attention")
+    with pytest.raises(ValueError, match=problem):
+        MergePlan(**{**given, field: value})
+
+
+def test_merge_plan_reads_its_scalars():
+    plan = MergePlan([[0, 3]], 8.0, 1, "random")
+    assert type(plan.text_len) is int and plan.protected == (6, 7)
+    assert type(plan.anchor_ratio) is float and plan.strategy is AnchorStrategy.RANDOM
+    doc = plan.to_json_dict()
+    assert (doc["text_len"], doc["anchor_ratio"], doc["strategy"]) == (8, 1.0, "random")
 
 
 def test_merge_plan_keeps_read_only_copies():
-    starts, ends = np.array([[0, 3]]), np.array([[2, 5]])
-    plan = MergePlan(starts, starts, ends, 8, 0.5, AnchorStrategy.LOW_ATTENTION)
-    starts[0, 0] = 1  # the caller's array stays the caller's
-    assert plan.starts.tolist() == [[0, 3]] and plan.protected == (6, 7)
+    anchors = np.array([[1, 4]])
+    plan = MergePlan(anchors, 8, 0.5, AnchorStrategy.LOW_ATTENTION)
+    anchors[0, 0] = 0  # the caller's array stays the caller's
+    assert plan.anchors.tolist() == [[1, 4]] and plan.protected == (6, 7)
+    assert (plan.starts.tolist(), plan.ends.tolist()) == ([[0, 3]], [[2, 5]])
     for array in (plan.anchors, plan.starts, plan.ends):
         assert array.dtype == np.int64
         with pytest.raises(ValueError):
@@ -334,23 +352,20 @@ def reference_merge(cache, plan):
 
 
 @st.composite
-def tiled_plans(draw):
-    """A random cache and a plan whose layers tile 0..T-3 with the same
-    bucket count but independently drawn bucket lengths."""
+def drawn_plans(draw):
+    """A random cache and a plan whose layers hold the same anchor count but
+    independently drawn anchors."""
     n_layers = draw(st.integers(1, 3))
     n_heads = draw(st.integers(1, 3))
     d_head = draw(st.integers(1, 4))
     l_image = draw(st.integers(0, 4))
     T = draw(st.integers(3, 40))
     k = draw(st.integers(1, T - 2))
-    layers = []
-    for _ in range(n_layers):
-        cuts = []
-        if k > 1:
-            cuts = sorted(draw(st.sets(st.integers(1, T - 3), min_size=k - 1, max_size=k - 1)))
-        edges = [0, *cuts, T - 2]
-        layers.append([(a, b - 1) for a, b in zip(edges, edges[1:])])
-    plan = bucket_plan(layers, T)
+    layers = [
+        sorted(draw(st.sets(st.integers(0, T - 3), min_size=k, max_size=k)))
+        for _ in range(n_layers)
+    ]
+    plan = anchor_plan(layers, T)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = l_image + T
     cache = LayeredKvCache(n_layers, n_heads, d_head, n + draw(st.integers(0, 3)), l_image)
@@ -362,11 +377,11 @@ def tiled_plans(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tiled_plans())
-@example(fixed_case(1, 1, 1, 0, 3, [[(0, 0)]]))  # T = 3: one singleton bucket
-@example(fixed_case(2, 3, 1, 2, 40, [[(0, 37)]] * 2))  # one bucket spans 0..T-3
-@example(fixed_case(2, 2, 2, 1, 30, [[(i, i) for i in range(28)]] * 2))  # all singletons
-@example(fixed_case(2, 4, 1, 3, 40, [[(0, 8), (9, 37)], [(0, 29), (30, 37)]]))  # d_head = 1
+@given(drawn_plans())
+@example(fixed_case(1, 1, 1, 0, 3, [[0]]))  # T = 3: one singleton bucket
+@example(fixed_case(2, 3, 1, 2, 40, [[0], [37]]))  # one bucket spans 0..T-3
+@example(fixed_case(2, 2, 2, 1, 30, [list(range(28))] * 2))  # all singletons
+@example(fixed_case(2, 4, 1, 3, 40, [[4, 13], [22, 37]]))  # d_head = 1, cuts after 8 and 29
 def test_merge_cache_matches_per_bucket_mean_bit_for_bit(case):
     cache, plan = case
     merged = merge_cache(cache, plan)
@@ -505,10 +520,8 @@ def test_plan_matches_the_per_layer_reference(scores, ratio, strategy, seed):
     assert [list(zip(lo, hi)) for lo, hi in zip(starts, ends)] == buckets
     for ts, layer in zip(anchors, buckets):
         assert build_buckets(ts, scores.shape[1]) == layer
-    # A plan built by hand from the reference writes the same JSON.
-    starts = [[lo for lo, _ in layer] for layer in buckets]
-    ends = [[hi for _, hi in layer] for layer in buckets]
-    rebuilt = MergePlan(anchors, starts, ends, plan.text_len, plan.anchor_ratio, plan.strategy)
+    # A plan built by hand from the reference anchors writes the same JSON.
+    rebuilt = MergePlan(anchors, plan.text_len, plan.anchor_ratio, plan.strategy)
     assert rebuilt.to_json_dict() == plan.to_json_dict()
 
 
@@ -573,27 +586,24 @@ def test_merged_rows_stay_in_bucket_hull(scores, n_heads, d_head, l_image, ratio
 
 
 def changed_plan(plan: MergePlan, T: int, change: str) -> MergePlan:
-    """plan carried to text length T >= plan.text_len: its last bucket
-    stretched to T-3 ("stay"), then split off or joined to the one before
-    ("grow", "shrink"), or the cut after the leading bucket moved ("move").
-    A change that some layer has no room for is left out in every layer."""
-    layers = [[[lo, hi] for lo, hi in zip(*bounds)] for bounds in
-              zip(plan.starts.tolist(), plan.ends.tolist())]
-    for buckets in layers:
-        buckets[-1][1] = T - 3
-    if change == "grow" and all(b[-1][1] > b[-1][0] for b in layers):
-        for buckets in layers:
-            lo, hi = buckets.pop()
-            buckets += [[lo, hi - 1], [hi, hi]]
+    """plan's anchors carried to text length T >= plan.text_len, which
+    stretches the last bucket to T-3 ("stay"); then an anchor added at T-3 or
+    the last one dropped, which splits the last bucket or joins it to the one
+    before ("grow", "shrink"), or the first anchor moved so that the cut after
+    the leading bucket moves ("move"). A change that some layer has no room
+    for is left out in every layer."""
+    layers = plan.anchors.tolist()
+    if change == "grow" and all(row[-1] < T - 3 for row in layers):
+        for row in layers:
+            row.append(T - 3)
     elif change == "shrink" and len(layers[0]) > 1:
-        for buckets in layers:
-            buckets[-2:] = [[buckets[-2][0], buckets[-1][1]]]
-    elif change == "move" and len(layers[0]) > 1:
-        for buckets in layers:
-            (a, b), (c, d) = buckets[:2]
-            cut = b - 1 if b > a else b + 1 if d > c else b
-            buckets[:2] = [[a, cut], [cut + 1, d]]
-    return bucket_plan([[tuple(b) for b in buckets] for buckets in layers], T)
+        for row in layers:
+            row.pop()
+    elif change == "move" and len(layers[0]) > 1 and all(row[1] >= 3 for row in layers):
+        for row in layers:  # the cut lies between row[1] // 2 and row[1] - 1
+            cut = (row[0] + row[1]) // 2
+            row[0] = 0 if row[1] // 2 != cut else row[1] - 1
+    return anchor_plan(layers, T)
 
 
 @st.composite
@@ -652,13 +662,13 @@ def test_merge_from_the_previous_step_matches_a_fresh_merge(case):
 
 
 def test_merge_rejects_a_previous_merge_of_another_cache_or_a_superseded_one():
-    cache, plan = fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)]] * 2)
-    twin, _ = fixed_case(2, 2, 3, 2, 8, [[(0, 2), (3, 4), (5, 5)]] * 2)
-    other_image, _ = fixed_case(2, 2, 3, 3, 7, [[(0, 2), (3, 4)]] * 2)
+    cache, plan = fixed_case(2, 2, 3, 2, 8, [[1, 3, 5]] * 2)
+    twin, _ = fixed_case(2, 2, 3, 2, 8, [[1, 3, 5]] * 2)
+    other_image, other_plan = fixed_case(2, 2, 3, 3, 7, [[1, 4]] * 2)
     with pytest.raises(ValueError, match="another cache"):
         merge_cache(cache, plan, merge_cache(twin, plan))
     with pytest.raises(ValueError, match="another cache"):
-        merge_cache(cache, plan, merge_cache(other_image, bucket_plan([[(0, 2), (3, 4)]] * 2, 7)))
+        merge_cache(cache, plan, merge_cache(other_image, other_plan))
     first = merge_cache(cache, plan)
     merge_cache(cache, plan, first)
     with pytest.raises(ValueError, match="already superseded"):

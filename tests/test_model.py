@@ -109,10 +109,13 @@ def _assert_weights_replay_the_scalar_stream(cfg: ModelConfig) -> None:
         assert got.tobytes() == want.tobytes()
 
 
-def test_drawn_matrices_start_on_a_cache_line():
+def test_drawn_matrices_start_on_a_cache_line(tmp_path):
     model = TinyDecoder(small_config(d_model=130, d_ff=12, vocab_size=10))
-    arrays = [model.embedding, model.unembedding, make_image_embeddings(3, 130, seed=1)]
-    arrays += [getattr(lw, f.name) for lw in model.layers for f in fields(lw)]
+    save_checkpoint(model, tmp_path / "model.bin")
+    arrays = [make_image_embeddings(3, 130, seed=1)]
+    for m in (model, load_checkpoint(tmp_path / "model.bin")):
+        arrays += [m.embedding, m.unembedding]
+        arrays += [getattr(lw, f.name) for lw in m.layers for f in fields(lw)]
     for a in arrays:
         assert a.ctypes.data % 64 == 0 and a.flags.c_contiguous
 
