@@ -285,6 +285,7 @@ def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_anchors):
         pytest.param([[0, 3, 5], [-1, 3, 5]], "within 0..5", id="below-0"),
         pytest.param([[0, 3, 5], [0, 3, 6]], "within 0..5", id="above-T-3"),  # T-3 = 5
         pytest.param([[], []], "at least one anchor", id="no-anchors"),
+        pytest.param([[]], "at least one anchor", id="one-layer-no-anchors"),
         pytest.param([0, 3, 5], "an \\(n_layers, k\\) array", id="wrong-ndim"),
         pytest.param(np.zeros((0, 2), dtype=np.int64), "an \\(n_layers, k\\)", id="no-layers"),
         pytest.param([[0.0, 3.0]], "must be integers", id="not-integers"),
