@@ -1,14 +1,20 @@
 """Generation strategies: base samplers, plausibility filtering, and the
 dual-path loop that pairs full-cache decoding with a merged-cache view.
 
-Per generated token the loop runs the ordinary incremental step on the
-uncompressed cache, derives a merged cache from the attention recorded so
-far, re-evaluates the same query (same content embedding, same position)
-against that merged view, and combines the two probability vectors as
+Per generated token the loop evaluates the last fed token twice: once by
+the ordinary incremental step on the uncompressed cache, and once against
+a cache merged under the image attention recorded so far (same content
+embedding, same position). It combines the two probability vectors as
 p_orig + alpha * p_aug restricted to tokens whose original probability is
-at least beta times the original maximum. The merged view lives in one
-block per generation: each step rebuilds only the buckets whose bounds
-changed since the last step, and never mutates the live cache.
+at least beta times the original maximum. The merged query for the next
+pick needs nothing the step produces but the token's own key/value rows,
+and its plan reads only recorded scores. So once a token is picked, the
+loop plans and merges for it, and feeds it through one forward_step that
+runs both queries layer by layer, each weight matrix applied to both while
+it is hot. Only the first pick, and a step replayed from the step tree
+(below), run the merged query on its own. The merged view lives in one
+block per generation: each merge rebuilds only the buckets whose bounds
+changed since the last one, and never mutates the live cache.
 
 The image and prompt positions are run once by prefill(), and every
 generation forks the resulting Prefill: each fork copies the prompt's
@@ -27,7 +33,14 @@ from enum import Enum
 
 import numpy as np
 
-from .kv_merge import AnchorStrategy, MergePlan, build_merge_plan, layer_scores, merge_cache
+from .kv_merge import (
+    AnchorStrategy,
+    CompressedCache,
+    MergePlan,
+    build_merge_plan,
+    layer_scores,
+    merge_cache,
+)
 from .model import (
     CapacityError,
     LayeredKvCache,
@@ -286,20 +299,29 @@ class _StepTree:
         self.lock = threading.Lock()
 
     def step(self, model: TinyDecoder, cache: LayeredKvCache, parent: int | None,
-             token: int) -> tuple[int | None, np.ndarray]:
+             token: int, merged: CompressedCache | None = None
+             ) -> tuple[int | None, np.ndarray, tuple | None]:
         """Feed token to cache after the history at row parent (None: a
-        history the tree does not hold). Returns the token's row, or None, and
-        the logits that follow it."""
+        history the tree does not hold). merged, when given, is a merge for
+        the position token takes, whose last row the step fills; a step the
+        model runs also runs the merged query on it (forward_step's merged).
+        Returns the token's row, or None, the logits that follow it, and the
+        merged query's (logits, rows), or None when it did not run."""
         row = None if parent is None else self.children.get((parent, token))
         if row is not None:
             pos = model.open_position(cache)
             for view, block in zip(cache.position(pos), self.blocks):
                 view[...] = block[row]
             cache.length = pos + 1
-            return row, self.blocks[-1][row]
-        out = model.forward_step(cache, token)
+            if merged is not None:
+                merged.keys[:, :, -1] = cache.keys[:, :, pos]
+                merged.values[:, :, -1] = cache.values[:, :, pos]
+            return row, self.blocks[-1][row], None
+        out = model.forward_step(
+            cache, token, None if merged is None else (merged.keys, merged.values)
+        )
         if parent is None:
-            return None, out.logits
+            return None, out.logits, out.merged
         cfg = model.config
         with self.lock:
             if self.blocks is None:
@@ -308,11 +330,11 @@ class _StepTree:
                 self.blocks = tuple(np.empty((cfg.max_seq, *shape)) for shape in shapes)
             row = self.used
             if row == cfg.max_seq:
-                return None, out.logits
+                return None, out.logits, out.merged
             self.used = row + 1
         for view, block in zip((*cache.position(cache.length - 1), out.logits), self.blocks):
             block[row] = view
-        return self.children.setdefault((parent, token), row), out.logits
+        return self.children.setdefault((parent, token), row), out.logits, out.merged
 
 
 @dataclass(frozen=True)
@@ -424,7 +446,16 @@ def ikod_generate(
     steps: list[StepDistributions] = []
     plans: list[MergePlan] | None = [] if record_merge_plans else None
     aug_att: list[float] = []
-    merged = None
+    merged = aug = None
+
+    def plan_merge(upcoming: bool) -> None:
+        nonlocal merged
+        plan = build_merge_plan(
+            layer_scores(cache, upcoming), policy.anchor_ratio, policy.anchor_strategy, rng
+        )
+        merged = merge_cache(cache, plan, merged, upcoming)
+        if plans is not None:
+            plans.append(plan)
 
     for _ in range(policy.max_new_tokens):
         p_orig = _softmax_vec(logits)
@@ -433,24 +464,20 @@ def ikod_generate(
             v_head = None
             scores = p_orig
         else:
-            plan = build_merge_plan(
-                layer_scores(cache), policy.anchor_ratio, policy.anchor_strategy, rng
-            )
-            merged = merge_cache(cache, plan, merged)
-            aug_logits, aug_rows = model.forward_query(
-                merged.keys, merged.values, cache.length - 1, current_input
-            )
+            if merged is None:  # the first pick plans over the prompt
+                plan_merge(upcoming=False)
+            if aug is None:  # no full step ran it: the first pick, or a replayed step
+                aug = model.forward_query(
+                    merged.keys, merged.values, cache.length - 1, current_input
+                )
+            aug_logits, aug_rows = aug
             p_aug = _softmax_vec(aug_logits)
             v_head = plausibility_mask(p_orig, policy.beta)
             if policy.mode is Mode.IKOD:
                 scores = collaborative_combine(p_orig, p_aug, policy.alpha, v_head)
             else:
                 scores = np.where(v_head, p_aug, 0.0)
-            aug_att.append(
-                float(np.mean([r[:, : cache.l_image].sum(axis=1) for r in aug_rows]))
-            )
-            if plans is not None:
-                plans.append(plan)
+            aug_att.append(float(aug_rows[:, :, : cache.l_image].sum(axis=2).mean()))
         token = base_select(scores, policy.base, rng)
         steps.append(
             StepDistributions(
@@ -458,9 +485,15 @@ def ikod_generate(
             )
         )
         generated.append(token)
-        node, logits = prompt.tree.step(model, cache, node, token)
+        last = token == EOS_TOKEN or len(generated) == policy.max_new_tokens
+        if merged is not None and not last:
+            # The next pick's merged query is this token at this position,
+            # and its plan reads only recorded scores: merge for it now and
+            # run it through the step that feeds the token.
+            plan_merge(upcoming=True)
+        node, logits, aug = prompt.tree.step(model, cache, node, token, None if last else merged)
         current_input = token
-        if token == EOS_TOKEN:
+        if last:
             break
 
     return GenerationResult(

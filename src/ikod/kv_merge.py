@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import LayeredKvCache, require_float, require_int, require_member
+from .model import CapacityError, LayeredKvCache, require_float, require_int, require_member
 from .numerics import Rng
 
 __all__ = [
@@ -115,19 +115,25 @@ class CompressedCache:
     superseded: bool = False
 
 
-def layer_scores(cache: LayeredKvCache) -> np.ndarray:
+def layer_scores(cache: LayeredKvCache, upcoming: bool = False) -> np.ndarray:
     """Per layer and text token, the head-mean of the token's image attention,
-    which the cache took when it recorded the token."""
+    which the cache took when it recorded the token. upcoming adds a NaN
+    column for the position about to be written: a plan over that text
+    length reads only its mergeable range 0..T-3, which the cache holds."""
     T = cache.length - cache.l_image
     if T < 1:
         raise ValueError("cache holds no text tokens")
-    return cache.text_scores[:, :T].copy()
+    scores = np.empty((len(cache.text_scores), T + upcoming))
+    scores[:, :T] = cache.text_scores[:, :T]
+    scores[:, T:] = np.nan
+    return scores
 
 
 def anchor_count(text_len: int, anchor_ratio: float) -> int:
     """Anchors kept per layer: floor(ratio * (T - 2)), at least 1."""
     if text_len < 3:
         raise ValueError(f"text sequence of {text_len} tokens is too short to merge")
+    anchor_ratio = require_float(anchor_ratio, "anchor_ratio")
     if not 0.0 < anchor_ratio <= 1.0:
         raise ValueError("anchor_ratio must lie in (0, 1]")
     return max(1, math.floor(anchor_ratio * (text_len - 2)))
@@ -141,7 +147,10 @@ def _anchor_buckets(anchors, text_len: int) -> tuple[np.ndarray, np.ndarray, np.
     hi_max = text_len - 3
     if hi_max < 0:
         raise ValueError(f"text sequence of {text_len} tokens has no mergeable range")
-    given = np.asarray(anchors)
+    try:
+        given = np.asarray(anchors)
+    except ValueError:  # rows of different lengths
+        raise ValueError("anchors must be an (n_layers, k) array, got ragged rows") from None
     if given.ndim != 2 or given.shape[0] == 0:
         raise ValueError(f"anchors must be an (n_layers, k) array, got shape {given.shape}")
     if given.shape[1] == 0:
@@ -219,10 +228,17 @@ def build_merge_plan(
 
 
 def merge_cache(
-    cache: LayeredKvCache, plan: MergePlan, previous: CompressedCache | None = None
+    cache: LayeredKvCache,
+    plan: MergePlan,
+    previous: CompressedCache | None = None,
+    upcoming: bool = False,
 ) -> CompressedCache:
     """The compressed cache: image rows verbatim, each bucket's rows averaged
     into one, the two protected rows verbatim.
+
+    upcoming merges for the position about to be written: the plan's text
+    length is one more than the cache's, and the last protected row is left
+    for the step that writes the position to fill (forward_step's merged).
 
     previous, when given, is the merge this cache returned last; its blocks
     are reused, and it is superseded. Recorded rows never change, so a bucket
@@ -238,11 +254,14 @@ def merge_cache(
     """
     start = cache.l_image
     T = plan.text_len
-    if start + T != cache.length:
+    if start + T != cache.length + upcoming:
         raise ValueError(
             f"plan text length {T} != cache text length {cache.length - start}"
+            + " + 1" * upcoming
         )
     n_layers, n_heads, capacity, d_head = cache.keys.shape
+    if start + T > capacity:
+        raise CapacityError(f"cache is full at {cache.length} of {capacity} positions")
     lo, hi = plan.starts, plan.ends
     if lo.shape[0] != n_layers:
         raise ValueError("plan layer count does not match the cache")
@@ -293,6 +312,6 @@ def merge_cache(
         block_values[slot[a:b]] = np.add.reduce(np.take(value_rows, rows, axis=0), axis=2) / m
 
     n = start + k + 2
-    keys[:, :, start + k : n] = cache.keys[:, :, start + T - 2 : start + T]
-    values[:, :, start + k : n] = cache.values[:, :, start + T - 2 : start + T]
+    keys[:, :, start + k : n - upcoming] = cache.keys[:, :, start + T - 2 : cache.length]
+    values[:, :, start + k : n - upcoming] = cache.values[:, :, start + T - 2 : cache.length]
     return CompressedCache(keys[:, :, :n], values[:, :, :n], n, plan, cache)

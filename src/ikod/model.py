@@ -197,6 +197,7 @@ class StepOutput:
 
     logits: np.ndarray
     attention_rows: np.ndarray  # (n_layers, n_heads, cache_length)
+    merged: tuple | None = None  # the merged query's (logits, rows), when run alongside
 
 
 @dataclass
@@ -332,21 +333,25 @@ class TinyDecoder:
             raise CapacityError(f"cache is full at {pos} of {capacity} positions")
         return pos
 
-    def forward_step(self, cache: LayeredKvCache, inp) -> StepOutput:
+    def forward_step(self, cache: LayeredKvCache, inp, merged=None) -> StepOutput:
         """Append one position to the cache, recording its attention rows, and
-        return logits plus the query's rows over every cached position."""
-        cfg = self.config
+        return logits plus the query's rows over every cached position.
+
+        merged, when given, is the (keys, values) pair of a merged view of the
+        cache, (n_layers, n_heads, length, d_head) arrays whose last row is
+        reserved for this position. The step writes the position's key/value
+        rows there as well, and runs the same query over that view in the
+        same layer loop; the output's merged holds its (logits, rows), as
+        forward_query would return them.
+        """
         pos = self.open_position(cache)
         x = self.content_embedding(inp) + self.positions[pos]
-        rows = np.empty((cfg.n_layers, cfg.n_heads, pos + 1))
-        for li, lw in enumerate(self.layers):
-            cache.keys[li, :, pos] = (x @ lw.w_k).reshape(cfg.n_heads, cfg.d_head)
-            cache.values[li, :, pos] = (x @ lw.w_v).reshape(cfg.n_heads, cfg.d_head)
-            x, rows[li] = self._layer(
-                lw, x, cache.keys[li, :, : pos + 1], cache.values[li, :, : pos + 1]
-            )
-        cache.record(rows)
-        return StepOutput(logits=x @ self.unembedding, attention_rows=rows)
+        views = [(cache.keys[:, :, : pos + 1], cache.values[:, :, : pos + 1])]
+        if merged is not None:
+            views.append(merged)
+        logits, rows = self._layers([x] * len(views), views, step=True)
+        cache.record(rows[0])
+        return StepOutput(logits[0], rows[0], None if merged is None else (logits[1], rows[1]))
 
     def forward_prompt(self, cache: LayeredKvCache, inputs) -> np.ndarray:
         """Run inputs (token ids or d_model vectors) into the empty cache one
@@ -392,14 +397,38 @@ class TinyDecoder:
         att = softmax_rows(np.einsum("hd,htd->ht", qh, keys) * (1.0 / math.sqrt(cfg.d_head)))
         return att, np.einsum("ht,htd->hd", att, values).reshape(cfg.d_model)
 
-    def _layer(self, lw: LayerWeights, x, keys, values):
-        """One layer for the query x: (x after the attention and feed-forward
-        residual blocks, the (n_heads, length) attention rows over keys)."""
+    def _layers(self, xs, views, step: bool = False):
+        """Run the query rows xs through every layer, each weight matrix
+        applied to every row in turn while it is hot. Each row keeps the
+        expressions of a run on its own, so it has the same bits. Row i
+        attends over views[i] = (keys, values), whose [layer] is the
+        (n_heads, length, d_head) rows ending at its own position. A step
+        first writes that last row of every view in each layer, projected from
+        row 0: the rows share their input and position, row 0 runs over the
+        cache, and the views are arrays. Returns each row's logits and
+        (n_layers, n_heads, length) attention rows."""
         cfg = self.config
-        att, mixed = self._attend((x @ lw.w_q).reshape(cfg.n_heads, cfg.d_head), keys, values)
-        x = x + mixed @ lw.w_o
-        x = x + np.maximum(x @ lw.w_ff1, 0.0) @ lw.w_ff2
-        return x, att
+        heads = (cfg.n_heads, cfg.d_head)
+        xs, paths = list(xs), range(len(xs))
+        q, mixed, hidden = [None] * len(xs), [None] * len(xs), [None] * len(xs)
+        rows = [np.empty((cfg.n_layers, cfg.n_heads, keys[0].shape[1])) for keys, _ in views]
+        for li, lw in enumerate(self.layers):
+            if step:
+                k, v = (xs[0] @ lw.w_k).reshape(heads), (xs[0] @ lw.w_v).reshape(heads)
+                for keys, values in views:
+                    keys[li, :, -1], values[li, :, -1] = k, v
+            for i in paths:
+                q[i] = (xs[i] @ lw.w_q).reshape(heads)
+            for i in paths:
+                keys, values = views[i]
+                rows[i][li], mixed[i] = self._attend(q[i], keys[li], values[li])
+            for i in paths:
+                xs[i] = xs[i] + mixed[i] @ lw.w_o
+            for i in paths:
+                hidden[i] = np.maximum(xs[i] @ lw.w_ff1, 0.0)
+            for i in paths:
+                xs[i] = xs[i] + hidden[i] @ lw.w_ff2
+        return [x @ self.unembedding for x in xs], rows
 
     def forward_query(self, keys, values, position: int, inp):
         """Evaluate one query against externally supplied per-layer key/value
@@ -407,7 +436,7 @@ class TinyDecoder:
 
         The supplied rows must already include the query's own position (it is
         one of the protected rows in a merged cache). Returns (logits, rows)
-        where rows is a per-layer list of (n_heads, length) attention rows.
+        where rows is the (n_layers, n_heads, length) attention rows.
         """
         cfg = self.config
         if len(keys) != cfg.n_layers or len(values) != cfg.n_layers:
@@ -415,11 +444,8 @@ class TinyDecoder:
         if not 0 <= position < cfg.max_seq:
             raise CapacityError(f"position {position} outside capacity {cfg.max_seq}")
         x = self.content_embedding(inp) + self.positions[position]
-        rows = []
-        for lw, layer_keys, layer_values in zip(self.layers, keys, values):
-            x, att = self._layer(lw, x, layer_keys, layer_values)
-            rows.append(att)
-        return x @ self.unembedding, rows
+        logits, rows = self._layers([x], [(keys, values)])
+        return logits[0], rows[0]
 
     def forward_full(self, embeddings) -> FullOutput:
         """Causal batch evaluation of a whole prefix; the oracle for the

@@ -12,15 +12,17 @@ from ikod.decode import (
     EOS_TOKEN,
     BaseStrategy,
     DecodePolicy,
+    GenerationResult,
     Mode,
     Prompt,
+    StepDistributions,
     base_select,
     collaborative_combine,
     ikod_generate,
     plausibility_mask,
     prefill,
 )
-from ikod.kv_merge import AnchorStrategy
+from ikod.kv_merge import AnchorStrategy, build_merge_plan, layer_scores, merge_cache
 from ikod.model import (
     CapacityError,
     ConfigError,
@@ -433,7 +435,10 @@ def test_merges_updated_step_to_step_match_merges_built_afresh(monkeypatch, stra
     policy = DecodePolicy(base=base, anchor_strategy=strategy, max_new_tokens=64)
     updated = ikod_generate(model, prompt, policy, record_merge_plans=True)
     merge = decode.merge_cache
-    monkeypatch.setattr(decode, "merge_cache", lambda cache, plan, previous: merge(cache, plan))
+    monkeypatch.setattr(
+        decode, "merge_cache",
+        lambda cache, plan, previous, upcoming: merge(cache, plan, upcoming=upcoming),
+    )
     fresh = ikod_generate(model, prompt, policy, record_merge_plans=True)
     assert len(updated.tokens) == 64
     assert_same_generation(updated, fresh)
@@ -494,6 +499,120 @@ def test_forked_prefill_matches_fresh_generation(case, sequence):
         alone = ikod_generate(model, prefill(model, prompt), policy, record_merge_plans=True)
         assert_same_generation(shared, alone)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
+
+
+def unfused_generate(model, prompt: Prompt, policy: DecodePolicy) -> GenerationResult:
+    """The decode loop with its two paths run one after the other: each pick
+    plans and merges over the cache as it stands, runs the merged query on
+    its own through forward_query, and then feeds the pick to forward_step.
+    Plans are always recorded; baseline records none."""
+    prefix = prefill(model, prompt)
+    cache = prefix.fork()
+    logits, current_input = prefix.logits, prefix.last_input
+    rng = Rng(policy.seed)
+    result = GenerationResult([], [], cache, [], [])
+    merged = None
+    for _ in range(policy.max_new_tokens):
+        p_orig = softmax_rows(logits[None, :])[0]
+        p_aug = v_head = None
+        scores = p_orig
+        if policy.mode is not Mode.BASELINE:
+            plan = build_merge_plan(
+                layer_scores(cache), policy.anchor_ratio, policy.anchor_strategy, rng
+            )
+            merged = merge_cache(cache, plan, merged)
+            aug_logits, aug_rows = model.forward_query(
+                merged.keys, merged.values, cache.length - 1, current_input
+            )
+            p_aug = softmax_rows(aug_logits[None, :])[0]
+            v_head = plausibility_mask(p_orig, policy.beta)
+            if policy.mode is Mode.IKOD:
+                scores = collaborative_combine(p_orig, p_aug, policy.alpha, v_head)
+            else:
+                scores = np.where(v_head, p_aug, 0.0)
+            result.aug_image_attention.append(
+                float(np.mean([r[:, : cache.l_image].sum(axis=1) for r in aug_rows]))
+            )
+            result.merge_plans.append(plan)
+        token = base_select(scores, policy.base, rng)
+        result.steps.append(StepDistributions(p_orig, p_aug, scores, v_head, token))
+        result.tokens.append(token)
+        logits = model.forward_step(cache, token).logits
+        current_input = token
+        if token == EOS_TOKEN:
+            break
+    return result
+
+
+def assert_matches_unfused(model, prompt, source, policy) -> GenerationResult:
+    """ikod_generate from source (prompt or one of its Prefills) equals the
+    unfused loop on prompt, bit for bit."""
+    fused = ikod_generate(model, source, policy, record_merge_plans=True)
+    unfused = unfused_generate(model, prompt, policy)
+    if policy.mode is Mode.BASELINE:
+        assert fused.merge_plans == []
+        unfused.merge_plans = []
+    assert_same_generation(fused, unfused)
+    return fused
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=prompts(), sequence=policy_sequences())
+def test_fused_generation_matches_the_unfused_loop(case, sequence):
+    """Running each step's merged query through the step that feeds the
+    previous pick changes no byte and no random draw: over policy sequences
+    on one shared Prefill (so later generations replay steps from its tree)
+    every generation equals the loop that runs the two paths apart."""
+    model, prompt = case
+    prefix = prefill(model, prompt)
+    assert_matches_unfused(model, prompt, prompt, sequence[0])
+    for policy in sequence:
+        assert_matches_unfused(model, prompt, prefix, policy)
+
+
+def test_fused_generation_matches_the_unfused_loop_in_every_mode_and_strategy():
+    """A d_head = 1 model with a small vocabulary, so sampled runs end on the
+    end token early, in every mode, strategy and base, at one new token and
+    at twelve; each policy twice on one Prefill, missing and then hitting
+    its step tree."""
+    cfg = ModelConfig(n_layers=2, n_heads=3, d_model=3, d_ff=8, vocab_size=6, max_seq=24, seed=0)
+    model = TinyDecoder(cfg)
+    prompt = Prompt(make_image_embeddings(5, 3, 2), (1, 4, 2, 5))
+    prefix = prefill(model, prompt)
+    lengths = set()
+    for mode in Mode:
+        for strategy in AnchorStrategy:
+            for base in (BaseStrategy.greedy(), BaseStrategy.top_p(0.9, temperature=1.5)):
+                for new in (1, 12):
+                    policy = DecodePolicy(
+                        mode=mode, base=base, anchor_ratio=0.5, anchor_strategy=strategy,
+                        max_new_tokens=new, seed=new,
+                    )
+                    for _ in range(2):
+                        result = assert_matches_unfused(model, prompt, prefix, policy)
+                    lengths.add((new, len(result.tokens)))
+    # Some twelve-token runs end on the end token early, and some do not.
+    assert (12, 12) in lengths and any(n < new for new, n in lengths)
+
+
+def test_merged_query_runs_alone_only_on_first_picks_and_replays(monkeypatch):
+    model = make_model()
+    prompt = make_prompt(model)
+    calls = []
+    query = TinyDecoder.forward_query
+    monkeypatch.setattr(
+        TinyDecoder, "forward_query",
+        lambda self, *args: calls.append(1) or query(self, *args),
+    )
+    prefix = prefill(model, prompt)
+    for source, replayed in ((prompt, False), (prefix, False), (prefix, True)):
+        calls.clear()
+        result = ikod_generate(model, source, DecodePolicy(max_new_tokens=12))
+        # A step decoded afresh runs the next pick's merged query alongside.
+        assert len(calls) == (len(result.tokens) if replayed else 1)
+    calls.clear()
+    ikod_generate(model, prompt, DecodePolicy(mode=Mode.BASELINE, max_new_tokens=12))
+    assert calls == []
 
 
 def test_prefill_is_read_only_and_records_the_prompt():
@@ -852,7 +971,7 @@ def test_replayed_step_raises_where_forward_step_would(case, policy, data):
             model.forward_step(cache, inp)
         try:
             if replay:
-                _, logits = prefix.tree.step(model, cache, parent, tokens[k])
+                logits = prefix.tree.step(model, cache, parent, tokens[k])[1]
             else:
                 logits = model.forward_step(cache, tokens[k]).logits
         except CapacityError as exc:

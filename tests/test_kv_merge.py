@@ -12,7 +12,7 @@ from ikod.kv_merge import (
     layer_scores,
     merge_cache,
 )
-from ikod.model import LayeredKvCache, ModelConfig, TinyDecoder
+from ikod.model import CapacityError, LayeredKvCache, ModelConfig, TinyDecoder
 from ikod.numerics import Rng
 
 
@@ -61,6 +61,14 @@ def test_anchor_count_rounding():
         anchor_count(2, 0.5)
     with pytest.raises(ValueError):
         anchor_count(6, 0.0)
+
+
+@pytest.mark.parametrize("ratio", ["0.5", None, True, float("inf")], ids=["str", "none", "bool", "inf"])
+def test_anchor_ratio_must_be_a_number(ratio):
+    with pytest.raises(ValueError, match="anchor_ratio must be a finite number, got"):
+        anchor_count(6, ratio)
+    with pytest.raises(ValueError, match="anchor_ratio must be a finite number, got"):
+        build_merge_plan(np.zeros((2, 6)), ratio)
 
 
 def plan_anchors(scores, ratio, strategy=AnchorStrategy.LOW_ATTENTION, rng=None) -> list:
@@ -289,6 +297,7 @@ def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_anchors):
         pytest.param([0, 3, 5], "an \\(n_layers, k\\) array", id="wrong-ndim"),
         pytest.param(np.zeros((0, 2), dtype=np.int64), "an \\(n_layers, k\\)", id="no-layers"),
         pytest.param([[0.0, 3.0]], "must be integers", id="not-integers"),
+        pytest.param([[0, 3], [1]], "an \\(n_layers, k\\) array, got ragged rows", id="ragged"),
     ],
 )
 def test_merge_plan_rejects_malformed_anchors(anchors, problem):
@@ -674,3 +683,85 @@ def test_merge_rejects_a_previous_merge_of_another_cache_or_a_superseded_one():
     merge_cache(cache, plan, first)
     with pytest.raises(ValueError, match="already superseded"):
         merge_cache(cache, plan, first)
+
+
+@st.composite
+def upcoming_steps(draw):
+    """A small model, a prompt of at least three text tokens, the tokens fed
+    after it, and the plan settings of every step."""
+    n_heads, d_head = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n_image = draw(st.integers(0, 4))
+    prompt = draw(st.lists(st.integers(1, 11), min_size=3, max_size=6))
+    fed = draw(st.lists(st.integers(0, 11), min_size=1, max_size=6))
+    cfg = ModelConfig(
+        n_layers=draw(st.integers(1, 3)), n_heads=n_heads, d_model=n_heads * d_head,
+        d_ff=draw(st.integers(1, 12)), vocab_size=12,
+        max_seq=n_image + len(prompt) + len(fed) + draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return (
+        TinyDecoder(cfg), n_image, prompt, fed,
+        draw(st.floats(0.01, 1.0)), draw(st.sampled_from(list(AnchorStrategy))),
+        draw(st.integers(0, 2**32 - 1)), draw(st.booleans()),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(upcoming_steps())
+def test_a_merge_finished_by_the_step_equals_a_merge_of_the_grown_cache(case):
+    """A merge made for the position about to be written, whose last row the
+    fused step fills, holds the bytes of a fresh merge of the grown cache,
+    and the step's merged query gives what forward_query gives over it."""
+    model, n_image, prompt, fed, ratio, strategy, seed, chained = case
+    cache = model.new_cache(n_image)
+    rng = np.random.default_rng(seed)
+    for inp in [*rng.normal(size=(n_image, model.config.d_model)), *prompt]:
+        model.forward_step(cache, inp)
+    draws, previous = Rng(seed), None
+    for token in fed:
+        plan = build_merge_plan(layer_scores(cache, upcoming=True), ratio, strategy, draws)
+        assert plan.text_len == cache.length - n_image + 1
+        merged = merge_cache(cache, plan, previous if chained else None, upcoming=True)
+        twin = model.new_cache(n_image)
+        for name in ("keys", "values", "image_att", "text_scores"):
+            getattr(twin, name)[...] = getattr(cache, name)
+        twin.length = cache.length
+        alone = model.forward_step(twin, token)
+        out = model.forward_step(cache, token, (merged.keys, merged.values))
+        fresh = merge_cache(cache, plan)
+        assert (merged.keys.tobytes(), merged.values.tobytes()) == (
+            fresh.keys.tobytes(), fresh.values.tobytes()
+        )
+        logits, rows = model.forward_query(fresh.keys, fresh.values, cache.length - 1, token)
+        assert out.merged[0].tobytes() == logits.tobytes()
+        assert [r.tobytes() for r in out.merged[1]] == [r.tobytes() for r in rows]
+        # The full path is untouched by the query run alongside it.
+        assert out.logits.tobytes() == alone.logits.tobytes()
+        assert out.attention_rows.tobytes() == alone.attention_rows.tobytes()
+        for name in ("keys", "values", "image_att", "text_scores"):
+            assert getattr(cache, name).tobytes() == getattr(twin, name).tobytes()
+        previous = merged
+
+
+def test_a_merge_for_the_upcoming_position_needs_room_and_the_next_length():
+    cache = hand_cache()  # five text rows, room for two more positions
+    with pytest.raises(ValueError, match="plan text length 5 != cache text length 5 \\+ 1"):
+        merge_cache(cache, build_merge_plan(np.zeros((1, 5)), 0.4), upcoming=True)
+    merged = merge_cache(cache, build_merge_plan(np.zeros((1, 6)), 0.4), upcoming=True)
+    assert merged.length == 1 + 1 + 2 and merged.plan.protected == (4, 5)
+    # The row of text position 4 is recorded; position 5's row is the step's.
+    np.testing.assert_array_equal(merged.keys[0, 0, 2], cache.keys[0, 0, 5])
+    cache.length = 8  # full
+    with pytest.raises(CapacityError, match="cache is full at 8 of 8"):
+        merge_cache(cache, build_merge_plan(np.zeros((1, 8)), 0.4), upcoming=True)
+
+
+def test_upcoming_scores_add_one_unread_column():
+    cache = LayeredKvCache(2, 1, 1, 8, 1)
+    for n in range(4):
+        cache.record(np.full((2, 1, n + 1), 1.0 / (n + 1)))
+    recorded = layer_scores(cache)
+    upcoming = layer_scores(cache, upcoming=True)
+    assert recorded.shape == (2, 3) and upcoming.shape == (2, 4)
+    assert upcoming[:, :3].tobytes() == recorded.tobytes()
+    assert np.isnan(upcoming[:, 3]).all()

@@ -191,7 +191,10 @@ def reference_step(model, cache, inp):
         cache.values[li, :, pos] = (x @ lw.w_v).reshape(cfg.n_heads, cfg.d_head)
         keys = np.ascontiguousarray(cache.keys[li, :, : pos + 1])
         vals = np.ascontiguousarray(cache.values[li, :, : pos + 1])
-        x, rows[li] = model._layer(lw, x, keys, vals)
+        q = (x @ lw.w_q).reshape(cfg.n_heads, cfg.d_head)
+        rows[li], mixed = model._attend(q, keys, vals)
+        x = x + mixed @ lw.w_o
+        x = x + np.maximum(x @ lw.w_ff1, 0.0) @ lw.w_ff2
     cache.length = pos + 1
     return x @ model.unembedding, rows
 
