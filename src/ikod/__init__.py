@@ -26,7 +26,7 @@ from .decode import (
     Mode,
     Prefill,
     Prompt,
-    StepDistributions,
+    Step,
     base_select,
     check_request,
     collaborative_combine,

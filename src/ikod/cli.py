@@ -29,6 +29,7 @@ from .attn_analysis import (
 )
 from .cost import growth_rate_closed_form, growth_rate_exact, ikod_flops, original_flops
 from .decode import DecodePolicy, Mode, Prompt, check_counts, ikod_generate, prefill
+from .kv_merge import MergePlan
 from .metrics import BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores, load_caption_records
 from .model import (
     CapacityError,
@@ -38,6 +39,7 @@ from .model import (
     make_image_embeddings,
     read_config,
     require_int,
+    require_seed,
 )
 
 EXIT_USAGE = 2
@@ -64,7 +66,7 @@ class RunConfig:
         if require_int(self.image_count, "image_count") < 0:
             raise ConfigError("image_count must be non-negative")
         seed = self.model.seed if self.image_seed is _MODEL_SEED else self.image_seed
-        object.__setattr__(self, "image_seed", require_int(seed, "image_seed"))
+        object.__setattr__(self, "image_seed", require_seed(seed, "image_seed"))
         tokens = self.prompt_tokens
         if not isinstance(tokens, (list, tuple)):
             raise ConfigError(f"prompt_tokens must be a JSON array of token ids, got {tokens!r}")
@@ -129,7 +131,7 @@ def cmd_decode(args) -> int:
     out_dir = Path(out)
     check_counts(rc.model.max_seq, rc.image_count, len(rc.prompt_tokens), policy)
     model = _build_model(rc.model)
-    result = ikod_generate(model, _build_prompt(rc), policy, record_merge_plans=args.emit_merge_plans)
+    result = ikod_generate(model, _build_prompt(rc), policy)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     per_step = [
@@ -158,11 +160,15 @@ def cmd_decode(args) -> int:
         ["step", "layer", "head", "att_image"],
         trace_image_attention(result.cache, len(result.tokens)),
     )
-    if args.emit_merge_plans and result.merge_plans is not None:
+    if args.emit_merge_plans:
         plan_dir = out_dir / "merge_plans"
         plan_dir.mkdir(exist_ok=True)
-        for i, plan in enumerate(result.merge_plans, start=1):
-            _write_json(plan_dir / f"step_{i:04d}.json", plan.to_json_dict())
+        ratio, strategy = policy.anchor_ratio, policy.anchor_strategy
+        for i, step in enumerate(result.steps):
+            if step.anchors is not None:  # a baseline pick runs no plan
+                # Pick i's plan spans the prompt text and the i picks before it.
+                plan = MergePlan(step.anchors, len(rc.prompt_tokens) + i, ratio, strategy)
+                _write_json(plan_dir / f"step_{i + 1:04d}.json", plan.to_json_dict())
     print(f"generated {len(result.tokens)} tokens -> {out_dir}")
     return 0
 
@@ -350,29 +356,17 @@ def cmd_sweep(args) -> int:
 
     def run_policy(policy: DecodePolicy) -> list:
         result = ikod_generate(model, prefix, policy)
-        stat = ImageAttentionStat.from_trace(result.cache, len(result.tokens))
-        mean_orig = float(stat.att_avg[stat.generated].mean())
-        mean_aug = (
-            float(np.mean(result.aug_image_attention)) if result.aug_image_attention else ""
-        )
+        tokens = result.tokens
+        stat = ImageAttentionStat.from_trace(result.cache, len(tokens))
+        aug_att = [step.aug_image_attention for step in result.steps if step.p_aug is not None]
         halluc = ""
-        if gt_tokens is not None and result.tokens:
-            record = CaptionRecord(
-                mentioned=frozenset(str(t) for t in result.tokens),
-                ground_truth=frozenset(gt_tokens),
-            )
+        if gt_tokens is not None:
+            record = CaptionRecord(frozenset(str(t) for t in tokens), frozenset(gt_tokens))
             halluc = float(chair_scores([record])[1])
         return [
-            policy.mode.value,
-            float(policy.anchor_ratio),
-            float(policy.alpha),
-            float(policy.beta),
-            policy.anchor_strategy.value,
-            len(result.tokens),
-            mean_orig,
-            mean_aug,
-            halluc,
-            " ".join(str(t) for t in result.tokens),
+            policy.mode.value, policy.anchor_ratio, policy.alpha, policy.beta,
+            policy.anchor_strategy.value, len(tokens), float(stat.att_avg[stat.generated].mean()),
+            float(np.mean(aug_att)) if aug_att else "", halluc, " ".join(map(str, tokens)),
         ]
 
     rows = [run_policy(p) for p in policies]

@@ -36,7 +36,6 @@ import numpy as np
 from .kv_merge import (
     AnchorStrategy,
     CompressedCache,
-    MergePlan,
     build_merge_plan,
     layer_scores,
     merge_cache,
@@ -49,6 +48,7 @@ from .model import (
     require_float,
     require_int,
     require_member,
+    require_seed,
 )
 from .numerics import Rng, ShapeError, softmax_rows
 
@@ -60,7 +60,7 @@ __all__ = [
     "Mode",
     "Prefill",
     "Prompt",
-    "StepDistributions",
+    "Step",
     "base_select",
     "check_counts",
     "check_request",
@@ -152,8 +152,8 @@ class DecodePolicy:
     def __post_init__(self):
         for name, kind in (("mode", Mode), ("anchor_strategy", AnchorStrategy)):
             object.__setattr__(self, name, require_member(kind, getattr(self, name), name))
-        for name in ("max_new_tokens", "seed"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
+        for name, check in (("max_new_tokens", require_int), ("seed", require_seed)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         for name in ("alpha", "beta", "anchor_ratio"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         if not 0.0 <= self.alpha < math.inf:
@@ -245,25 +245,33 @@ class Prompt:
     tokens: tuple[int, ...]
 
 
-@dataclass
-class StepDistributions:
-    """Distributions behind one emitted token. p_aug and v_head are None when
-    the merged path did not run (baseline mode)."""
+@dataclass(frozen=True)
+class Step:
+    """One pick: the token chosen and the full-cache distribution p_orig;
+    under a merged mode also the merged path's p_aug, the plausibility set
+    v_head, the merged query's image attention (mean over layers and heads)
+    and the (n_layers, k) anchors of the plan it ran on, all None under
+    baseline. The pick was drawn from collaborative_combine(p_orig, p_aug,
+    alpha, v_head) under ikod, or p_aug masked to v_head under ikod_no_od."""
 
-    p_orig: np.ndarray
-    p_aug: np.ndarray | None
-    p_combined: np.ndarray
-    v_head: np.ndarray | None
     chosen: int
+    p_orig: np.ndarray
+    p_aug: np.ndarray | None = None
+    v_head: np.ndarray | None = None
+    aug_image_attention: float | None = None
+    anchors: np.ndarray | None = None
 
 
 @dataclass
 class GenerationResult:
-    tokens: list[int]
-    steps: list[StepDistributions]
+    """One Step per pick, in order, and the cache the generation filled."""
+
+    steps: list[Step]
     cache: LayeredKvCache
-    aug_image_attention: list[float]
-    merge_plans: list[MergePlan] | None
+
+    @property
+    def tokens(self) -> list[int]:
+        return [step.chosen for step in self.steps]
 
 
 def _softmax_vec(logits: np.ndarray) -> np.ndarray:
@@ -422,7 +430,6 @@ def ikod_generate(
     model: TinyDecoder,
     prompt: Prompt | Prefill,
     policy: DecodePolicy,
-    record_merge_plans: bool = False,
 ) -> GenerationResult:
     """Run the full generation loop under the given policy.
 
@@ -442,10 +449,7 @@ def ikod_generate(
     logits, current_input = prompt.logits, prompt.last_input
 
     rng = Rng(policy.seed)
-    generated: list[int] = []
-    steps: list[StepDistributions] = []
-    plans: list[MergePlan] | None = [] if record_merge_plans else None
-    aug_att: list[float] = []
+    steps: list[Step] = []
     merged = aug = None
 
     def plan_merge(upcoming: bool) -> None:
@@ -454,16 +458,12 @@ def ikod_generate(
             layer_scores(cache, upcoming), policy.anchor_ratio, policy.anchor_strategy, rng
         )
         merged = merge_cache(cache, plan, merged, upcoming)
-        if plans is not None:
-            plans.append(plan)
 
-    for _ in range(policy.max_new_tokens):
+    for i in range(policy.max_new_tokens):
         p_orig = _softmax_vec(logits)
-        if policy.mode is Mode.BASELINE:
-            p_aug = None
-            v_head = None
-            scores = p_orig
-        else:
+        scores = p_orig
+        p_aug = v_head = aug_att = anchors = None  # baseline runs no merged path
+        if policy.mode is not Mode.BASELINE:
             if merged is None:  # the first pick plans over the prompt
                 plan_merge(upcoming=False)
             if aug is None:  # no full step ran it: the first pick, or a replayed step
@@ -477,15 +477,11 @@ def ikod_generate(
                 scores = collaborative_combine(p_orig, p_aug, policy.alpha, v_head)
             else:
                 scores = np.where(v_head, p_aug, 0.0)
-            aug_att.append(float(aug_rows[:, :, : cache.l_image].sum(axis=2).mean()))
+            aug_att = float(aug_rows[:, :, : cache.l_image].sum(axis=2).mean())
+            anchors = merged.plan.anchors  # the plan this pick's merged query ran on
         token = base_select(scores, policy.base, rng)
-        steps.append(
-            StepDistributions(
-                p_orig=p_orig, p_aug=p_aug, p_combined=scores, v_head=v_head, chosen=token
-            )
-        )
-        generated.append(token)
-        last = token == EOS_TOKEN or len(generated) == policy.max_new_tokens
+        steps.append(Step(token, p_orig, p_aug, v_head, aug_att, anchors))
+        last = token == EOS_TOKEN or i == policy.max_new_tokens - 1
         if merged is not None and not last:
             # The next pick's merged query is this token at this position,
             # and its plan reads only recorded scores: merge for it now and
@@ -496,10 +492,4 @@ def ikod_generate(
         if last:
             break
 
-    return GenerationResult(
-        tokens=generated,
-        steps=steps,
-        cache=cache,
-        aug_image_attention=aug_att,
-        merge_plans=plans,
-    )
+    return GenerationResult(steps, cache)

@@ -45,6 +45,7 @@ __all__ = [
     "require_float",
     "require_int",
     "require_member",
+    "require_seed",
     "save_checkpoint",
     "sinusoidal_positions",
 ]
@@ -72,6 +73,15 @@ def require_int(value, name: str) -> int:
     if not whole:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_seed(value, name: str) -> int:
+    """require_int within 0..2**64 - 1, the seeds Rng takes as they are, so
+    no two seeds alias one stream."""
+    seed = require_int(value, name)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must lie in [0, 2**64 - 1], got {seed}")
+    return seed
 
 
 def require_float(value, name: str) -> float:
@@ -158,8 +168,9 @@ class ModelConfig:
     d_head: int = 0  # 0 means "derive as d_model // n_heads"
 
     def __post_init__(self):
-        for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq", "seed", "d_head"):
+        for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq", "d_head"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
+        object.__setattr__(self, "seed", require_seed(self.seed, "seed"))
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "max_seq"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+from ikod import cli, decode
 from ikod.attn_analysis import ImageAttentionStat, degradation_report, segment_averages
 from ikod.cli import _build_prompt, _read_trace_csv, _write_csv, load_run_config, main
-from ikod.decode import ikod_generate
+from ikod.decode import EOS_TOKEN, ikod_generate, prefill
 from ikod.model import ConfigError, TinyDecoder
 
 BASE_CONFIG = {
@@ -227,6 +228,94 @@ def test_decode_emits_merge_plans(tmp_path):
     assert len(plans) == len(gen["result"]["tokens"])
     doc = json.loads(plans[0].read_text())
     assert doc["layers"][0]["buckets"]
+
+
+PLAN_CASES = {
+    # A small vocabulary under sampling: every strategy's run emits the end
+    # token within a few picks.
+    "early-eos": {
+        "model": {"vocab_size": 8},
+        "prompt_tokens": [5, 1, 3, 4],
+        "policy": {
+            "base": {"kind": "top_p", "p": 0.9, "temperature": 1.5}, "max_new_tokens": 24, "seed": 5,
+        },
+    },
+    "one-token": {"policy": {"max_new_tokens": 1}},
+    "replay": {"policy": {}},
+}
+
+
+@pytest.mark.parametrize("strategy", ["low_attention", "high_attention", "random"])
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_plan_files_are_the_plans_the_decode_loop_built(tmp_path, monkeypatch, case, strategy):
+    """decode --emit-merge-plans writes each pick's plan from its step record:
+    step_{i}.json is, byte for byte, the i-th plan build_merge_plan returned
+    inside the loop, over text of the prompt and the picks before it. The
+    replay case decodes on a shared Prefill whose step tree already holds
+    every step."""
+    overrides = {**PLAN_CASES[case]}
+    overrides["policy"] = {**overrides["policy"], "anchor_strategy": strategy}
+    cfg = write_config(tmp_path, **overrides)
+    built = []
+    build = decode.build_merge_plan
+    monkeypatch.setattr(
+        decode, "build_merge_plan", lambda *args: built.append(build(*args)) or built[-1]
+    )
+    if case == "replay":
+        def replayed(model, prompt, policy):
+            prefix = prefill(model, prompt)
+            ikod_generate(model, prefix, policy)
+            built.clear()
+            result = ikod_generate(model, prefix, policy)
+            assert prefix.tree.used == len(result.tokens)  # no step decoded afresh
+            return result
+
+        monkeypatch.setattr(cli, "ikod_generate", replayed)
+    out = tmp_path / "run"
+    assert main(["decode", "--config", str(cfg), "--out", str(out), "--emit-merge-plans"]) == 0
+    tokens = json.loads((out / "generation.json").read_text())["result"]["tokens"]
+    if case == "early-eos":
+        assert 1 < len(tokens) < 24 and tokens[-1] == EOS_TOKEN
+    elif case == "one-token":
+        assert len(tokens) == 1
+    else:
+        assert len(tokens) == 8
+    files = sorted((out / "merge_plans").iterdir())
+    assert [path.name for path in files] == [f"step_{i:04d}.json" for i in range(1, len(tokens) + 1)]
+    assert len(built) == len(tokens)
+    prompt_len = len(load_run_config(cfg).prompt_tokens)
+    for i, (path, plan) in enumerate(zip(files, built)):
+        assert plan.text_len == prompt_len + i
+        written = json.dumps(plan.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == written.encode("utf-8")
+
+
+def test_baseline_decode_writes_no_plan_files(tmp_path):
+    cfg = write_config(tmp_path, policy={"mode": "baseline"})
+    out = tmp_path / "run"
+    assert main(["decode", "--config", str(cfg), "--out", str(out), "--emit-merge-plans"]) == 0
+    assert list((out / "merge_plans").iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+@pytest.mark.parametrize(
+    "where, field",
+    [("model", "model.seed"), ("policy", "policy.seed"), ("image_seed", "image_seed"),
+     ("--seed", "seed")],
+)
+def test_decode_rejects_seeds_outside_the_generator_range(tmp_path, capsys, seed, where, field):
+    """The generator keeps a seed's low 64 bits; a seed it would alias to
+    another exits 2 naming the field and the range, before any file."""
+    argv = []
+    if where == "--seed":
+        path, argv = write_config(tmp_path), ["--seed", str(seed)]
+    elif where == "image_seed":
+        path = write_config(tmp_path, image_seed=seed)
+    else:
+        path = write_config(tmp_path, **{where: {"seed": seed}})
+    assert main(["decode", "--config", str(path), "--out", str(tmp_path / "x"), *argv]) == 2
+    assert f"error: {field} must lie in [0, 2**64 - 1], got {seed}\n" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_analyze_run_dir(tmp_path):

@@ -15,7 +15,7 @@ from ikod.decode import (
     GenerationResult,
     Mode,
     Prompt,
-    StepDistributions,
+    Step,
     base_select,
     collaborative_combine,
     ikod_generate,
@@ -302,36 +302,27 @@ def test_modes_are_deterministic_under_fixed_seeds():
             assert a.tokens == b.tokens
 
 
+def step_scores(step: Step, policy: DecodePolicy) -> np.ndarray:
+    """The scores a pick was drawn from, recomputed from its record."""
+    if policy.mode is Mode.BASELINE:
+        return step.p_orig
+    if policy.mode is Mode.IKOD:
+        return collaborative_combine(step.p_orig, step.p_aug, policy.alpha, step.v_head)
+    return np.where(step.v_head, step.p_aug, 0.0)
+
+
 def test_no_od_mode_differs_and_respects_the_mask():
     model = make_model()
     prompt = make_prompt(model)
-    result = ikod_generate(
-        model, prompt,
-        DecodePolicy(mode=Mode.IKOD_NO_OD, anchor_ratio=0.3, beta=0.2,
-                     max_new_tokens=8, seed=0),
+    policy = DecodePolicy(
+        mode=Mode.IKOD_NO_OD, anchor_ratio=0.3, beta=0.2, max_new_tokens=8, seed=0
     )
+    result = ikod_generate(model, prompt, policy)
     for step in result.steps:
         assert step.p_aug is not None
-        assert np.all(step.p_combined[~step.v_head] == 0.0)
-        # scores come from the merged path alone
-        np.testing.assert_allclose(
-            step.p_combined[step.v_head], step.p_aug[step.v_head]
-        )
-
-
-def test_merge_plans_are_recorded_on_request():
-    model = make_model()
-    prompt = make_prompt(model)
-    result = ikod_generate(
-        model, prompt,
-        DecodePolicy(mode=Mode.IKOD, anchor_ratio=0.4, max_new_tokens=5, seed=0),
-        record_merge_plans=True,
-    )
-    assert result.merge_plans is not None
-    assert len(result.merge_plans) == len(result.tokens)
-    text_len = len(prompt.tokens)
-    for i, plan in enumerate(result.merge_plans):
-        assert plan.text_len == text_len + i
+        # The pick is the merged path's argmax inside the mask.
+        assert step.v_head[step.chosen]
+        assert step.chosen == int(np.argmax(step_scores(step, policy)))
 
 
 def test_generation_requires_three_text_tokens_for_merging():
@@ -360,7 +351,7 @@ def test_text_only_prompt_runs_without_images():
         model, prompt, DecodePolicy(mode=Mode.IKOD, anchor_ratio=0.5, max_new_tokens=6, seed=0)
     )
     assert len(result.tokens) >= 1
-    assert all(a == 0.0 for a in result.aug_image_attention)
+    assert all(step.aug_image_attention == 0.0 for step in result.steps)
 
 
 def test_random_anchor_strategy_is_deterministic():
@@ -400,26 +391,26 @@ def assert_same_trace(a, b):
     assert a.text_scores[:, :text].tobytes() == b.text_scores[:, :text].tobytes()
 
 
-def plan_docs(result):
-    if result.merge_plans is None:
-        return None
-    return [plan.to_json_dict() for plan in result.merge_plans]
-
-
-def assert_same_generation(a, b):
-    """Bit-for-bit equality of everything a generation returns."""
+def assert_same_generation(a, b, policy: DecodePolicy):
+    """Bit-for-bit equality of everything two generations under policy
+    return, the scores each pick was drawn from included; a greedy pick is
+    the argmax of those scores."""
     assert a.tokens == b.tokens
     assert len(a.steps) == len(b.steps)
+    merged = policy.mode is not Mode.BASELINE
     for sa, sb in zip(a.steps, b.steps):
         assert sa.chosen == sb.chosen
-        for name in ("p_orig", "p_aug", "p_combined", "v_head"):
+        for name in ("p_orig", "p_aug", "v_head", "aug_image_attention", "anchors"):
             x, y = getattr(sa, name), getattr(sb, name)
-            assert (x is None) == (y is None)
+            assert (x is not None) == (y is not None) == (merged or name == "p_orig")
             if x is not None:
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                x, y = np.asarray(x), np.asarray(y)
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        scores = step_scores(sa, policy)
+        assert scores.tobytes() == step_scores(sb, policy).tobytes()
+        if policy.base.kind == "greedy":
+            assert sa.chosen == int(np.argmax(scores))
     assert_same_trace(a.cache, b.cache)
-    assert np.array(a.aug_image_attention).tobytes() == np.array(b.aug_image_attention).tobytes()
-    assert plan_docs(a) == plan_docs(b)
     n = a.cache.length
     assert n == b.cache.length
     assert a.cache.keys[:, :, :n].tobytes() == b.cache.keys[:, :, :n].tobytes()
@@ -433,15 +424,15 @@ def test_merges_updated_step_to_step_match_merges_built_afresh(monkeypatch, stra
     model = TinyDecoder(replace(make_model().config, vocab_size=256))
     prompt = make_prompt(model)
     policy = DecodePolicy(base=base, anchor_strategy=strategy, max_new_tokens=64)
-    updated = ikod_generate(model, prompt, policy, record_merge_plans=True)
+    updated = ikod_generate(model, prompt, policy)
     merge = decode.merge_cache
     monkeypatch.setattr(
         decode, "merge_cache",
         lambda cache, plan, previous, upcoming: merge(cache, plan, upcoming=upcoming),
     )
-    fresh = ikod_generate(model, prompt, policy, record_merge_plans=True)
+    fresh = ikod_generate(model, prompt, policy)
     assert len(updated.tokens) == 64
-    assert_same_generation(updated, fresh)
+    assert_same_generation(updated, fresh, policy)
 
 
 policies = st.builds(
@@ -495,26 +486,25 @@ def test_forked_prefill_matches_fresh_generation(case, sequence):
     arrays = [c.keys, c.values, prefix.logits, c.image_att, c.text_scores]
     before = [a.copy() for a in arrays]
     for policy in sequence:
-        shared = ikod_generate(model, prefix, policy, record_merge_plans=True)
-        alone = ikod_generate(model, prefill(model, prompt), policy, record_merge_plans=True)
-        assert_same_generation(shared, alone)
+        shared = ikod_generate(model, prefix, policy)
+        alone = ikod_generate(model, prefill(model, prompt), policy)
+        assert_same_generation(shared, alone, policy)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
 
 
 def unfused_generate(model, prompt: Prompt, policy: DecodePolicy) -> GenerationResult:
     """The decode loop with its two paths run one after the other: each pick
     plans and merges over the cache as it stands, runs the merged query on
-    its own through forward_query, and then feeds the pick to forward_step.
-    Plans are always recorded; baseline records none."""
+    its own through forward_query, and then feeds the pick to forward_step."""
     prefix = prefill(model, prompt)
     cache = prefix.fork()
     logits, current_input = prefix.logits, prefix.last_input
     rng = Rng(policy.seed)
-    result = GenerationResult([], [], cache, [], [])
+    result = GenerationResult([], cache)
     merged = None
     for _ in range(policy.max_new_tokens):
         p_orig = softmax_rows(logits[None, :])[0]
-        p_aug = v_head = None
+        p_aug = v_head = aug_att = anchors = None
         scores = p_orig
         if policy.mode is not Mode.BASELINE:
             plan = build_merge_plan(
@@ -530,13 +520,10 @@ def unfused_generate(model, prompt: Prompt, policy: DecodePolicy) -> GenerationR
                 scores = collaborative_combine(p_orig, p_aug, policy.alpha, v_head)
             else:
                 scores = np.where(v_head, p_aug, 0.0)
-            result.aug_image_attention.append(
-                float(np.mean([r[:, : cache.l_image].sum(axis=1) for r in aug_rows]))
-            )
-            result.merge_plans.append(plan)
+            aug_att = float(np.mean([r[:, : cache.l_image].sum(axis=1) for r in aug_rows]))
+            anchors = plan.anchors
         token = base_select(scores, policy.base, rng)
-        result.steps.append(StepDistributions(p_orig, p_aug, scores, v_head, token))
-        result.tokens.append(token)
+        result.steps.append(Step(token, p_orig, p_aug, v_head, aug_att, anchors))
         logits = model.forward_step(cache, token).logits
         current_input = token
         if token == EOS_TOKEN:
@@ -547,12 +534,8 @@ def unfused_generate(model, prompt: Prompt, policy: DecodePolicy) -> GenerationR
 def assert_matches_unfused(model, prompt, source, policy) -> GenerationResult:
     """ikod_generate from source (prompt or one of its Prefills) equals the
     unfused loop on prompt, bit for bit."""
-    fused = ikod_generate(model, source, policy, record_merge_plans=True)
-    unfused = unfused_generate(model, prompt, policy)
-    if policy.mode is Mode.BASELINE:
-        assert fused.merge_plans == []
-        unfused.merge_plans = []
-    assert_same_generation(fused, unfused)
+    fused = ikod_generate(model, source, policy)
+    assert_same_generation(fused, unfused_generate(model, prompt, policy), policy)
     return fused
 
 
@@ -656,6 +639,17 @@ def test_policy_rejects_fractional_counts(field, build):
 def test_policy_rejects_booleans_and_non_numbers(field, build):
     with pytest.raises(ConfigError, match=f"{field} must be a finite number, got"):
         build()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seeds_outside_the_generator_range_are_rejected(seed):
+    """The generator keeps a seed's low 64 bits, so -1 would alias 2**64 - 1
+    and 2**64 + 5 would alias 5; the configs refuse such seeds instead."""
+    message = rf"^seed must lie in \[0, 2\*\*64 - 1\], got {seed}$"
+    for build in (lambda s: make_model(seed=s), lambda s: DecodePolicy(seed=s)):
+        with pytest.raises(ConfigError, match=message):
+            build(seed)
+        build(seed % 2**64)
 
 
 def test_base_strategy_error_names_every_accepted_kind():
@@ -803,7 +797,7 @@ def test_shared_prefill_decodes_each_token_prefix_once(monkeypatch):
     for policy, reference in zip(sequence, expected):
         before = len(calls)
         result = ikod_generate(model, prefix, policy)
-        assert_same_generation(result, reference)
+        assert_same_generation(result, reference, policy)
         new = token_prefixes(result.tokens) - decoded
         assert len(calls) - before == len(new)
         decoded |= new
@@ -837,8 +831,8 @@ def test_step_tree_fills_to_max_seq_rows_then_keeps_replaying(monkeypatch):
         for seed in range(30)
     ]
     for policy in sampled:
-        alone = ikod_generate(model, prefill(model, prompt), policy, record_merge_plans=True)
-        assert_same_generation(ikod_generate(model, prefix, policy, record_merge_plans=True), alone)
+        alone = ikod_generate(model, prefill(model, prompt), policy)
+        assert_same_generation(ikod_generate(model, prefix, policy), alone, policy)
     assert prefix.tree.used == len(prefix.tree.children) == model.config.max_seq
     for block in prefix.tree.blocks:
         assert len(block) == model.config.max_seq
@@ -892,7 +886,7 @@ def test_threads_sharing_a_prefill_match_their_sequential_runs():
             anchor_strategy=AnchorStrategy.RANDOM, max_new_tokens=24, seed=5,
         ),
     ]
-    expected = [ikod_generate(model, prefill(model, prompt), p, record_merge_plans=True) for p in sequence]
+    expected = [ikod_generate(model, prefill(model, prompt), p) for p in sequence]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -903,7 +897,7 @@ def test_threads_sharing_a_prefill_match_their_sequential_runs():
 
             def run(i):
                 try:
-                    results[i] = ikod_generate(model, prefix, sequence[i], record_merge_plans=True)
+                    results[i] = ikod_generate(model, prefix, sequence[i])
                 except BaseException as exc:  # reported below, in the test's thread
                     errors.append(exc)
 
@@ -914,8 +908,8 @@ def test_threads_sharing_a_prefill_match_their_sequential_runs():
                 thread.join(timeout=30.0)
             assert not any(thread.is_alive() for thread in threads)
             assert errors == []
-            for result, reference in zip(results, expected):
-                assert_same_generation(result, reference)
+            for result, reference, policy in zip(results, expected, sequence):
+                assert_same_generation(result, reference, policy)
     finally:
         sys.setswitchinterval(interval)
 
@@ -942,7 +936,7 @@ def test_decoding_never_exceeds_max_seq(case, policy, extra):
     if requested.max_new_tokens > room:
         assert outcomes == [CapacityError, CapacityError]
         return
-    assert_same_generation(*outcomes)
+    assert_same_generation(*outcomes, requested)
     for result in outcomes:
         assert result.cache.length <= max_seq
 

@@ -439,7 +439,9 @@ config_objects = st.builds(
     st.integers(1, 8),
     st.integers(1, 64),
     st.booleans(),
-    st.tuples(st.integers(1, 4096), st.integers(2, 10**6), st.integers(1, 10**6), st.integers()),
+    st.tuples(
+        st.integers(1, 4096), st.integers(2, 10**6), st.integers(1, 10**6), st.integers(0, 2**64 - 1)
+    ),
 ) | st.builds(
     DecodePolicy,
     mode=st.sampled_from(Mode),
