@@ -15,6 +15,10 @@ orders apart. A long grid decodes 100 tokens (max_seq 160, 24 images, a
 vocabulary large enough that sampling rarely ends early) in the two merged
 modes x both bases x the low_attention and random strategies x both seeds,
 16 configs, so that merges carried across many steps are compared too.
+A long-prompt pair runs the same model on 24 images and 110 prompt tokens
+(134 prefill rows, past the 128 where numpy's pairwise sum splits a row) and
+decodes 20 tokens, greedy with low_attention anchors, in baseline and ikod,
+so that a prefill over several blocks of positions is compared end to end.
 Last come `analyze --synthetic-uniform` at four image/prompt/generated
 counts (no images, fewer than five generated tokens, 16 generated) and at a
 negative count, a `decode` of each of eleven malformed policies (two give
@@ -53,6 +57,7 @@ STRATEGIES = ("low_attention", "high_attention", "random")
 MODES = ("baseline", "ikod", "ikod_no_od")
 SEEDS = (0, 17)
 PROMPT = [5, 9, 3, 17, 2, 11]
+LONG_PROMPT = [1 + (7 * i + 3) % 255 for i in range(110)]
 # (image, prompt, generated) counts of the synthetic-uniform analyses.
 SYNTHETIC_COUNTS = ((0, 4, 16), (8, 4, 3), (8, 4, 16), (24, 0, 7))
 # Policy fields every decode must reject with exit code 2.
@@ -99,19 +104,21 @@ def write_grid(root: Path) -> None:
     # Strategy and seed vary fastest, so the sweeps cover every model, image
     # count, mode and base; a sweep sets its own strategies.
     grid = [
-        (model, MODELS[model], images, mode, base, strategy, seed, 10)
+        (model, MODELS[model], images, PROMPT, mode, base, strategy, seed, 10)
         for model, images, mode, base, strategy, seed
         in itertools.product(MODELS, IMAGE_COUNTS, MODES, BASES, STRATEGIES, SEEDS)
     ]
     long_grid = itertools.product(MODES[1:], BASES, ("low_attention", "random"), SEEDS)
-    grid += [("long", LONG_MODEL, 24, *row, 100) for row in long_grid]
-    for i, (model, spec, images, mode, base, strategy, seed, new_tokens) in enumerate(grid):
+    grid += [("long", LONG_MODEL, 24, PROMPT, *row, 100) for row in long_grid]
+    grid += [("longprompt", LONG_MODEL, 24, LONG_PROMPT, mode, "greedy", "low_attention", 0, 20)
+             for mode in MODES[:2]]
+    for i, (model, spec, images, prompt, mode, base, strategy, seed, new_tokens) in enumerate(grid):
         name = f"{i:03d}-{model}-img{images}-{base}-{strategy}-{mode}-s{seed}"
         config = f"configs/{name}.json"
         (root / config).write_text(json.dumps({
             "model": spec,
             "image_count": images,
-            "prompt_tokens": PROMPT,
+            "prompt_tokens": prompt,
             "policy": {"mode": mode, "base": BASES[base], "anchor_strategy": strategy,
                        "max_new_tokens": new_tokens, "seed": seed},
         }))

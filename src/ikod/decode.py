@@ -185,11 +185,14 @@ def collaborative_combine(p_orig, p_aug, alpha: float, v_head) -> np.ndarray:
     """p_orig + alpha * p_aug, zeroed outside the admissible set."""
     p_orig = np.asarray(p_orig, dtype=np.float64)
     p_aug = np.asarray(p_aug, dtype=np.float64)
+    v_head = np.asarray(v_head, dtype=bool)
     if p_orig.shape != p_aug.shape:
         raise ShapeError(f"distribution sizes differ: {p_orig.shape} vs {p_aug.shape}")
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
-    return np.where(np.asarray(v_head, dtype=bool), p_orig + alpha * p_aug, 0.0)
+    if v_head.shape != p_orig.shape:
+        raise ShapeError(f"mask shape {v_head.shape} differs from distributions of {p_orig.shape}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be non-negative and finite")
+    return np.where(v_head, p_orig + alpha * p_aug, 0.0)
 
 
 def base_select(scores, base: BaseStrategy, rng: Rng) -> int:
@@ -203,11 +206,13 @@ def base_select(scores, base: BaseStrategy, rng: Rng) -> int:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("scores must be one-dimensional")
-    if np.any(s < 0):
-        raise ValueError("scores must be non-negative")
+    if not (s >= 0).all():  # NaN fails the comparison too
+        raise ValueError("scores must be non-negative numbers")
     total = s.sum()
-    if total <= 0.0:
+    if total == 0.0:
         raise ValueError("scores are all zero")
+    if total == math.inf:
+        raise ValueError("scores must have a finite sum")
     if base.kind == "greedy":
         return int(np.argmax(s))
     probs = s / total

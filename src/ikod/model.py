@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import Matrix, Rng, _cache_aligned_empty, softmax_rows
+from .numerics import Matrix, Rng, _cache_aligned_empty, softmax_causal_block, softmax_rows
 
 __all__ = [
     "CapacityError",
@@ -271,11 +271,25 @@ def sinusoidal_positions(length: int, width: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
+# Prompt positions per prefill attention block. A block scores its positions
+# against every column up to its last one, so a larger block computes more of
+# the masked upper triangle, and a smaller one pays numpy's per-call cost more
+# often. Its temporaries are about 2 * _PREFILL_BLOCK / (n_layers * length)
+# of the attention rows the prefill keeps for the whole prompt.
+_PREFILL_BLOCK = 24
+
+
 def _row_times(x: np.ndarray, w: Matrix) -> np.ndarray:
     """Each row of x times w, every row bit-identical to x[i] @ w: numpy runs
     the stacked (n, 1, d) product as one matrix-vector product per row. A 2-D
     x @ w runs one matrix-matrix product, which sums in another order."""
     return np.matmul(x[:, None, :], w)[:, 0]
+
+
+def _mix(att: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The (n_heads, length) attention rows att mixing the (n_heads, length,
+    d_head) values, as one row of n_heads * d_head."""
+    return np.einsum("ht,htd->hd", att, values).reshape(-1)
 
 
 def _uniform_matrix(rng: Rng, rows: int, cols: int, scale: float) -> Matrix:
@@ -289,6 +303,8 @@ def make_image_embeddings(count: int, d_model: int, seed: int) -> np.ndarray:
     its prefix with a shorter one under the same seed. count may be 0 for
     text-only runs.
     """
+    count, d_model = require_int(count, "count"), require_int(d_model, "d_model")
+    seed = require_seed(seed, "seed")
     if count < 0:
         raise ValueError("count must be non-negative")
     if d_model < 1:
@@ -370,8 +386,10 @@ class TinyDecoder:
         return the logits after the last position.
 
         Byte-identical to one forward_step per input: each projection and
-        feed-forward row is computed as forward_step computes it (_row_times),
-        and each position attends through the same _attend call.
+        feed-forward row is computed as forward_step computes it (_row_times).
+        Attention runs a block of positions at a time: each score is the dot
+        _attend takes, the softmax is softmax_causal_block, and each row mixes
+        its values through _mix, as _attend does.
         """
         cfg = self.config
         if cache.length != 0:
@@ -384,21 +402,31 @@ class TinyDecoder:
         if len(inputs) > n:
             raise CapacityError(f"cache is full at {n} of {capacity} positions")
         x = x + self.positions[:n]
-        rows = [np.empty((cfg.n_layers, cfg.n_heads, p + 1)) for p in range(n)]
+        # Each block of positions keeps its attention rows in one array,
+        # (positions, n_layers, n_heads, columns up to its last position).
+        blocks = []
+        for start in range(0, n, _PREFILL_BLOCK):
+            end = min(start + _PREFILL_BLOCK, n)
+            blocks.append((start, np.empty((end - start, cfg.n_layers, cfg.n_heads, end))))
         heads = (n, cfg.n_heads, cfg.d_head)
+        scale = 1.0 / math.sqrt(cfg.d_head)
         for li, lw in enumerate(self.layers):
             q = _row_times(x, lw.w_q).reshape(heads)
-            cache.keys[li, :, :n] = _row_times(x, lw.w_k).reshape(heads).transpose(1, 0, 2)
-            cache.values[li, :, :n] = _row_times(x, lw.w_v).reshape(heads).transpose(1, 0, 2)
+            keys, values = cache.keys[li], cache.values[li]
+            keys[:, :n] = _row_times(x, lw.w_k).reshape(heads).transpose(1, 0, 2)
+            values[:, :n] = _row_times(x, lw.w_v).reshape(heads).transpose(1, 0, 2)
             mixed = np.empty((n, cfg.d_model))
-            for p in range(n):
-                rows[p][li], mixed[p] = self._attend(
-                    q[p], cache.keys[li, :, : p + 1], cache.values[li, :, : p + 1]
-                )
+            for start, att in blocks:
+                end = att.shape[-1]
+                scores = np.einsum("phd,htd->pht", q[start:end], keys[:, :end]) * scale
+                softmax_causal_block(scores, start, att[:, li])
+                for p in range(start, end):
+                    mixed[p] = _mix(att[p - start, li, :, : p + 1], values[:, : p + 1])
             x = x + _row_times(mixed, lw.w_o)
             x = x + _row_times(np.maximum(_row_times(x, lw.w_ff1), 0.0), lw.w_ff2)
-        for position_rows in rows:
-            cache.record(position_rows)
+        for start, att in blocks:
+            for i, position_rows in enumerate(att):
+                cache.record(position_rows[..., : start + i + 1])
         return x[-1] @ self.unembedding
 
     def _attend(self, qh, keys, values):
@@ -406,7 +434,7 @@ class TinyDecoder:
         keys, and the values they mix, as one d_model row."""
         cfg = self.config
         att = softmax_rows(np.einsum("hd,htd->ht", qh, keys) * (1.0 / math.sqrt(cfg.d_head)))
-        return att, np.einsum("ht,htd->hd", att, values).reshape(cfg.d_model)
+        return att, _mix(att, values)
 
     def _layers(self, xs, views, step: bool = False):
         """Run the query rows xs through every layer, each weight matrix

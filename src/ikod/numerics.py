@@ -6,7 +6,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["Matrix", "Rng", "ShapeError", "softmax_rows"]
+__all__ = ["Matrix", "Rng", "ShapeError", "softmax_causal_block", "softmax_rows"]
 
 # Matrices are plain row-major float64 ndarrays; the alias marks intent in
 # signatures without wrapping numpy.
@@ -17,15 +17,48 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible."""
 
 
+_NOT_FINITE = "matrix entries must be finite"
+
+
+def _shifted_exp(m: Matrix) -> Matrix:
+    """exp of m minus its row maxima, rows along the last axis."""
+    return np.exp(m - m.max(axis=-1, keepdims=True))
+
+
 def softmax_rows(m) -> Matrix:
     """Row-wise softmax with max-subtraction; every row sums to 1."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    e = np.exp(m - m.max(axis=1, keepdims=True))
+        raise ValueError(_NOT_FINITE)
+    e = _shifted_exp(m)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_causal_block(scores: Matrix, first: int, out: Matrix) -> None:
+    """softmax_rows of each position's own columns, for a block of positions.
+
+    scores holds the (n, heads, columns) scores of positions first ..
+    first + n - 1. out, of the same shape, receives in out[i, :, : first + i + 1]
+    softmax_rows(scores[i, :, : first + i + 1]) bit for bit, and zeros in the
+    later columns; the call raises where one of those calls would. The
+    finiteness check skips the later columns, and the max, subtraction,
+    exponentials and divide run on the whole block with them masked to -inf,
+    so each is exact or elementwise. The row sums are taken one position at
+    a time: a pairwise sum's order depends on the row's length. scores is
+    overwritten.
+    """
+    n, _, columns = scores.shape
+    later = (np.arange(columns) > np.arange(first, first + n)[:, None])[:, None]
+    if not (np.isfinite(scores) | later).all():
+        raise ValueError(_NOT_FINITE)
+    np.copyto(scores, -np.inf, where=later)
+    e = _shifted_exp(scores)
+    sums = np.empty((n, scores.shape[1], 1))
+    for i in range(n):
+        np.add.reduce(e[i, :, : first + i + 1], axis=-1, keepdims=True, out=sums[i])
+    np.divide(e, sums, out=out)
 
 
 _MASK64 = (1 << 64) - 1
@@ -78,7 +111,15 @@ class Rng:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        # Only 0..2**64 - 1 is taken as it is: a wider seed would alias the
+        # stream of its low 64 bits, and True would pass for seed 1.
+        if (
+            isinstance(seed, (bool, np.bool_))
+            or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed <= _MASK64
+        ):
+            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed!r}")
+        self.state = int(seed)
 
     def next_u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK64

@@ -643,13 +643,52 @@ def test_policy_rejects_booleans_and_non_numbers(field, build):
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
 def test_seeds_outside_the_generator_range_are_rejected(seed):
-    """The generator keeps a seed's low 64 bits, so -1 would alias 2**64 - 1
-    and 2**64 + 5 would alias 5; the configs refuse such seeds instead."""
+    """Were a seed's low 64 bits kept, -1 would alias 2**64 - 1 and 2**64 + 5
+    would alias 5; the configs and the image draw refuse such seeds instead."""
     message = rf"^seed must lie in \[0, 2\*\*64 - 1\], got {seed}$"
-    for build in (lambda s: make_model(seed=s), lambda s: DecodePolicy(seed=s)):
+    for build in (
+        lambda s: make_model(seed=s),
+        lambda s: DecodePolicy(seed=s),
+        lambda s: make_image_embeddings(2, 4, s),
+    ):
         with pytest.raises(ConfigError, match=message):
             build(seed)
         build(seed % 2**64)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, 4, True), "seed must be an integer, got True"),
+        ((2, 4, 1.5), "seed must be an integer, got 1.5"),
+        ((2.5, 4, 0), "count must be an integer, got 2.5"),
+        ((2, "4", 0), "d_model must be an integer, got '4'"),
+    ],
+)
+def test_image_embeddings_reject_non_integer_arguments(args, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        make_image_embeddings(*args)
+
+
+def test_base_select_rejects_non_finite_scores():
+    """NaN passes a test for negatives and +inf one for a zero total, so
+    each would pick a token unchecked."""
+    for scores in ([np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [0.0, np.inf]):
+        for base in (BaseStrategy.greedy(), BaseStrategy.nucleus()):
+            with pytest.raises(ValueError):
+                base_select(np.array(scores), base, Rng(0))
+
+
+def test_combine_rejects_a_mask_of_another_shape():
+    for mask in ([True], [True, False, True], [[True, False]]):
+        with pytest.raises(ShapeError, match="mask shape"):
+            collaborative_combine([0.5, 0.5], [0.5, 0.5], 1.0, mask)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
+def test_combine_rejects_negative_and_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="^alpha must be non-negative and finite$"):
+        collaborative_combine([0.5, 0.5], [0.5, 0.5], alpha, [True, True])
 
 
 def test_base_strategy_error_names_every_accepted_kind():
@@ -732,26 +771,79 @@ def test_generation_matches_a_plain_forward_step_replay(case, policy):
 def test_prefill_matches_a_forward_step_replay(
     n_layers, n_heads, d_head, d_ff, n_image, token_draws, seed
 ):
-    """The layer-major prefill pass writes the bytes one forward_step per
-    prompt position writes, and ends on the same logits. Entries past
-    cache.length are never written, so they are not compared."""
+    """The layer-major prefill pass replays one forward_step per prompt
+    position (assert_prefill_replays)."""
     vocab = 2 + seed % 23
     cfg = ModelConfig(
         n_layers=n_layers, n_heads=n_heads, d_model=n_heads * d_head, d_ff=d_ff,
         vocab_size=vocab, max_seq=n_image + len(token_draws) + 1, seed=seed,
     )
-    model = TinyDecoder(cfg)
     images = make_image_embeddings(n_image, cfg.d_model, seed % 2**32)
-    prompt = Prompt(images, tuple(t % vocab for t in token_draws))
+    assert_prefill_replays(TinyDecoder(cfg), Prompt(images, tuple(t % vocab for t in token_draws)))
+
+
+def assert_prefill_replays(model: TinyDecoder, prompt: Prompt) -> None:
+    """prefill writes the bytes one forward_step per prompt position writes,
+    and ends on the same logits. Entries past cache.length are never
+    written, so they are not compared."""
     prefix = prefill(model, prompt)
-    cache = model.new_cache(n_image)
-    for inp in [*images, *prompt.tokens]:
+    cache = model.new_cache(len(prompt.image_embeddings))
+    for inp in [*prompt.image_embeddings, *prompt.tokens]:
         out = model.forward_step(cache, inp)
     n = cache.length
     assert prefix.cache.keys.tobytes() == cache.keys[:, :, :n].tobytes()
     assert prefix.cache.values.tobytes() == cache.values[:, :, :n].tobytes()
     assert_same_trace(prefix.cache, cache)
     assert prefix.logits.tobytes() == out.logits.tobytes()
+
+
+# Prefill attention runs blocks of positions; a block of one position is the
+# per-position pass it replaced.
+prefill_blocks = pytest.mark.parametrize(
+    "block", [1, None], ids=["one-position-blocks", "default-blocks"]
+)
+
+
+@prefill_blocks
+@pytest.mark.parametrize(
+    "n_heads, d_head, n_image, n_tokens",
+    [(3, 1, 0, 9), (2, 4, 24, 16), (2, 32, 100, 36), (4, 1, 128, 5)],
+    ids=["9-positions", "40-positions", "136-positions", "133-positions"],
+)
+def test_prefill_matches_a_forward_step_replay_at_fixed_lengths(
+    monkeypatch, block, n_heads, d_head, n_image, n_tokens
+):
+    """Rows of 9 or more and of more than 128 columns, where numpy's pairwise
+    sum runs eight accumulators or splits the row, and so where a row sum
+    over a longer, masked row would take another order."""
+    if block is not None:
+        monkeypatch.setattr("ikod.model._PREFILL_BLOCK", block)
+    cfg = ModelConfig(
+        n_layers=2, n_heads=n_heads, d_model=n_heads * d_head, d_ff=24, vocab_size=40,
+        max_seq=n_image + n_tokens, seed=n_image + d_head,
+    )
+    images = make_image_embeddings(n_image, cfg.d_model, d_head)
+    tokens = tuple((7 * i + 3) % cfg.vocab_size for i in range(n_tokens))
+    assert_prefill_replays(TinyDecoder(cfg), Prompt(images, tokens))
+
+
+@prefill_blocks
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prefill_of_a_non_finite_image_raises_as_a_step_replay_does(monkeypatch, block, bad):
+    if block is not None:
+        monkeypatch.setattr("ikod.model._PREFILL_BLOCK", block)
+    model = make_model()
+    images = make_image_embeddings(30, model.config.d_model, 3)
+    images[27, 5] = bad
+    cache = model.new_cache(len(images))
+    with pytest.raises(ValueError) as step_error:
+        for inp in [*images, 5, 9]:
+            model.forward_step(cache, inp)
+    assert cache.length == 27
+    with pytest.raises(ValueError) as prefill_error:
+        prefill(model, Prompt(images, (5, 9)))
+    assert type(prefill_error.value) is type(step_error.value)
+    assert str(prefill_error.value) == str(step_error.value) == "matrix entries must be finite"
 
 
 def count_forward_steps(monkeypatch) -> list:

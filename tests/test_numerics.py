@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ikod.numerics import Rng, softmax_rows
+from ikod.numerics import Rng, softmax_causal_block, softmax_rows
 
 
 def test_softmax_symmetry():
@@ -33,10 +33,46 @@ def test_softmax_rows_sum_to_one():
         assert np.all(softmax_rows(m) >= 0.0)
 
 
+@pytest.mark.parametrize("first, n, heads", [(0, 9, 2), (5, 4, 1), (120, 12, 3)])
+def test_causal_block_is_softmax_rows_of_each_positions_own_columns(first, n, heads):
+    """Each position's row is softmax_rows of its own columns, bit for bit,
+    whatever its later columns hold; those come out zero."""
+    scores = np.random.default_rng(first).normal(size=(n, heads, first + n)) * 4
+    later = np.arange(first + n) > np.arange(first, first + n)[:, None]
+    scores[np.broadcast_to(later[:, None], scores.shape)] = np.nan
+    out = np.empty_like(scores)
+    softmax_causal_block(scores.copy(), first, out)
+    for i in range(n):
+        own = first + i + 1
+        assert out[i, :, :own].tobytes() == softmax_rows(scores[i, :, :own]).tobytes()
+        assert not out[i, :, own:].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_causal_block_rejects_a_non_finite_entry_a_row_reads(bad):
+    scores = np.zeros((3, 2, 5))
+    scores[1, 1, 3] = bad  # position 3 reads columns 0..3
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        softmax_causal_block(scores, 2, np.empty_like(scores))
+
+
 def test_rng_reference_stream():
     rng = Rng(0)
     assert rng.next_u64() == 0xE220A8397B1DCDAF
     assert rng.next_u64() == 0x6E789E6AA1B965F4
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, True, np.bool_(False), 1.5, 2.0, "3", None])
+def test_rng_rejects_seeds_it_would_not_take_as_they_are(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, 2\*\*64 - 1\], got "):
+        Rng(seed)
+
+
+def test_rng_takes_numpy_integer_seeds_at_the_range_ends():
+    for seed in (0, 2**64 - 1):
+        for given in (seed, np.uint64(seed)):
+            assert Rng(given).next_u64() == Rng(seed).next_u64()
+    assert type(Rng(np.int64(5)).state) is int
 
 
 def test_rng_uniform_in_unit_interval():
