@@ -46,6 +46,8 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 # Largest --kde-grid: a 1000 x 1000 grid is a million kde.csv rows.
 KDE_GRID_MAX = 1000
+# Most positions in a --synthetic-uniform trace, whose time grows with their square.
+SYNTHETIC_POSITIONS_MAX = 1 << 14
 
 
 _MODEL_SEED = object()  # image_seed's default: the model's seed
@@ -254,14 +256,13 @@ def cmd_analyze(args) -> int:
                 raise ConfigError(f"{flag} must be non-negative")
         if args.gen_count < 1:
             raise ConfigError("--gen-count must be at least 1")
-        try:
-            trace = synthetic_uniform_trace(args.image_count, args.other_count, args.gen_count)
-        except MemoryError:
+        total = args.image_count + args.other_count + args.gen_count
+        if total > SYNTHETIC_POSITIONS_MAX:
             raise ConfigError(
-                "--image-count, --other-count and --gen-count describe "
-                f"{args.image_count + args.other_count + args.gen_count} positions, "
-                "too many to hold in memory"
-            ) from None
+                f"--image-count, --other-count and --gen-count describe {total} positions, "
+                f"more than the {SYNTHETIC_POSITIONS_MAX} a synthetic trace may hold"
+            )
+        trace = synthetic_uniform_trace(args.image_count, args.other_count, args.gen_count)
         stat = ImageAttentionStat.from_trace(trace, args.gen_count)
     elif args.run_dir:
         stat = _read_run(Path(args.run_dir))

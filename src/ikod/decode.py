@@ -27,7 +27,6 @@ copy it bit for bit, so a sweep also decodes each shared token prefix once.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -299,17 +298,14 @@ class _StepTree:
     parent row (-1 is the prompt): the position's K/V rows, image_att and
     text_scores entries, and the logits that follow.
 
-    Rows live in one max_seq-row block per field, allocated at the first
-    record; once full, the tree records nothing more and keeps replaying. A
-    row is claimed under the lock and published in children only after it is
-    written, so threads may share one tree.
+    Rows, numbered in recording order, live in one max_seq-row block per
+    field, allocated at the first record; once full, the tree records nothing
+    more and keeps replaying. Like an Rng, a tree has one owner.
     """
 
     def __init__(self):
         self.children: dict[tuple[int, int], int] = {}
         self.blocks: tuple[np.ndarray, ...] | None = None
-        self.used = 0
-        self.lock = threading.Lock()
 
     def step(self, model: TinyDecoder, cache: LayeredKvCache, parent: int | None,
              token: int, merged: CompressedCache | None = None
@@ -333,21 +329,17 @@ class _StepTree:
         out = model.forward_step(
             cache, token, None if merged is None else (merged.keys, merged.values)
         )
-        if parent is None:
+        cfg, row = model.config, len(self.children)
+        if parent is None or row == cfg.max_seq:
             return None, out.logits, out.merged
-        cfg = model.config
-        with self.lock:
-            if self.blocks is None:
-                kv = (cfg.n_layers, cfg.n_heads, cfg.d_head)
-                shapes = (kv, kv, kv[:2], kv[:1], (cfg.vocab_size,))
-                self.blocks = tuple(np.empty((cfg.max_seq, *shape)) for shape in shapes)
-            row = self.used
-            if row == cfg.max_seq:
-                return None, out.logits, out.merged
-            self.used = row + 1
+        if self.blocks is None:
+            kv = (cfg.n_layers, cfg.n_heads, cfg.d_head)
+            shapes = (kv, kv, kv[:2], kv[:1], (cfg.vocab_size,))
+            self.blocks = tuple(np.empty((cfg.max_seq, *shape)) for shape in shapes)
         for view, block in zip((*cache.position(cache.length - 1), out.logits), self.blocks):
             block[row] = view
-        return self.children.setdefault((parent, token), row), out.logits, out.merged
+        self.children[(parent, token)] = row
+        return row, out.logits, out.merged
 
 
 @dataclass(frozen=True)
@@ -356,8 +348,8 @@ class Prefill:
     once into a prompt-sized cache whose arrays stay read-only. Each
     generation given a Prefill forks it (see fork) instead of running the
     prompt again, and replays from the step tree every token history an
-    earlier fork decoded. The tree holds at most max_seq steps, and
-    generations on several threads may share it."""
+    earlier fork decoded. The tree holds at most max_seq steps. Like an Rng,
+    a Prefill has one owner: its generations run one after another."""
 
     model: TinyDecoder
     cache: LayeredKvCache

@@ -206,8 +206,8 @@ def build_merge_plan(
     if strategy is AnchorStrategy.RANDOM:
         if rng is None:
             raise ValueError("random anchor selection needs an rng")
-        # The step's n_layers * k next_below draws as one block: draw i of a
-        # layer swaps pool slot i with slot i + next_u64() % (domain - i).
+        # The scalar Fisher-Yates loop's n_layers * k draws as one block: draw
+        # i of a layer swaps pool slot i with slot i + next_u64() % (domain - i).
         n_layers = scores.shape[0]
         draws = rng.next_u64_block(n_layers * k).reshape(n_layers, k)
         offsets = np.arange(k)

@@ -72,7 +72,6 @@ _U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
 _U64_30, _U64_27, _U64_31, _U64_11 = (np.uint64(k) for k in (30, 27, 31, 11))
-_UNIT = np.float64(2.0**-53)
 _I64_HALF = np.int64(1 << 52)
 # Draws per pass of the block pipeline. The window's two uint64 buffers
 # (128 KiB each) and the step table stay in a core's L2 cache, so each of the
@@ -166,11 +165,10 @@ class Rng:
             out[start : start + len(z)] = z
         return out
 
-    def next_uniform_block(self, n: int, scale: float | None = None) -> np.ndarray:
-        """The next n values of next_uniform() as a float64 array, bit for bit,
-        leaving the state where n scalar calls would. With a scale s, each
-        value u is mapped to (2u - 1) * s instead, rounded as that expression
-        rounds. The array starts on a 64-byte cache line.
+    def next_uniform_block(self, n: int, scale: float) -> np.ndarray:
+        """The next n values u of next_uniform() as (2u - 1) * scale, rounded as
+        that expression rounds, in a float64 array that starts on a 64-byte
+        cache line, leaving the state where n scalar calls would.
 
         Each window's 53-bit values x = z >> 11 are converted through an int64
         view (exact below 2**53) and written straight into the result:
@@ -178,17 +176,10 @@ class Rng:
         every step but the last product is exact in both forms.
         """
         out = _cache_aligned_empty(_block_size(n))
-        factor = _UNIT if scale is None else np.float64(scale) * 2.0**-52
+        factor = np.float64(scale) * 2.0**-52
         for start, z in self._windows(len(out)):
             z >>= _U64_11
             x = z.view(np.int64)
-            if scale is not None:
-                x -= _I64_HALF
+            x -= _I64_HALF
             np.multiply(x, factor, out=out[start : start + len(x)], dtype=np.float64)
         return out
-
-    def next_below(self, n: int) -> int:
-        """Integer in [0, n); modulo bias is negligible for the small n used here."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.next_u64() % n

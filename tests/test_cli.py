@@ -267,7 +267,7 @@ def test_plan_files_are_the_plans_the_decode_loop_built(tmp_path, monkeypatch, c
             ikod_generate(model, prefix, policy)
             built.clear()
             result = ikod_generate(model, prefix, policy)
-            assert prefix.tree.used == len(result.tokens)  # no step decoded afresh
+            assert len(prefix.tree.children) == len(result.tokens)  # no step decoded afresh
             return result
 
         monkeypatch.setattr(cli, "ikod_generate", replayed)
@@ -398,17 +398,26 @@ def test_analyze_rejects_negative_synthetic_counts_before_writing(tmp_path, caps
     assert not out.exists()
 
 
-def test_analyze_rejects_a_synthetic_trace_too_large_for_memory(tmp_path, capsys, monkeypatch):
-    def out_of_memory(*counts):
-        raise MemoryError
-
-    monkeypatch.setattr("ikod.cli.synthetic_uniform_trace", out_of_memory)
+def test_analyze_rejects_a_synthetic_trace_too_large_for_memory(tmp_path, capsys):
     out = tmp_path / "analysis"
     argv = ["analyze", "--synthetic-uniform", "--gen-count", "1000000000000", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "--gen-count" in err and "1000000000012 positions" in err
+    assert all(flag in err for flag in ("--image-count", "--other-count", "--gen-count"))
+    assert "1000000000012 positions" in err
     assert not out.exists()
+
+
+def test_analyze_accepts_a_synthetic_trace_at_the_position_bound(tmp_path, capsys):
+    out = tmp_path / "analysis"
+    # The default 8 image and 4 prompt positions fill the rest of the bound.
+    gen_count = cli.SYNTHETIC_POSITIONS_MAX - 12
+    argv = ["analyze", "--synthetic-uniform", "--out", str(out), "--gen-count"]
+    assert main([*argv, str(gen_count + 1)]) == 2
+    assert f"{cli.SYNTHETIC_POSITIONS_MAX + 1} positions" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, str(gen_count)]) == 0
+    assert len(read_csv(out / "degradation.csv")) - 1 == gen_count
 
 
 def test_analyze_empty_trace_exits_2(tmp_path):

@@ -1,5 +1,3 @@
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -894,7 +892,7 @@ def test_shared_prefill_decodes_each_token_prefix_once(monkeypatch):
         assert len(calls) - before == len(new)
         decoded |= new
     assert len(calls) - before == 0  # a repeated policy runs no forward step
-    assert len(calls) == len(decoded) == prefix.tree.used
+    assert len(calls) == len(decoded) == len(prefix.tree.children)
     assert len(decoded) < sum(len(r.tokens) for r in expected)  # some prefixes were shared
 
 
@@ -908,7 +906,7 @@ def test_a_prompt_request_records_no_steps(monkeypatch):
     for mode in Mode:
         ikod_generate(model, make_prompt(model), DecodePolicy(mode=mode, max_new_tokens=6))
     assert len(made) == len(Mode)
-    assert all(p.tree.used == 0 and p.tree.blocks is None and not p.tree.children for p in made)
+    assert all(p.tree.blocks is None and not p.tree.children for p in made)
 
 
 def test_step_tree_fills_to_max_seq_rows_then_keeps_replaying(monkeypatch):
@@ -925,85 +923,15 @@ def test_step_tree_fills_to_max_seq_rows_then_keeps_replaying(monkeypatch):
     for policy in sampled:
         alone = ikod_generate(model, prefill(model, prompt), policy)
         assert_same_generation(ikod_generate(model, prefix, policy), alone, policy)
-    assert prefix.tree.used == len(prefix.tree.children) == model.config.max_seq
+    assert len(prefix.tree.children) == model.config.max_seq
+    assert list(prefix.tree.children.values()) == list(range(len(prefix.tree.children)))
     for block in prefix.tree.blocks:
         assert len(block) == model.config.max_seq
     # The first generation recorded its whole path into an empty tree.
     calls = count_forward_steps(monkeypatch)
     ikod_generate(model, prefix, sampled[0])
     assert calls == []
-    assert prefix.tree.used == model.config.max_seq
-
-
-def test_step_rows_are_published_only_once_written():
-    """Another thread may copy a row as soon as it finds it in children, so
-    each row must hold its step before it is published there."""
-    model = make_model()
-    prompt = make_prompt(model)
-    prefix = prefill(model, prompt)
-    published = []
-
-    class WatchedChildren(dict):
-        def _seen(self, key, row):
-            if key not in self:
-                published.append((row, [block[row].copy() for block in prefix.tree.blocks]))
-
-        def __setitem__(self, key, row):
-            self._seen(key, row)
-            super().__setitem__(key, row)
-
-        def setdefault(self, key, row):
-            self._seen(key, row)
-            return super().setdefault(key, row)
-
-    prefix.tree.children = WatchedChildren()
-    for mode in Mode:
-        ikod_generate(model, prefix, DecodePolicy(mode=mode, max_new_tokens=12))
-    assert len(published) == prefix.tree.used > 12
-    for row, seen in published:
-        assert [block[row].tobytes() for block in prefix.tree.blocks] == [a.tobytes() for a in seen]
-
-
-def test_threads_sharing_a_prefill_match_their_sequential_runs():
-    model = make_model()
-    prompt = make_prompt(model)
-    # The two greedy baselines differ only in their unused seed, so they
-    # decode one path and race for every step of it.
-    sequence = [
-        DecodePolicy(mode=Mode.BASELINE, max_new_tokens=24, seed=0),
-        DecodePolicy(mode=Mode.BASELINE, max_new_tokens=24, seed=1),
-        DecodePolicy(mode=Mode.IKOD, anchor_ratio=0.4, max_new_tokens=24),
-        DecodePolicy(
-            mode=Mode.IKOD, base=BaseStrategy.top_k(4, temperature=1.5),
-            anchor_strategy=AnchorStrategy.RANDOM, max_new_tokens=24, seed=5,
-        ),
-    ]
-    expected = [ikod_generate(model, prefill(model, prompt), p) for p in sequence]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            prefix = prefill(model, prompt)
-            results: list = [None] * len(sequence)
-            errors: list = []
-
-            def run(i):
-                try:
-                    results[i] = ikod_generate(model, prefix, sequence[i])
-                except BaseException as exc:  # reported below, in the test's thread
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(sequence))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-            assert not any(thread.is_alive() for thread in threads)
-            assert errors == []
-            for result, reference, policy in zip(results, expected, sequence):
-                assert_same_generation(result, reference, policy)
-    finally:
-        sys.setswitchinterval(interval)
+    assert len(prefix.tree.children) == model.config.max_seq
 
 
 @settings(max_examples=60, deadline=None)
@@ -1016,7 +944,7 @@ def test_decoding_never_exceeds_max_seq(case, policy, extra):
     room = max_seq - len(prompt.image_embeddings) - len(prompt.tokens)
     prefix = prefill(model, prompt)
     warm = ikod_generate(model, prefix, replace(policy, max_new_tokens=room))
-    used = prefix.tree.used
+    used = len(prefix.tree.children)
     requested = replace(policy, max_new_tokens=max(1, room + extra))
     outcomes = []
     for source in (prompt, prefix):
@@ -1024,7 +952,7 @@ def test_decoding_never_exceeds_max_seq(case, policy, extra):
             outcomes.append(ikod_generate(model, source, requested))
         except CapacityError:
             outcomes.append(CapacityError)
-    assert prefix.tree.used == used == len(warm.tokens)
+    assert len(prefix.tree.children) == used == len(warm.tokens)
     if requested.max_new_tokens > room:
         assert outcomes == [CapacityError, CapacityError]
         return

@@ -469,7 +469,8 @@ def test_layer_scores_ledger_tracks_a_growing_trace(
 
 def reference_plan_layers(scores, anchor_ratio, strategy, rng):
     """Per-layer anchors and buckets as they were built before the all-layer
-    pass: one lexsort (or one draw loop) per layer, then the build_buckets
+    pass: one lexsort (or one scalar Fisher-Yates loop of
+    next_u64() % (domain - i) draws) per layer, then the build_buckets
     midpoint loop."""
     T = scores.shape[1]
     k, domain = anchor_count(T, anchor_ratio), T - 2
@@ -478,7 +479,7 @@ def reference_plan_layers(scores, anchor_ratio, strategy, rng):
         if strategy is AnchorStrategy.RANDOM:
             pool = list(range(domain))
             for i in range(k):
-                j = i + rng.next_below(domain - i)
+                j = i + rng.next_u64() % (domain - i)
                 pool[i], pool[j] = pool[j], pool[i]
             chosen = pool[:k]
         else:

@@ -87,16 +87,6 @@ def test_rng_streams_are_identical_for_equal_seeds():
     assert [a.next_u64() for _ in range(64)] == [b.next_u64() for _ in range(64)]
 
 
-def test_rng_next_below_range_and_determinism():
-    rng = Rng(7)
-    draws = [rng.next_below(10) for _ in range(200)]
-    assert all(0 <= d < 10 for d in draws)
-    replay = Rng(7)
-    assert draws == [replay.next_below(10) for _ in range(200)]
-    with pytest.raises(ValueError):
-        rng.next_below(0)
-
-
 _GOLDEN = 0x9E3779B97F4A7C15
 
 # Seeds a few golden-ratio steps short of the 2**64 wrap, so the counter
@@ -118,23 +108,21 @@ weight_scales = st.integers(1, 10**12).map(lambda d: 1.0 / math.sqrt(d))
 @given(
     seed=st.one_of(st.integers(0, 2**64 - 1), near_wrap_seeds),
     plan=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), max_size=8),
-    scale=st.one_of(st.none(), weight_scales),
+    scale=weight_scales,
 )
-@example(seed=2**64 - 1, plan=[(0, 1), (5, 0), (0, 0), (1, 2)], scale=None)
-@example(seed=0, plan=[(3, 0)], scale=None)
-@example(seed=0, plan=window_plan, scale=None)
-@example(seed=(-2 * _GOLDEN + 1) % 2**64, plan=window_plan, scale=None)
+@example(seed=2**64 - 1, plan=[(0, 1), (5, 0), (0, 0), (1, 2)], scale=1.0)
+@example(seed=0, plan=[(3, 0)], scale=1.0)
+@example(seed=0, plan=window_plan, scale=1.0)
+@example(seed=(-2 * _GOLDEN + 1) % 2**64, plan=window_plan, scale=1.0)
 @example(seed=2**64 - 1, plan=window_plan, scale=1.0)
 @example(seed=12345, plan=window_plan, scale=1e-6)
 def test_uniform_block_matches_the_scalar_stream(seed, plan, scale):
-    # plan: (block size, scalar next_u64 calls after the block) pairs. With a
-    # scale s, each block value is (2u - 1) * s of the scalar draw u.
+    # plan: (block size, scalar next_u64 calls after the block) pairs. Each
+    # block value is (2u - 1) * scale of the scalar draw u.
     block, scalar = Rng(seed), Rng(seed)
     for n, between in plan:
         got = block.next_uniform_block(n, scale)
-        want = [scalar.next_uniform() for _ in range(n)]
-        if scale is not None:
-            want = [(2.0 * u - 1.0) * scale for u in want]
+        want = [(2.0 * scalar.next_uniform() - 1.0) * scale for _ in range(n)]
         assert got.dtype == np.float64 and got.shape == (n,)
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
         assert block.state == scalar.state
@@ -160,11 +148,11 @@ def test_u64_block_matches_the_scalar_stream(seed):
 
 def test_uniform_block_rejects_bad_sizes():
     rng = Rng(3)
-    for draw in (rng.next_uniform_block, rng.next_u64_block):
+    for draw in (lambda n: rng.next_uniform_block(n, 1.0), rng.next_u64_block):
         with pytest.raises(ValueError):
             draw(-1)
         with pytest.raises(TypeError):
             draw(2.5)
     assert rng.state == 3
-    assert rng.next_uniform_block(np.int64(4)).shape == (4,)
+    assert rng.next_uniform_block(np.int64(4), 1.0).shape == (4,)
     assert rng.state == (3 + 4 * _GOLDEN) % 2**64
