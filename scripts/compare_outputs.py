@@ -11,7 +11,11 @@ d_head = 1) x 0, 6 and 24 images x three modes x greedy and top_p 0.9 at
 temperature 0.7 x three anchor strategies x seeds 0 and 17, or 216 configs,
 each decoding 10 tokens. At 8 or fewer image positions every order of summing
 the image mass gives the same bits, so only the 24-image runs tell summation
-orders apart. A long grid decodes 100 tokens (max_seq 160, 24 images, a
+orders apart. The merge scores are each text token's image mass averaged
+over heads; with two heads every order of that sum gives the same bits, but
+the second model has four, so each of its merged-mode cells compares the
+order of the head sum, through the merge plans the scores rank (the scores
+themselves are written nowhere). A long grid decodes 100 tokens (max_seq 160, 24 images, a
 vocabulary large enough that sampling rarely ends early) in the two merged
 modes x both bases x the low_attention and random strategies x both seeds,
 16 configs, so that merges carried across many steps are compared too.

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LayeredKvCache, TraceError
+from .model import LayeredKvCache, TraceError, require_int
 
 __all__ = [
     "ImageAttentionStat",
@@ -22,6 +22,11 @@ __all__ = [
 ]
 
 
+def _ints(**named) -> list[int]:
+    """Each keyword's value as an int, checked by require_int under its name."""
+    return [require_int(value, name) for name, value in named.items()]
+
+
 @dataclass
 class ImageAttentionStat:
     """Per recorded step, per layer, per head: attention mass on image tokens."""
@@ -34,11 +39,13 @@ class ImageAttentionStat:
         """The image attention the cache recorded, one step per position, the
         last n_generated of them generated tokens."""
         n, text_len = cache.length, cache.length - cache.l_image
+        n_generated = require_int(n_generated, "n_generated")
         if not 0 <= n_generated <= text_len:
             raise TraceError(
                 f"{n_generated} generated tokens do not fit the cache's {text_len} text positions"
             )
-        return cls(values=cache.image_att[:n].copy(), generated=np.arange(n) >= n - n_generated)
+        values = cache.image_att[:, :, :n].transpose(2, 0, 1).copy()
+        return cls(values=values, generated=np.arange(n) >= n - n_generated)
 
     @property
     def att_avg(self) -> np.ndarray:
@@ -59,6 +66,10 @@ def segment_averages(stat: ImageAttentionStat, layer: int, head: int) -> Segment
     The window is floor(0.2 * L) steps, so at least five generated tokens are
     required for it to be non-empty.
     """
+    layer, head = _ints(layer=layer, head=head)
+    for name, index, size in zip(("layer", "head"), (layer, head), stat.values.shape[1:]):
+        if not 0 <= index < size:
+            raise ValueError(f"{name} must lie in [0, {size - 1}], got {index}")
     series = stat.values[stat.generated, layer, head]
     n = series.size
     if n < 5:
@@ -75,6 +86,7 @@ def uniform_attention_prediction(l_image: int, l_others: int, l_gen: int) -> flo
     """Image share of a perfectly uniform attention row: the image token count
     over the total sequence length. Fixed image/instruction lengths make this
     strictly decreasing in the generated length."""
+    l_image, l_others, l_gen = _ints(l_image=l_image, l_others=l_others, l_gen=l_gen)
     if min(l_image, l_others, l_gen) < 0:
         raise ValueError("lengths must be non-negative")
     total = l_image + l_others + l_gen
@@ -160,6 +172,9 @@ def synthetic_uniform_trace(
     l_gen generated positions whose every query attended uniformly over the
     cached positions; its measured image attention matches the uniform-mix
     prediction exactly."""
+    l_image, l_others, l_gen, n_layers, n_heads = _ints(
+        l_image=l_image, l_others=l_others, l_gen=l_gen, n_layers=n_layers, n_heads=n_heads
+    )
     if min(l_image, l_others, l_gen) < 0:
         raise ValueError("counts must be non-negative")
     n = l_image + l_others + l_gen

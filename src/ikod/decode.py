@@ -172,11 +172,17 @@ def plausibility_mask(p_orig, beta: float) -> np.ndarray:
     """Boolean mask of tokens whose probability reaches beta times the max.
 
     beta = 0 keeps everything; beta = 1 keeps only argmax ties. The argmax is
-    always kept.
+    always kept. p_orig must be a non-empty 1-D array of finite numbers.
     """
+    beta = _real(beta, "beta")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    p = np.asarray(p_orig, dtype=np.float64)
+    try:
+        p = np.asarray(p_orig, dtype=np.float64)
+    except (TypeError, ValueError):  # non-numbers, ragged rows
+        p = np.empty(0)
+    if p.ndim != 1 or p.size == 0 or not np.isfinite(p).all():
+        raise ValueError("p_orig must be a non-empty 1-D array of finite numbers")
     return p >= beta * p.max()
 
 
@@ -295,8 +301,8 @@ def _prompt_images(model: TinyDecoder, prompt: Prompt) -> np.ndarray:
 class _StepTree:
     """The decoded steps of the generations forked from one Prefill. Row r
     holds what forward_step wrote for one token fed after the history of its
-    parent row (-1 is the prompt): the position's K/V rows, image_att and
-    text_scores entries, and the logits that follow.
+    parent row (-1 is the prompt): the position's K/V rows and image_att
+    entries, and the logits that follow.
 
     Rows, numbered in recording order, live in one max_seq-row block per
     field, allocated at the first record; once full, the tree records nothing
@@ -334,7 +340,7 @@ class _StepTree:
             return None, out.logits, out.merged
         if self.blocks is None:
             kv = (cfg.n_layers, cfg.n_heads, cfg.d_head)
-            shapes = (kv, kv, kv[:2], kv[:1], (cfg.vocab_size,))
+            shapes = (kv, kv, kv[:2], (cfg.vocab_size,))
             self.blocks = tuple(np.empty((cfg.max_seq, *shape)) for shape in shapes)
         for view, block in zip((*cache.position(cache.length - 1), out.logits), self.blocks):
             block[row] = view
@@ -372,8 +378,7 @@ class Prefill:
         cache = self.model.new_cache(prompt.l_image)
         cache.keys[:, :, :n] = prompt.keys
         cache.values[:, :, :n] = prompt.values
-        cache.image_att[:n] = prompt.image_att
-        cache.text_scores[:, : self.l_others] = prompt.text_scores
+        cache.image_att[:, :, :n] = prompt.image_att
         cache.length = n
         return cache
 
@@ -391,7 +396,7 @@ def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
         cfg.n_layers, cfg.n_heads, cfg.d_head, images.shape[0] + len(tokens), images.shape[0]
     )
     logits = model.forward_prompt(cache, [*images, *tokens])
-    for array in (cache.keys, cache.values, cache.image_att, cache.text_scores, logits):
+    for array in (cache.keys, cache.values, cache.image_att, logits):
         array.flags.writeable = False
     return Prefill(model, cache, logits, tokens[-1])
 

@@ -116,15 +116,20 @@ class CompressedCache:
 
 
 def layer_scores(cache: LayeredKvCache, upcoming: bool = False) -> np.ndarray:
-    """Per layer and text token, the head-mean of the token's image attention,
-    which the cache took when it recorded the token. upcoming adds a NaN
-    column for the position about to be written: a plan over that text
+    """Per layer and text token, the mean over heads of the image attention
+    the cache recorded for the token, summed in head order. upcoming adds a
+    NaN column for the position about to be written: a plan over that text
     length reads only its mergeable range 0..T-3, which the cache holds."""
     T = cache.length - cache.l_image
     if T < 1:
         raise ValueError("cache holds no text tokens")
-    scores = np.empty((len(cache.text_scores), T + upcoming))
-    scores[:, :T] = cache.text_scores[:, :T]
+    n_layers, n_heads, _ = cache.image_att.shape
+    text = cache.image_att[:, :, cache.l_image : cache.length]
+    # numpy adds whole text rows head after head, but sums a lone column
+    # along the heads, pairwise from eight on; accumulating keeps head order.
+    sums = np.add.reduce(text, axis=1) if T > 1 else np.add.accumulate(text, axis=1)[:, -1]
+    scores = np.empty((n_layers, T + upcoming))
+    scores[:, :T] = sums / n_heads
     scores[:, T:] = np.nan
     return scores
 

@@ -218,50 +218,50 @@ class FullOutput:
 
 
 class LayeredKvCache:
-    """Per position, its key/value rows in every layer and head and the two
-    reductions of its attention rows that the analyses read, taken once when
-    the position is recorded:
-
-    - image_att[n], (n_layers, n_heads): the mass row n puts on the l_image
-      image positions, gathered by index, as ImageAttentionStat reports it.
-    - text_scores[:, n - l_image], for text rows: that mass summed over a
-      slice and averaged over heads, the score layer_scores returns.
-
-    The two sum in different orders, so they are kept apart. Positions are
-    recorded continuously from empty, so step index and position coincide.
+    """Per position, its key/value rows in every layer and head, and
+    image_att[:, :, n], the (n_layers, n_heads) mass row n puts on the l_image
+    image positions, gathered by index when the position is recorded.
+    ImageAttentionStat reports it and layer_scores averages it over heads.
+    It is stored layer-major, so the text positions of one (layer, head) are
+    contiguous. Positions are recorded continuously from empty, so step index
+    and position coincide.
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, capacity: int, l_image: int):
+        names = ("n_layers", "n_heads", "d_head", "capacity", "l_image")
+        given = (n_layers, n_heads, d_head, capacity, l_image)
+        sizes = [require_int(value, name) for value, name in zip(given, names)]
+        for name, size, least in zip(names, sizes, (1, 1, 0, 0, 0)):
+            if size < least:
+                raise ConfigError(f"{name} must be at least {least}, got {size}")
+        n_layers, n_heads, d_head, capacity, l_image = sizes
+        if l_image > capacity:
+            raise ConfigError(f"l_image must be at most capacity {capacity}, got {l_image}")
         self.keys = np.zeros((n_layers, n_heads, capacity, d_head))
         self.values = np.zeros((n_layers, n_heads, capacity, d_head))
         self.l_image = l_image
-        self.image_att = np.empty((capacity, n_layers, n_heads))
-        self.text_scores = np.empty((n_layers, max(capacity - l_image, 0)))
+        self.image_att = np.empty((n_layers, n_heads, capacity))
         self.length = 0
         self._image_cols = np.arange(l_image)
 
     def record(self, rows: np.ndarray) -> None:
-        """Take the reductions of the (n_layers, n_heads, length + 1) attention
-        rows of position length, whose key/value rows are written, and advance
-        length past it."""
+        """Take the image attention of the (n_layers, n_heads, length + 1)
+        attention rows of position length, whose key/value rows are written,
+        and advance length past it."""
         n = self.length
-        if n >= len(self.image_att):
-            raise CapacityError(f"cache is full at {n} of {len(self.image_att)} positions")
-        expected = (*self.image_att.shape[1:], n + 1)
+        if n >= self.image_att.shape[2]:
+            raise CapacityError(f"cache is full at {n} of {self.image_att.shape[2]} positions")
+        expected = (*self.image_att.shape[:2], n + 1)
         if rows.shape != expected:
             raise TraceError(f"expected rows of shape {expected}, got {rows.shape}")
         # An index gather lays the columns out as a boolean-mask gather does,
-        # and sums them in its order; a slice sums in another.
-        self.image_att[n] = np.add.reduce(rows[..., self._image_cols[: n + 1]], axis=-1)
-        if n >= self.l_image:
-            mass = np.add.reduce(rows[..., : self.l_image], axis=-1)
-            self.text_scores[:, n - self.l_image] = np.add.reduce(mass, axis=-1) / rows.shape[1]
+        # and sums them in its order.
+        self.image_att[:, :, n] = np.add.reduce(rows[..., self._image_cols[: n + 1]], axis=-1)
         self.length = n + 1
 
     def position(self, pos: int) -> tuple:
-        """Views of what forward_step writes for the text position pos."""
-        return (self.keys[:, :, pos], self.values[:, :, pos], self.image_att[pos],
-                self.text_scores[:, pos - self.l_image])
+        """Views of what forward_step writes for position pos."""
+        return self.keys[:, :, pos], self.values[:, :, pos], self.image_att[:, :, pos]
 
 
 def sinusoidal_positions(length: int, width: int) -> np.ndarray:

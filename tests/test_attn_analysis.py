@@ -14,7 +14,7 @@ from ikod.attn_analysis import (
     uniform_attention_prediction,
 )
 import ikod.attn_analysis as attn_analysis
-from ikod.model import TraceError
+from ikod.model import LayeredKvCache, TraceError
 
 
 def _stat_from_generated(series: np.ndarray) -> ImageAttentionStat:
@@ -157,6 +157,73 @@ def test_trace_table_covers_every_cell():
     assert steps == set(range(7))
 
 
+@pytest.mark.parametrize("n_generated", [1.5, True, "2", None])
+def test_from_trace_reads_n_generated_as_an_integer(n_generated):
+    trace = synthetic_uniform_trace(2, 2, 3)
+    with pytest.raises(ValueError, match="n_generated must be an integer"):
+        ImageAttentionStat.from_trace(trace, n_generated)
+    with pytest.raises(ValueError, match="n_generated must be an integer"):
+        trace_image_attention(trace, n_generated)
+
+
+@pytest.mark.parametrize("name", ["l_image", "l_others", "l_gen", "n_layers", "n_heads"])
+@pytest.mark.parametrize("bad", [True, 2.5])
+def test_synthetic_uniform_trace_reads_counts_as_integers(name, bad):
+    counts = dict(l_image=2, l_others=2, l_gen=3, n_layers=1, n_heads=1)
+    counts[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        synthetic_uniform_trace(**counts)
+
+
+def test_synthetic_uniform_trace_rejects_an_empty_layer_or_head_axis():
+    for name in ("n_layers", "n_heads"):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            synthetic_uniform_trace(2, 2, 3, **{name: 0})
+
+
+@pytest.mark.parametrize(
+    "layer, head, message",
+    [
+        (-1, 0, r"layer must lie in \[0, 1\], got -1"),
+        (9, 0, r"layer must lie in \[0, 1\], got 9"),
+        (0, -1, r"head must lie in \[0, 2\], got -1"),
+        (0, 3, r"head must lie in \[0, 2\], got 3"),
+        (0.5, 0, "layer must be an integer"),
+        (0, True, "head must be an integer"),
+    ],
+)
+def test_segment_averages_rejects_cells_outside_the_stat(layer, head, message):
+    stat = ImageAttentionStat.from_trace(synthetic_uniform_trace(2, 2, 8, 2, 3), 8)
+    with pytest.raises(ValueError, match=message):
+        segment_averages(stat, layer, head)
+
+
+@pytest.mark.parametrize(
+    "counts, name",
+    [((2.5, 2, 3), "l_image"), ((2, True, 3), "l_others"), ((2, 2, "3"), "l_gen")],
+)
+def test_uniform_prediction_reads_counts_as_integers(counts, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        uniform_attention_prediction(*counts)
+
+
+def test_from_trace_reads_each_position_of_the_layer_major_record():
+    """The cache keeps image attention as (layer, head, position); the stat
+    and the trace table read it position by position, cell for cell."""
+    rng = np.random.default_rng(0)
+    trace = LayeredKvCache(2, 3, 0, 6, 2)
+    for n in range(6):
+        trace.record(rng.uniform(size=(2, 3, n + 1)))
+    stat = ImageAttentionStat.from_trace(trace, 2)
+    assert stat.values.shape == (6, 2, 3)
+    table = trace_image_attention(trace, 2)
+    for s, li, h, att in table:
+        assert att == stat.values[s, li, h] == trace.image_att[li, h, s]
+    assert [r[:3] for r in table] == [
+        (s, li, h) for s in range(6) for li in range(2) for h in range(3)
+    ]
+
+
 @pytest.mark.parametrize("counts", [(-1, 2, 3), (2, -1, 3), (2, 2, -1)])
 def test_synthetic_uniform_trace_rejects_negative_counts(counts):
     with pytest.raises(ValueError, match="non-negative"):
@@ -171,7 +238,7 @@ def test_from_trace_marks_the_last_n_generated_text_positions(l_image):
         stat = ImageAttentionStat.from_trace(trace, n_generated)
         want = [False] * (l_image + text_len - n_generated) + [True] * n_generated
         assert stat.generated.tolist() == want
-        assert stat.values.tobytes() == trace.image_att[: trace.length].tobytes()
+        assert stat.values.tobytes() == trace.image_att.transpose(2, 0, 1).tobytes()
     for n_generated in (-1, text_len + 1):
         with pytest.raises(TraceError, match=f"{n_generated} generated tokens"):
             ImageAttentionStat.from_trace(trace, n_generated)

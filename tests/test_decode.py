@@ -46,6 +46,26 @@ def test_plausibility_full_beta_keeps_argmax_ties_only():
     assert mask.tolist() == [True, True, False]
 
 
+@pytest.mark.parametrize(
+    "p_orig", [[], [np.nan, 0.2], [0.2, np.inf], [-np.inf, 0.2], [[0.1, 0.2]], 0.5, ["a", "b"],
+               [[0.1], [0.2, 0.3]], None],
+)
+def test_plausibility_mask_rejects_what_is_not_a_finite_distribution(p_orig):
+    with pytest.raises(ValueError, match="p_orig must be a non-empty 1-D array of finite numbers"):
+        plausibility_mask(p_orig, 0.5)
+
+
+@pytest.mark.parametrize(
+    "beta, message",
+    [("0.5", "beta must be a finite number"), (None, "beta must be a finite number"),
+     (True, "beta must be a finite number"), (np.nan, r"beta must lie in \[0, 1\]"),
+     (1.5, r"beta must lie in \[0, 1\]")],
+)
+def test_plausibility_mask_rejects_a_beta_that_is_not_a_number_in_range(beta, message):
+    with pytest.raises(ValueError, match=message):
+        plausibility_mask([0.1, 0.2], beta)
+
+
 def test_plausibility_always_contains_argmax():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -381,12 +401,10 @@ def test_generation_stops_after_end_token():
 
 
 def assert_same_trace(a, b):
-    """Bit-for-bit equality of the recorded summaries of two caches."""
+    """Bit-for-bit equality of the image attention two caches recorded."""
     n = a.length
     assert n == b.length and a.l_image == b.l_image
-    assert a.image_att[:n].tobytes() == b.image_att[:n].tobytes()
-    text = max(n - a.l_image, 0)
-    assert a.text_scores[:, :text].tobytes() == b.text_scores[:, :text].tobytes()
+    assert a.image_att[:, :, :n].tobytes() == b.image_att[:, :, :n].tobytes()
 
 
 def assert_same_generation(a, b, policy: DecodePolicy):
@@ -481,7 +499,7 @@ def test_forked_prefill_matches_fresh_generation(case, sequence):
     model, prompt = case
     prefix = prefill(model, prompt)
     c = prefix.cache
-    arrays = [c.keys, c.values, prefix.logits, c.image_att, c.text_scores]
+    arrays = [c.keys, c.values, prefix.logits, c.image_att]
     before = [a.copy() for a in arrays]
     for policy in sequence:
         shared = ikod_generate(model, prefix, policy)
@@ -603,8 +621,8 @@ def test_prefill_is_read_only_and_records_the_prompt():
     assert (prefix.n_image, prefix.l_others, prefix.last_input) == (4, 4, 14)
     c = prefix.cache
     assert c.keys.shape == (2, 2, 8, 8)
-    assert c.image_att.shape == (8, 2, 2) and c.text_scores.shape == (2, 4)
-    for array in (c.keys, c.values, prefix.logits, c.image_att, c.text_scores):
+    assert c.image_att.shape == (2, 2, 8)
+    for array in (c.keys, c.values, prefix.logits, c.image_att):
         with pytest.raises(ValueError):
             array[...] = 0.0
 
@@ -995,7 +1013,7 @@ def test_replayed_step_raises_where_forward_step_would(case, policy, data):
         outcomes.append((
             logits.tobytes(), n,
             cache.keys[:, :, :n].tobytes(), cache.values[:, :, :n].tobytes(),
-            cache.image_att[:n].tobytes(), cache.text_scores[:, : n - prefix.n_image].tobytes(),
+            cache.image_att[:, :, :n].tobytes(),
         ))
     assert outcomes[0] == outcomes[1]
     assert cache_room or outcomes[0] is CapacityError

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ikod.decode import BaseStrategy, DecodePolicy, Mode
-from ikod.kv_merge import AnchorStrategy
+from ikod.kv_merge import AnchorStrategy, layer_scores
 from ikod.model import (
     CapacityError,
     ConfigError,
@@ -323,6 +323,30 @@ def test_trace_requires_continuous_recording():
         cache.record(np.full((2, 2, 4), 0.25))
 
 
+@pytest.mark.parametrize(
+    "sizes, name",
+    [
+        ((0, 1, 0, 3, 0), "n_layers must be at least 1"),
+        ((1, 0, 0, 3, 0), "n_heads must be at least 1"),
+        ((1, 1, -1, 3, 0), "d_head must be at least 0"),
+        ((1, 1, 0, -1, 0), "capacity must be at least 0"),
+        ((1, 1, 0, 3, -1), "l_image must be at least 0"),
+        ((1, 1, 0, 3, 5), "l_image must be at most capacity 3"),
+        ((True, 1, 0, 3, 0), "n_layers must be an integer"),
+        ((1, 1, 0, 2.5, 0), "capacity must be an integer"),
+    ],
+)
+def test_cache_rejects_sizes_it_cannot_hold(sizes, name):
+    with pytest.raises(ConfigError, match=name):
+        LayeredKvCache(*sizes)
+
+
+def test_cache_takes_whole_number_sizes_as_ints():
+    cache = LayeredKvCache(np.int64(2), 1.0, 0, 3.0, np.int64(3))
+    assert cache.image_att.shape == (2, 1, 3) and cache.l_image == 3
+    assert type(cache.l_image) is int
+
+
 def reference_image_att(rows: np.ndarray, l_image: int) -> np.ndarray:
     """Image mass of one row as ImageAttentionStat.from_trace summed it from
     stored rows: a boolean-mask gather."""
@@ -330,9 +354,13 @@ def reference_image_att(rows: np.ndarray, l_image: int) -> np.ndarray:
 
 
 def reference_text_score(rows: np.ndarray, l_image: int) -> np.ndarray:
-    """Score of one text row as layer_scores summed it from stored rows: a
-    slice sum, then the head mean."""
-    return rows[..., :l_image].sum(axis=-1).mean(axis=-1)
+    """Score of one text row as layer_scores derives it: the head mean of
+    reference_image_att, its heads summed in head order."""
+    mass = reference_image_att(rows, l_image)
+    total = mass[:, 0]
+    for h in range(1, mass.shape[1]):
+        total = total + mass[:, h]
+    return total / mass.shape[1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -353,15 +381,17 @@ def test_trace_summaries_equal_the_stored_row_reductions(n_layers, n_heads, n_ro
         rng.normal(size=(n_layers, n_heads, n + 1)) * 10.0 ** rng.uniform(-3, 3, size=n + 1)
         for n in range(n_rows)
     ]
-    trace = LayeredKvCache(n_layers, n_heads, 0, n_rows, l_image)
+    trace = LayeredKvCache(n_layers, n_heads, 0, max(n_rows, l_image), l_image)
     for row in rows:
         trace.record(row)
     assert trace.length == n_rows
+    scores = layer_scores(trace) if n_rows > l_image else None
     for n, row in enumerate(rows):
-        assert trace.image_att[n].tobytes() == reference_image_att(row, l_image).tobytes()
+        want = reference_image_att(row, l_image)
+        assert trace.image_att[:, :, n].tobytes() == want.tobytes()
         if n >= l_image:
             want = reference_text_score(row, l_image)
-            assert trace.text_scores[:, n - l_image].tobytes() == want.tobytes()
+            assert scores[:, n - l_image].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["n_layers", "n_heads", "max_seq", "seed", "d_head"])
