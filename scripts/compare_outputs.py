@@ -23,6 +23,13 @@ A long-prompt pair runs the same model on 24 images and 110 prompt tokens
 (134 prefill rows, past the 128 where numpy's pairwise sum splits a row) and
 decodes 20 tokens, greedy with low_attention anchors, in baseline and ikod,
 so that a prefill over several blocks of positions is compared end to end.
+A wide pair runs a 2-layer model with d_model 264 (8 heads of 33) and d_ff
+1030 on 24 images and the 6 prompt tokens and decodes 6 tokens, greedy with
+low_attention anchors, in baseline and ikod (the first with a sweep). Each of
+its weight matrices is larger than the 512 KiB that the prefill multiplies in
+one piece, so every prefill product runs through column blocks: the
+feed-forward matrices split with a remainder, and each 545 KiB attention
+projection is copied as one block.
 Last come `analyze --synthetic-uniform` at four image/prompt/generated
 counts (no images, fewer than five generated tokens, 16 generated) and at a
 negative count, a `decode` of each of eleven malformed policies (two give
@@ -55,6 +62,8 @@ MODELS = {
 }
 LONG_MODEL = {"n_layers": 2, "n_heads": 2, "d_model": 16, "d_ff": 32, "vocab_size": 256,
               "max_seq": 160, "seed": 5}
+WIDE_MODEL = {"n_layers": 2, "n_heads": 8, "d_model": 264, "d_ff": 1030, "vocab_size": 64,
+              "max_seq": 36, "seed": 7}
 IMAGE_COUNTS = (0, 6, 24)
 BASES = {"greedy": {"kind": "greedy"}, "top_p": {"kind": "top_p", "p": 0.9, "temperature": 0.7}}
 STRATEGIES = ("low_attention", "high_attention", "random")
@@ -115,6 +124,8 @@ def write_grid(root: Path) -> None:
     long_grid = itertools.product(MODES[1:], BASES, ("low_attention", "random"), SEEDS)
     grid += [("long", LONG_MODEL, 24, PROMPT, *row, 100) for row in long_grid]
     grid += [("longprompt", LONG_MODEL, 24, LONG_PROMPT, mode, "greedy", "low_attention", 0, 20)
+             for mode in MODES[:2]]
+    grid += [("wide", WIDE_MODEL, 24, PROMPT, mode, "greedy", "low_attention", 0, 6)
              for mode in MODES[:2]]
     for i, (model, spec, images, prompt, mode, base, strategy, seed, new_tokens) in enumerate(grid):
         name = f"{i:03d}-{model}-img{images}-{base}-{strategy}-{mode}-s{seed}"

@@ -12,12 +12,18 @@ query, costing L * (8*d^2 + 4*d*d_ff + 4*n*d) against a cache of n rows
 cache at every generated token (dual_path_overhead).
 
 Python integers never overflow, so integer inputs give exact counts; float
-inputs propagate floats.
+inputs propagate floats. Sizes are finite positive reals and the counts that
+anchor_count or a loop reads are integers; anything else, booleans included,
+raises a ValueError naming the argument.
 """
 
 from __future__ import annotations
 
-from .kv_merge import anchor_count
+import math
+import numbers
+
+from .kv_merge import _require_anchor_ratio, anchor_count
+from .model import require_int
 
 __all__ = [
     "compressed_len",
@@ -31,9 +37,12 @@ __all__ = [
 
 
 def _check_positive(**kwargs) -> None:
+    """Each value must be a finite positive real. An int is finite however
+    large, so an oversized count overflows only where a float is formed."""
     for name, value in kwargs.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and 0 < value < math.inf):  # NaN fails the comparison too
+            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def original_flops(n_layers, seq_len, hidden):
@@ -47,13 +56,14 @@ def compressed_len(seq_len, text_len, anchor_ratio, integer: bool = False):
 
     With integer=True the text remainder is what the merge keeps: the
     anchor_count(l, lam) anchors plus the 2 protected rows, so the result never
-    drops below seq_len - text_len + 3.
+    drops below seq_len - text_len + 3; both lengths must then be integers.
     """
+    if integer:
+        seq_len, text_len = require_int(seq_len, "seq_len"), require_int(text_len, "text_len")
+    _check_positive(seq_len=seq_len, text_len=text_len)
+    anchor_ratio = _require_anchor_ratio(anchor_ratio)
     if text_len > seq_len:
         raise ValueError(f"text length {text_len} exceeds sequence length {seq_len}")
-    if not 0.0 < anchor_ratio <= 1.0:
-        raise ValueError("anchor_ratio must lie in (0, 1]")
-    _check_positive(seq_len=seq_len, text_len=text_len)
     if integer:
         return (seq_len - text_len) + anchor_count(text_len, anchor_ratio) + 2
     return seq_len + (anchor_ratio - 1.0) * text_len
@@ -81,11 +91,10 @@ def growth_rate_closed_form(seq_len, hidden, text_len, anchor_ratio):
     1 - c * (2n - c + 6d) / (6nd + n^2), obtained by expanding the quadratic
     in the shortened length and dividing through by 4d.
     """
+    _check_positive(seq_len=seq_len, hidden=hidden, text_len=text_len)
+    anchor_ratio = _require_anchor_ratio(anchor_ratio)
     if text_len > seq_len:
         raise ValueError(f"text length {text_len} exceeds sequence length {seq_len}")
-    if not 0.0 < anchor_ratio <= 1.0:
-        raise ValueError("anchor_ratio must lie in (0, 1]")
-    _check_positive(seq_len=seq_len, hidden=hidden, text_len=text_len)
     c = (1.0 - anchor_ratio) * text_len
     return 1.0 - c * (2 * seq_len - c + 6 * hidden) / (6 * seq_len * hidden + seq_len**2)
 
@@ -108,9 +117,14 @@ def dual_path_overhead(n_layers, d_model, d_ff, l_image, l_prompt, n_new, anchor
 
     The query that picks token i attends over n = l_image + l_prompt + i cached
     rows; its merged twin attends over l_image + k + 2 rows, with k anchors
-    kept from the l_prompt + i text tokens. Prefill is left out.
+    kept from the l_prompt + i text tokens. Prefill is left out. l_image,
+    l_prompt and n_new are integers.
     """
-    _check_positive(n_new=n_new)
+    l_image, l_prompt = require_int(l_image, "l_image"), require_int(l_prompt, "l_prompt")
+    n_new = require_int(n_new, "n_new")
+    if l_image < 0:
+        raise ValueError(f"l_image must be non-negative, got {l_image}")
+    _check_positive(l_prompt=l_prompt, n_new=n_new)
     original = merged = 0
     for i in range(n_new):
         n = l_image + l_prompt + i

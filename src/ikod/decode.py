@@ -200,13 +200,13 @@ def collaborative_combine(p_orig, p_aug, alpha: float, v_head) -> np.ndarray:
     return np.where(v_head, p_orig + alpha * p_aug, 0.0)
 
 
-def base_select(scores, base: BaseStrategy, rng: Rng) -> int:
+def base_select(scores, base: BaseStrategy, rng: Rng | None) -> int:
     """Pick a token id from non-negative scores.
 
-    Greedy takes the argmax (lowest index on ties). Sampling modes renormalize
-    the scores, optionally temper them, truncate to the k largest or to the
-    smallest prefix of descending sorted mass reaching p, renormalize again,
-    and draw by inverse CDF from the seeded generator.
+    Greedy takes the argmax (lowest index on ties) and reads no rng. Sampling
+    modes renormalize the scores, optionally temper them, truncate to the k
+    largest or to the smallest prefix of descending sorted mass reaching p,
+    renormalize again, and draw by inverse CDF from the seeded generator rng.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
@@ -220,6 +220,8 @@ def base_select(scores, base: BaseStrategy, rng: Rng) -> int:
         raise ValueError("scores must have a finite sum")
     if base.kind == "greedy":
         return int(np.argmax(s))
+    if rng is None:
+        raise ValueError(f"{base.kind} selection needs an rng")
     probs = s / total
     if base.temperature is not None:
         # Dividing by the max first keeps the top entry at 1.0, so sharp

@@ -61,9 +61,7 @@ class MergePlan:
 
     def __post_init__(self):
         text_len = require_int(self.text_len, "text_len")
-        anchor_ratio = require_float(self.anchor_ratio, "anchor_ratio")
-        if not 0.0 < anchor_ratio <= 1.0:
-            raise ValueError("anchor_ratio must lie in (0, 1]")
+        anchor_ratio = _require_anchor_ratio(self.anchor_ratio)
         strategy = require_member(AnchorStrategy, self.strategy, "strategy")
         anchors, starts, ends = _anchor_buckets(self.anchors, text_len)
         for name, value in zip(
@@ -134,13 +132,20 @@ def layer_scores(cache: LayeredKvCache, upcoming: bool = False) -> np.ndarray:
     return scores
 
 
+def _require_anchor_ratio(value) -> float:
+    """value as a float in (0, 1]; anything else raises a ValueError naming
+    anchor_ratio."""
+    anchor_ratio = require_float(value, "anchor_ratio")
+    if not 0.0 < anchor_ratio <= 1.0:
+        raise ValueError("anchor_ratio must lie in (0, 1]")
+    return anchor_ratio
+
+
 def anchor_count(text_len: int, anchor_ratio: float) -> int:
     """Anchors kept per layer: floor(ratio * (T - 2)), at least 1."""
     if text_len < 3:
         raise ValueError(f"text sequence of {text_len} tokens is too short to merge")
-    anchor_ratio = require_float(anchor_ratio, "anchor_ratio")
-    if not 0.0 < anchor_ratio <= 1.0:
-        raise ValueError("anchor_ratio must lie in (0, 1]")
+    anchor_ratio = _require_anchor_ratio(anchor_ratio)
     return max(1, math.floor(anchor_ratio * (text_len - 2)))
 
 

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .model import ConfigError, read_config
+from .model import ConfigError, read_config, require_int
 
 __all__ = [
     "BinaryMetrics",
@@ -62,6 +62,8 @@ class BinaryOutcomes:
     tn: int
 
     def __post_init__(self):
+        for name in ("tp", "fp", "fn", "tn"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise ValueError("counts must be non-negative")
 

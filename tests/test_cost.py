@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,45 @@ def test_dual_path_overhead_bounds():
     assert dual_path_overhead(4, 128, 512, 64, 16, 256, 0.4) == pytest.approx(1.9126, abs=1e-4)
     with pytest.raises(ValueError):
         dual_path_overhead(1, 4, 8, 2, 2, 4, 0.5)  # too few prompt tokens to merge
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (step_flops, (True, 1, 1, 1), "n_layers must be a positive finite number, got True"),
+        (step_flops, ("2", 1, 1, 1), "n_layers must be a positive finite number, got '2'"),
+        (step_flops, (1, 1, np.True_, 1), "d_model must be a positive finite number, got "),
+        (original_flops, (math.nan, 1, 1), "n_layers must be a positive finite number, got nan"),
+        (original_flops, (1, 1, math.inf), "hidden must be a positive finite number, got inf"),
+        (growth_rate_closed_form, (math.nan, 1, 1, 0.5),
+         "seq_len must be a positive finite number, got nan"),
+        (growth_rate_closed_form, (8, 4, 4, math.nan), "anchor_ratio must be a finite number"),
+        (compressed_len, (10, 5, "0.5"), "anchor_ratio must be a finite number, got '0.5'"),
+        (compressed_len, (10, 5, True), "anchor_ratio must be a finite number, got True"),
+        (compressed_len, (10, 5.5, 0.5, True), "text_len must be an integer, got 5.5"),
+        (dual_path_overhead, (1, 1, 1, 0, 3, 2.5, 0.5), "n_new must be an integer, got 2.5"),
+        (dual_path_overhead, (1, 1, 1, True, 3, 2, 0.5), "l_image must be an integer, got True"),
+        (dual_path_overhead, (1, 1, 1, 0, 3.5, 2, 0.5), "l_prompt must be an integer, got 3.5"),
+        (dual_path_overhead, (1, 1, 1, -1, 3, 2, 0.5), "l_image must be non-negative, got -1"),
+        (dual_path_overhead, (1, 1, 1, 0, 0, 2, 0.5), "l_prompt must be a positive finite number"),
+    ],
+    ids=[
+        "step-bool", "step-string", "step-numpy-bool", "original-nan", "original-inf",
+        "closed-form-nan", "closed-form-nan-ratio", "compressed-string-ratio",
+        "compressed-bool-ratio", "compressed-fractional-count", "overhead-fractional-n-new",
+        "overhead-bool-l-image", "overhead-fractional-l-prompt", "overhead-negative-l-image",
+        "overhead-empty-prompt",
+    ],
+)
+def test_cost_inputs_raise_a_value_error_naming_the_argument(call, args, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(*args)
+
+
+def test_float_sizes_propagate_floats():
+    assert original_flops(2.0, 8, 4) == 8192.0
+    assert isinstance(original_flops(2.0, 8, 4), float)
+    assert step_flops(1, 1.5, 1, 1) == 18.0
+    # Whole-number floats are read as the counts they name.
+    whole = dual_path_overhead(1, 1, 1, 1.0, 3.0, 2.0, 0.5)
+    assert whole == dual_path_overhead(1, 1, 1, 1, 3, 2, 0.5)

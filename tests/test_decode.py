@@ -151,6 +151,15 @@ def test_temperature_sharpens_and_flattens():
     assert set(hot) == {0, 1, 2}
 
 
+@pytest.mark.parametrize(
+    "base", [BaseStrategy.top_k(1), BaseStrategy.top_p(0.9)], ids=["top_k", "top_p"]
+)
+def test_sampling_without_an_rng_raises_a_value_error_naming_it(base):
+    with pytest.raises(ValueError, match=f"^{base.kind} selection needs an rng$"):
+        base_select(np.array([0.2, 0.8]), base, None)
+    assert base_select(np.array([0.2, 0.8]), BaseStrategy.greedy(), None) == 1
+
+
 def test_base_select_rejects_bad_scores():
     with pytest.raises(ValueError):
         base_select([0.0, 0.0], BaseStrategy.greedy(), Rng(0))
@@ -814,10 +823,18 @@ def assert_prefill_replays(model: TinyDecoder, prompt: Prompt) -> None:
 
 
 # Prefill attention runs blocks of positions; a block of one position is the
-# per-position pass it replaced.
+# per-position pass it replaced. A budget of 0 bytes runs every prefill
+# product in 16-column blocks of its weight matrix.
 prefill_blocks = pytest.mark.parametrize(
-    "block", [1, None], ids=["one-position-blocks", "default-blocks"]
+    "constants",
+    [{"_PREFILL_BLOCK": 1}, {}, {"_ROW_TIMES_BYTES": 0}],
+    ids=["one-position-blocks", "default-blocks", "16-column-blocks"],
 )
+
+
+def set_model_constants(monkeypatch, constants: dict) -> None:
+    for name, value in constants.items():
+        monkeypatch.setattr(f"ikod.model.{name}", value)
 
 
 @prefill_blocks
@@ -827,13 +844,12 @@ prefill_blocks = pytest.mark.parametrize(
     ids=["9-positions", "40-positions", "136-positions", "133-positions"],
 )
 def test_prefill_matches_a_forward_step_replay_at_fixed_lengths(
-    monkeypatch, block, n_heads, d_head, n_image, n_tokens
+    monkeypatch, constants, n_heads, d_head, n_image, n_tokens
 ):
     """Rows of 9 or more and of more than 128 columns, where numpy's pairwise
     sum runs eight accumulators or splits the row, and so where a row sum
     over a longer, masked row would take another order."""
-    if block is not None:
-        monkeypatch.setattr("ikod.model._PREFILL_BLOCK", block)
+    set_model_constants(monkeypatch, constants)
     cfg = ModelConfig(
         n_layers=2, n_heads=n_heads, d_model=n_heads * d_head, d_ff=24, vocab_size=40,
         max_seq=n_image + n_tokens, seed=n_image + d_head,
@@ -845,9 +861,8 @@ def test_prefill_matches_a_forward_step_replay_at_fixed_lengths(
 
 @prefill_blocks
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_prefill_of_a_non_finite_image_raises_as_a_step_replay_does(monkeypatch, block, bad):
-    if block is not None:
-        monkeypatch.setattr("ikod.model._PREFILL_BLOCK", block)
+def test_prefill_of_a_non_finite_image_raises_as_a_step_replay_does(monkeypatch, constants, bad):
+    set_model_constants(monkeypatch, constants)
     model = make_model()
     images = make_image_embeddings(30, model.config.d_model, 3)
     images[27, 5] = bad

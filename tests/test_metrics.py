@@ -72,6 +72,13 @@ def test_binary_metrics_rejects_empty_and_negative():
         BinaryOutcomes(-1, 0, 0, 1)
 
 
+@pytest.mark.parametrize("count", [1.5, True, "1", None])
+def test_binary_outcomes_reads_counts_as_integers(count):
+    with pytest.raises(ValueError, match=f"^fn must be an integer, got {count!r}$"):
+        BinaryOutcomes(1, 0, count, 0)
+    assert type(BinaryOutcomes(2.0, 0, 0, 1).tp) is int
+
+
 def test_f1_between_min_and_max_of_precision_recall():
     import numpy as np
 

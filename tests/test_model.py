@@ -16,6 +16,7 @@ from ikod.model import (
     ModelConfig,
     TinyDecoder,
     TraceError,
+    _column_blocks,
     _row_times,
     load_checkpoint,
     make_image_embeddings,
@@ -24,7 +25,7 @@ from ikod.model import (
     require_int,
     save_checkpoint,
 )
-from ikod.numerics import Rng
+from ikod.numerics import Rng, _cache_aligned_empty
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -245,13 +246,65 @@ def test_forward_step_over_cache_views_matches_contiguous_copies(
 )
 def test_row_times_rows_equal_vector_products(n, d, cols):
     """Prefill's stacked product must give every row the bits of the vector
-    product forward_step takes; a 2-D matrix product sums in another order."""
+    product forward_step takes; a 2-D matrix product sums in another order.
+    (80, 256, 1024) and (200, 400, 1200) exceed _ROW_TIMES_BYTES, so they run
+    in column blocks."""
     rng = np.random.default_rng(n * d + cols)
     x, w = rng.uniform(-1, 1, size=(n, d)), rng.uniform(-1, 1, size=(d, cols))
+    assert_rows_equal_vector_products(x, w)
+
+
+def assert_rows_equal_vector_products(x, w) -> None:
     stacked = _row_times(x, w)
-    assert stacked.shape == (n, cols)
-    for i in range(n):
+    assert stacked.shape == (len(x), w.shape[1])
+    for i in range(len(x)):
         assert stacked[i].tobytes() == (x[i] @ w).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    d=st.integers(1, 320),
+    blocks=st.integers(0, 24),
+    remainder=st.integers(0, 15),
+    offset=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, d=125, blocks=16, remainder=3, offset=0, seed=0)  # a 3-column remainder
+@example(n=2, d=300, blocks=0, remainder=5, offset=3, seed=1)  # one block narrower than 16
+@example(n=3, d=64, blocks=4, remainder=1, offset=7, seed=2)
+def test_row_times_in_16_column_blocks_keeps_every_row_bit(n, d, blocks, remainder, offset, seed):
+    """With the budget at 0 every matrix runs in 16-column blocks, however
+    many columns are left over and wherever the weights start relative to a
+    cache line; each row keeps the bits of x[i] @ w."""
+    cols = max(16 * blocks + remainder, 1)
+    rng = np.random.default_rng(seed)
+    w = _cache_aligned_empty(d * cols + offset)[offset:].reshape(d, cols)
+    w[...] = rng.uniform(-1, 1, size=(d, cols))
+    x = rng.uniform(-1, 1, size=(n, d))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ikod.model._ROW_TIMES_BYTES", 0)
+        assert_rows_equal_vector_products(x, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 5000), cols=st.integers(1, 5000), budget=st.integers(0, 4 << 20))
+@example(rows=256, cols=1024, budget=512 * 1024)  # cold_start's w_ff1: four 256-column blocks
+@example(rows=1024, cols=256, budget=512 * 1024)  # w_ff2: four 64-column blocks
+@example(rows=264, cols=264, budget=512 * 1024)  # 240 columns fit: one block of all 264
+def test_column_blocks_are_never_narrower_than_the_width(rows, cols, budget):
+    """The blocks tile the columns in order; every one but the last is the
+    width, a multiple of 16 columns within the budget (16 if none fits), and
+    the last takes the remainder, so none is narrower than the width, or than
+    the whole matrix when that is narrower."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ikod.model._ROW_TIMES_BYTES", budget)
+        blocks = _column_blocks(rows, cols)
+    width = max(16, budget // (8 * rows) // 16 * 16)  # the widest multiple of 16 that fits
+    assert [start for start, _ in blocks] == [0, *(end for _, end in blocks[:-1])]
+    assert blocks[-1][1] == cols
+    assert all(end - start == width for start, end in blocks[:-1])
+    assert min(width, cols) <= blocks[-1][1] - blocks[-1][0] < 2 * width
 
 
 def test_forward_prompt_needs_an_empty_cache_with_room():
