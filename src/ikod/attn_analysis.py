@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LayeredKvCache, TraceError, require_int
+from .model import LayeredKvCache, TraceError, _real, require_int
 
 __all__ = [
     "ImageAttentionStat",
@@ -122,6 +122,10 @@ def kde2d(points, grid, h_x: float = 0.5, h_y: float = 0.5) -> np.ndarray:
         raise ValueError("grid must have shape (m, 2)")
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
+    for name, array in (("points", pts), ("grid", g)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} must be finite numbers")
+    h_x, h_y = _real(h_x, "h_x"), _real(h_y, "h_y")
     if not (0.0 < h_x < np.inf and 0.0 < h_y < np.inf):
         raise ValueError("bandwidths must be positive and finite")
     if math.isinf(kde_peak(h_x, h_y)):

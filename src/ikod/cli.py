@@ -165,12 +165,12 @@ def cmd_decode(args) -> int:
     if args.emit_merge_plans:
         plan_dir = out_dir / "merge_plans"
         plan_dir.mkdir(exist_ok=True)
-        ratio, strategy = policy.anchor_ratio, policy.anchor_strategy
         for i, step in enumerate(result.steps):
             if step.anchors is not None:  # a baseline pick runs no plan
                 # Pick i's plan spans the prompt text and the i picks before it.
-                plan = MergePlan(step.anchors, len(rc.prompt_tokens) + i, ratio, strategy)
-                _write_json(plan_dir / f"step_{i + 1:04d}.json", plan.to_json_dict())
+                plan = MergePlan(step.anchors, len(rc.prompt_tokens) + i)
+                doc = plan.to_json_dict(policy.anchor_ratio, policy.anchor_strategy)
+                _write_json(plan_dir / f"step_{i + 1:04d}.json", doc)
     print(f"generated {len(result.tokens)} tokens -> {out_dir}")
     return 0
 
@@ -404,8 +404,6 @@ def cmd_flops(args) -> int:
                 args.seq_len, args.hidden, args.text_len, args.lam
             ),
         }
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     except OverflowError:
         raise ConfigError(
             "--layers, --seq-len, --hidden and --text-len give costs too large for a float"
@@ -421,19 +419,13 @@ def cmd_metrics(args) -> int:
     doc: dict = {}
     if args.records:
         records = load_caption_records(args.records)
-        try:
-            chair_s, chair_i = chair_scores(records)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        chair_s, chair_i = chair_scores(records)
         doc.update({"chair_s": chair_s, "chair_i": chair_i, "records": len(records)})
     if args.binary:
         counts = _parse_list(args.binary, int)
         if len(counts) != 4:
             raise ConfigError("--binary needs four comma-separated counts: tp,fp,fn,tn")
-        try:
-            m = binary_metrics(BinaryOutcomes(*counts))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        m = binary_metrics(BinaryOutcomes(*counts))
         doc.update(
             {"accuracy": m.accuracy, "precision": m.precision, "recall": m.recall, "f1": m.f1}
         )

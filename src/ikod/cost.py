@@ -8,8 +8,11 @@ whenever any text is actually merged.
 
 The decode loop does not run full passes: each step evaluates one cached
 query, costing L * (8*d^2 + 4*d*d_ff + 4*n*d) against a cache of n rows
-(step_flops). The dual path adds a second such query against the merged
-cache at every generated token (dual_path_overhead).
+(step_flops). The dual path adds a second such query at every generated
+token, against the rows merge_cache keeps: the image rows, anchor_count(T,
+lam) anchors of the T text tokens and the two protected rows
+(dual_path_overhead). The full-pass formulas use the paper's shortened
+length instead (compressed_len).
 
 Python integers never overflow, so integer inputs give exact counts; float
 inputs propagate floats. Sizes are finite positive reals and the counts that
@@ -51,21 +54,12 @@ def original_flops(n_layers, seq_len, hidden):
     return n_layers * (24 * seq_len * hidden**2 + 4 * seq_len**2 * hidden)
 
 
-def compressed_len(seq_len, text_len, anchor_ratio, integer: bool = False):
-    """Sequence length after merging: n + (lam - 1) * l.
-
-    With integer=True the text remainder is what the merge keeps: the
-    anchor_count(l, lam) anchors plus the 2 protected rows, so the result never
-    drops below seq_len - text_len + 3; both lengths must then be integers.
-    """
-    if integer:
-        seq_len, text_len = require_int(seq_len, "seq_len"), require_int(text_len, "text_len")
+def compressed_len(seq_len, text_len, anchor_ratio):
+    """Sequence length after merging: n + (lam - 1) * l."""
     _check_positive(seq_len=seq_len, text_len=text_len)
     anchor_ratio = _require_anchor_ratio(anchor_ratio)
     if text_len > seq_len:
         raise ValueError(f"text length {text_len} exceeds sequence length {seq_len}")
-    if integer:
-        return (seq_len - text_len) + anchor_count(text_len, anchor_ratio) + 2
     return seq_len + (anchor_ratio - 1.0) * text_len
 
 
@@ -116,9 +110,10 @@ def dual_path_overhead(n_layers, d_model, d_ff, l_image, l_prompt, n_new, anchor
     l_prompt positions.
 
     The query that picks token i attends over n = l_image + l_prompt + i cached
-    rows; its merged twin attends over l_image + k + 2 rows, with k anchors
-    kept from the l_prompt + i text tokens. Prefill is left out. l_image,
-    l_prompt and n_new are integers.
+    rows; its merged twin attends over the rows merge_cache keeps,
+    l_image + k + 2, with k = anchor_count(l_prompt + i, lam) anchors kept from
+    the l_prompt + i text tokens. Prefill is left out. l_image, l_prompt and
+    n_new are integers.
     """
     l_image, l_prompt = require_int(l_image, "l_image"), require_int(l_prompt, "l_prompt")
     n_new = require_int(n_new, "n_new")
@@ -128,7 +123,7 @@ def dual_path_overhead(n_layers, d_model, d_ff, l_image, l_prompt, n_new, anchor
     original = merged = 0
     for i in range(n_new):
         n = l_image + l_prompt + i
-        n_hat = compressed_len(n, l_prompt + i, anchor_ratio, integer=True)
+        n_hat = l_image + anchor_count(l_prompt + i, anchor_ratio) + 2
         original += step_flops(n_layers, n, d_model, d_ff)
         merged += step_flops(n_layers, n_hat, d_model, d_ff)
     return 1.0 + merged / original

@@ -43,8 +43,8 @@ from .model import (
     CapacityError,
     LayeredKvCache,
     TinyDecoder,
+    _real,
     json_fields,
-    require_float,
     require_int,
     require_member,
     require_seed,
@@ -77,12 +77,6 @@ class Mode(str, Enum):
     BASELINE = "baseline"
     IKOD = "ikod"
     IKOD_NO_OD = "ikod_no_od"
-
-
-def _real(value, name: str) -> float:
-    """A float as it is, for the range check that names a non-finite one;
-    anything else must be a finite number (require_float)."""
-    return float(value) if isinstance(value, float) else require_float(value, name)
 
 
 @dataclass(frozen=True)
@@ -119,22 +113,6 @@ class BaseStrategy:
             raise ValueError("p must lie in (0, 1] for top_p")
         if self.temperature is not None and not 0.0 < self.temperature < math.inf:
             raise ValueError("temperature must be positive and finite")
-
-    @classmethod
-    def greedy(cls) -> "BaseStrategy":
-        return cls()
-
-    @classmethod
-    def top_k(cls, k: int, temperature: float | None = None) -> "BaseStrategy":
-        return cls(kind="top_k", k=k, temperature=temperature)
-
-    @classmethod
-    def top_p(cls, p: float, temperature: float | None = None) -> "BaseStrategy":
-        return cls(kind="top_p", p=p, temperature=temperature)
-
-    @classmethod
-    def nucleus(cls, temperature: float | None = None) -> "BaseStrategy":
-        return cls(kind="nucleus", temperature=temperature)
 
 
 @dataclass(frozen=True)
@@ -195,6 +173,7 @@ def collaborative_combine(p_orig, p_aug, alpha: float, v_head) -> np.ndarray:
         raise ShapeError(f"distribution sizes differ: {p_orig.shape} vs {p_aug.shape}")
     if v_head.shape != p_orig.shape:
         raise ShapeError(f"mask shape {v_head.shape} differs from distributions of {p_orig.shape}")
+    alpha = _real(alpha, "alpha")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be non-negative and finite")
     return np.where(v_head, p_orig + alpha * p_aug, 0.0)
@@ -228,20 +207,15 @@ def base_select(scores, base: BaseStrategy, rng: Rng | None) -> int:
         # temperatures cannot underflow the whole vector to zero.
         probs = (probs / probs.max()) ** (1.0 / base.temperature)
         probs = probs / probs.sum()
+    order = np.argsort(-probs, kind="stable")
     if base.kind == "top_k":
-        k = min(base.k, probs.size)
-        keep = np.argsort(-probs, kind="stable")[:k]
-        mask = np.zeros(probs.size, dtype=bool)
-        mask[keep] = True
-        probs = np.where(mask, probs, 0.0)
+        keep = order[: base.k]
     else:  # top_p
-        order = np.argsort(-probs, kind="stable")
-        csum = np.cumsum(probs[order])
-        cut = int(np.searchsorted(csum, base.p, side="left"))
-        keep = order[: min(cut, probs.size - 1) + 1]
-        mask = np.zeros(probs.size, dtype=bool)
-        mask[keep] = True
-        probs = np.where(mask, probs, 0.0)
+        cut = int(np.searchsorted(np.cumsum(probs[order]), base.p, side="left"))
+        keep = order[: cut + 1]
+    mask = np.zeros(probs.size, dtype=bool)
+    mask[keep] = True
+    probs = np.where(mask, probs, 0.0)
     probs = probs / probs.sum()
     u = rng.next_uniform()
     idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
@@ -410,14 +384,18 @@ def check_request(model: TinyDecoder, prompt: Prompt | Prefill, policy: DecodePo
         if prompt.model is not model:
             raise ValueError("prefill was computed by a different model")
         n_image, l_others = prompt.n_image, prompt.l_others
-    else:
+    elif isinstance(prompt, Prompt):
         n_image, l_others = _prompt_images(model, prompt).shape[0], len(prompt.tokens)
+    else:
+        raise ValueError(f"prompt must be a Prompt or a Prefill, got {prompt!r}")
     check_counts(model.config.max_seq, n_image, l_others, policy)
 
 
 def check_counts(max_seq: int, n_image: int, l_others: int, policy: DecodePolicy) -> None:
     """check_request on the counts alone: a prompt of n_image image and
     l_others text positions, for a model of max_seq positions."""
+    if not isinstance(policy, DecodePolicy):
+        raise ValueError(f"policy must be a DecodePolicy, got {policy!r}")
     if l_others < 1:
         raise ValueError("prompt needs at least one text token")
     if policy.mode is not Mode.BASELINE and l_others < 3:

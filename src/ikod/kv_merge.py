@@ -54,19 +54,14 @@ class MergePlan:
 
     anchors: np.ndarray
     text_len: int
-    anchor_ratio: float
-    strategy: AnchorStrategy
     starts: np.ndarray = field(init=False)
     ends: np.ndarray = field(init=False)
 
     def __post_init__(self):
         text_len = require_int(self.text_len, "text_len")
-        anchor_ratio = _require_anchor_ratio(self.anchor_ratio)
-        strategy = require_member(AnchorStrategy, self.strategy, "strategy")
         anchors, starts, ends = _anchor_buckets(self.anchors, text_len)
         for name, value in zip(
-            ("text_len", "anchor_ratio", "strategy", "anchors", "starts", "ends"),
-            (text_len, anchor_ratio, strategy, anchors, starts, ends),
+            ("text_len", "anchors", "starts", "ends"), (text_len, anchors, starts, ends)
         ):
             object.__setattr__(self, name, value)
 
@@ -74,11 +69,13 @@ class MergePlan:
     def protected(self) -> tuple[int, int]:
         return self.text_len - 2, self.text_len - 1
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, anchor_ratio: float, strategy: AnchorStrategy) -> dict:
+        """The merge_plans/ format: this plan with the anchor_ratio and
+        strategy of the policy that built it, which the plan does not store."""
         protected = list(self.protected)
         return {
-            "anchor_ratio": self.anchor_ratio,
-            "strategy": self.strategy.value,
+            "anchor_ratio": _require_anchor_ratio(anchor_ratio),
+            "strategy": require_member(AnchorStrategy, strategy, "strategy").value,
             "text_len": self.text_len,
             "layers": [
                 {
@@ -143,9 +140,9 @@ def _require_anchor_ratio(value) -> float:
 
 def anchor_count(text_len: int, anchor_ratio: float) -> int:
     """Anchors kept per layer: floor(ratio * (T - 2)), at least 1."""
+    anchor_ratio, text_len = _require_anchor_ratio(anchor_ratio), require_int(text_len, "text_len")
     if text_len < 3:
         raise ValueError(f"text sequence of {text_len} tokens is too short to merge")
-    anchor_ratio = _require_anchor_ratio(anchor_ratio)
     return max(1, math.floor(anchor_ratio * (text_len - 2)))
 
 
@@ -189,7 +186,7 @@ def build_buckets(anchors, text_len: int) -> list[tuple[int, int]]:
     going to the left anchor. The first bucket absorbs everything before the
     first anchor and the last bucket everything after the last one.
     """
-    _, starts, ends = _anchor_buckets([list(anchors)], text_len)
+    _, starts, ends = _anchor_buckets([list(anchors)], require_int(text_len, "text_len"))
     return list(zip(starts[0].tolist(), ends[0].tolist()))
 
 
@@ -234,7 +231,7 @@ def build_merge_plan(
         if strategy is AnchorStrategy.HIGH_ATTENTION:
             key = -key
         chosen = np.argsort(key, axis=1, kind="stable")[:, :k]
-    return MergePlan(np.sort(chosen, axis=1), T, anchor_ratio, strategy)
+    return MergePlan(np.sort(chosen, axis=1), T)
 
 
 def merge_cache(
@@ -262,6 +259,8 @@ def merge_cache(
     bit-identical to it. Gathers and scatters index the cache and the blocks
     as flat (rows, d_head) arrays, with one index array each.
     """
+    if not isinstance(plan, MergePlan):
+        raise ValueError(f"plan must be a MergePlan, got {plan!r}")
     start = cache.l_image
     T = plan.text_len
     if start + T != cache.length + upcoming:

@@ -77,6 +77,8 @@ class BinaryMetrics(NamedTuple):
 
 def binary_metrics(outcomes: BinaryOutcomes) -> BinaryMetrics:
     """Accuracy, precision, recall, F1; degenerate denominators score 0."""
+    if not isinstance(outcomes, BinaryOutcomes):
+        raise ValueError(f"outcomes must be a BinaryOutcomes, got {outcomes!r}")
     total = outcomes.tp + outcomes.fp + outcomes.fn + outcomes.tn
     if total == 0:
         raise ValueError("no outcomes")

@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import Matrix, Rng, _cache_aligned_empty, softmax_causal_block, softmax_rows
+from .numerics import _NOT_FINITE, Matrix, Rng, _cache_aligned_empty
+from .numerics import softmax_causal_block, softmax_rows
 
 __all__ = [
     "CapacityError",
@@ -100,6 +101,12 @@ def require_float(value, name: str) -> float:
     return float(value)
 
 
+def _real(value, name: str) -> float:
+    """A float as it is, for the range check that names a non-finite one;
+    anything else must be a finite number (require_float)."""
+    return float(value) if isinstance(value, float) else require_float(value, name)
+
+
 def require_member(kind: type[Enum], value, name: str):
     """value as a member of the enum kind; anything else raises a ConfigError
     naming the field and listing the choices."""
@@ -165,10 +172,9 @@ class ModelConfig:
     vocab_size: int
     max_seq: int
     seed: int = 0
-    d_head: int = 0  # 0 means "derive as d_model // n_heads"
 
     def __post_init__(self):
-        for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq", "d_head"):
+        for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
         object.__setattr__(self, "seed", require_seed(self.seed, "seed"))
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "max_seq"):
@@ -176,16 +182,12 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must be at least 2")
-        if self.d_head == 0:
-            if self.d_model % self.n_heads:
-                raise ConfigError(
-                    f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}"
-                )
-            object.__setattr__(self, "d_head", self.d_model // self.n_heads)
-        if self.d_head * self.n_heads != self.d_model:
-            raise ConfigError(
-                f"d_head {self.d_head} x n_heads {self.n_heads} != d_model {self.d_model}"
-            )
+        if self.d_model % self.n_heads:
+            raise ConfigError(f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}")
+
+    @property
+    def d_head(self) -> int:
+        return self.d_model // self.n_heads
 
     def to_json_dict(self) -> dict:
         return json_fields(self)
@@ -382,7 +384,7 @@ class TinyDecoder:
     def content_embedding(self, inp) -> np.ndarray:
         """Map a token id or a raw d_model vector to the content embedding."""
         if isinstance(inp, (int, np.integer)):
-            token = int(inp)
+            token = require_int(inp, "token")
             if not 0 <= token < self.config.vocab_size:
                 raise ValueError(f"token {token} outside vocabulary of {self.config.vocab_size}")
             return self.embedding[token]
@@ -518,8 +520,16 @@ class TinyDecoder:
         where rows is the (n_layers, n_heads, length) attention rows.
         """
         cfg = self.config
-        if len(keys) != cfg.n_layers or len(values) != cfg.n_layers:
-            raise ValueError("need key/value rows for every layer")
+        # Shapes only: replayed steps run this query, so it reads no row.
+        shape, other = getattr(keys, "shape", ()), getattr(values, "shape", ())
+        if len(shape) != 4 or shape != other or shape[2] < 1 or (
+            (shape[0], shape[1], shape[3]) != (cfg.n_layers, cfg.n_heads, cfg.d_head)
+        ):
+            raise ValueError(
+                f"keys and values must be ({cfg.n_layers}, {cfg.n_heads}, length, {cfg.d_head}) "
+                f"arrays of one shape, got shapes {shape} and {other}"
+            )
+        position = require_int(position, "position")
         if not 0 <= position < cfg.max_seq:
             raise CapacityError(f"position {position} outside capacity {cfg.max_seq}")
         x = self.content_embedding(inp) + self.positions[position]
@@ -533,6 +543,8 @@ class TinyDecoder:
         e = np.asarray(embeddings, dtype=np.float64)
         if e.ndim != 2 or e.shape[1] != cfg.d_model:
             raise ValueError(f"embeddings must have shape (n, {cfg.d_model})")
+        if not np.isfinite(e).all():  # forward_step's softmax raises on them
+            raise ValueError(_NOT_FINITE)
         n = e.shape[0]
         if n < 1:
             raise ValueError("need at least one position")

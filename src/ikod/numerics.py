@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -175,6 +176,9 @@ class Rng:
         u = x * 2**-53, and (2u - 1) * s = (x - 2**52) * (s * 2**-52), where
         every step but the last product is exact in both forms.
         """
+        real = isinstance(scale, numbers.Real) and not isinstance(scale, bool)
+        if not (real and abs(scale) < np.inf):  # NaN fails the comparison too
+            raise ValueError(f"scale must be a finite number, got {scale!r}")
         out = _cache_aligned_empty(_block_size(n))
         factor = np.float64(scale) * 2.0**-52
         for start, z in self._windows(len(out)):

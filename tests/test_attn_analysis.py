@@ -14,7 +14,7 @@ from ikod.attn_analysis import (
     uniform_attention_prediction,
 )
 import ikod.attn_analysis as attn_analysis
-from ikod.model import LayeredKvCache, TraceError
+from ikod.model import ConfigError, LayeredKvCache, TraceError
 
 
 def _stat_from_generated(series: np.ndarray) -> ImageAttentionStat:
@@ -103,6 +103,18 @@ def test_kde_rejects_bandwidths_that_are_not_positive_and_finite(h):
         kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_x=h)
     with pytest.raises(ValueError, match="positive and finite"):
         kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_y=h)
+
+
+def test_kde_reads_bandwidths_as_numbers():
+    with pytest.raises(ConfigError, match="^h_x must be a finite number, got '1'$"):
+        kde2d([(0.0, 0.0)], [(0.0, 0.0)], "1", 1)
+
+
+@pytest.mark.parametrize("name", ["points", "grid"])
+def test_kde_rejects_non_finite_locations(name):
+    given = {"points": [(0.0, 0.0)], "grid": [(0.0, 0.0)], name: [(0.0, math.nan)]}
+    with pytest.raises(ValueError, match=f"^{name} must be finite numbers$"):
+        kde2d(**given)
 
 
 @pytest.mark.filterwarnings("error")

@@ -179,9 +179,11 @@ def test_decode_policy_errors_name_the_field(tmp_path, capsys, policy, problem):
         (lambda cfg: cfg["model"].pop("max_seq"), "missing model keys: ['max_seq']"),
         (lambda cfg: cfg["model"].update(width=8), "unknown model keys: ['width']"),
         (lambda cfg: cfg["model"].update(n_heads=0), "model.n_heads must be at least 1"),
+        # d_head is derived from d_model and n_heads, not a key.
+        (lambda cfg: cfg["model"].update(d_head=8), "unknown model keys: ['d_head']"),
     ],
     ids=["unknown-top-level", "no-model", "model-array", "missing-model-key", "unknown-model-key",
-         "model-field"],
+         "model-field", "model-d_head"],
 )
 def test_decode_rejects_malformed_config_objects(tmp_path, capsys, edit, problem):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -219,6 +221,50 @@ def test_capacity_is_checked_before_any_array_is_sized(tmp_path, capsys, monkeyp
     assert not (tmp_path / "x").exists()
 
 
+# The first plan file of a decode of BASE_CONFIG: the plan's anchors, bounds
+# and text length under the policy's anchor_ratio and strategy.
+FIRST_PLAN = """{
+  "anchor_ratio": 0.4,
+  "layers": [
+    {
+      "anchors": [
+        1
+      ],
+      "buckets": [
+        [
+          0,
+          1
+        ]
+      ],
+      "layer": 0,
+      "protected": [
+        2,
+        3
+      ]
+    },
+    {
+      "anchors": [
+        1
+      ],
+      "buckets": [
+        [
+          0,
+          1
+        ]
+      ],
+      "layer": 1,
+      "protected": [
+        2,
+        3
+      ]
+    }
+  ],
+  "strategy": "low_attention",
+  "text_len": 4
+}
+"""
+
+
 def test_decode_emits_merge_plans(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -226,8 +272,7 @@ def test_decode_emits_merge_plans(tmp_path):
     gen = json.loads((out / "generation.json").read_text())
     plans = sorted((out / "merge_plans").glob("step_*.json"))
     assert len(plans) == len(gen["result"]["tokens"])
-    doc = json.loads(plans[0].read_text())
-    assert doc["layers"][0]["buckets"]
+    assert plans[0].read_text(encoding="utf-8") == FIRST_PLAN
 
 
 PLAN_CASES = {
@@ -286,7 +331,8 @@ def test_plan_files_are_the_plans_the_decode_loop_built(tmp_path, monkeypatch, c
     prompt_len = len(load_run_config(cfg).prompt_tokens)
     for i, (path, plan) in enumerate(zip(files, built)):
         assert plan.text_len == prompt_len + i
-        written = json.dumps(plan.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        doc = plan.to_json_dict(BASE_CONFIG["policy"]["anchor_ratio"], strategy)
+        written = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == written.encode("utf-8")
 
 

@@ -41,15 +41,6 @@ def test_compressed_len_hand_case():
         compressed_len(8, 9, 0.5)
 
 
-def test_compressed_len_integer_mode_clamps():
-    # floor(0.5 * 2) = 1 anchor plus the two protected rows.
-    assert compressed_len(8, 4, 0.5, integer=True) == 7
-    # Tiny ratios still keep one anchor: the all-text sequence bottoms out at 3.
-    assert compressed_len(8, 8, 1e-9, integer=True) == 3
-    with pytest.raises(ValueError):
-        compressed_len(8, 2, 0.5, integer=True)
-
-
 def test_growth_rate_exact_hand_case():
     assert growth_rate_exact(2, 8, 4, 4, 0.5) == 0.703125
     assert ikod_flops(2, 8, 4, 4, 0.5) == pytest.approx(8192 + 5760)
@@ -118,6 +109,8 @@ def test_dual_path_overhead_hand_case():
     original = (12 + 4 * 4) + (12 + 4 * 5)
     merged = (12 + 4 * 4) + (12 + 4 * 4)
     assert dual_path_overhead(1, 1, 1, 1, 3, 2, 0.5) == 1.0 + merged / original
+    # A tiny ratio still keeps one anchor: eight text rows merge to 1 + 2.
+    assert dual_path_overhead(1, 1, 1, 0, 8, 1, 1e-9) == 1.0 + (12 + 4 * 3) / (12 + 4 * 8)
 
 
 def test_dual_path_overhead_bounds():
@@ -142,7 +135,6 @@ def test_dual_path_overhead_bounds():
         (growth_rate_closed_form, (8, 4, 4, math.nan), "anchor_ratio must be a finite number"),
         (compressed_len, (10, 5, "0.5"), "anchor_ratio must be a finite number, got '0.5'"),
         (compressed_len, (10, 5, True), "anchor_ratio must be a finite number, got True"),
-        (compressed_len, (10, 5.5, 0.5, True), "text_len must be an integer, got 5.5"),
         (dual_path_overhead, (1, 1, 1, 0, 3, 2.5, 0.5), "n_new must be an integer, got 2.5"),
         (dual_path_overhead, (1, 1, 1, True, 3, 2, 0.5), "l_image must be an integer, got True"),
         (dual_path_overhead, (1, 1, 1, 0, 3.5, 2, 0.5), "l_prompt must be an integer, got 3.5"),
@@ -152,7 +144,7 @@ def test_dual_path_overhead_bounds():
     ids=[
         "step-bool", "step-string", "step-numpy-bool", "original-nan", "original-inf",
         "closed-form-nan", "closed-form-nan-ratio", "compressed-string-ratio",
-        "compressed-bool-ratio", "compressed-fractional-count", "overhead-fractional-n-new",
+        "compressed-bool-ratio", "overhead-fractional-n-new",
         "overhead-bool-l-image", "overhead-fractional-l-prompt", "overhead-negative-l-image",
         "overhead-empty-prompt",
     ],

@@ -110,21 +110,21 @@ def test_combine_size_mismatch():
 
 
 def test_greedy_picks_argmax_and_low_index_on_ties():
-    assert base_select([0.1, 0.7, 0.2], BaseStrategy.greedy(), Rng(0)) == 1
-    assert base_select([0.4, 0.4, 0.2], BaseStrategy.greedy(), Rng(0)) == 0
+    assert base_select([0.1, 0.7, 0.2], BaseStrategy(), Rng(0)) == 1
+    assert base_select([0.4, 0.4, 0.2], BaseStrategy(), Rng(0)) == 0
 
 
 def test_top_k_one_is_greedy():
     scores = np.array([0.1, 0.7, 0.2])
     for seed in range(20):
-        assert base_select(scores, BaseStrategy.top_k(1), Rng(seed)) == 1
+        assert base_select(scores, BaseStrategy(kind="top_k", k=1), Rng(seed)) == 1
 
 
 def test_top_p_full_mass_samples_whole_distribution():
     # p = 1.0 keeps every token; over many draws each one should appear.
     scores = np.array([0.25, 0.25, 0.25, 0.25])
     rng = Rng(3)
-    seen = {base_select(scores, BaseStrategy.nucleus(), rng) for _ in range(200)}
+    seen = {base_select(scores, BaseStrategy(kind="nucleus"), rng) for _ in range(200)}
     assert seen == {0, 1, 2, 3}
 
 
@@ -132,39 +132,42 @@ def test_top_p_truncates_to_smallest_prefix():
     # 0.6 + 0.3 reaches p = 0.9, so the 0.1 token can never be drawn.
     scores = np.array([0.6, 0.3, 0.1])
     rng = Rng(11)
-    seen = {base_select(scores, BaseStrategy.top_p(0.9), rng) for _ in range(200)}
+    seen = {base_select(scores, BaseStrategy(kind="top_p", p=0.9), rng) for _ in range(200)}
     assert seen == {0, 1}
 
 
 def test_top_k_excludes_small_tokens():
     scores = np.array([0.5, 0.3, 0.2])
     rng = Rng(4)
-    seen = {base_select(scores, BaseStrategy.top_k(2), rng) for _ in range(200)}
+    seen = {base_select(scores, BaseStrategy(kind="top_k", k=2), rng) for _ in range(200)}
     assert seen == {0, 1}
 
 
 def test_temperature_sharpens_and_flattens():
     scores = np.array([0.7, 0.2, 0.1])
-    cold = [base_select(scores, BaseStrategy.top_k(3, temperature=0.05), Rng(s)) for s in range(50)]
+    cold_base, hot_base = (BaseStrategy(kind="top_k", k=3, temperature=t) for t in (0.05, 50.0))
+    cold = [base_select(scores, cold_base, Rng(s)) for s in range(50)]
     assert set(cold) == {0}
-    hot = [base_select(scores, BaseStrategy.top_k(3, temperature=50.0), Rng(s)) for s in range(200)]
+    hot = [base_select(scores, hot_base, Rng(s)) for s in range(200)]
     assert set(hot) == {0, 1, 2}
 
 
 @pytest.mark.parametrize(
-    "base", [BaseStrategy.top_k(1), BaseStrategy.top_p(0.9)], ids=["top_k", "top_p"]
+    "base",
+    [BaseStrategy(kind="top_k", k=1), BaseStrategy(kind="top_p", p=0.9)],
+    ids=["top_k", "top_p"],
 )
 def test_sampling_without_an_rng_raises_a_value_error_naming_it(base):
     with pytest.raises(ValueError, match=f"^{base.kind} selection needs an rng$"):
         base_select(np.array([0.2, 0.8]), base, None)
-    assert base_select(np.array([0.2, 0.8]), BaseStrategy.greedy(), None) == 1
+    assert base_select(np.array([0.2, 0.8]), BaseStrategy(), None) == 1
 
 
 def test_base_select_rejects_bad_scores():
     with pytest.raises(ValueError):
-        base_select([0.0, 0.0], BaseStrategy.greedy(), Rng(0))
+        base_select([0.0, 0.0], BaseStrategy(), Rng(0))
     with pytest.raises(ValueError):
-        base_select([-0.1, 1.0], BaseStrategy.greedy(), Rng(0))
+        base_select([-0.1, 1.0], BaseStrategy(), Rng(0))
 
 
 temperatures = st.none() | st.floats(0.0, 1e308, exclude_min=True)
@@ -175,9 +178,14 @@ temperatures = st.none() | st.floats(0.0, 1e308, exclude_min=True)
     scores=st.lists(st.just(0.0) | st.floats(0.0, 1e3), min_size=1, max_size=12).filter(
         lambda s: sum(s) > 0.0
     ),
-    base=st.just(BaseStrategy.greedy())
-    | st.builds(BaseStrategy.top_k, k=st.integers(1, 16), temperature=temperatures)
-    | st.builds(BaseStrategy.top_p, p=st.floats(0.0, 1.0, exclude_min=True), temperature=temperatures),
+    base=st.just(BaseStrategy())
+    | st.builds(
+        BaseStrategy, kind=st.just("top_k"), k=st.integers(1, 16), temperature=temperatures
+    )
+    | st.builds(
+        BaseStrategy, kind=st.just("top_p"), p=st.floats(0.0, 1.0, exclude_min=True),
+        temperature=temperatures,
+    ),
     u=st.floats(0.0, 1.0, exclude_max=True),
 )
 def test_base_select_never_picks_a_zero_score_token(scores, base, u):
@@ -192,16 +200,17 @@ def test_base_strategy_validation():
     with pytest.raises(ValueError):
         BaseStrategy(kind="beam")
     with pytest.raises(ValueError):
-        BaseStrategy.top_k(0)
+        BaseStrategy(kind="top_k", k=0)
     with pytest.raises(ValueError):
-        BaseStrategy.top_p(0.0)
+        BaseStrategy(kind="top_p", p=0.0)
     with pytest.raises(ValueError):
-        BaseStrategy.top_k(5, temperature=-1.0)
+        BaseStrategy(kind="top_k", k=5, temperature=-1.0)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
-            BaseStrategy.top_p(0.9, temperature=bad)
-    assert BaseStrategy.nucleus().p == 1.0
-    assert BaseStrategy(kind="nucleus", temperature=0.5) == BaseStrategy.top_p(1.0, 0.5)
+            BaseStrategy(kind="top_p", p=0.9, temperature=bad)
+    assert BaseStrategy(kind="nucleus").p == 1.0
+    nucleus = BaseStrategy(kind="nucleus", temperature=0.5)
+    assert nucleus == BaseStrategy(kind="top_p", p=1.0, temperature=0.5)
 
 
 @pytest.mark.parametrize(
@@ -322,7 +331,8 @@ def test_modes_are_deterministic_under_fixed_seeds():
     model = make_model()
     prompt = make_prompt(model)
     for mode in Mode:
-        for base in (BaseStrategy.greedy(), BaseStrategy.top_k(8), BaseStrategy.top_p(0.9)):
+        bases = BaseStrategy(), BaseStrategy(kind="top_k", k=8), BaseStrategy(kind="top_p", p=0.9)
+        for base in bases:
             policy = DecodePolicy(mode=mode, base=base, max_new_tokens=8, seed=13)
             a = ikod_generate(model, prompt, policy)
             b = ikod_generate(model, prompt, policy)
@@ -398,7 +408,7 @@ def test_generation_stops_after_end_token():
     stopped = False
     for seed in range(40):
         policy = DecodePolicy(
-            mode=Mode.BASELINE, base=BaseStrategy.nucleus(), max_new_tokens=64, seed=seed
+            mode=Mode.BASELINE, base=BaseStrategy(kind="nucleus"), max_new_tokens=64, seed=seed
         )
         result = ikod_generate(model, prompt, policy)
         if EOS_TOKEN in result.tokens:
@@ -443,7 +453,9 @@ def assert_same_generation(a, b, policy: DecodePolicy):
 
 
 @pytest.mark.parametrize("strategy", list(AnchorStrategy))
-@pytest.mark.parametrize("base", [BaseStrategy.greedy(), BaseStrategy.top_p(0.9, temperature=0.7)])
+@pytest.mark.parametrize(
+    "base", [BaseStrategy(), BaseStrategy(kind="top_p", p=0.9, temperature=0.7)]
+)
 def test_merges_updated_step_to_step_match_merges_built_afresh(monkeypatch, strategy, base):
     # A large vocabulary keeps sampling off the end token for all 64 steps.
     model = TinyDecoder(replace(make_model().config, vocab_size=256))
@@ -463,9 +475,15 @@ def test_merges_updated_step_to_step_match_merges_built_afresh(monkeypatch, stra
 policies = st.builds(
     DecodePolicy,
     mode=st.sampled_from(list(Mode)),
-    base=st.just(BaseStrategy.greedy())
-    | st.builds(BaseStrategy.top_p, p=st.floats(0.05, 1.0), temperature=st.floats(0.1, 5.0))
-    | st.builds(BaseStrategy.top_k, k=st.integers(1, 8), temperature=st.floats(0.1, 5.0)),
+    base=st.just(BaseStrategy())
+    | st.builds(
+        BaseStrategy, kind=st.just("top_p"), p=st.floats(0.05, 1.0),
+        temperature=st.floats(0.1, 5.0),
+    )
+    | st.builds(
+        BaseStrategy, kind=st.just("top_k"), k=st.integers(1, 8),
+        temperature=st.floats(0.1, 5.0),
+    ),
     alpha=st.floats(0.0, 4.0),
     beta=st.floats(0.0, 1.0),
     anchor_ratio=st.floats(0.01, 1.0),
@@ -590,7 +608,7 @@ def test_fused_generation_matches_the_unfused_loop_in_every_mode_and_strategy():
     lengths = set()
     for mode in Mode:
         for strategy in AnchorStrategy:
-            for base in (BaseStrategy.greedy(), BaseStrategy.top_p(0.9, temperature=1.5)):
+            for base in (BaseStrategy(), BaseStrategy(kind="top_p", p=0.9, temperature=1.5)):
                 for new in (1, 12):
                     policy = DecodePolicy(
                         mode=mode, base=base, anchor_ratio=0.5, anchor_strategy=strategy,
@@ -641,7 +659,7 @@ def test_prefill_is_read_only_and_records_the_prompt():
     [
         ("max_new_tokens", lambda: DecodePolicy(max_new_tokens=2.5)),
         ("seed", lambda: DecodePolicy(seed=1.5)),
-        ("k", lambda: BaseStrategy.top_k(2.5)),
+        ("k", lambda: BaseStrategy(kind="top_k", k=2.5)),
     ],
     ids=["max_new_tokens", "seed", "k"],
 )
@@ -657,7 +675,7 @@ def test_policy_rejects_fractional_counts(field, build):
         ("beta", lambda: DecodePolicy(beta="0.1")),
         ("anchor_ratio", lambda: DecodePolicy(anchor_ratio=None)),
         ("p", lambda: BaseStrategy(kind="top_p", p=True)),
-        ("temperature", lambda: BaseStrategy.top_k(2, temperature="2")),
+        ("temperature", lambda: BaseStrategy(kind="top_k", k=2, temperature="2")),
     ],
     ids=["alpha-bool", "beta-string", "anchor_ratio-none", "p-bool", "temperature-string"],
 )
@@ -699,7 +717,7 @@ def test_base_select_rejects_non_finite_scores():
     """NaN passes a test for negatives and +inf one for a zero total, so
     each would pick a token unchecked."""
     for scores in ([np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [0.0, np.inf]):
-        for base in (BaseStrategy.greedy(), BaseStrategy.nucleus()):
+        for base in (BaseStrategy(), BaseStrategy(kind="nucleus")):
             with pytest.raises(ValueError):
                 base_select(np.array(scores), base, Rng(0))
 
@@ -716,6 +734,25 @@ def test_combine_rejects_negative_and_non_finite_alpha(alpha):
         collaborative_combine([0.5, 0.5], [0.5, 0.5], alpha, [True, True])
 
 
+@pytest.mark.parametrize("alpha", ["2", True, None])
+def test_combine_reads_alpha_as_the_policy_does(alpha):
+    with pytest.raises(ConfigError, match=f"^alpha must be a finite number, got {alpha!r}$"):
+        collaborative_combine([0.5, 0.5], [0.5, 0.5], alpha, [True, True])
+    assert collaborative_combine([0.5, 0.5], [0.5, 0.5], 1, [True, False]).tolist() == [1.0, 0.0]
+
+
+def test_a_request_that_is_not_a_prompt_is_rejected_by_name():
+    model = make_model()
+    with pytest.raises(ValueError, match="^prompt must be a Prompt or a Prefill, got 'hi'$"):
+        decode.check_request(model, "hi", DecodePolicy())
+
+
+def test_a_request_without_a_policy_is_rejected_by_name():
+    model = make_model()
+    with pytest.raises(ValueError, match="^policy must be a DecodePolicy, got None$"):
+        ikod_generate(model, make_prompt(model), None)
+
+
 def test_base_strategy_error_names_every_accepted_kind():
     with pytest.raises(ValueError) as err:
         BaseStrategy(kind="beam")
@@ -723,13 +760,17 @@ def test_base_strategy_error_names_every_accepted_kind():
 
 
 def test_policy_takes_numbers_as_floats():
-    policy = DecodePolicy(alpha=2, beta=0, anchor_ratio=np.float64(0.5), base=BaseStrategy.top_p(1))
+    policy = DecodePolicy(
+        alpha=2, beta=0, anchor_ratio=np.float64(0.5), base=BaseStrategy(kind="top_p", p=1)
+    )
     values = (policy.alpha, policy.beta, policy.anchor_ratio, policy.base.p)
     assert values == (2.0, 0.0, 0.5, 1.0) and all(type(v) is float for v in values)
 
 
 def test_policy_takes_whole_numbers_as_ints():
-    policy = DecodePolicy(max_new_tokens=3.0, seed=np.int64(7), base=BaseStrategy.top_k(2.0))
+    policy = DecodePolicy(
+        max_new_tokens=3.0, seed=np.int64(7), base=BaseStrategy(kind="top_k", k=2.0)
+    )
     assert (policy.max_new_tokens, policy.seed, policy.base.k) == (3, 7, 2)
     assert all(type(v) is int for v in (policy.max_new_tokens, policy.seed, policy.base.k))
 
@@ -901,7 +942,7 @@ def test_shared_prefill_decodes_each_token_prefix_once(monkeypatch):
     stops_early = next(
         policy
         for seed in range(40)
-        for policy in [DecodePolicy(base=BaseStrategy.nucleus(), max_new_tokens=12, seed=seed)]
+        for policy in [DecodePolicy(base=BaseStrategy(kind="nucleus"), max_new_tokens=12, seed=seed)]
         if len(ikod_generate(model, prompt, policy).tokens) < 12
     )
     sequence = [
@@ -949,7 +990,7 @@ def test_step_tree_fills_to_max_seq_rows_then_keeps_replaying(monkeypatch):
     sampled = [
         DecodePolicy(
             mode=(Mode.BASELINE, Mode.IKOD)[seed % 2],
-            base=BaseStrategy.nucleus(temperature=2.0), max_new_tokens=12, seed=seed,
+            base=BaseStrategy(kind="nucleus", temperature=2.0), max_new_tokens=12, seed=seed,
         )
         for seed in range(30)
     ]

@@ -1,14 +1,18 @@
 """Every name the package exports resolves, so a deleted symbol cannot linger
-in an `__all__` list or in the package's own imports."""
+in an `__all__` list or in the package's own imports, and the README's
+library example and decode config still run and read."""
 
 import ast
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import ikod
+from ikod.cli import RunConfig
+from ikod.model import read_config
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ikod.__path__))
 
@@ -28,3 +32,22 @@ def test_package_imports_resolve_to_the_module_objects():
         module = importlib.import_module(f"ikod.{node.module}")
         for alias in node.names:
             assert getattr(ikod, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading: str, language: str) -> str:
+    """The first ```language block after the README's heading line."""
+    text = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(readme_block("## Library use", "python"), str(README), "exec"), {})
+    assert capsys.readouterr().out
+
+
+def test_readme_decode_config_is_a_run_config():
+    config = read_config(RunConfig, json.loads(readme_block("### decode", "json")), "")
+    assert config.model.d_model % config.model.n_heads == 0 and config.prompt_tokens

@@ -12,7 +12,7 @@ from ikod.kv_merge import (
     layer_scores,
     merge_cache,
 )
-from ikod.model import CapacityError, LayeredKvCache, ModelConfig, TinyDecoder
+from ikod.model import CapacityError, ConfigError, LayeredKvCache, ModelConfig, TinyDecoder
 from ikod.numerics import Rng
 
 
@@ -173,7 +173,7 @@ def test_long_text_buckets_match_nearest_anchor_oracle(T, n_layers, ratio, strat
     # A built plan, and a plan of k anchors per layer drawn uniformly from 0..T-3.
     k = int(rng.integers(1, T - 1))
     drawn = [np.sort(rng.choice(T - 2, size=k, replace=False)) for _ in range(n_layers)]
-    plans = build_merge_plan(scores, ratio, strategy, Rng(seed)), MergePlan(drawn, T, ratio, strategy)
+    plans = build_merge_plan(scores, ratio, strategy, Rng(seed)), MergePlan(drawn, T)
     positions = np.arange(T - 2)
     for plan in plans:
         for anchors, lo, hi in zip(plan.anchors, plan.starts, plan.ends):
@@ -252,6 +252,25 @@ def test_compressed_length_grows_with_ratio():
     assert all(a < b for a, b in zip(lengths, lengths[1:]))
 
 
+@pytest.mark.parametrize(
+    "call, given",
+    [
+        (lambda T: anchor_count(T, 0.5), "5"),
+        (lambda T: anchor_count(T, 0.5), 5.5),
+        (lambda T: build_buckets([0, 2], T), "8"),
+    ],
+    ids=["anchor-count-string", "anchor-count-fraction", "buckets-string"],
+)
+def test_text_lengths_are_read_as_integers(call, given):
+    with pytest.raises(ConfigError, match=f"^text_len must be an integer, got {given!r}$"):
+        call(given)
+
+
+def test_merge_cache_rejects_a_plan_that_is_not_one():
+    with pytest.raises(ValueError, match="^plan must be a MergePlan, got None$"):
+        merge_cache(hand_cache(), None)
+
+
 def test_merge_cache_rejects_mismatched_layout():
     cache = hand_cache()
     plan = build_merge_plan(np.zeros((1, 5)), 0.4)
@@ -264,16 +283,11 @@ def test_merge_cache_rejects_mismatched_layout():
 
 def test_merge_plan_json_shape():
     plan = build_merge_plan(np.array([[0.4, 0.2, 0.6, 0.0, 0.0]]), 0.4)
-    doc = plan.to_json_dict()
+    doc = plan.to_json_dict(0.4, AnchorStrategy.LOW_ATTENTION)
     assert doc["layers"][0]["protected"] == [3, 4]
     assert doc["layers"][0]["anchors"] == [1]
     assert doc["layers"][0]["buckets"] == [[0, 2]]
     assert doc["strategy"] == "low_attention"
-
-
-def anchor_plan(layer_anchors, T: int) -> MergePlan:
-    """A plan from per-layer anchors, as build_merge_plan would hold them."""
-    return MergePlan(layer_anchors, T, 1.0, AnchorStrategy.LOW_ATTENTION)
 
 
 def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_anchors):
@@ -282,7 +296,7 @@ def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_anchors):
     cache.keys[...] = rng.normal(size=cache.keys.shape) * 1e3
     cache.values[...] = rng.normal(size=cache.values.shape)
     cache.length = l_image + T
-    return cache, anchor_plan(layer_anchors, T)
+    return cache, MergePlan(layer_anchors, T)
 
 
 @pytest.mark.parametrize(
@@ -303,7 +317,7 @@ def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_anchors):
 def test_merge_plan_rejects_malformed_anchors(anchors, problem):
     # The plan is checked when it is built, so no such plan reaches merge_cache.
     with pytest.raises(ValueError, match=problem):
-        anchor_plan(anchors, 8)
+        MergePlan(anchors, 8)
 
 
 @pytest.mark.parametrize(
@@ -320,22 +334,26 @@ def test_merge_plan_rejects_malformed_anchors(anchors, problem):
     ],
 )
 def test_merge_plan_rejects_malformed_scalars(field, value, problem):
-    given = dict(anchors=[[0, 3]], text_len=8, anchor_ratio=0.5, strategy="low_attention")
+    # text_len is the plan's own; the policy's anchor_ratio and strategy are
+    # read when the plan is written.
+    given = dict(text_len=8, anchor_ratio=0.5, strategy="low_attention")
+    given[field] = value
     with pytest.raises(ValueError, match=problem):
-        MergePlan(**{**given, field: value})
+        plan = MergePlan([[0, 3]], given["text_len"])
+        plan.to_json_dict(given["anchor_ratio"], given["strategy"])
 
 
 def test_merge_plan_reads_its_scalars():
-    plan = MergePlan([[0, 3]], 8.0, 1, "random")
+    plan = MergePlan([[0, 3]], 8.0)
     assert type(plan.text_len) is int and plan.protected == (6, 7)
-    assert type(plan.anchor_ratio) is float and plan.strategy is AnchorStrategy.RANDOM
-    doc = plan.to_json_dict()
+    doc = plan.to_json_dict(1, "random")
     assert (doc["text_len"], doc["anchor_ratio"], doc["strategy"]) == (8, 1.0, "random")
+    assert type(doc["anchor_ratio"]) is float
 
 
 def test_merge_plan_keeps_read_only_copies():
     anchors = np.array([[1, 4]])
-    plan = MergePlan(anchors, 8, 0.5, AnchorStrategy.LOW_ATTENTION)
+    plan = MergePlan(anchors, 8)
     anchors[0, 0] = 0  # the caller's array stays the caller's
     assert plan.anchors.tolist() == [[1, 4]] and plan.protected == (6, 7)
     assert (plan.starts.tolist(), plan.ends.tolist()) == ([[0, 3]], [[2, 5]])
@@ -375,7 +393,7 @@ def drawn_plans(draw):
         sorted(draw(st.sets(st.integers(0, T - 3), min_size=k, max_size=k)))
         for _ in range(n_layers)
     ]
-    plan = anchor_plan(layers, T)
+    plan = MergePlan(layers, T)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = l_image + T
     cache = LayeredKvCache(n_layers, n_heads, d_head, n + draw(st.integers(0, 3)), l_image)
@@ -540,8 +558,8 @@ def test_plan_matches_the_per_layer_reference(scores, ratio, strategy, seed):
     for ts, layer in zip(anchors, buckets):
         assert build_buckets(ts, scores.shape[1]) == layer
     # A plan built by hand from the reference anchors writes the same JSON.
-    rebuilt = MergePlan(anchors, plan.text_len, plan.anchor_ratio, plan.strategy)
-    assert rebuilt.to_json_dict() == plan.to_json_dict()
+    rebuilt = MergePlan(anchors, plan.text_len)
+    assert rebuilt.to_json_dict(ratio, strategy) == plan.to_json_dict(ratio, strategy)
 
 
 @settings(max_examples=100, deadline=None)
@@ -622,7 +640,7 @@ def changed_plan(plan: MergePlan, T: int, change: str) -> MergePlan:
         for row in layers:  # the cut lies between row[1] // 2 and row[1] - 1
             cut = (row[0] + row[1]) // 2
             row[0] = 0 if row[1] // 2 != cut else row[1] - 1
-    return anchor_plan(layers, T)
+    return MergePlan(layers, T)
 
 
 @st.composite

@@ -58,6 +58,11 @@ def test_binary_metrics_hand_case():
     assert m.f1 == pytest.approx(2 / 3)
 
 
+def test_binary_metrics_rejects_what_is_not_an_outcome_count():
+    with pytest.raises(ValueError, match="^outcomes must be a BinaryOutcomes, got None$"):
+        binary_metrics(None)
+
+
 def test_binary_metrics_degenerate_precision():
     m = binary_metrics(BinaryOutcomes(tp=0, fp=0, fn=3, tn=2))
     assert m.precision == 0.0

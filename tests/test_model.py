@@ -45,8 +45,6 @@ def test_config_rejects_inconsistent_dims():
     with pytest.raises(ConfigError):
         ModelConfig(n_layers=1, n_heads=3, d_model=8, d_ff=8, vocab_size=4, max_seq=8)
     with pytest.raises(ConfigError):
-        ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=8, vocab_size=4, max_seq=8, d_head=3)
-    with pytest.raises(ConfigError):
         ModelConfig(n_layers=0, n_heads=2, d_model=8, d_ff=8, vocab_size=4, max_seq=8)
     with pytest.raises(ConfigError):
         ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=8, vocab_size=4, max_seq=0)
@@ -214,7 +212,7 @@ def test_forward_step_over_cache_views_matches_contiguous_copies(
 ):
     cfg = ModelConfig(
         n_layers=n_layers, n_heads=n_heads, d_model=n_heads * d_head, d_ff=d_ff,
-        vocab_size=8, max_seq=32, seed=seed, d_head=d_head,
+        vocab_size=8, max_seq=32, seed=seed,
     )
     model = TinyDecoder(cfg)
     # Tokens below 8 are vocabulary ids; larger draws seed a raw embedding.
@@ -320,6 +318,42 @@ def test_forward_prompt_needs_an_empty_cache_with_room():
     # A bad input inside the capacity is named first, as forward_step would.
     with pytest.raises(ValueError, match="token 99 outside vocabulary"):
         model.forward_prompt(model.new_cache(0), [1, 99, 3, 4, 5])
+
+
+def test_forward_query_reads_its_position_as_an_integer():
+    model = TinyDecoder(small_config())
+    cache = model.new_cache(0)
+    model.forward_step(cache, 1)
+    keys, values = cache.keys[:, :, :1], cache.values[:, :, :1]
+    with pytest.raises(ConfigError, match="^position must be an integer, got 2.5$"):
+        model.forward_query(keys, values, 2.5, 1)
+
+
+@pytest.mark.parametrize(
+    "keys_shape, values_shape",
+    [((2, 2, 3, 3), (2, 2, 3, 3)), ((2, 2, 3, 4), (2, 2, 2, 4)), ((2, 2, 0, 4), (2, 2, 0, 4))],
+    ids=["wrong-d_head", "lengths-differ", "no-rows"],
+)
+def test_forward_query_checks_the_row_shapes(keys_shape, values_shape):
+    model = TinyDecoder(small_config())  # 2 layers, 2 heads of d_head 4
+    with pytest.raises(ValueError, match=r"^keys and values must be \(2, 2, length, 4\) arrays"):
+        model.forward_query(np.zeros(keys_shape), np.zeros(values_shape), 2, 1)
+
+
+def test_forward_step_rejects_a_boolean_token():
+    model = TinyDecoder(small_config())
+    with pytest.raises(ConfigError, match="^token must be an integer, got True$"):
+        model.forward_step(model.new_cache(0), True)
+
+
+def test_full_pass_rejects_non_finite_embeddings_as_the_step_does():
+    model = TinyDecoder(small_config())
+    emb = np.zeros((2, 8))
+    emb[1, 3] = math.inf
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        model.forward_step(model.new_cache(0), emb[1])
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        model.forward_full(emb)
 
 
 def test_single_position_full_equals_first_step():
@@ -447,7 +481,7 @@ def test_trace_summaries_equal_the_stored_row_reductions(n_layers, n_heads, n_ro
             assert scores[:, n - l_image].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", ["n_layers", "n_heads", "max_seq", "seed", "d_head"])
+@pytest.mark.parametrize("name", ["n_layers", "n_heads", "max_seq", "seed"])
 def test_config_rejects_booleans(name):
     with pytest.raises(ConfigError, match=name):
         small_config(**{name: True})
@@ -504,6 +538,11 @@ def test_require_float_rejects_non_finite_and_non_numbers(value):
             b'{"format": "toy-decoder-v1", "config": {"n_layers": 1, "width": 8}}\n',
             r"unknown config keys: \['width'\]",
         ),
+        (
+            b'{"format": "toy-decoder-v1", "config": {"n_layers": 1, "n_heads": 2, "d_model": 8,'
+            b' "d_ff": 8, "vocab_size": 4, "max_seq": 8, "seed": 0, "d_head": 4}}\n',
+            r"unknown config keys: \['d_head'\]",
+        ),
     ],
 )
 def test_checkpoint_rejects_malformed_headers(tmp_path, raw, problem):
@@ -515,23 +554,25 @@ def test_checkpoint_rejects_malformed_headers(tmp_path, raw, problem):
 
 temperatures = st.none() | st.floats(0.0, 1e308, exclude_min=True)
 config_objects = st.builds(
-    lambda n_layers, n_heads, d_head, explicit, rest: ModelConfig(
-        n_layers, n_heads, n_heads * d_head, *rest, d_head=d_head if explicit else 0
-    ),
+    lambda n_layers, n_heads, d_head, rest: ModelConfig(n_layers, n_heads, n_heads * d_head, *rest),
     st.integers(1, 8),
     st.integers(1, 8),
     st.integers(1, 64),
-    st.booleans(),
     st.tuples(
         st.integers(1, 4096), st.integers(2, 10**6), st.integers(1, 10**6), st.integers(0, 2**64 - 1)
     ),
 ) | st.builds(
     DecodePolicy,
     mode=st.sampled_from(Mode),
-    base=st.just(BaseStrategy.greedy())
-    | st.builds(BaseStrategy.top_k, k=st.integers(1, 10**6), temperature=temperatures)
-    | st.builds(BaseStrategy.top_p, p=st.floats(0.0, 1.0, exclude_min=True), temperature=temperatures)
-    | st.builds(BaseStrategy.nucleus, temperature=temperatures),
+    base=st.just(BaseStrategy())
+    | st.builds(
+        BaseStrategy, kind=st.just("top_k"), k=st.integers(1, 10**6), temperature=temperatures
+    )
+    | st.builds(
+        BaseStrategy, kind=st.just("top_p"), p=st.floats(0.0, 1.0, exclude_min=True),
+        temperature=temperatures,
+    )
+    | st.builds(BaseStrategy, kind=st.just("nucleus"), temperature=temperatures),
     alpha=st.floats(0.0, 1e308),
     beta=st.floats(0.0, 1.0),
     anchor_ratio=st.floats(0.0, 1.0, exclude_min=True),
@@ -551,6 +592,8 @@ def test_config_objects_round_trip_through_their_json(obj):
     doc = json.loads(json.dumps(obj.to_json_dict()))
     assert read_config(type(obj), doc, "section") == obj
     assert list(doc) == written_keys(obj)
+    if isinstance(obj, ModelConfig):  # d_head is derived, so never written
+        assert "d_head" not in doc and obj.d_head == obj.d_model // obj.n_heads
     if isinstance(obj, DecodePolicy):
         assert list(doc["base"]) == written_keys(obj.base)
         assert doc["mode"] == obj.mode.value and doc["anchor_strategy"] == obj.anchor_strategy.value

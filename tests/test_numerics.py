@@ -156,3 +156,11 @@ def test_uniform_block_rejects_bad_sizes():
     assert rng.state == 3
     assert rng.next_uniform_block(np.int64(4), 1.0).shape == (4,)
     assert rng.state == (3 + 4 * _GOLDEN) % 2**64
+
+
+@pytest.mark.parametrize("scale", ["1", math.nan, -math.inf, True, None])
+def test_uniform_block_takes_a_finite_number_as_its_scale(scale):
+    rng = Rng(3)
+    with pytest.raises(ValueError, match=f"^scale must be a finite number, got {scale!r}$"):
+        rng.next_uniform_block(2, scale)
+    assert rng.state == 3
