@@ -50,9 +50,7 @@ from .model import (
     LayeredKvCache,
     ModelConfig,
     TinyDecoder,
-    load_checkpoint,
     make_image_embeddings,
-    save_checkpoint,
 )
 from .numerics import Matrix, Rng, ShapeError, softmax_rows
 

@@ -38,6 +38,8 @@ class ImageAttentionStat:
     def from_trace(cls, cache: LayeredKvCache, n_generated: int) -> "ImageAttentionStat":
         """The image attention the cache recorded, one step per position, the
         last n_generated of them generated tokens."""
+        if not isinstance(cache, LayeredKvCache):
+            raise ValueError(f"cache must be a LayeredKvCache, got {cache!r}")
         n, text_len = cache.length, cache.length - cache.l_image
         n_generated = require_int(n_generated, "n_generated")
         if not 0 <= n_generated <= text_len:
@@ -148,6 +150,8 @@ def degradation_report(stat: ImageAttentionStat) -> list[tuple[float, float]]:
     Relative position is t/L with 1-based t over the L generated tokens, so
     the last generated token sits at 1.0.
     """
+    if not isinstance(stat, ImageAttentionStat):
+        raise ValueError(f"stat must be an ImageAttentionStat, got {stat!r}")
     att = stat.att_avg[stat.generated]
     n = att.size
     if n < 1:

@@ -359,10 +359,18 @@ class Prefill:
         return cache
 
 
+def _require_model(model) -> None:
+    if not isinstance(model, TinyDecoder):
+        raise ValueError(f"model must be a TinyDecoder, got {model!r}")
+
+
 def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
     """Run the image embeddings, then the prompt tokens, through
     forward_prompt on a fresh cache sized to the prompt, for generations that
     fork the result. The Prefill holds that cache, with no copy."""
+    _require_model(model)
+    if not isinstance(prompt, Prompt):
+        raise ValueError(f"prompt must be a Prompt, got {prompt!r}")
     if len(prompt.tokens) < 1:
         raise ValueError("prompt needs at least one text token")
     tokens = [require_int(tok, f"prompt token [{i}]") for i, tok in enumerate(prompt.tokens)]
@@ -380,6 +388,7 @@ def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
 def check_request(model: TinyDecoder, prompt: Prompt | Prefill, policy: DecodePolicy) -> None:
     """Raise the error ikod_generate would raise for this request before it
     runs any forward step: ValueError or CapacityError."""
+    _require_model(model)
     if isinstance(prompt, Prefill):
         if prompt.model is not model:
             raise ValueError("prefill was computed by a different model")

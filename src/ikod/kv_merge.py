@@ -115,6 +115,8 @@ def layer_scores(cache: LayeredKvCache, upcoming: bool = False) -> np.ndarray:
     the cache recorded for the token, summed in head order. upcoming adds a
     NaN column for the position about to be written: a plan over that text
     length reads only its mergeable range 0..T-3, which the cache holds."""
+    if not isinstance(cache, LayeredKvCache):
+        raise ValueError(f"cache must be a LayeredKvCache, got {cache!r}")
     T = cache.length - cache.l_image
     if T < 1:
         raise ValueError("cache holds no text tokens")

@@ -46,6 +46,9 @@ def chair_scores(records: Iterable[CaptionRecord]) -> tuple[float, float]:
     records = list(records)
     if not records:
         raise ValueError("need at least one record")
+    for i, record in enumerate(records):
+        if not isinstance(record, CaptionRecord):
+            raise ValueError(f"records[{i}] must be a CaptionRecord, got {record!r}")
     total_mentioned = sum(len(r.mentioned) for r in records)
     if total_mentioned == 0:
         raise ValueError("instance rate undefined: no objects mentioned")

@@ -7,9 +7,9 @@ positions are added to the input embeddings, so positional information is
 baked into keys before any downstream cache surgery.
 
 All weights are drawn from one SplitMix64 stream in a documented order
-(uniform in [-s, +s] with s = 1/sqrt(d_model)), which makes models byte-exact
-reproducible from (config, seed) and gives the checkpoint format a fixed
-layout. Each matrix is one block draw (Rng.next_uniform_block with scale s),
+(uniform in [-s, +s] with s = 1/sqrt(d_model)), so a model is byte-exact
+reproducible from its (config, seed) and nothing saves or loads weights.
+Each matrix is one block draw (Rng.next_uniform_block with scale s),
 bit-identical to filling it row-major with (2 * Rng.next_uniform() - 1) * s.
 The draw runs in cache-sized windows and writes each matrix's one array
 directly, with no full-size temporaries.
@@ -17,13 +17,11 @@ directly, with no full-size temporaries.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -40,14 +38,12 @@ __all__ = [
     "TinyDecoder",
     "TraceError",
     "json_fields",
-    "load_checkpoint",
     "make_image_embeddings",
     "read_config",
     "require_float",
     "require_int",
     "require_member",
     "require_seed",
-    "save_checkpoint",
     "sinusoidal_positions",
 ]
 
@@ -357,25 +353,25 @@ def make_image_embeddings(count: int, d_model: int, seed: int) -> np.ndarray:
 class TinyDecoder:
     """Decoder-only toy transformer over a mixed image/text sequence.
 
-    Weight draw (and checkpoint) order: token embedding table, then per layer
-    w_q, w_k, w_v, w_o, w_ff1, w_ff2, then the unembedding matrix; each matrix
-    is filled row-major.
+    Weight draw order: token embedding table, then per layer w_q, w_k, w_v,
+    w_o, w_ff1, w_ff2, then the unembedding matrix; each matrix is filled
+    row-major.
     """
 
-    def __init__(self, config: ModelConfig, weights=None):
+    def __init__(self, config: ModelConfig):
+        if not isinstance(config, ModelConfig):
+            raise ValueError(f"config must be a ModelConfig, got {config!r}")
         self.config = config
-        if weights is None:
-            weights = self._draw_weights(config)
-        self.embedding, self.layers, self.unembedding = weights
-        self.positions = sinusoidal_positions(config.max_seq, config.d_model)
-
-    @staticmethod
-    def _draw_weights(cfg: ModelConfig):
-        rng = Rng(cfg.seed)
-        s = 1.0 / math.sqrt(cfg.d_model)
-        return _assemble_weights(
-            cfg, [_uniform_matrix(rng, rows, cols, s) for rows, cols in _weight_shapes(cfg)]
+        rng, s = Rng(config.seed), 1.0 / math.sqrt(config.d_model)
+        d, f = config.d_model, config.d_ff
+        shapes = [(d, d), (d, d), (d, d), (d, d), (d, f), (f, d)]  # LayerWeights order
+        self.embedding = _uniform_matrix(rng, config.vocab_size, d, s)
+        self.layers = tuple(
+            LayerWeights(*[_uniform_matrix(rng, rows, cols, s) for rows, cols in shapes])
+            for _ in range(config.n_layers)
         )
+        self.unembedding = _uniform_matrix(rng, d, config.vocab_size, s)
+        self.positions = sinusoidal_positions(config.max_seq, config.d_model)
 
     def new_cache(self, l_image: int) -> LayeredKvCache:
         cfg = self.config
@@ -415,6 +411,8 @@ class TinyDecoder:
         x = self.content_embedding(inp) + self.positions[pos]
         views = [(cache.keys[:, :, : pos + 1], cache.values[:, :, : pos + 1])]
         if merged is not None:
+            keys, values = merged
+            self._check_view(keys, values)
             views.append(merged)
         logits, rows = self._layers([x] * len(views), views, step=True)
         cache.record(rows[0])
@@ -511,6 +509,20 @@ class TinyDecoder:
                 xs[i] = xs[i] + hidden[i] @ lw.w_ff2
         return [x @ self.unembedding for x in xs], rows
 
+    def _check_view(self, keys, values) -> None:
+        """Raise a ValueError unless keys and values are (n_layers, n_heads,
+        length >= 1, d_head) arrays of one shape. Shapes only: every fused
+        step and replayed query runs this, so it reads no row."""
+        cfg = self.config
+        shape, other = getattr(keys, "shape", ()), getattr(values, "shape", ())
+        if len(shape) != 4 or shape != other or shape[2] < 1 or (
+            (shape[0], shape[1], shape[3]) != (cfg.n_layers, cfg.n_heads, cfg.d_head)
+        ):
+            raise ValueError(
+                f"keys and values must be ({cfg.n_layers}, {cfg.n_heads}, length, {cfg.d_head}) "
+                f"arrays of one shape, got shapes {shape} and {other}"
+            )
+
     def forward_query(self, keys, values, position: int, inp):
         """Evaluate one query against externally supplied per-layer key/value
         rows, without touching any cache.
@@ -520,15 +532,7 @@ class TinyDecoder:
         where rows is the (n_layers, n_heads, length) attention rows.
         """
         cfg = self.config
-        # Shapes only: replayed steps run this query, so it reads no row.
-        shape, other = getattr(keys, "shape", ()), getattr(values, "shape", ())
-        if len(shape) != 4 or shape != other or shape[2] < 1 or (
-            (shape[0], shape[1], shape[3]) != (cfg.n_layers, cfg.n_heads, cfg.d_head)
-        ):
-            raise ValueError(
-                f"keys and values must be ({cfg.n_layers}, {cfg.n_heads}, length, {cfg.d_head}) "
-                f"arrays of one shape, got shapes {shape} and {other}"
-            )
+        self._check_view(keys, values)
         position = require_int(position, "position")
         if not 0 <= position < cfg.max_seq:
             raise CapacityError(f"position {position} outside capacity {cfg.max_seq}")
@@ -568,57 +572,3 @@ class TinyDecoder:
             x = x + np.maximum(x @ lw.w_ff1, 0.0) @ lw.w_ff2
         return FullOutput(logits=x @ self.unembedding, attention=att)
 
-
-_CHECKPOINT_FORMAT = "toy-decoder-v1"
-
-
-def _weight_shapes(cfg: ModelConfig) -> list[tuple[int, int]]:
-    """(rows, cols) of every weight matrix in draw and checkpoint order."""
-    d, f = cfg.d_model, cfg.d_ff
-    layer = [(d, d), (d, d), (d, d), (d, d), (d, f), (f, d)]  # LayerWeights order
-    return [(cfg.vocab_size, d), *layer * cfg.n_layers, (d, cfg.vocab_size)]
-
-
-def _assemble_weights(cfg: ModelConfig, arrays: list):
-    """(embedding, layers, unembedding) from the matrices in draw order."""
-    layers = tuple(LayerWeights(*arrays[1 + 6 * i : 7 + 6 * i]) for i in range(cfg.n_layers))
-    return arrays[0], layers, arrays[-1]
-
-
-def save_checkpoint(model: TinyDecoder, path) -> None:
-    """JSON config line followed by raw little-endian float64 weight data in
-    draw order; round trips byte-exactly."""
-    header = {"format": _CHECKPOINT_FORMAT, "config": model.config.to_json_dict()}
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        layer_arrays = [getattr(lw, f.name) for lw in model.layers for f in fields(LayerWeights)]
-        for arr in (model.embedding, *layer_arrays, model.unembedding):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path) -> TinyDecoder:
-    raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise ConfigError(f"{path}: checkpoint has no header line")
-    try:
-        header = json.loads(raw[:nl].decode("ascii"))
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: checkpoint header is not ASCII") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: checkpoint header is not JSON ({exc})") from None
-    if not isinstance(header, dict):
-        raise ConfigError(f"{path}: checkpoint header is not a JSON object")
-    if header.get("format") != _CHECKPOINT_FORMAT:
-        raise ConfigError(f"unrecognized checkpoint format: {header.get('format')!r}")
-    cfg = read_config(ModelConfig, header.get("config"), "config")
-    body = np.frombuffer(raw[nl + 1 :], dtype="<f8")
-    shapes = _weight_shapes(cfg)
-    sizes = [r * c for r, c in shapes]
-    if body.size != sum(sizes):
-        raise ConfigError(f"checkpoint holds {body.size} values, expected {sum(sizes)}")
-    # Each matrix starts on a cache line, as drawn weights do.
-    arrays = [_cache_aligned_empty(r * c).reshape(r, c) for r, c in shapes]
-    for matrix, chunk in zip(arrays, np.split(body, np.cumsum(sizes)[:-1])):
-        matrix.flat = chunk
-    return TinyDecoder(cfg, weights=_assemble_weights(cfg, arrays))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 
@@ -177,7 +178,11 @@ class Rng:
         every step but the last product is exact in both forms.
         """
         real = isinstance(scale, numbers.Real) and not isinstance(scale, bool)
-        if not (real and abs(scale) < np.inf):  # NaN fails the comparison too
+        try:
+            finite = real and math.isfinite(scale)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise ValueError(f"scale must be a finite number, got {scale!r}")
         out = _cache_aligned_empty(_block_size(n))
         factor = np.float64(scale) * 2.0**-52

@@ -169,6 +169,19 @@ def test_trace_table_covers_every_cell():
     assert steps == set(range(7))
 
 
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (lambda: ImageAttentionStat.from_trace(None, 1), "cache must be a LayeredKvCache"),
+        (lambda: degradation_report(None), "stat must be an ImageAttentionStat"),
+    ],
+    ids=["from_trace", "degradation_report"],
+)
+def test_analysis_names_an_input_of_the_wrong_type(call, problem):
+    with pytest.raises(ValueError, match=f"^{problem}, got None$"):
+        call()
+
+
 @pytest.mark.parametrize("n_generated", [1.5, True, "2", None])
 def test_from_trace_reads_n_generated_as_an_integer(n_generated):
     trace = synthetic_uniform_trace(2, 2, 3)

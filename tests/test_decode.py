@@ -747,6 +747,25 @@ def test_a_request_that_is_not_a_prompt_is_rejected_by_name():
         decode.check_request(model, "hi", DecodePolicy())
 
 
+NOT_A_MODEL = "model must be a TinyDecoder, got 'm'"
+
+
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (lambda model, prompt: decode.check_request("m", prompt, DecodePolicy()), NOT_A_MODEL),
+        (lambda model, prompt: ikod_generate("m", prompt, DecodePolicy()), NOT_A_MODEL),
+        (lambda model, prompt: prefill("m", prompt), NOT_A_MODEL),
+        (lambda model, prompt: prefill(model, "hi"), "prompt must be a Prompt, got 'hi'"),
+    ],
+    ids=["check_request-model", "ikod_generate-model", "prefill-model", "prefill-prompt"],
+)
+def test_a_request_names_a_model_or_prompt_of_the_wrong_type(call, problem):
+    model = make_model()
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        call(model, make_prompt(model))
+
+
 def test_a_request_without_a_policy_is_rejected_by_name():
     model = make_model()
     with pytest.raises(ValueError, match="^policy must be a DecodePolicy, got None$"):

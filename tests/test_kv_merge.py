@@ -53,6 +53,11 @@ def test_layer_scores_incomplete_trace():
         layer_scores(trace)
 
 
+def test_layer_scores_names_a_cache_of_the_wrong_type():
+    with pytest.raises(ValueError, match="^cache must be a LayeredKvCache, got None$"):
+        layer_scores(None)
+
+
 def test_anchor_count_rounding():
     assert anchor_count(6, 0.5) == 2
     assert anchor_count(6, 1.0) == 4

@@ -38,6 +38,11 @@ def test_chair_rejects_empty_inputs():
         chair_scores([rec(set(), {"a"})])
 
 
+def test_chair_names_a_record_of_the_wrong_type():
+    with pytest.raises(ValueError, match=r"^records\[1\] must be a CaptionRecord, got 'x'$"):
+        chair_scores([rec({"a"}, {"a"}), "x"])
+
+
 def test_chair_clean_record_never_raises_scores():
     records = [rec({"a", "b"}, {"a"})]
     before = chair_scores(records)

@@ -18,12 +18,10 @@ from ikod.model import (
     TraceError,
     _column_blocks,
     _row_times,
-    load_checkpoint,
     make_image_embeddings,
     read_config,
     require_float,
     require_int,
-    save_checkpoint,
 )
 from ikod.numerics import Rng, _cache_aligned_empty
 
@@ -108,13 +106,15 @@ def _assert_weights_replay_the_scalar_stream(cfg: ModelConfig) -> None:
         assert got.tobytes() == want.tobytes()
 
 
-def test_drawn_matrices_start_on_a_cache_line(tmp_path):
+def test_decoder_takes_only_a_model_config():
+    with pytest.raises(ValueError, match="^config must be a ModelConfig, got None$"):
+        TinyDecoder(None)
+
+
+def test_drawn_matrices_start_on_a_cache_line():
     model = TinyDecoder(small_config(d_model=130, d_ff=12, vocab_size=10))
-    save_checkpoint(model, tmp_path / "model.bin")
-    arrays = [make_image_embeddings(3, 130, seed=1)]
-    for m in (model, load_checkpoint(tmp_path / "model.bin")):
-        arrays += [m.embedding, m.unembedding]
-        arrays += [getattr(lw, f.name) for lw in m.layers for f in fields(lw)]
+    arrays = [make_image_embeddings(3, 130, seed=1), model.embedding, model.unembedding]
+    arrays += [getattr(lw, f.name) for lw in model.layers for f in fields(lw)]
     for a in arrays:
         assert a.ctypes.data % 64 == 0 and a.flags.c_contiguous
 
@@ -340,6 +340,15 @@ def test_forward_query_checks_the_row_shapes(keys_shape, values_shape):
         model.forward_query(np.zeros(keys_shape), np.zeros(values_shape), 2, 1)
 
 
+def test_forward_step_checks_the_merged_view_shapes():
+    model = TinyDecoder(small_config())  # 2 layers, 2 heads of d_head 4
+    cache = model.new_cache(0)
+    merged = (np.zeros((2, 2, 3, 3)), np.zeros((2, 2, 3, 3)))
+    with pytest.raises(ValueError, match=r"^keys and values must be \(2, 2, length, 4\) arrays"):
+        model.forward_step(cache, 1, merged=merged)
+    assert cache.length == 0
+
+
 def test_forward_step_rejects_a_boolean_token():
     model = TinyDecoder(small_config())
     with pytest.raises(ConfigError, match="^token must be an integer, got True$"):
@@ -373,29 +382,6 @@ def test_causality_future_positions_do_not_affect_past():
     permuted[[4, 5]] = permuted[[5, 4]]
     after = model.forward_full(permuted)
     np.testing.assert_array_equal(base.logits[:4], after.logits[:4])
-
-
-def test_checkpoint_round_trip(tmp_path):
-    model = TinyDecoder(small_config(seed=11))
-    path = tmp_path / "model.bin"
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
-    again = tmp_path / "again.bin"
-    save_checkpoint(loaded, again)
-    assert path.read_bytes() == again.read_bytes()
-    emb = np.ones(8) * 0.1
-    np.testing.assert_array_equal(
-        model.forward_full(emb[None, :]).logits, loaded.forward_full(emb[None, :]).logits
-    )
-
-
-def test_checkpoint_rejects_truncated_file(tmp_path):
-    model = TinyDecoder(small_config())
-    path = tmp_path / "model.bin"
-    save_checkpoint(model, path)
-    path.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(ConfigError):
-        load_checkpoint(path)
 
 
 def test_trace_requires_continuous_recording():
@@ -521,35 +507,6 @@ def test_require_float_accepts_finite_numbers(value):
 def test_require_float_rejects_non_finite_and_non_numbers(value):
     with pytest.raises(ConfigError, match="field must be a finite number"):
         require_float(value, "field")
-
-
-@pytest.mark.parametrize(
-    "raw, problem",
-    [
-        (b'{"format": "toy-decoder-v1"}', "no header line"),
-        (b'{"format": "toy-decoder-v1", "x": "\xc3\xa9"}\n', "not ASCII"),
-        (b"not json\n", "not JSON"),
-        (b"[1, 2]\n", "not a JSON object"),
-        (b'{"format": "toy-decoder-v1"}\n', "config must be a JSON object, got None"),
-        (b'{"format": "toy-decoder-v1", "config": {"n_layers": 1}}\n', "missing config keys"),
-        (b'{"format": "other"}\n', "unrecognized checkpoint format"),
-        (b'{"format": "toy-decoder-v1", "config": null}\n', "config must be a JSON object"),
-        (
-            b'{"format": "toy-decoder-v1", "config": {"n_layers": 1, "width": 8}}\n',
-            r"unknown config keys: \['width'\]",
-        ),
-        (
-            b'{"format": "toy-decoder-v1", "config": {"n_layers": 1, "n_heads": 2, "d_model": 8,'
-            b' "d_ff": 8, "vocab_size": 4, "max_seq": 8, "seed": 0, "d_head": 4}}\n',
-            r"unknown config keys: \['d_head'\]",
-        ),
-    ],
-)
-def test_checkpoint_rejects_malformed_headers(tmp_path, raw, problem):
-    path = tmp_path / "model.bin"
-    path.write_bytes(raw)
-    with pytest.raises(ConfigError, match=problem):
-        load_checkpoint(path)
 
 
 temperatures = st.none() | st.floats(0.0, 1e308, exclude_min=True)

@@ -158,7 +158,9 @@ def test_uniform_block_rejects_bad_sizes():
     assert rng.state == (3 + 4 * _GOLDEN) % 2**64
 
 
-@pytest.mark.parametrize("scale", ["1", math.nan, -math.inf, True, None])
+@pytest.mark.parametrize(
+    "scale", ["1", math.nan, -math.inf, True, None, pytest.param(10**400, id="10**400")]
+)
 def test_uniform_block_takes_a_finite_number_as_its_scale(scale):
     rng = Rng(3)
     with pytest.raises(ValueError, match=f"^scale must be a finite number, got {scale!r}$"):
