@@ -32,10 +32,11 @@ feed-forward matrices split with a remainder, and each 545 KiB attention
 projection is copied as one block.
 Last come `analyze --synthetic-uniform` at four image/prompt/generated
 counts (no images, fewer than five generated tokens, 16 generated) and at a
-negative count, a `decode` of each of eleven malformed policies (two give
-`k` or `p` to a sampler that does not read it) and of a config with
-misspelled top-level keys, and a `decode` and `analyze` of one policy whose
-alpha, beta and base.p are integers (2, 0, 1). The error jobs write no
+negative count, a `decode` of each of eleven malformed policies (one gives
+`k` to a sampler that does not read it, one names an unknown base kind,
+`nucleus`) and of a config with misspelled top-level keys, and a `decode`
+and `analyze` of one policy whose alpha, beta and base.p are integers
+(2, 0, 1). The error jobs write no
 files; `exit_codes.json` holds each job's exit code, and for a job that
 fails also the first line it wrote to stderr, so a changed message shows.
 

@@ -38,7 +38,6 @@ from .kv_merge import (
     AnchorStrategy,
     CompressedCache,
     MergePlan,
-    build_buckets,
     build_merge_plan,
     layer_scores,
     merge_cache,
@@ -52,6 +51,6 @@ from .model import (
     TinyDecoder,
     make_image_embeddings,
 )
-from .numerics import Matrix, Rng, ShapeError, softmax_rows
+from .numerics import Rng, ShapeError, softmax_rows
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LayeredKvCache, TraceError, _real, require_int
+from .model import LayeredKvCache, TraceError, _real, _require_type, require_int
 
 __all__ = [
     "ImageAttentionStat",
@@ -38,8 +38,7 @@ class ImageAttentionStat:
     def from_trace(cls, cache: LayeredKvCache, n_generated: int) -> "ImageAttentionStat":
         """The image attention the cache recorded, one step per position, the
         last n_generated of them generated tokens."""
-        if not isinstance(cache, LayeredKvCache):
-            raise ValueError(f"cache must be a LayeredKvCache, got {cache!r}")
+        _require_type(cache, LayeredKvCache, "cache")
         n, text_len = cache.length, cache.length - cache.l_image
         n_generated = require_int(n_generated, "n_generated")
         if not 0 <= n_generated <= text_len:
@@ -68,6 +67,7 @@ def segment_averages(stat: ImageAttentionStat, layer: int, head: int) -> Segment
     The window is floor(0.2 * L) steps, so at least five generated tokens are
     required for it to be non-empty.
     """
+    _require_type(stat, ImageAttentionStat, "stat")
     layer, head = _ints(layer=layer, head=head)
     for name, index, size in zip(("layer", "head"), (layer, head), stat.values.shape[1:]):
         if not 0 <= index < size:
@@ -150,8 +150,7 @@ def degradation_report(stat: ImageAttentionStat) -> list[tuple[float, float]]:
     Relative position is t/L with 1-based t over the L generated tokens, so
     the last generated token sits at 1.0.
     """
-    if not isinstance(stat, ImageAttentionStat):
-        raise ValueError(f"stat must be an ImageAttentionStat, got {stat!r}")
+    _require_type(stat, ImageAttentionStat, "stat")
     att = stat.att_avg[stat.generated]
     n = att.size
     if n < 1:

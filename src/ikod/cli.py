@@ -62,7 +62,6 @@ class RunConfig:
     image_seed: int = _MODEL_SEED
     prompt_tokens: tuple[int, ...] = ()
     policy: DecodePolicy = field(default_factory=DecodePolicy)
-    output_dir: str | None = None
 
     def __post_init__(self):
         if require_int(self.image_count, "image_count") < 0:
@@ -74,8 +73,6 @@ class RunConfig:
             raise ConfigError(f"prompt_tokens must be a JSON array of token ids, got {tokens!r}")
         tokens = tuple(require_int(t, f"prompt_tokens[{i}]") for i, t in enumerate(tokens))
         object.__setattr__(self, "prompt_tokens", tokens)
-        if self.output_dir is not None and not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
 
 
 def _load_json(path) -> dict:
@@ -127,10 +124,7 @@ def _build_model(cfg: ModelConfig) -> TinyDecoder:
 def cmd_decode(args) -> int:
     rc = load_run_config(args.config)
     policy = rc.policy if args.seed is None else replace(rc.policy, seed=args.seed)
-    out = args.out or rc.output_dir
-    if not out:
-        raise ConfigError("no output directory: pass --out or set output_dir in the config")
-    out_dir = Path(out)
+    out_dir = Path(args.out)
     check_counts(rc.model.max_seq, rc.image_count, len(rc.prompt_tokens), policy)
     model = _build_model(rc.model)
     result = ikod_generate(model, _build_prompt(rc), policy)
@@ -447,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decode", help="run one generation and write its artifacts")
     d.add_argument("--config", required=True, help="run config JSON")
-    d.add_argument("--out", help="output directory (defaults to the config's output_dir)")
+    d.add_argument("--out", required=True, help="output directory")
     d.add_argument("--seed", type=int, help="override the policy seed")
     d.add_argument("--emit-merge-plans", action="store_true", help="write per-step merge plans")
     d.set_defaults(func=cmd_decode)

@@ -35,6 +35,7 @@ import numpy as np
 from .kv_merge import (
     AnchorStrategy,
     CompressedCache,
+    _require_anchor_ratio,
     build_merge_plan,
     layer_scores,
     merge_cache,
@@ -44,6 +45,7 @@ from .model import (
     LayeredKvCache,
     TinyDecoder,
     _real,
+    _require_type,
     json_fields,
     require_int,
     require_member,
@@ -83,9 +85,8 @@ class Mode(str, Enum):
 class BaseStrategy:
     """Base token-selection rule applied to the combined scores.
 
-    kind is one of greedy | top_k | top_p | nucleus; k is set only for top_k
-    and p only for top_p. kind nucleus, with p unset, becomes top_p with
-    p = 1.0.
+    kind is one of greedy | top_k | top_p; k is set only for top_k and p only
+    for top_p, where p = 1.0 keeps the whole distribution.
     A temperature, when set, raises the probabilities to 1/t and renormalizes
     before any truncation.
     """
@@ -99,20 +100,33 @@ class BaseStrategy:
         for name, check in (("k", require_int), ("p", _real), ("temperature", _real)):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check(getattr(self, name), name))
-        if self.kind not in ("greedy", "top_k", "top_p", "nucleus"):
-            raise ValueError(f"kind must be greedy, top_k, top_p or nucleus, got {self.kind!r}")
+        if self.kind not in ("greedy", "top_k", "top_p"):
+            raise ValueError(f"kind must be greedy, top_k or top_p, got {self.kind!r}")
         for name, kind in (("k", "top_k"), ("p", "top_p")):
             if getattr(self, name) is not None and self.kind != kind:
                 raise ValueError(f"{name} must be unset for {self.kind}")
-        if self.kind == "nucleus":
-            object.__setattr__(self, "kind", "top_p")
-            object.__setattr__(self, "p", 1.0)
         if self.kind == "top_k" and (self.k is None or self.k < 1):
             raise ValueError("k must be at least 1 for top_k")
         if self.kind == "top_p" and (self.p is None or not 0.0 < self.p <= 1.0):
             raise ValueError("p must lie in (0, 1] for top_p")
         if self.temperature is not None and not 0.0 < self.temperature < math.inf:
             raise ValueError("temperature must be positive and finite")
+
+
+def _require_alpha(value) -> float:
+    """value as a non-negative finite float, or a ValueError naming alpha."""
+    alpha = _real(value, "alpha")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be non-negative and finite")
+    return alpha
+
+
+def _require_beta(value) -> float:
+    """value as a float in [0, 1], or a ValueError naming beta."""
+    beta = _real(value, "beta")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -129,16 +143,12 @@ class DecodePolicy:
     def __post_init__(self):
         for name, kind in (("mode", Mode), ("anchor_strategy", AnchorStrategy)):
             object.__setattr__(self, name, require_member(kind, getattr(self, name), name))
+        _require_type(self.base, BaseStrategy, "base")
         for name, check in (("max_new_tokens", require_int), ("seed", require_seed)):
             object.__setattr__(self, name, check(getattr(self, name), name))
-        for name in ("alpha", "beta", "anchor_ratio"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not 0.0 <= self.alpha < math.inf:
-            raise ValueError("alpha must be non-negative and finite")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        if not 0.0 < self.anchor_ratio <= 1.0:
-            raise ValueError("anchor_ratio must lie in (0, 1]")
+        object.__setattr__(self, "alpha", _require_alpha(self.alpha))
+        object.__setattr__(self, "beta", _require_beta(self.beta))
+        object.__setattr__(self, "anchor_ratio", _require_anchor_ratio(self.anchor_ratio))
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be at least 1")
 
@@ -152,9 +162,7 @@ def plausibility_mask(p_orig, beta: float) -> np.ndarray:
     beta = 0 keeps everything; beta = 1 keeps only argmax ties. The argmax is
     always kept. p_orig must be a non-empty 1-D array of finite numbers.
     """
-    beta = _real(beta, "beta")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
+    beta = _require_beta(beta)
     try:
         p = np.asarray(p_orig, dtype=np.float64)
     except (TypeError, ValueError):  # non-numbers, ragged rows
@@ -173,9 +181,7 @@ def collaborative_combine(p_orig, p_aug, alpha: float, v_head) -> np.ndarray:
         raise ShapeError(f"distribution sizes differ: {p_orig.shape} vs {p_aug.shape}")
     if v_head.shape != p_orig.shape:
         raise ShapeError(f"mask shape {v_head.shape} differs from distributions of {p_orig.shape}")
-    alpha = _real(alpha, "alpha")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError("alpha must be non-negative and finite")
+    alpha = _require_alpha(alpha)
     return np.where(v_head, p_orig + alpha * p_aug, 0.0)
 
 
@@ -187,6 +193,7 @@ def base_select(scores, base: BaseStrategy, rng: Rng | None) -> int:
     largest or to the smallest prefix of descending sorted mass reaching p,
     renormalize again, and draw by inverse CDF from the seeded generator rng.
     """
+    _require_type(base, BaseStrategy, "base")
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("scores must be one-dimensional")
@@ -339,14 +346,6 @@ class Prefill:
     last_input: int  # last prompt token, the merged path's first query
     tree: _StepTree = field(default_factory=_StepTree, repr=False, compare=False)
 
-    @property
-    def n_image(self) -> int:
-        return self.cache.l_image
-
-    @property
-    def l_others(self) -> int:
-        return self.cache.length - self.cache.l_image
-
     def fork(self) -> LayeredKvCache:
         """A fresh cache holding the prompt's key/value rows and recorded image
         attention."""
@@ -359,18 +358,12 @@ class Prefill:
         return cache
 
 
-def _require_model(model) -> None:
-    if not isinstance(model, TinyDecoder):
-        raise ValueError(f"model must be a TinyDecoder, got {model!r}")
-
-
 def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
     """Run the image embeddings, then the prompt tokens, through
     forward_prompt on a fresh cache sized to the prompt, for generations that
     fork the result. The Prefill holds that cache, with no copy."""
-    _require_model(model)
-    if not isinstance(prompt, Prompt):
-        raise ValueError(f"prompt must be a Prompt, got {prompt!r}")
+    _require_type(model, TinyDecoder, "model")
+    _require_type(prompt, Prompt, "prompt")
     if len(prompt.tokens) < 1:
         raise ValueError("prompt needs at least one text token")
     tokens = [require_int(tok, f"prompt token [{i}]") for i, tok in enumerate(prompt.tokens)]
@@ -388,11 +381,11 @@ def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
 def check_request(model: TinyDecoder, prompt: Prompt | Prefill, policy: DecodePolicy) -> None:
     """Raise the error ikod_generate would raise for this request before it
     runs any forward step: ValueError or CapacityError."""
-    _require_model(model)
+    _require_type(model, TinyDecoder, "model")
     if isinstance(prompt, Prefill):
         if prompt.model is not model:
             raise ValueError("prefill was computed by a different model")
-        n_image, l_others = prompt.n_image, prompt.l_others
+        n_image, l_others = prompt.cache.l_image, prompt.cache.length - prompt.cache.l_image
     elif isinstance(prompt, Prompt):
         n_image, l_others = _prompt_images(model, prompt).shape[0], len(prompt.tokens)
     else:
@@ -403,8 +396,7 @@ def check_request(model: TinyDecoder, prompt: Prompt | Prefill, policy: DecodePo
 def check_counts(max_seq: int, n_image: int, l_others: int, policy: DecodePolicy) -> None:
     """check_request on the counts alone: a prompt of n_image image and
     l_others text positions, for a model of max_seq positions."""
-    if not isinstance(policy, DecodePolicy):
-        raise ValueError(f"policy must be a DecodePolicy, got {policy!r}")
+    _require_type(policy, DecodePolicy, "policy")
     if l_others < 1:
         raise ValueError("prompt needs at least one text token")
     if policy.mode is not Mode.BASELINE and l_others < 3:

@@ -23,7 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import CapacityError, LayeredKvCache, require_float, require_int, require_member
+from .model import CapacityError, LayeredKvCache, _require_type, require_float, require_int
+from .model import require_member
 from .numerics import Rng
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "CompressedCache",
     "MergePlan",
     "anchor_count",
-    "build_buckets",
     "build_merge_plan",
     "layer_scores",
     "merge_cache",
@@ -65,14 +65,9 @@ class MergePlan:
         ):
             object.__setattr__(self, name, value)
 
-    @property
-    def protected(self) -> tuple[int, int]:
-        return self.text_len - 2, self.text_len - 1
-
     def to_json_dict(self, anchor_ratio: float, strategy: AnchorStrategy) -> dict:
         """The merge_plans/ format: this plan with the anchor_ratio and
         strategy of the policy that built it, which the plan does not store."""
-        protected = list(self.protected)
         return {
             "anchor_ratio": _require_anchor_ratio(anchor_ratio),
             "strategy": require_member(AnchorStrategy, strategy, "strategy").value,
@@ -82,7 +77,7 @@ class MergePlan:
                     "layer": li,
                     "anchors": anchors,
                     "buckets": [[lo, hi] for lo, hi in zip(starts, ends)],
-                    "protected": protected,
+                    "protected": [self.text_len - 2, self.text_len - 1],
                 }
                 for li, (anchors, starts, ends) in enumerate(
                     zip(self.anchors.tolist(), self.starts.tolist(), self.ends.tolist())
@@ -104,10 +99,13 @@ class CompressedCache:
 
     keys: np.ndarray
     values: np.ndarray
-    length: int
     plan: MergePlan
     source: LayeredKvCache = field(repr=False)
     superseded: bool = False
+
+    @property
+    def length(self) -> int:
+        return self.keys.shape[2]
 
 
 def layer_scores(cache: LayeredKvCache, upcoming: bool = False) -> np.ndarray:
@@ -115,8 +113,7 @@ def layer_scores(cache: LayeredKvCache, upcoming: bool = False) -> np.ndarray:
     the cache recorded for the token, summed in head order. upcoming adds a
     NaN column for the position about to be written: a plan over that text
     length reads only its mergeable range 0..T-3, which the cache holds."""
-    if not isinstance(cache, LayeredKvCache):
-        raise ValueError(f"cache must be a LayeredKvCache, got {cache!r}")
+    _require_type(cache, LayeredKvCache, "cache")
     T = cache.length - cache.l_image
     if T < 1:
         raise ValueError("cache holds no text tokens")
@@ -178,18 +175,6 @@ def _anchor_buckets(anchors, text_len: int) -> tuple[np.ndarray, np.ndarray, np.
     for array in (anchors, starts, ends):
         array.flags.writeable = False
     return anchors, starts, ends
-
-
-def build_buckets(anchors, text_len: int) -> list[tuple[int, int]]:
-    """Partition the mergeable range 0..T-3 into one inclusive bucket per
-    anchor, split at the floored midpoints between neighbouring anchors.
-
-    Equivalent to assigning every position to its nearest anchor with ties
-    going to the left anchor. The first bucket absorbs everything before the
-    first anchor and the last bucket everything after the last one.
-    """
-    _, starts, ends = _anchor_buckets([list(anchors)], require_int(text_len, "text_len"))
-    return list(zip(starts[0].tolist(), ends[0].tolist()))
 
 
 def build_merge_plan(
@@ -261,8 +246,8 @@ def merge_cache(
     bit-identical to it. Gathers and scatters index the cache and the blocks
     as flat (rows, d_head) arrays, with one index array each.
     """
-    if not isinstance(plan, MergePlan):
-        raise ValueError(f"plan must be a MergePlan, got {plan!r}")
+    _require_type(plan, MergePlan, "plan")
+    _require_type(cache, LayeredKvCache, "cache")
     start = cache.l_image
     T = plan.text_len
     if start + T != cache.length + upcoming:
@@ -325,4 +310,4 @@ def merge_cache(
     n = start + k + 2
     keys[:, :, start + k : n - upcoming] = cache.keys[:, :, start + T - 2 : cache.length]
     values[:, :, start + k : n - upcoming] = cache.values[:, :, start + T - 2 : cache.length]
-    return CompressedCache(keys[:, :, :n], values[:, :, :n], n, plan, cache)
+    return CompressedCache(keys[:, :, :n], values[:, :, :n], plan, cache)

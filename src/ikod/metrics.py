@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .model import ConfigError, read_config, require_int
+from .model import ConfigError, _require_type, read_config, require_int
 
 __all__ = [
     "BinaryMetrics",
@@ -47,8 +47,7 @@ def chair_scores(records: Iterable[CaptionRecord]) -> tuple[float, float]:
     if not records:
         raise ValueError("need at least one record")
     for i, record in enumerate(records):
-        if not isinstance(record, CaptionRecord):
-            raise ValueError(f"records[{i}] must be a CaptionRecord, got {record!r}")
+        _require_type(record, CaptionRecord, f"records[{i}]")
     total_mentioned = sum(len(r.mentioned) for r in records)
     if total_mentioned == 0:
         raise ValueError("instance rate undefined: no objects mentioned")
@@ -80,8 +79,7 @@ class BinaryMetrics(NamedTuple):
 
 def binary_metrics(outcomes: BinaryOutcomes) -> BinaryMetrics:
     """Accuracy, precision, recall, F1; degenerate denominators score 0."""
-    if not isinstance(outcomes, BinaryOutcomes):
-        raise ValueError(f"outcomes must be a BinaryOutcomes, got {outcomes!r}")
+    _require_type(outcomes, BinaryOutcomes, "outcomes")
     total = outcomes.tp + outcomes.fp + outcomes.fn + outcomes.tn
     if total == 0:
         raise ValueError("no outcomes")

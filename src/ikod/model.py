@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import _NOT_FINITE, Matrix, Rng, _cache_aligned_empty
+from .numerics import _NOT_FINITE, Rng, _cache_aligned_empty
 from .numerics import softmax_causal_block, softmax_rows
 
 __all__ = [
@@ -113,6 +113,15 @@ def require_member(kind: type[Enum], value, name: str):
         raise ConfigError(f"{name} must be one of {choices}, got {value!r}") from None
 
 
+def _require_type(value, kind: type, name: str):
+    """value when it is a kind; anything else raises a ValueError naming the
+    argument, checked before any of its attributes is read."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+    return value
+
+
 def read_config(cls, value, name: str):
     """The dataclass cls built from the JSON object value found under the key
     name ("" for a file's top level); fields typed as dataclasses are read the
@@ -191,12 +200,12 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LayerWeights:
-    w_q: Matrix
-    w_k: Matrix
-    w_v: Matrix
-    w_o: Matrix
-    w_ff1: Matrix
-    w_ff2: Matrix
+    w_q: np.ndarray
+    w_k: np.ndarray
+    w_v: np.ndarray
+    w_o: np.ndarray
+    w_ff1: np.ndarray
+    w_ff2: np.ndarray
 
 
 @dataclass
@@ -294,7 +303,7 @@ def _column_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _row_times(x: np.ndarray, w: Matrix) -> np.ndarray:
+def _row_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each row of x times w, every row bit-identical to x[i] @ w: numpy runs
     the stacked (n, 1, d) product as one matrix-vector product per row. A 2-D
     x @ w runs one matrix-matrix product, which sums in another order.
@@ -328,7 +337,7 @@ def _mix(att: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.einsum("ht,htd->hd", att, values).reshape(-1)
 
 
-def _uniform_matrix(rng: Rng, rows: int, cols: int, scale: float) -> Matrix:
+def _uniform_matrix(rng: Rng, rows: int, cols: int, scale: float) -> np.ndarray:
     return rng.next_uniform_block(rows * cols, scale).reshape(rows, cols)
 
 
@@ -359,9 +368,7 @@ class TinyDecoder:
     """
 
     def __init__(self, config: ModelConfig):
-        if not isinstance(config, ModelConfig):
-            raise ValueError(f"config must be a ModelConfig, got {config!r}")
-        self.config = config
+        self.config = _require_type(config, ModelConfig, "config")
         rng, s = Rng(config.seed), 1.0 / math.sqrt(config.d_model)
         d, f = config.d_model, config.d_ff
         shapes = [(d, d), (d, d), (d, d), (d, d), (d, f), (f, d)]  # LayerWeights order
@@ -391,6 +398,7 @@ class TinyDecoder:
 
     def open_position(self, cache: LayeredKvCache) -> int:
         """The position forward_step fills next; CapacityError when the cache is full."""
+        _require_type(cache, LayeredKvCache, "cache")
         pos, capacity = cache.length, min(self.config.max_seq, cache.keys.shape[2])
         if pos >= capacity:
             raise CapacityError(f"cache is full at {pos} of {capacity} positions")
@@ -411,7 +419,10 @@ class TinyDecoder:
         x = self.content_embedding(inp) + self.positions[pos]
         views = [(cache.keys[:, :, : pos + 1], cache.values[:, :, : pos + 1])]
         if merged is not None:
-            keys, values = merged
+            try:
+                keys, values = merged
+            except (TypeError, ValueError):
+                raise ValueError(f"merged must be a (keys, values) pair, got {merged!r}") from None
             self._check_view(keys, values)
             views.append(merged)
         logits, rows = self._layers([x] * len(views), views, step=True)
@@ -432,6 +443,7 @@ class TinyDecoder:
         its values through _mix, as _attend does.
         """
         cfg = self.config
+        _require_type(cache, LayeredKvCache, "cache")
         if cache.length != 0:
             raise ValueError(f"cache must be empty, holds {cache.length} positions")
         if len(inputs) < 1:

@@ -8,11 +8,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["Matrix", "Rng", "ShapeError", "softmax_causal_block", "softmax_rows"]
-
-# Matrices are plain row-major float64 ndarrays; the alias marks intent in
-# signatures without wrapping numpy.
-Matrix = np.ndarray
+__all__ = ["Rng", "ShapeError", "softmax_causal_block", "softmax_rows"]
 
 
 class ShapeError(ValueError):
@@ -22,12 +18,12 @@ class ShapeError(ValueError):
 _NOT_FINITE = "matrix entries must be finite"
 
 
-def _shifted_exp(m: Matrix) -> Matrix:
+def _shifted_exp(m: np.ndarray) -> np.ndarray:
     """exp of m minus its row maxima, rows along the last axis."""
     return np.exp(m - m.max(axis=-1, keepdims=True))
 
 
-def softmax_rows(m) -> Matrix:
+def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max-subtraction; every row sums to 1."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -38,7 +34,7 @@ def softmax_rows(m) -> Matrix:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_causal_block(scores: Matrix, first: int, out: Matrix) -> None:
+def softmax_causal_block(scores: np.ndarray, first: int, out: np.ndarray) -> None:
     """softmax_rows of each position's own columns, for a block of positions.
 
     scores holds the (n, heads, columns) scores of positions first ..

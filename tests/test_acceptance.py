@@ -30,7 +30,7 @@ from ikod.decode import (
     ikod_generate,
     plausibility_mask,
 )
-from ikod.kv_merge import build_buckets, build_merge_plan, layer_scores, merge_cache
+from ikod.kv_merge import MergePlan, build_merge_plan, layer_scores, merge_cache
 from ikod.metrics import BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores
 from ikod.model import ModelConfig, TinyDecoder, make_image_embeddings
 from ikod.numerics import softmax_rows
@@ -48,7 +48,8 @@ def test_criterion_1_partition_oracle():
         domain = text_len - 2
         k = int(rng.integers(1, domain + 1))
         anchors = np.sort(rng.choice(domain, size=k, replace=False))
-        buckets = build_buckets(anchors.tolist(), text_len)
+        plan = MergePlan(anchors[None, :], text_len)
+        buckets = zip(plan.starts[0].tolist(), plan.ends[0].tolist())
         # Brute-force oracle: each position joins the nearest anchor;
         # argmin returns the first (left) anchor on distance ties.
         positions = np.arange(domain)

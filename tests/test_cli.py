@@ -99,6 +99,14 @@ def test_decode_missing_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_decode_needs_an_output_directory(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
 def test_decode_bad_policy_exits_2(tmp_path):
     cfg = write_config(tmp_path, policy={"anchor_ratio": 0.0})
     assert main(["decode", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -129,8 +137,6 @@ def test_decode_bad_policy_exits_2(tmp_path):
             {"policy": {"base": {"kind": "top_p", "p": 0.9, "temperature": "2"}}},
             "policy.base.temperature",
         ),
-        ({"output_dir": 5}, "output_dir"),
-        ({"output_dir": ["run"]}, "output_dir"),
     ],
 )
 def test_decode_rejects_malformed_fields(tmp_path, capsys, overrides, field):
@@ -149,15 +155,16 @@ def test_decode_rejects_malformed_fields(tmp_path, capsys, overrides, field):
         ({"beta": 1.5}, "policy.beta must lie in [0, 1]"),
         ({"max_new_tokens": 0}, "policy.max_new_tokens must be at least 1"),
         ({"base": {"kind": "beam"}},
-         "policy.base.kind must be greedy, top_k, top_p or nucleus, got 'beam'"),
+         "policy.base.kind must be greedy, top_k or top_p, got 'beam'"),
         ({"base": {"kind": "top_k"}}, "policy.base.k must be at least 1 for top_k"),
         ({"base": {"kind": "top_p", "p": 1.5}}, "policy.base.p must lie in (0, 1] for top_p"),
         ({"base": {"kind": "greedy", "p": 0.5}}, "policy.base.p must be unset for greedy"),
-        ({"base": {"kind": "nucleus", "temperature": 0}}, "policy.base.temperature must be"),
+        ({"base": {"kind": "top_p", "p": 1, "temperature": 0}}, "policy.base.temperature must be"),
         ({"gamma": 1}, "unknown policy keys: ['gamma']"),
         ({"base": {"kind": "top_k", "k": 2, "n": 1}}, "unknown policy.base keys: ['n']"),
         ({"base": {"kind": "top_p", "p": 0.9, "k": 3}}, "policy.base.k must be unset for top_p"),
-        ({"base": {"kind": "nucleus", "p": 0.5}}, "policy.base.p must be unset for nucleus"),
+        ({"base": {"kind": "nucleus"}},
+         "policy.base.kind must be greedy, top_k or top_p, got 'nucleus'"),
     ],
 )
 def test_decode_policy_errors_name_the_field(tmp_path, capsys, policy, problem):
@@ -181,9 +188,11 @@ def test_decode_policy_errors_name_the_field(tmp_path, capsys, policy, problem):
         (lambda cfg: cfg["model"].update(n_heads=0), "model.n_heads must be at least 1"),
         # d_head is derived from d_model and n_heads, not a key.
         (lambda cfg: cfg["model"].update(d_head=8), "unknown model keys: ['d_head']"),
+        # The output directory is decode's --out, not a key.
+        (lambda cfg: cfg.update(output_dir="run"), "unknown config keys: ['output_dir']"),
     ],
     ids=["unknown-top-level", "no-model", "model-array", "missing-model-key", "unknown-model-key",
-         "model-field", "model-d_head"],
+         "model-field", "model-d_head", "output_dir"],
 )
 def test_decode_rejects_malformed_config_objects(tmp_path, capsys, edit, problem):
     cfg = json.loads(json.dumps(BASE_CONFIG))

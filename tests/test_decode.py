@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ikod import decode
+from ikod.attn_analysis import segment_averages
 from ikod.decode import (
     EOS_TOKEN,
     BaseStrategy,
@@ -20,7 +22,7 @@ from ikod.decode import (
     plausibility_mask,
     prefill,
 )
-from ikod.kv_merge import AnchorStrategy, build_merge_plan, layer_scores, merge_cache
+from ikod.kv_merge import AnchorStrategy, MergePlan, build_merge_plan, layer_scores, merge_cache
 from ikod.model import (
     CapacityError,
     ConfigError,
@@ -124,7 +126,7 @@ def test_top_p_full_mass_samples_whole_distribution():
     # p = 1.0 keeps every token; over many draws each one should appear.
     scores = np.array([0.25, 0.25, 0.25, 0.25])
     rng = Rng(3)
-    seen = {base_select(scores, BaseStrategy(kind="nucleus"), rng) for _ in range(200)}
+    seen = {base_select(scores, BaseStrategy(kind="top_p", p=1.0), rng) for _ in range(200)}
     assert seen == {0, 1, 2, 3}
 
 
@@ -208,9 +210,9 @@ def test_base_strategy_validation():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
             BaseStrategy(kind="top_p", p=0.9, temperature=bad)
-    assert BaseStrategy(kind="nucleus").p == 1.0
-    nucleus = BaseStrategy(kind="nucleus", temperature=0.5)
-    assert nucleus == BaseStrategy(kind="top_p", p=1.0, temperature=0.5)
+    assert BaseStrategy(kind="top_p", p=1).p == 1.0
+    with pytest.raises(ValueError, match="^kind must be greedy, top_k or top_p, got 'nucleus'$"):
+        BaseStrategy(kind="nucleus")
 
 
 @pytest.mark.parametrize(
@@ -218,8 +220,8 @@ def test_base_strategy_validation():
     [
         ({"kind": "top_p", "p": 0.9, "k": 3}, "k must be unset for top_p"),
         ({"kind": "top_k", "k": 3, "p": 0.5}, "p must be unset for top_k"),
-        ({"kind": "nucleus", "p": 0.5}, "p must be unset for nucleus"),
-        ({"kind": "nucleus", "k": 3}, "k must be unset for nucleus"),
+        ({"kind": "greedy", "p": 1.0}, "p must be unset for greedy"),
+        ({"kind": "greedy", "k": 3}, "k must be unset for greedy"),
         ({"kind": "greedy", "k": 3, "p": 0.5}, "k must be unset for greedy"),
     ],
 )
@@ -402,13 +404,14 @@ def test_random_anchor_strategy_is_deterministic():
 
 
 def test_generation_stops_after_end_token():
-    # Seed chosen so nucleus sampling emits the end token mid-run.
+    # Seed chosen so top_p sampling at p = 1.0 emits the end token mid-run.
     model = make_model()
     prompt = make_prompt(model)
     stopped = False
     for seed in range(40):
         policy = DecodePolicy(
-            mode=Mode.BASELINE, base=BaseStrategy(kind="nucleus"), max_new_tokens=64, seed=seed
+            mode=Mode.BASELINE, base=BaseStrategy(kind="top_p", p=1.0), max_new_tokens=64,
+            seed=seed,
         )
         result = ikod_generate(model, prompt, policy)
         if EOS_TOKEN in result.tokens:
@@ -645,8 +648,8 @@ def test_prefill_is_read_only_and_records_the_prompt():
     model = make_model()
     prompt = make_prompt(model)
     prefix = prefill(model, prompt)
-    assert (prefix.n_image, prefix.l_others, prefix.last_input) == (4, 4, 14)
     c = prefix.cache
+    assert (c.l_image, c.length, prefix.last_input) == (4, 8, 14)
     assert c.keys.shape == (2, 2, 8, 8)
     assert c.image_att.shape == (2, 2, 8)
     for array in (c.keys, c.values, prefix.logits, c.image_att):
@@ -717,7 +720,7 @@ def test_base_select_rejects_non_finite_scores():
     """NaN passes a test for negatives and +inf one for a zero total, so
     each would pick a token unchecked."""
     for scores in ([np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [0.0, np.inf]):
-        for base in (BaseStrategy(), BaseStrategy(kind="nucleus")):
+        for base in (BaseStrategy(), BaseStrategy(kind="top_p", p=1.0)):
             with pytest.raises(ValueError):
                 base_select(np.array(scores), base, Rng(0))
 
@@ -766,6 +769,35 @@ def test_a_request_names_a_model_or_prompt_of_the_wrong_type(call, problem):
         call(model, make_prompt(model))
 
 
+NOT_A_CACHE = "cache must be a LayeredKvCache, got None"
+
+
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (lambda model, cache: segment_averages(None, 0, 0),
+         "stat must be an ImageAttentionStat, got None"),
+        (lambda model, cache: merge_cache(None, MergePlan([[0]], 3)), NOT_A_CACHE),
+        (lambda model, cache: model.forward_step(None, 1), NOT_A_CACHE),
+        (lambda model, cache: model.forward_prompt(None, [1]), NOT_A_CACHE),
+        (lambda model, cache: base_select(np.ones(3), None, None),
+         "base must be a BaseStrategy, got None"),
+        (lambda model, cache: model.forward_step(cache, 1, merged=5),
+         "merged must be a (keys, values) pair, got 5"),
+        (lambda model, cache: DecodePolicy(base="greedy"),
+         "base must be a BaseStrategy, got 'greedy'"),
+    ],
+    ids=["segment_averages-stat", "merge_cache-cache", "forward_step-cache",
+         "forward_prompt-cache", "base_select-base", "forward_step-merged", "policy-base"],
+)
+def test_library_calls_name_an_argument_of_the_wrong_type(call, problem):
+    model = make_model()
+    cache = model.new_cache(0)
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        call(model, cache)
+    assert cache.length == 0
+
+
 def test_a_request_without_a_policy_is_rejected_by_name():
     model = make_model()
     with pytest.raises(ValueError, match="^policy must be a DecodePolicy, got None$"):
@@ -775,7 +807,7 @@ def test_a_request_without_a_policy_is_rejected_by_name():
 def test_base_strategy_error_names_every_accepted_kind():
     with pytest.raises(ValueError) as err:
         BaseStrategy(kind="beam")
-    assert str(err.value) == "kind must be greedy, top_k, top_p or nucleus, got 'beam'"
+    assert str(err.value) == "kind must be greedy, top_k or top_p, got 'beam'"
 
 
 def test_policy_takes_numbers_as_floats():
@@ -961,7 +993,7 @@ def test_shared_prefill_decodes_each_token_prefix_once(monkeypatch):
     stops_early = next(
         policy
         for seed in range(40)
-        for policy in [DecodePolicy(base=BaseStrategy(kind="nucleus"), max_new_tokens=12, seed=seed)]
+        for policy in [DecodePolicy(base=BaseStrategy("top_p", p=1.0), max_new_tokens=12, seed=seed)]
         if len(ikod_generate(model, prompt, policy).tokens) < 12
     )
     sequence = [
@@ -1009,7 +1041,8 @@ def test_step_tree_fills_to_max_seq_rows_then_keeps_replaying(monkeypatch):
     sampled = [
         DecodePolicy(
             mode=(Mode.BASELINE, Mode.IKOD)[seed % 2],
-            base=BaseStrategy(kind="nucleus", temperature=2.0), max_new_tokens=12, seed=seed,
+            base=BaseStrategy(kind="top_p", p=1.0, temperature=2.0), max_new_tokens=12,
+            seed=seed,
         )
         for seed in range(30)
     ]
@@ -1072,7 +1105,7 @@ def test_replayed_step_raises_where_forward_step_would(case, policy, data):
     outcomes = []
     for replay in (True, False):
         cache = LayeredKvCache(
-            cfg.n_layers, cfg.n_heads, cfg.d_head, length + cache_room, prefix.n_image
+            cfg.n_layers, cfg.n_heads, cfg.d_head, length + cache_room, prefix.cache.l_image
         )
         for inp in [*prompt.image_embeddings, *prompt.tokens, *tokens[:k]]:
             model.forward_step(cache, inp)

@@ -1,11 +1,14 @@
 """Every name the package exports resolves, so a deleted symbol cannot linger
-in an `__all__` list or in the package's own imports, and the README's
-library example and decode config still run and read."""
+in an `__all__` list or in the package's own imports; every exported name is
+used by the package or documented; and the README's library example and
+decode config still run and read."""
 
 import ast
+import functools
 import importlib
 import json
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,38 @@ def test_readme_library_example_runs(capsys):
 def test_readme_decode_config_is_a_run_config():
     config = read_config(RunConfig, json.loads(readme_block("### decode", "json")), "")
     assert config.model.d_model % config.model.n_heads == 0 and config.prompt_tokens
+
+
+SRC = Path(ikod.__file__).resolve().parent
+
+
+@functools.cache
+def names_read() -> dict[tuple[str, str | None], frozenset[str]]:
+    """The names each top-level statement of the package reads, keyed by its
+    module and the name it defines (None for other statements). The
+    package's re-exports in `__init__.py` are not reads."""
+    read = {}
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            key = (path.stem, getattr(stmt, "name", None))
+            read[key] = read.get(key, frozenset()) | {
+                node.id for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+    return read
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_is_used_or_documented(name):
+    """A name in `__all__` is read by package code outside its own definition
+    or named in the README, so an export that only tests call cannot linger."""
+    readme = README.read_text(encoding="utf-8")
+    exported = getattr(importlib.import_module(f"ikod.{name}"), "__all__", [])
+    unused = [
+        n for n in exported
+        if not any(n in names for key, names in names_read().items() if key != (name, n))
+        and not re.search(rf"\b{re.escape(n)}\b", readme)
+    ]
+    assert unused == []

@@ -7,7 +7,6 @@ from ikod.kv_merge import (
     AnchorStrategy,
     MergePlan,
     anchor_count,
-    build_buckets,
     build_merge_plan,
     layer_scores,
     merge_cache,
@@ -119,26 +118,32 @@ def test_select_anchors_rejects_short_text():
         plan_anchors(np.zeros((1, 2)), 0.5)
 
 
+def one_layer_buckets(anchors, text_len: int) -> list[tuple[int, int]]:
+    """The inclusive (start, end) buckets of a one-layer plan over anchors."""
+    plan = MergePlan([anchors], text_len)
+    return list(zip(plan.starts[0].tolist(), plan.ends[0].tolist()))
+
+
 def test_build_buckets_hand_case():
-    assert build_buckets([2, 5, 7], 10) == [(0, 3), (4, 6), (7, 7)]
+    assert one_layer_buckets([2, 5, 7], 10) == [(0, 3), (4, 6), (7, 7)]
 
 
 def test_build_buckets_single_anchor():
-    assert build_buckets([0], 4) == [(0, 1)]
+    assert one_layer_buckets([0], 4) == [(0, 1)]
 
 
 def test_build_buckets_consecutive_anchors_are_singletons():
-    buckets = build_buckets(list(range(6)), 8)
+    buckets = one_layer_buckets(list(range(6)), 8)
     assert buckets == [(i, i) for i in range(6)]
 
 
 def test_build_buckets_validation():
     with pytest.raises(ValueError):
-        build_buckets([], 10)
+        one_layer_buckets([], 10)
     with pytest.raises(ValueError):
-        build_buckets([3, 3], 10)
+        one_layer_buckets([3, 3], 10)
     with pytest.raises(ValueError):
-        build_buckets([8], 10)  # 8 exceeds the mergeable range 0..7
+        one_layer_buckets([8], 10)  # 8 exceeds the mergeable range 0..7
 
 
 def brute_nearest_anchor(anchors: list[int], text_len: int) -> list[list[int]]:
@@ -157,7 +162,7 @@ def test_buckets_match_nearest_anchor_oracle():
         domain = text_len - 2
         k = int(rng.integers(1, domain + 1))
         anchors = sorted(rng.choice(domain, size=k, replace=False).tolist())
-        buckets = build_buckets(anchors, text_len)
+        buckets = one_layer_buckets(anchors, text_len)
         expanded = [list(range(lo, hi + 1)) for lo, hi in buckets]
         assert expanded == brute_nearest_anchor(anchors, text_len)
         flat = [p for group in expanded for p in group]
@@ -182,7 +187,6 @@ def test_long_text_buckets_match_nearest_anchor_oracle(T, n_layers, ratio, strat
     positions = np.arange(T - 2)
     for plan in plans:
         for anchors, lo, hi in zip(plan.anchors, plan.starts, plan.ends):
-            assert build_buckets(anchors, T) == list(zip(lo.tolist(), hi.tolist()))
             # Brute force: each position joins the nearest anchor, the left one on ties.
             nearest = np.argmin(np.abs(positions[:, None] - anchors[None, :]), axis=1)
             assert lo[0] == 0 and hi[-1] == T - 3 and np.array_equal(lo[1:], hi[:-1] + 1)
@@ -262,7 +266,7 @@ def test_compressed_length_grows_with_ratio():
     [
         (lambda T: anchor_count(T, 0.5), "5"),
         (lambda T: anchor_count(T, 0.5), 5.5),
-        (lambda T: build_buckets([0, 2], T), "8"),
+        (lambda T: MergePlan([[0, 2]], T), "8"),
     ],
     ids=["anchor-count-string", "anchor-count-fraction", "buckets-string"],
 )
@@ -350,8 +354,9 @@ def test_merge_plan_rejects_malformed_scalars(field, value, problem):
 
 def test_merge_plan_reads_its_scalars():
     plan = MergePlan([[0, 3]], 8.0)
-    assert type(plan.text_len) is int and plan.protected == (6, 7)
+    assert type(plan.text_len) is int
     doc = plan.to_json_dict(1, "random")
+    assert [layer["protected"] for layer in doc["layers"]] == [[6, 7]]
     assert (doc["text_len"], doc["anchor_ratio"], doc["strategy"]) == (8, 1.0, "random")
     assert type(doc["anchor_ratio"]) is float
 
@@ -360,7 +365,7 @@ def test_merge_plan_keeps_read_only_copies():
     anchors = np.array([[1, 4]])
     plan = MergePlan(anchors, 8)
     anchors[0, 0] = 0  # the caller's array stays the caller's
-    assert plan.anchors.tolist() == [[1, 4]] and plan.protected == (6, 7)
+    assert plan.anchors.tolist() == [[1, 4]]
     assert (plan.starts.tolist(), plan.ends.tolist()) == ([[0, 3]], [[2, 5]])
     for array in (plan.anchors, plan.starts, plan.ends):
         assert array.dtype == np.int64
@@ -501,8 +506,7 @@ def test_layer_scores_ledger_tracks_a_growing_trace(
 def reference_plan_layers(scores, anchor_ratio, strategy, rng):
     """Per-layer anchors and buckets as they were built before the all-layer
     pass: one lexsort (or one scalar Fisher-Yates loop of
-    next_u64() % (domain - i) draws) per layer, then the build_buckets
-    midpoint loop."""
+    next_u64() % (domain - i) draws) per layer, then a midpoint loop."""
     T = scores.shape[1]
     k, domain = anchor_count(T, anchor_ratio), T - 2
     anchors, buckets = [], []
@@ -561,7 +565,7 @@ def test_plan_matches_the_per_layer_reference(scores, ratio, strategy, seed):
     starts, ends = plan.starts.tolist(), plan.ends.tolist()
     assert [list(zip(lo, hi)) for lo, hi in zip(starts, ends)] == buckets
     for ts, layer in zip(anchors, buckets):
-        assert build_buckets(ts, scores.shape[1]) == layer
+        assert one_layer_buckets(ts, scores.shape[1]) == layer
     # A plan built by hand from the reference anchors writes the same JSON.
     rebuilt = MergePlan(anchors, plan.text_len)
     assert rebuilt.to_json_dict(ratio, strategy) == plan.to_json_dict(ratio, strategy)
@@ -780,7 +784,7 @@ def test_a_merge_for_the_upcoming_position_needs_room_and_the_next_length():
     with pytest.raises(ValueError, match="plan text length 5 != cache text length 5 \\+ 1"):
         merge_cache(cache, build_merge_plan(np.zeros((1, 5)), 0.4), upcoming=True)
     merged = merge_cache(cache, build_merge_plan(np.zeros((1, 6)), 0.4), upcoming=True)
-    assert merged.length == 1 + 1 + 2 and merged.plan.protected == (4, 5)
+    assert merged.length == 1 + 1 + 2 and merged.plan.text_len == 6
     # The row of text position 4 is recorded; position 5's row is the step's.
     np.testing.assert_array_equal(merged.keys[0, 0, 2], cache.keys[0, 0, 5])
     cache.length = 8  # full

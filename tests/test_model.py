@@ -529,7 +529,7 @@ config_objects = st.builds(
         BaseStrategy, kind=st.just("top_p"), p=st.floats(0.0, 1.0, exclude_min=True),
         temperature=temperatures,
     )
-    | st.builds(BaseStrategy, kind=st.just("nucleus"), temperature=temperatures),
+    | st.builds(BaseStrategy, kind=st.just("top_p"), p=st.just(1.0), temperature=temperatures),
     alpha=st.floats(0.0, 1e308),
     beta=st.floats(0.0, 1.0),
     anchor_ratio=st.floats(0.0, 1.0, exclude_min=True),
