@@ -51,6 +51,6 @@ from .model import (
     TinyDecoder,
     make_image_embeddings,
 )
-from .numerics import Rng, ShapeError, softmax_rows
+from .numerics import Rng, softmax_rows
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LayeredKvCache, TraceError, _real, _require_type, require_int
+from .model import LayeredKvCache, TraceError, _require_type, require_float, require_int
 
 __all__ = [
     "ImageAttentionStat",
@@ -22,17 +22,21 @@ __all__ = [
 ]
 
 
-def _ints(**named) -> list[int]:
-    """Each keyword's value as an int, checked by require_int under its name."""
-    return [require_int(value, name) for name, value in named.items()]
-
-
 @dataclass
 class ImageAttentionStat:
     """Per recorded step, per layer, per head: attention mass on image tokens."""
 
     values: np.ndarray  # (n_steps, n_layers, n_heads)
     generated: np.ndarray  # (n_steps,) True where the step's query is a generated token
+
+    def __post_init__(self):
+        values = _require_type(self.values, np.ndarray, "values")
+        generated = _require_type(self.generated, np.ndarray, "generated")
+        if values.ndim != 3 or generated.shape != values.shape[:1] or generated.dtype != bool:
+            raise ValueError(
+                "values must be an (n_steps, n_layers, n_heads) array and generated its "
+                f"(n_steps,) booleans, got shapes {values.shape} and {generated.shape}"
+            )
 
     @classmethod
     def from_trace(cls, cache: LayeredKvCache, n_generated: int) -> "ImageAttentionStat":
@@ -68,7 +72,7 @@ def segment_averages(stat: ImageAttentionStat, layer: int, head: int) -> Segment
     required for it to be non-empty.
     """
     _require_type(stat, ImageAttentionStat, "stat")
-    layer, head = _ints(layer=layer, head=head)
+    layer, head = require_int(layer, "layer"), require_int(head, "head")
     for name, index, size in zip(("layer", "head"), (layer, head), stat.values.shape[1:]):
         if not 0 <= index < size:
             raise ValueError(f"{name} must lie in [0, {size - 1}], got {index}")
@@ -88,20 +92,30 @@ def uniform_attention_prediction(l_image: int, l_others: int, l_gen: int) -> flo
     """Image share of a perfectly uniform attention row: the image token count
     over the total sequence length. Fixed image/instruction lengths make this
     strictly decreasing in the generated length."""
-    l_image, l_others, l_gen = _ints(l_image=l_image, l_others=l_others, l_gen=l_gen)
-    if min(l_image, l_others, l_gen) < 0:
-        raise ValueError("lengths must be non-negative")
-    total = l_image + l_others + l_gen
+    l_image, l_others = require_int(l_image, "l_image", 0), require_int(l_others, "l_others", 0)
+    total = l_image + l_others + require_int(l_gen, "l_gen", 0)
     if total <= 0:
         raise ValueError("total length must be positive")
     return l_image / total
 
 
-def kde_peak(h_x: float, h_y: float) -> float:
-    """The largest density kde2d can return, 1 / (2 pi h_x h_y), reached at a
+def kde_peak(h: float) -> float:
+    """The largest density kde2d can return, 1 / (2 pi h^2), reached at a
     lone point's own location; inf when that overflows a float."""
-    area = 2.0 * math.pi * h_x * h_y
+    area = 2.0 * math.pi * h * h
     return 1.0 / area if area > 0.0 else math.inf
+
+
+def _require_bandwidth(value, name: str) -> float:
+    """value as a kde2d bandwidth: a positive finite float whose peak density
+    (kde_peak) is finite too; anything else raises a ValueError naming the
+    argument."""
+    h = require_float(value, name)
+    if h <= 0.0:
+        raise ValueError(f"{name} must be positive and finite, got {h}")
+    if math.isinf(kde_peak(h)):
+        raise ValueError(f"{name} {h} is too small: the peak density 1/(2*pi*h**2) overflows")
+    return h
 
 
 # Kernel cells (grid locations x points) per block of kde2d, so the block's
@@ -109,12 +123,13 @@ def kde_peak(h_x: float, h_y: float) -> float:
 _KDE_BLOCK_CELLS = 1 << 20
 
 
-def kde2d(points, grid, h_x: float = 0.5, h_y: float = 0.5) -> np.ndarray:
-    """Gaussian-kernel density of 2-d points evaluated at the grid locations.
+def kde2d(points, grid, h: float = 0.5) -> np.ndarray:
+    """Gaussian-kernel density of 2-d points evaluated at the grid locations,
+    with bandwidth h on both axes.
 
-    density(g) = 1/(n*h_x*h_y) * sum_i exp(-0.5*(u^2 + v^2)) / (2*pi) with
-    u = (g_x - x_i)/h_x, v = (g_y - y_i)/h_y. Bandwidths so small that the
-    peak density (kde_peak) overflows are rejected.
+    density(g) = 1/(n*h*h) * sum_i exp(-0.5*(u^2 + v^2)) / (2*pi) with
+    u = (g_x - x_i)/h, v = (g_y - y_i)/h. A bandwidth so small that the
+    peak density (kde_peak) overflows is rejected.
     """
     pts = np.asarray(points, dtype=np.float64)
     g = np.asarray(grid, dtype=np.float64)
@@ -127,21 +142,17 @@ def kde2d(points, grid, h_x: float = 0.5, h_y: float = 0.5) -> np.ndarray:
     for name, array in (("points", pts), ("grid", g)):
         if not np.isfinite(array).all():
             raise ValueError(f"{name} must be finite numbers")
-    h_x, h_y = _real(h_x, "h_x"), _real(h_y, "h_y")
-    if not (0.0 < h_x < np.inf and 0.0 < h_y < np.inf):
-        raise ValueError("bandwidths must be positive and finite")
-    if math.isinf(kde_peak(h_x, h_y)):
-        raise ValueError(f"bandwidths {h_x} and {h_y} are too small: the peak density overflows")
+    h = _require_bandwidth(h, "h")
     sums = np.empty(g.shape[0])
     block = max(1, _KDE_BLOCK_CELLS // pts.shape[0])
     # u^2 + v^2 past the float range is an infinite distance: a zero kernel.
     with np.errstate(over="ignore"):
         for lo in range(0, g.shape[0], block):
-            u = (g[lo : lo + block, None, 0] - pts[None, :, 0]) / h_x
-            v = (g[lo : lo + block, None, 1] - pts[None, :, 1]) / h_y
+            u = (g[lo : lo + block, None, 0] - pts[None, :, 0]) / h
+            v = (g[lo : lo + block, None, 1] - pts[None, :, 1]) / h
             kern = np.exp(-0.5 * (u * u + v * v)) / (2.0 * np.pi)
             sums[lo : lo + block] = kern.sum(axis=1)
-    return sums / (pts.shape[0] * h_x * h_y)
+    return sums / (pts.shape[0] * h * h)
 
 
 def degradation_report(stat: ImageAttentionStat) -> list[tuple[float, float]]:
@@ -179,13 +190,9 @@ def synthetic_uniform_trace(
     l_gen generated positions whose every query attended uniformly over the
     cached positions; its measured image attention matches the uniform-mix
     prediction exactly."""
-    l_image, l_others, l_gen, n_layers, n_heads = _ints(
-        l_image=l_image, l_others=l_others, l_gen=l_gen, n_layers=n_layers, n_heads=n_heads
-    )
-    if min(l_image, l_others, l_gen) < 0:
-        raise ValueError("counts must be non-negative")
-    n = l_image + l_others + l_gen
+    l_image, l_others = require_int(l_image, "l_image", 0), require_int(l_others, "l_others", 0)
+    n = l_image + l_others + require_int(l_gen, "l_gen", 0)
     cache = LayeredKvCache(n_layers, n_heads, 0, n, l_image)
     for step in range(n):
-        cache.record(np.full((n_layers, n_heads, step + 1), 1.0 / (step + 1)))
+        cache.record(np.full((*cache.image_att.shape[:2], step + 1), 1.0 / (step + 1)))
     return cache

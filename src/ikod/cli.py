@@ -20,9 +20,9 @@ import numpy as np
 
 from .attn_analysis import (
     ImageAttentionStat,
+    _require_bandwidth,
     degradation_report,
     kde2d,
-    kde_peak,
     segment_averages,
     synthetic_uniform_trace,
     trace_image_attention,
@@ -64,8 +64,7 @@ class RunConfig:
     policy: DecodePolicy = field(default_factory=DecodePolicy)
 
     def __post_init__(self):
-        if require_int(self.image_count, "image_count") < 0:
-            raise ConfigError("image_count must be non-negative")
+        require_int(self.image_count, "image_count", 0)
         seed = self.model.seed if self.image_seed is _MODEL_SEED else self.image_seed
         object.__setattr__(self, "image_seed", require_seed(seed, "image_seed"))
         tokens = self.prompt_tokens
@@ -180,6 +179,8 @@ def _read_trace_csv(path: Path) -> np.ndarray:
             entries = [(int(s), int(li), int(h), float(a)) for s, li, h, a in reader]
     except FileNotFoundError:
         raise ConfigError(f"file not found: {path}") from None
+    except ConfigError:  # the header's, a ValueError the next clause would wrap
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: malformed trace ({exc})") from None
     if not entries:
@@ -217,9 +218,7 @@ def _read_run(run_dir: Path) -> ImageAttentionStat:
         image_count, prompt_tokens = request["image_count"], request["prompt_tokens"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{run_dir}/generation.json: malformed ({exc})") from None
-    image_count = require_int(image_count, "request.image_count")
-    if image_count < 0:
-        raise ConfigError("request.image_count must be non-negative")
+    image_count = require_int(image_count, "request.image_count", 0)
     for name, value in (("request.prompt_tokens", prompt_tokens), ("result.tokens", tokens)):
         if not isinstance(value, list):
             raise ConfigError(f"{name} must be a JSON array, got {value!r}")
@@ -237,19 +236,11 @@ def cmd_analyze(args) -> int:
     # Every argument is checked before the first file is written.
     if not 1 <= args.kde_grid <= KDE_GRID_MAX:
         raise ConfigError(f"--kde-grid must be between 1 and {KDE_GRID_MAX}, got {args.kde_grid}")
-    if not 0.0 < args.bandwidth < math.inf:
-        raise ConfigError(f"--bandwidth must be positive and finite, got {args.bandwidth}")
-    if math.isinf(kde_peak(args.bandwidth, args.bandwidth)):
-        raise ConfigError(
-            f"--bandwidth {args.bandwidth} is too small: the peak density 1/(2*pi*h**2) overflows"
-        )
+    _require_bandwidth(args.bandwidth, "--bandwidth")
     if args.synthetic_uniform:
-        counts = (("--image-count", args.image_count), ("--other-count", args.other_count))
-        for flag, count in counts:
-            if count < 0:
-                raise ConfigError(f"{flag} must be non-negative")
-        if args.gen_count < 1:
-            raise ConfigError("--gen-count must be at least 1")
+        require_int(args.image_count, "--image-count", 0)
+        require_int(args.other_count, "--other-count", 0)
+        require_int(args.gen_count, "--gen-count", 1)
         total = args.image_count + args.other_count + args.gen_count
         if total > SYNTHETIC_POSITIONS_MAX:
             raise ConfigError(
@@ -286,7 +277,7 @@ def cmd_analyze(args) -> int:
     if args.kde:
         axis = np.linspace(0.0, 1.0, args.kde_grid)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        density = kde2d(report, grid, h_x=args.bandwidth, h_y=args.bandwidth)
+        density = kde2d(report, grid, args.bandwidth)
         _write_csv(
             out_dir / "kde.csv",
             ["x", "y", "density"],
@@ -382,6 +373,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _report(doc: dict, out: str | None) -> int:
+    """Print the JSON report doc, and also write it to out when given."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    print(text)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
+    return 0
+
+
 def cmd_flops(args) -> int:
     if args.text_len >= args.seq_len:
         raise ConfigError(
@@ -402,11 +402,7 @@ def cmd_flops(args) -> int:
         raise ConfigError(
             "--layers, --seq-len, --hidden and --text-len give costs too large for a float"
         ) from None
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    return 0
+    return _report(doc, args.out)
 
 
 def cmd_metrics(args) -> int:
@@ -425,11 +421,7 @@ def cmd_metrics(args) -> int:
         )
     if not doc:
         raise ConfigError("nothing to compute: pass --records and/or --binary")
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    return 0
+    return _report(doc, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

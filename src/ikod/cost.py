@@ -115,10 +115,8 @@ def dual_path_overhead(n_layers, d_model, d_ff, l_image, l_prompt, n_new, anchor
     the l_prompt + i text tokens. Prefill is left out. l_image, l_prompt and
     n_new are integers.
     """
-    l_image, l_prompt = require_int(l_image, "l_image"), require_int(l_prompt, "l_prompt")
+    l_image, l_prompt = require_int(l_image, "l_image", 0), require_int(l_prompt, "l_prompt")
     n_new = require_int(n_new, "n_new")
-    if l_image < 0:
-        raise ValueError(f"l_image must be non-negative, got {l_image}")
     _check_positive(l_prompt=l_prompt, n_new=n_new)
     original = merged = 0
     for i in range(n_new):

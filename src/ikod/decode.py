@@ -44,14 +44,14 @@ from .model import (
     CapacityError,
     LayeredKvCache,
     TinyDecoder,
-    _real,
     _require_type,
     json_fields,
+    require_float,
     require_int,
     require_member,
     require_seed,
 )
-from .numerics import Rng, ShapeError, softmax_rows
+from .numerics import Rng, softmax_rows
 
 __all__ = [
     "EOS_TOKEN",
@@ -97,7 +97,8 @@ class BaseStrategy:
     temperature: float | None = None
 
     def __post_init__(self):
-        for name, check in (("k", require_int), ("p", _real), ("temperature", _real)):
+        checks = {"k": require_int, "p": require_float, "temperature": require_float}
+        for name, check in checks.items():
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check(getattr(self, name), name))
         if self.kind not in ("greedy", "top_k", "top_p"):
@@ -109,21 +110,21 @@ class BaseStrategy:
             raise ValueError("k must be at least 1 for top_k")
         if self.kind == "top_p" and (self.p is None or not 0.0 < self.p <= 1.0):
             raise ValueError("p must lie in (0, 1] for top_p")
-        if self.temperature is not None and not 0.0 < self.temperature < math.inf:
+        if self.temperature is not None and self.temperature <= 0.0:
             raise ValueError("temperature must be positive and finite")
 
 
 def _require_alpha(value) -> float:
     """value as a non-negative finite float, or a ValueError naming alpha."""
-    alpha = _real(value, "alpha")
-    if not 0.0 <= alpha < math.inf:
+    alpha = require_float(value, "alpha")
+    if alpha < 0.0:
         raise ValueError("alpha must be non-negative and finite")
     return alpha
 
 
 def _require_beta(value) -> float:
     """value as a float in [0, 1], or a ValueError naming beta."""
-    beta = _real(value, "beta")
+    beta = require_float(value, "beta")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     return beta
@@ -144,13 +145,12 @@ class DecodePolicy:
         for name, kind in (("mode", Mode), ("anchor_strategy", AnchorStrategy)):
             object.__setattr__(self, name, require_member(kind, getattr(self, name), name))
         _require_type(self.base, BaseStrategy, "base")
-        for name, check in (("max_new_tokens", require_int), ("seed", require_seed)):
-            object.__setattr__(self, name, check(getattr(self, name), name))
+        max_new_tokens = require_int(self.max_new_tokens, "max_new_tokens", 1)
+        object.__setattr__(self, "max_new_tokens", max_new_tokens)
+        object.__setattr__(self, "seed", require_seed(self.seed, "seed"))
         object.__setattr__(self, "alpha", _require_alpha(self.alpha))
         object.__setattr__(self, "beta", _require_beta(self.beta))
         object.__setattr__(self, "anchor_ratio", _require_anchor_ratio(self.anchor_ratio))
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be at least 1")
 
     def to_json_dict(self) -> dict:
         return json_fields(self)
@@ -178,9 +178,9 @@ def collaborative_combine(p_orig, p_aug, alpha: float, v_head) -> np.ndarray:
     p_aug = np.asarray(p_aug, dtype=np.float64)
     v_head = np.asarray(v_head, dtype=bool)
     if p_orig.shape != p_aug.shape:
-        raise ShapeError(f"distribution sizes differ: {p_orig.shape} vs {p_aug.shape}")
+        raise ValueError(f"distribution sizes differ: {p_orig.shape} vs {p_aug.shape}")
     if v_head.shape != p_orig.shape:
-        raise ShapeError(f"mask shape {v_head.shape} differs from distributions of {p_orig.shape}")
+        raise ValueError(f"mask shape {v_head.shape} differs from distributions of {p_orig.shape}")
     alpha = _require_alpha(alpha)
     return np.where(v_head, p_orig + alpha * p_aug, 0.0)
 
@@ -208,6 +208,7 @@ def base_select(scores, base: BaseStrategy, rng: Rng | None) -> int:
         return int(np.argmax(s))
     if rng is None:
         raise ValueError(f"{base.kind} selection needs an rng")
+    _require_type(rng, Rng, "rng")
     probs = s / total
     if base.temperature is not None:
         # Dividing by the max first keeps the top entry at 1.0, so sharp
@@ -236,6 +237,10 @@ class Prompt:
 
     image_embeddings: np.ndarray  # (n_image, d_model); zero rows allowed
     tokens: tuple[int, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.tokens, (list, tuple)):
+            raise ValueError(f"tokens must be a list or tuple of token ids, got {self.tokens!r}")
 
 
 @dataclass(frozen=True)

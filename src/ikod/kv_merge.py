@@ -200,6 +200,7 @@ def build_merge_plan(
     if strategy is AnchorStrategy.RANDOM:
         if rng is None:
             raise ValueError("random anchor selection needs an rng")
+        _require_type(rng, Rng, "rng")
         # The scalar Fisher-Yates loop's n_layers * k draws as one block: draw
         # i of a layer swaps pool slot i with slot i + next_u64() % (domain - i).
         n_layers = scores.shape[0]

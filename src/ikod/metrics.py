@@ -65,9 +65,7 @@ class BinaryOutcomes:
 
     def __post_init__(self):
         for name in ("tp", "fp", "fn", "tn"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
-            raise ValueError("counts must be non-negative")
+            object.__setattr__(self, name, require_int(getattr(self, name), name, 0))
 
 
 class BinaryMetrics(NamedTuple):

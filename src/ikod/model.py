@@ -60,15 +60,18 @@ class TraceError(ValueError):
     """Attention rows or a recorded cache do not match the positions they claim."""
 
 
-def require_int(value, name: str) -> int:
-    """value as an int when it is a whole number; booleans, fractions,
-    non-finite numbers and non-numbers raise a ConfigError naming the field."""
+def require_int(value, name: str, least: int | None = None) -> int:
+    """value as an int when it is a whole number, and at least least when
+    that is given; booleans, fractions, non-finite numbers, non-numbers and
+    smaller numbers raise a ConfigError naming the field."""
     try:
         whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {int(value)}")
     return int(value)
 
 
@@ -95,12 +98,6 @@ def require_float(value, name: str) -> float:
     if not finite:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _real(value, name: str) -> float:
-    """A float as it is, for the range check that names a non-finite one;
-    anything else must be a finite number (require_float)."""
-    return float(value) if isinstance(value, float) else require_float(value, name)
 
 
 def require_member(kind: type[Enum], value, name: str):
@@ -180,13 +177,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
+            least = 2 if name == "vocab_size" else 1
+            object.__setattr__(self, name, require_int(getattr(self, name), name, least))
         object.__setattr__(self, "seed", require_seed(self.seed, "seed"))
-        for name in ("n_layers", "n_heads", "d_model", "d_ff", "max_seq"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        if self.vocab_size < 2:
-            raise ConfigError("vocab_size must be at least 2")
         if self.d_model % self.n_heads:
             raise ConfigError(f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}")
 
@@ -235,13 +228,9 @@ class LayeredKvCache:
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, capacity: int, l_image: int):
-        names = ("n_layers", "n_heads", "d_head", "capacity", "l_image")
-        given = (n_layers, n_heads, d_head, capacity, l_image)
-        sizes = [require_int(value, name) for value, name in zip(given, names)]
-        for name, size, least in zip(names, sizes, (1, 1, 0, 0, 0)):
-            if size < least:
-                raise ConfigError(f"{name} must be at least {least}, got {size}")
-        n_layers, n_heads, d_head, capacity, l_image = sizes
+        n_layers, n_heads = require_int(n_layers, "n_layers", 1), require_int(n_heads, "n_heads", 1)
+        d_head, capacity = require_int(d_head, "d_head", 0), require_int(capacity, "capacity", 0)
+        l_image = require_int(l_image, "l_image", 0)
         if l_image > capacity:
             raise ConfigError(f"l_image must be at most capacity {capacity}, got {l_image}")
         self.keys = np.zeros((n_layers, n_heads, capacity, d_head))
@@ -348,12 +337,8 @@ def make_image_embeddings(count: int, d_model: int, seed: int) -> np.ndarray:
     its prefix with a shorter one under the same seed. count may be 0 for
     text-only runs.
     """
-    count, d_model = require_int(count, "count"), require_int(d_model, "d_model")
+    count, d_model = require_int(count, "count", 0), require_int(d_model, "d_model", 1)
     seed = require_seed(seed, "seed")
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if d_model < 1:
-        raise ValueError("d_model must be at least 1")
     if count == 0:
         return np.zeros((0, d_model))
     return _uniform_matrix(Rng(seed), count, d_model, 1.0 / math.sqrt(d_model))

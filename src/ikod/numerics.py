@@ -8,11 +8,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["Rng", "ShapeError", "softmax_causal_block", "softmax_rows"]
-
-
-class ShapeError(ValueError):
-    """Operand shapes are incompatible."""
+__all__ = ["Rng", "softmax_causal_block", "softmax_rows"]
 
 
 _NOT_FINITE = "matrix entries must be finite"
@@ -27,7 +23,7 @@ def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max-subtraction; every row sums to 1."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
-        raise ShapeError(f"expected a 2-d array, got shape {m.shape}")
+        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(_NOT_FINITE)
     e = _shifted_exp(m)

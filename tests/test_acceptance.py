@@ -214,7 +214,7 @@ def test_criterion_6_plausibility_and_combination_algebra():
 
 
 def test_criterion_7_kde():
-    single = kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_x=0.5, h_y=0.5)
+    single = kde2d([(0.0, 0.0)], [(0.0, 0.0)], h=0.5)
     assert abs(single[0] - 2.0 / math.pi) <= 1e-9
     rng = np.random.default_rng(3)
     axis = np.arange(-5.0, 6.0, 0.1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,12 +65,12 @@ def test_uniform_prediction_strictly_decreasing_in_generated_length():
 
 
 def test_kde_single_point_closed_form():
-    density = kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_x=0.5, h_y=0.5)
+    density = kde2d([(0.0, 0.0)], [(0.0, 0.0)], h=0.5)
     assert density[0] == pytest.approx(2.0 / math.pi, abs=1e-12)
 
 
 def test_kde_far_query_decays():
-    density = kde2d([(0.0, 0.0)], [(10.0, 10.0)], h_x=0.5, h_y=0.5)
+    density = kde2d([(0.0, 0.0)], [(10.0, 10.0)], h=0.5)
     assert density[0] < 1e-10
 
 
@@ -93,21 +94,20 @@ def test_kde_integrates_to_one():
 def test_kde_input_validation():
     with pytest.raises(ValueError):
         kde2d([], [(0.0, 0.0)])
-    with pytest.raises(ValueError):
-        kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_x=0.0)
+    with pytest.raises(ValueError, match=r"^h must be positive and finite, got 0\.0$"):
+        kde2d([(0.0, 0.0)], [(0.0, 0.0)], h=0.0)
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -0.5])
 def test_kde_rejects_bandwidths_that_are_not_positive_and_finite(h):
-    with pytest.raises(ValueError, match="positive and finite"):
-        kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_x=h)
-    with pytest.raises(ValueError, match="positive and finite"):
-        kde2d([(0.0, 0.0)], [(0.0, 0.0)], h_y=h)
+    rule = "be positive and finite" if math.isfinite(h) else "be a finite number"
+    with pytest.raises(ValueError, match=f"^h must {rule}, got {h}$"):
+        kde2d([(0.0, 0.0)], [(0.0, 0.0)], h=h)
 
 
 def test_kde_reads_bandwidths_as_numbers():
-    with pytest.raises(ConfigError, match="^h_x must be a finite number, got '1'$"):
-        kde2d([(0.0, 0.0)], [(0.0, 0.0)], "1", 1)
+    with pytest.raises(ConfigError, match="^h must be a finite number, got '1'$"):
+        kde2d([(0.0, 0.0)], [(0.0, 0.0)], "1")
 
 
 @pytest.mark.parametrize("name", ["points", "grid"])
@@ -122,13 +122,14 @@ def test_kde_tiny_bandwidths_give_finite_densities_or_an_error():
     pts, grid = [(0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
     # 1e-154 squared is still a normal float; the kernels between distinct
     # locations overflow their exponent and are zero.
-    density = kde2d(pts, grid, h_x=1e-154, h_y=1e-154)
-    assert density.tolist() == [kde_peak(1e-154, 1e-154) / 2, 0.0, kde_peak(1e-154, 1e-154) / 2]
+    density = kde2d(pts, grid, h=1e-154)
+    assert density.tolist() == [kde_peak(1e-154) / 2, 0.0, kde_peak(1e-154) / 2]
     for h in (1e-160, 1e-320, 5e-324):
-        assert kde_peak(h, h) == math.inf
-        with pytest.raises(ValueError, match="too small"):
-            kde2d(pts, grid, h_x=h, h_y=h)
-    assert kde_peak(0.5, 0.5) == pytest.approx(2.0 / math.pi)
+        assert kde_peak(h) == math.inf
+        message = f"^h {h} is too small: the peak density 1/\\(2\\*pi\\*h\\*\\*2\\) overflows$"
+        with pytest.raises(ValueError, match=message):
+            kde2d(pts, grid, h=h)
+    assert kde_peak(0.5) == pytest.approx(2.0 / math.pi)
 
 
 def test_kde_in_blocks_matches_one_block(monkeypatch):
@@ -251,7 +252,8 @@ def test_from_trace_reads_each_position_of_the_layer_major_record():
 
 @pytest.mark.parametrize("counts", [(-1, 2, 3), (2, -1, 3), (2, 2, -1)])
 def test_synthetic_uniform_trace_rejects_negative_counts(counts):
-    with pytest.raises(ValueError, match="non-negative"):
+    name = ("l_image", "l_others", "l_gen")[counts.index(-1)]
+    with pytest.raises(ValueError, match=f"^{name} must be at least 0, got -1$"):
         synthetic_uniform_trace(*counts)
 
 
@@ -268,3 +270,21 @@ def test_from_trace_marks_the_last_n_generated_text_positions(l_image):
         with pytest.raises(TraceError, match=f"{n_generated} generated tokens"):
             ImageAttentionStat.from_trace(trace, n_generated)
 
+
+
+@pytest.mark.parametrize(
+    "call, error, problem",
+    [
+        (lambda: uniform_attention_prediction(-1, 2, 3), ConfigError,
+         "l_image must be at least 0, got -1"),
+        (lambda: kde2d([(0.0, 0.0)], [(0.0, 0.0, 0.0)]), ValueError, "grid must have shape (m, 2)"),
+        (lambda: kde2d(np.zeros((0, 2)), [(0.0, 0.0)]), ValueError, "need at least one point"),
+        (lambda: degradation_report(
+            ImageAttentionStat.from_trace(synthetic_uniform_trace(1, 2, 0), 0)
+        ), ValueError, "need at least one generated token"),
+    ],
+    ids=["uniform-negative-length", "kde-grid-shape", "kde-no-points", "report-no-generated"],
+)
+def test_analysis_errors_pin_their_messages(call, error, problem):
+    with pytest.raises(error, match=f"^{re.escape(problem)}$"):
+        call()

@@ -633,7 +633,8 @@ def test_sweep_rejects_non_finite_alpha(tmp_path, capsys, alpha):
     cfg = write_config(tmp_path)
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--alphas", alpha]) == 2
-    assert "alpha must be non-negative and finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: --alphas: alpha must be a finite number, got {alpha}\n" in err
     assert not out.exists()
 
 
@@ -643,7 +644,7 @@ def test_sweep_rejects_non_finite_alpha(tmp_path, capsys, alpha):
         ("--strategies", "low,random",
          "--strategies: anchor_strategy must be one of low_attention, high_attention, random, "
          "got 'low'"),
-        ("--alphas", "1,inf", "--alphas: alpha must be non-negative and finite"),
+        ("--alphas", "1,inf", "--alphas: alpha must be a finite number, got inf"),
         ("--alphas", "1,x", "--alphas: bad list value"),
         ("--lambdas", "0.5,0", "--lambdas: anchor_ratio must lie in (0, 1]"),
         ("--betas", "1.5", "--betas: beta must lie in [0, 1]"),
@@ -805,3 +806,71 @@ def test_metrics_record_errors_name_the_key_or_type(tmp_path, capsys, line, prob
 
 def test_metrics_without_inputs_exits_2():
     assert main(["metrics"]) == 2
+
+
+def run_dir(tmp_path, generation: str, trace: str | None) -> str:
+    """A decode output directory holding these generation.json and trace.csv
+    texts; no trace.csv when trace is None."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "generation.json").write_text(generation, encoding="utf-8")
+    if trace is not None:
+        (run / "trace.csv").write_text(trace, encoding="utf-8")
+    return str(run)
+
+
+ONE_TOKEN_RUN = json.dumps(
+    {"request": {"image_count": 0, "prompt_tokens": [1]}, "result": {"tokens": [2]}}
+)
+TRACE_HEADER = "step,layer,head,att_image\n"
+
+
+def json_file(tmp_path, text: str) -> str:
+    path = tmp_path / "given.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (lambda tmp: ["decode", "--config", str(write_config(tmp, image_count=-1))],
+         "image_count must be at least 0, got -1"),
+        (lambda tmp: ["decode", "--config", json_file(tmp, "{")],
+         "{tmp}/given.json: invalid JSON (Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1))"),
+        (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, "a,b\n")],
+         "{tmp}/run/trace.csv: not a trace file (header ['a', 'b'])"),
+        (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, None)],
+         "file not found: {tmp}/run/trace.csv"),
+        (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, TRACE_HEADER + "0,0,x,1\n")],
+         "{tmp}/run/trace.csv: malformed trace (invalid literal for int() with base 10: 'x')"),
+        (lambda tmp: ["analyze", run_dir(tmp, '{"request": {}}', None)],
+         "{tmp}/run/generation.json: malformed ('result')"),
+        (lambda tmp: ["sweep", "--config", str(write_config(tmp)),
+                      "--ground-truth-tokens", json_file(tmp, '{"tokens": [1]}')],
+         "ground truth file must hold a JSON array of token ids"),
+        (lambda tmp: ["metrics", "--binary", "1,2,3"],
+         "--binary needs four comma-separated counts: tp,fp,fn,tn"),
+    ],
+    ids=["config-image-count", "config-invalid-json", "trace-header", "trace-missing",
+         "trace-malformed-row", "generation-malformed", "ground-truth-not-array",
+         "binary-three-counts"],
+)
+def test_cli_errors_pin_their_messages(tmp_path, capsys, argv, problem):
+    out = tmp_path / "out"
+    assert main([*argv(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {problem.format(tmp=tmp_path)}\n"
+    assert not out.exists()
+
+
+def test_metrics_writes_its_report_to_out(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["metrics", "--binary", "1,2,3,4", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text(encoding="utf-8") == printed
+    precision, recall = 1 / 3, 1 / 4
+    f1 = 2 * precision * recall / (precision + recall)
+    assert json.loads(printed) == {
+        "accuracy": 0.5, "precision": precision, "recall": recall, "f1": f1
+    }

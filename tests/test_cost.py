@@ -138,15 +138,16 @@ def test_dual_path_overhead_bounds():
         (dual_path_overhead, (1, 1, 1, 0, 3, 2.5, 0.5), "n_new must be an integer, got 2.5"),
         (dual_path_overhead, (1, 1, 1, True, 3, 2, 0.5), "l_image must be an integer, got True"),
         (dual_path_overhead, (1, 1, 1, 0, 3.5, 2, 0.5), "l_prompt must be an integer, got 3.5"),
-        (dual_path_overhead, (1, 1, 1, -1, 3, 2, 0.5), "l_image must be non-negative, got -1"),
+        (dual_path_overhead, (1, 1, 1, -1, 3, 2, 0.5), "l_image must be at least 0, got -1"),
         (dual_path_overhead, (1, 1, 1, 0, 0, 2, 0.5), "l_prompt must be a positive finite number"),
+        (growth_rate_closed_form, (4, 4, 5, 0.5), "text length 5 exceeds sequence length 4"),
     ],
     ids=[
         "step-bool", "step-string", "step-numpy-bool", "original-nan", "original-inf",
         "closed-form-nan", "closed-form-nan-ratio", "compressed-string-ratio",
         "compressed-bool-ratio", "overhead-fractional-n-new",
         "overhead-bool-l-image", "overhead-fractional-l-prompt", "overhead-negative-l-image",
-        "overhead-empty-prompt",
+        "overhead-empty-prompt", "closed-form-text-past-sequence",
     ],
 )
 def test_cost_inputs_raise_a_value_error_naming_the_argument(call, args, message):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ikod import decode
-from ikod.attn_analysis import segment_averages
+from ikod.attn_analysis import ImageAttentionStat, degradation_report, segment_averages
 from ikod.decode import (
     EOS_TOKEN,
     BaseStrategy,
@@ -31,7 +31,7 @@ from ikod.model import (
     TinyDecoder,
     make_image_embeddings,
 )
-from ikod.numerics import Rng, ShapeError, softmax_rows
+from ikod.numerics import Rng, softmax_rows
 
 
 def test_plausibility_hand_case():
@@ -60,7 +60,7 @@ def test_plausibility_mask_rejects_what_is_not_a_finite_distribution(p_orig):
 @pytest.mark.parametrize(
     "beta, message",
     [("0.5", "beta must be a finite number"), (None, "beta must be a finite number"),
-     (True, "beta must be a finite number"), (np.nan, r"beta must lie in \[0, 1\]"),
+     (True, "beta must be a finite number"), (np.nan, "beta must be a finite number, got nan"),
      (1.5, r"beta must lie in \[0, 1\]")],
 )
 def test_plausibility_mask_rejects_a_beta_that_is_not_a_number_in_range(beta, message):
@@ -107,7 +107,7 @@ def test_combine_equal_paths_keep_the_argmax():
 
 
 def test_combine_size_mismatch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"^distribution sizes differ: \(2,\) vs \(1,\)$"):
         collaborative_combine([0.5, 0.5], [1.0], 1.0, [True, True])
 
 
@@ -191,11 +191,11 @@ temperatures = st.none() | st.floats(0.0, 1e308, exclude_min=True)
     u=st.floats(0.0, 1.0, exclude_max=True),
 )
 def test_base_select_never_picks_a_zero_score_token(scores, base, u):
-    class FixedDraw:  # the one uniform base_select asks for, edges included
+    class FixedDraw(Rng):  # the one uniform base_select asks for, edges included
         def next_uniform(self):
             return u
 
-    assert scores[base_select(np.array(scores), base, FixedDraw())] > 0.0
+    assert scores[base_select(np.array(scores), base, FixedDraw(0))] > 0.0
 
 
 def test_base_strategy_validation():
@@ -207,8 +207,10 @@ def test_base_strategy_validation():
         BaseStrategy(kind="top_p", p=0.0)
     with pytest.raises(ValueError):
         BaseStrategy(kind="top_k", k=5, temperature=-1.0)
+    with pytest.raises(ValueError, match="^temperature must be positive and finite$"):
+        BaseStrategy(kind="top_p", p=0.9, temperature=0.0)
     for bad in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^temperature must be a finite number, got {bad}$"):
             BaseStrategy(kind="top_p", p=0.9, temperature=bad)
     assert BaseStrategy(kind="top_p", p=1).p == 1.0
     with pytest.raises(ValueError, match="^kind must be greedy, top_k or top_p, got 'nucleus'$"):
@@ -232,7 +234,8 @@ def test_base_strategy_rejects_fields_its_kind_does_not_read(given, problem):
 
 @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), -0.5])
 def test_policy_rejects_negative_and_non_finite_alpha(alpha):
-    with pytest.raises(ValueError, match="alpha must be non-negative and finite"):
+    rule = "be non-negative and finite" if alpha < 0 else f"be a finite number, got {alpha}"
+    with pytest.raises(ValueError, match=f"^alpha must {rule}$"):
         DecodePolicy(alpha=alpha)
 
 
@@ -727,13 +730,14 @@ def test_base_select_rejects_non_finite_scores():
 
 def test_combine_rejects_a_mask_of_another_shape():
     for mask in ([True], [True, False, True], [[True, False]]):
-        with pytest.raises(ShapeError, match="mask shape"):
+        with pytest.raises(ValueError, match="mask shape"):
             collaborative_combine([0.5, 0.5], [0.5, 0.5], 1.0, mask)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
 def test_combine_rejects_negative_and_non_finite_alpha(alpha):
-    with pytest.raises(ValueError, match="^alpha must be non-negative and finite$"):
+    rule = "be non-negative and finite" if alpha < 0 else f"be a finite number, got {alpha}"
+    with pytest.raises(ValueError, match=f"^alpha must {rule}$"):
         collaborative_combine([0.5, 0.5], [0.5, 0.5], alpha, [True, True])
 
 
@@ -796,6 +800,52 @@ def test_library_calls_name_an_argument_of_the_wrong_type(call, problem):
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
         call(model, cache)
     assert cache.length == 0
+
+
+NO_TOKENS = "tokens must be a list or tuple of token ids, got None"
+
+
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (lambda model: prefill(model, Prompt(np.zeros((0, 16)), None)), NO_TOKENS),
+        (lambda model: decode.check_request(model, Prompt(np.zeros((0, 16)), None), DecodePolicy()),
+         NO_TOKENS),
+        (lambda model: base_select(np.ones(3), BaseStrategy("top_k", k=1), "x"),
+         "rng must be a Rng, got 'x'"),
+        (lambda model: build_merge_plan(np.ones((2, 6)), 0.5, "random", "x"),
+         "rng must be a Rng, got 'x'"),
+        (lambda model: degradation_report(ImageAttentionStat(None, None)),
+         "values must be a ndarray, got None"),
+        (lambda model: ImageAttentionStat(np.zeros((3, 1, 1)), np.ones(2, dtype=bool)),
+         "values must be an (n_steps, n_layers, n_heads) array and generated its (n_steps,) "
+         "booleans, got shapes (3, 1, 1) and (2,)"),
+    ],
+    ids=["prefill-tokens", "check_request-tokens", "base_select-rng", "build_merge_plan-rng",
+         "stat-values", "stat-generated"],
+)
+def test_library_calls_name_a_malformed_field_or_rng(call, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        call(make_model())
+
+
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (lambda model: base_select(np.ones((2, 2)), BaseStrategy(), None),
+         "scores must be one-dimensional"),
+        (lambda model: prefill(model, Prompt(np.zeros((2, 3)), (1, 2))),
+         "image embeddings must have shape (n, 16)"),
+        (lambda model: prefill(model, Prompt(np.zeros((0, 16)), ())),
+         "prompt needs at least one text token"),
+        (lambda model: decode.check_counts(96, 0, 0, DecodePolicy()),
+         "prompt needs at least one text token"),
+    ],
+    ids=["base_select-2d-scores", "prompt-image-shape", "prefill-no-tokens", "counts-no-tokens"],
+)
+def test_decode_errors_pin_their_messages(call, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        call(make_model())
 
 
 def test_a_request_without_a_policy_is_rejected_by_name():

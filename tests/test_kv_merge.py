@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -801,3 +803,17 @@ def test_upcoming_scores_add_one_unread_column():
     assert recorded.shape == (2, 3) and upcoming.shape == (2, 4)
     assert upcoming[:, :3].tobytes() == recorded.tobytes()
     assert np.isnan(upcoming[:, 3]).all()
+
+
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (lambda: build_merge_plan(np.ones(6), 0.5), "scores must be (n_layers, text_len)"),
+        (lambda: merge_cache(hand_cache(), MergePlan([[0], [1]], 5)),
+         "plan layer count does not match the cache"),
+    ],
+    ids=["plan-1d-scores", "merge-layer-count"],
+)
+def test_merge_errors_pin_their_messages(call, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        call()

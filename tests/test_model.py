@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -554,3 +555,29 @@ def test_config_objects_round_trip_through_their_json(obj):
     if isinstance(obj, DecodePolicy):
         assert list(doc["base"]) == written_keys(obj.base)
         assert doc["mode"] == obj.mode.value and doc["anchor_strategy"] == obj.anchor_strategy.value
+
+
+@pytest.mark.parametrize(
+    "call, error, problem",
+    [
+        (lambda model: make_image_embeddings(-1, 8, 0), ConfigError,
+         "count must be at least 0, got -1"),
+        (lambda model: make_image_embeddings(1, 0, 0), ConfigError,
+         "d_model must be at least 1, got 0"),
+        (lambda model: model.content_embedding(np.zeros(3)), ValueError,
+         "embedding must have shape (8,), got (3,)"),
+        (lambda model: model.forward_query(np.zeros((2, 2, 1, 4)), np.zeros((2, 2, 1, 4)), 32, 1),
+         CapacityError, "position 32 outside capacity 32"),
+        (lambda model: model.forward_full(np.zeros((2, 3))), ValueError,
+         "embeddings must have shape (n, 8)"),
+        (lambda model: model.forward_full(np.zeros((0, 8))), ValueError,
+         "need at least one position"),
+        (lambda model: model.forward_full(np.zeros((33, 8))), CapacityError,
+         "length 33 exceeds max_seq 32"),
+    ],
+    ids=["image-count", "image-d_model", "embedding-shape", "query-position", "full-shape",
+         "full-empty", "full-too-long"],
+)
+def test_model_errors_pin_their_messages(call, error, problem):
+    with pytest.raises(error, match=f"^{re.escape(problem)}$"):
+        call(TinyDecoder(small_config()))

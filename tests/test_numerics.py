@@ -166,3 +166,8 @@ def test_uniform_block_takes_a_finite_number_as_its_scale(scale):
     with pytest.raises(ValueError, match=f"^scale must be a finite number, got {scale!r}$"):
         rng.next_uniform_block(2, scale)
     assert rng.state == 3
+
+
+def test_softmax_rows_rejects_an_array_that_is_not_2d():
+    with pytest.raises(ValueError, match=r"^expected a 2-d array, got shape \(3,\)$"):
+        softmax_rows(np.zeros(3))
