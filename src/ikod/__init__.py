@@ -45,7 +45,6 @@ from .kv_merge import (
 from .metrics import BinaryMetrics, BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores
 from .model import (
     CapacityError,
-    ConfigError,
     LayeredKvCache,
     ModelConfig,
     TinyDecoder,

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LayeredKvCache, TraceError, _require_type, require_float, require_int
+from .model import LayeredKvCache
+from .numerics import _require_type, require_array, require_float, require_int
 
 __all__ = [
     "ImageAttentionStat",
@@ -46,7 +47,7 @@ class ImageAttentionStat:
         n, text_len = cache.length, cache.length - cache.l_image
         n_generated = require_int(n_generated, "n_generated")
         if not 0 <= n_generated <= text_len:
-            raise TraceError(
+            raise ValueError(
                 f"{n_generated} generated tokens do not fit the cache's {text_len} text positions"
             )
         values = cache.image_att[:, :, :n].transpose(2, 0, 1).copy()
@@ -102,6 +103,7 @@ def uniform_attention_prediction(l_image: int, l_others: int, l_gen: int) -> flo
 def kde_peak(h: float) -> float:
     """The largest density kde2d can return, 1 / (2 pi h^2), reached at a
     lone point's own location; inf when that overflows a float."""
+    h = require_float(h, "h")
     area = 2.0 * math.pi * h * h
     return 1.0 / area if area > 0.0 else math.inf
 
@@ -131,12 +133,8 @@ def kde2d(points, grid, h: float = 0.5) -> np.ndarray:
     u = (g_x - x_i)/h, v = (g_y - y_i)/h. A bandwidth so small that the
     peak density (kde_peak) overflows is rejected.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    g = np.asarray(grid, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must have shape (n, 2)")
-    if g.ndim != 2 or g.shape[1] != 2:
-        raise ValueError("grid must have shape (m, 2)")
+    pts = require_array(points, "points", ("n", 2))
+    g = require_array(grid, "grid", ("m", 2))
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
     for name, array in (("points", pts), ("grid", g)):

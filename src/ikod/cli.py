@@ -31,16 +31,8 @@ from .cost import growth_rate_closed_form, growth_rate_exact, ikod_flops, origin
 from .decode import DecodePolicy, Mode, Prompt, check_counts, ikod_generate, prefill
 from .kv_merge import MergePlan
 from .metrics import BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores, load_caption_records
-from .model import (
-    CapacityError,
-    ConfigError,
-    ModelConfig,
-    TinyDecoder,
-    make_image_embeddings,
-    read_config,
-    require_int,
-    require_seed,
-)
+from .model import CapacityError, ModelConfig, TinyDecoder, make_image_embeddings, read_config
+from .numerics import require_int, require_seed
 
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
@@ -64,12 +56,12 @@ class RunConfig:
     policy: DecodePolicy = field(default_factory=DecodePolicy)
 
     def __post_init__(self):
-        require_int(self.image_count, "image_count", 0)
+        object.__setattr__(self, "image_count", require_int(self.image_count, "image_count", 0))
         seed = self.model.seed if self.image_seed is _MODEL_SEED else self.image_seed
         object.__setattr__(self, "image_seed", require_seed(seed, "image_seed"))
         tokens = self.prompt_tokens
         if not isinstance(tokens, (list, tuple)):
-            raise ConfigError(f"prompt_tokens must be a JSON array of token ids, got {tokens!r}")
+            raise ValueError(f"prompt_tokens must be a JSON array of token ids, got {tokens!r}")
         tokens = tuple(require_int(t, f"prompt_tokens[{i}]") for i, t in enumerate(tokens))
         object.__setattr__(self, "prompt_tokens", tokens)
 
@@ -79,9 +71,9 @@ def _load_json(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}") from None
+        raise ValueError(f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
 
 
 def load_run_config(path) -> RunConfig:
@@ -114,7 +106,7 @@ def _build_model(cfg: ModelConfig) -> TinyDecoder:
     try:
         return TinyDecoder(cfg)
     except MemoryError:
-        raise ConfigError(
+        raise ValueError(
             f"model of max_seq {cfg.max_seq}, d_model {cfg.d_model}, d_ff {cfg.d_ff} and "
             f"vocab_size {cfg.vocab_size} is too large to hold in memory"
         ) from None
@@ -174,25 +166,26 @@ def _read_trace_csv(path: Path) -> np.ndarray:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header != ["step", "layer", "head", "att_image"]:
-                raise ConfigError(f"{path}: not a trace file (header {header})")
-            entries = [(int(s), int(li), int(h), float(a)) for s, li, h, a in reader]
+            if header == ["step", "layer", "head", "att_image"]:
+                entries = [(int(s), int(li), int(h), float(a)) for s, li, h, a in reader]
+            else:
+                entries = None  # rows under another header are never read
     except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}") from None
-    except ConfigError:  # the header's, a ValueError the next clause would wrap
-        raise
+        raise ValueError(f"file not found: {path}") from None
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: malformed trace ({exc})") from None
+        raise ValueError(f"{path}: malformed trace ({exc})") from None
+    if entries is None:
+        raise ValueError(f"{path}: not a trace file (header {header})")
     if not entries:
-        raise ConfigError(f"{path}: empty trace")
+        raise ValueError(f"{path}: empty trace")
     if min(min(e[:3]) for e in entries) < 0:
-        raise ConfigError(f"{path}: negative step, layer or head index")
+        raise ValueError(f"{path}: negative step, layer or head index")
     cells: dict[tuple[int, int, int], float] = {}
     for s, li, h, a in entries:
         if (s, li, h) in cells:
-            raise ConfigError(f"{path}: duplicate cell step {s}, layer {li}, head {h}")
+            raise ValueError(f"{path}: duplicate cell step {s}, layer {li}, head {h}")
         if not math.isfinite(a):
-            raise ConfigError(
+            raise ValueError(
                 f"{path}: non-finite att_image {a!r} at step {s}, layer {li}, head {h}"
             )
         cells[s, li, h] = a
@@ -205,7 +198,7 @@ def _read_trace_csv(path: Path) -> np.ndarray:
         flat = ((s * n_layers + li) * n_heads + h for s, li, h in order)
         i = next((i for i, f in enumerate(flat) if f != i), len(order))
         s, li, h = i // (n_layers * n_heads), i // n_heads % n_layers, i % n_heads
-        raise ConfigError(f"{path}: missing cell step {s}, layer {li}, head {h}")
+        raise ValueError(f"{path}: missing cell step {s}, layer {li}, head {h}")
     return np.array([cells[c] for c in order]).reshape(shape)
 
 
@@ -217,15 +210,15 @@ def _read_run(run_dir: Path) -> ImageAttentionStat:
         request, tokens = gen["request"], gen["result"]["tokens"]
         image_count, prompt_tokens = request["image_count"], request["prompt_tokens"]
     except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{run_dir}/generation.json: malformed ({exc})") from None
+        raise ValueError(f"{run_dir}/generation.json: malformed ({exc})") from None
     image_count = require_int(image_count, "request.image_count", 0)
     for name, value in (("request.prompt_tokens", prompt_tokens), ("result.tokens", tokens)):
         if not isinstance(value, list):
-            raise ConfigError(f"{name} must be a JSON array, got {value!r}")
+            raise ValueError(f"{name} must be a JSON array, got {value!r}")
     values = _read_trace_csv(run_dir / "trace.csv")
     steps = image_count + len(prompt_tokens) + len(tokens)
     if values.shape[0] != steps:
-        raise ConfigError(
+        raise ValueError(
             f"{run_dir}/trace.csv holds {values.shape[0]} steps, generation.json describes {steps}"
         )
     return ImageAttentionStat(values=values, generated=np.arange(steps) >= steps - len(tokens))
@@ -235,7 +228,7 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     # Every argument is checked before the first file is written.
     if not 1 <= args.kde_grid <= KDE_GRID_MAX:
-        raise ConfigError(f"--kde-grid must be between 1 and {KDE_GRID_MAX}, got {args.kde_grid}")
+        raise ValueError(f"--kde-grid must be between 1 and {KDE_GRID_MAX}, got {args.kde_grid}")
     _require_bandwidth(args.bandwidth, "--bandwidth")
     if args.synthetic_uniform:
         require_int(args.image_count, "--image-count", 0)
@@ -243,7 +236,7 @@ def cmd_analyze(args) -> int:
         require_int(args.gen_count, "--gen-count", 1)
         total = args.image_count + args.other_count + args.gen_count
         if total > SYNTHETIC_POSITIONS_MAX:
-            raise ConfigError(
+            raise ValueError(
                 f"--image-count, --other-count and --gen-count describe {total} positions, "
                 f"more than the {SYNTHETIC_POSITIONS_MAX} a synthetic trace may hold"
             )
@@ -252,7 +245,7 @@ def cmd_analyze(args) -> int:
     elif args.run_dir:
         stat = _read_run(Path(args.run_dir))
     else:
-        raise ConfigError("pass a decode output directory or --synthetic-uniform")
+        raise ValueError("pass a decode output directory or --synthetic-uniform")
     report = degradation_report(stat)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,7 +285,7 @@ def _parse_list(text: str, convert):
     try:
         return [convert(part) for part in items]
     except ValueError as exc:
-        raise ConfigError(f"bad list value: {exc}") from None
+        raise ValueError(f"bad list value: {exc}") from None
 
 
 def _sweep_axis(text: str | None, flag: str, policy: DecodePolicy, name: str) -> list:
@@ -305,7 +298,7 @@ def _sweep_axis(text: str | None, flag: str, policy: DecodePolicy, name: str) ->
     try:
         return [getattr(replace(policy, **{name: v}), name) for v in _parse_list(text, convert)]
     except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def cmd_sweep(args) -> int:
@@ -319,7 +312,7 @@ def cmd_sweep(args) -> int:
     )
     grid = list(itertools.product(*(_sweep_axis(t, f, base_policy, n) for t, f, n in axes)))
     if not grid:
-        raise ConfigError("empty sweep grid")
+        raise ValueError("empty sweep grid")
 
     policies = [
         replace(base_policy, anchor_ratio=lam, alpha=alpha, beta=beta, anchor_strategy=strat)
@@ -332,7 +325,7 @@ def cmd_sweep(args) -> int:
     if args.ground_truth_tokens:
         gt = _load_json(args.ground_truth_tokens)
         if not isinstance(gt, list):
-            raise ConfigError("ground truth file must hold a JSON array of token ids")
+            raise ValueError("ground truth file must hold a JSON array of token ids")
         gt_tokens = {str(require_int(t, f"ground truth token [{i}]")) for i, t in enumerate(gt)}
     for policy in policies:
         check_counts(rc.model.max_seq, rc.image_count, len(rc.prompt_tokens), policy)
@@ -384,7 +377,7 @@ def _report(doc: dict, out: str | None) -> int:
 
 def cmd_flops(args) -> int:
     if args.text_len >= args.seq_len:
-        raise ConfigError(
+        raise ValueError(
             f"text length {args.text_len} must be smaller than sequence length {args.seq_len}"
         )
     try:
@@ -399,7 +392,7 @@ def cmd_flops(args) -> int:
             ),
         }
     except OverflowError:
-        raise ConfigError(
+        raise ValueError(
             "--layers, --seq-len, --hidden and --text-len give costs too large for a float"
         ) from None
     return _report(doc, args.out)
@@ -414,13 +407,13 @@ def cmd_metrics(args) -> int:
     if args.binary:
         counts = _parse_list(args.binary, int)
         if len(counts) != 4:
-            raise ConfigError("--binary needs four comma-separated counts: tp,fp,fn,tn")
+            raise ValueError("--binary needs four comma-separated counts: tp,fp,fn,tn")
         m = binary_metrics(BinaryOutcomes(*counts))
         doc.update(
             {"accuracy": m.accuracy, "precision": m.precision, "recall": m.recall, "f1": m.f1}
         )
     if not doc:
-        raise ConfigError("nothing to compute: pass --records and/or --binary")
+        raise ValueError("nothing to compute: pass --records and/or --binary")
     return _report(doc, args.out)
 
 
@@ -490,7 +483,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

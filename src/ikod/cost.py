@@ -26,7 +26,7 @@ import math
 import numbers
 
 from .kv_merge import _require_anchor_ratio, anchor_count
-from .model import require_int
+from .numerics import require_int
 
 __all__ = [
     "compressed_len",

@@ -40,18 +40,9 @@ from .kv_merge import (
     layer_scores,
     merge_cache,
 )
-from .model import (
-    CapacityError,
-    LayeredKvCache,
-    TinyDecoder,
-    _require_type,
-    json_fields,
-    require_float,
-    require_int,
-    require_member,
-    require_seed,
-)
-from .numerics import Rng, softmax_rows
+from .model import CapacityError, LayeredKvCache, TinyDecoder, json_fields
+from .numerics import Rng, _require_type, require_array, require_float, require_int
+from .numerics import require_member, require_seed, softmax_rows
 
 __all__ = [
     "EOS_TOKEN",
@@ -163,24 +154,17 @@ def plausibility_mask(p_orig, beta: float) -> np.ndarray:
     always kept. p_orig must be a non-empty 1-D array of finite numbers.
     """
     beta = _require_beta(beta)
-    try:
-        p = np.asarray(p_orig, dtype=np.float64)
-    except (TypeError, ValueError):  # non-numbers, ragged rows
-        p = np.empty(0)
-    if p.ndim != 1 or p.size == 0 or not np.isfinite(p).all():
+    p = require_array(p_orig, "p_orig", ("n",))
+    if p.size == 0 or not np.isfinite(p).all():
         raise ValueError("p_orig must be a non-empty 1-D array of finite numbers")
     return p >= beta * p.max()
 
 
 def collaborative_combine(p_orig, p_aug, alpha: float, v_head) -> np.ndarray:
     """p_orig + alpha * p_aug, zeroed outside the admissible set."""
-    p_orig = np.asarray(p_orig, dtype=np.float64)
-    p_aug = np.asarray(p_aug, dtype=np.float64)
-    v_head = np.asarray(v_head, dtype=bool)
-    if p_orig.shape != p_aug.shape:
-        raise ValueError(f"distribution sizes differ: {p_orig.shape} vs {p_aug.shape}")
-    if v_head.shape != p_orig.shape:
-        raise ValueError(f"mask shape {v_head.shape} differs from distributions of {p_orig.shape}")
+    p_orig = require_array(p_orig, "p_orig", ("n",))
+    p_aug = require_array(p_aug, "p_aug", p_orig.shape)
+    v_head = require_array(v_head, "v_head", p_orig.shape, dtype=bool)
     alpha = _require_alpha(alpha)
     return np.where(v_head, p_orig + alpha * p_aug, 0.0)
 
@@ -194,9 +178,7 @@ def base_select(scores, base: BaseStrategy, rng: Rng | None) -> int:
     renormalize again, and draw by inverse CDF from the seeded generator rng.
     """
     _require_type(base, BaseStrategy, "base")
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError("scores must be one-dimensional")
+    s = require_array(scores, "scores", ("n",))
     if not (s >= 0).all():  # NaN fails the comparison too
         raise ValueError("scores must be non-negative numbers")
     total = s.sum()
@@ -277,13 +259,7 @@ def _softmax_vec(logits: np.ndarray) -> np.ndarray:
 
 
 def _prompt_images(model: TinyDecoder, prompt: Prompt) -> np.ndarray:
-    d_model = model.config.d_model
-    images = np.asarray(prompt.image_embeddings, dtype=np.float64)
-    if images.size == 0:
-        images = images.reshape(0, d_model)
-    if images.ndim != 2 or images.shape[1] != d_model:
-        raise ValueError(f"image embeddings must have shape (n, {d_model})")
-    return images
+    return require_array(prompt.image_embeddings, "image_embeddings", ("n", model.config.d_model))
 
 
 class _StepTree:

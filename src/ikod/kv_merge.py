@@ -23,9 +23,9 @@ from enum import Enum
 
 import numpy as np
 
-from .model import CapacityError, LayeredKvCache, _require_type, require_float, require_int
-from .model import require_member
-from .numerics import Rng
+from .model import CapacityError, LayeredKvCache
+from .numerics import Rng, _require_type, require_array, require_float, require_int
+from .numerics import require_member
 
 __all__ = [
     "AnchorStrategy",
@@ -153,14 +153,9 @@ def _anchor_buckets(anchors, text_len: int) -> tuple[np.ndarray, np.ndarray, np.
     hi_max = text_len - 3
     if hi_max < 0:
         raise ValueError(f"text sequence of {text_len} tokens has no mergeable range")
-    try:
-        given = np.asarray(anchors)
-    except ValueError:  # rows of different lengths
-        raise ValueError("anchors must be an (n_layers, k) array, got ragged rows") from None
-    if given.ndim != 2 or given.shape[0] == 0:
-        raise ValueError(f"anchors must be an (n_layers, k) array, got shape {given.shape}")
-    if given.shape[1] == 0:
-        raise ValueError("need at least one anchor")
+    given = require_array(anchors, "anchors", ("n_layers", "k"), dtype=None)
+    if given.size == 0:
+        raise ValueError("need at least one layer and at least one anchor")
     if given.dtype.kind not in "iu":
         raise ValueError(f"anchors must be integers, got {given.dtype}")
     anchors = given.astype(np.int64)
@@ -190,9 +185,7 @@ def build_merge_plan(
     highest; score ties break toward the lower index. RANDOM draws without
     replacement from the supplied generator, layer by layer.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError("scores must be (n_layers, text_len)")
+    scores = require_array(scores, "scores", ("n_layers", "text_len"))
     strategy = require_member(AnchorStrategy, strategy, "strategy")
     T = scores.shape[1]
     k = anchor_count(T, anchor_ratio)

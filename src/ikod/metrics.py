@@ -4,10 +4,12 @@ classification scores. Labels compare by exact string equality."""
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .model import ConfigError, _require_type, read_config, require_int
+from .model import read_config
+from .numerics import _require_type, require_int
 
 __all__ = [
     "BinaryMetrics",
@@ -43,7 +45,7 @@ def chair_scores(records: Iterable[CaptionRecord]) -> tuple[float, float]:
     """(sentence rate, instance rate): the fraction of records mentioning any
     object missing from their ground truth, and the fraction of all mentions
     that are such objects."""
-    records = list(records)
+    records = list(_require_type(records, Iterable, "records"))
     if not records:
         raise ValueError("need at least one record")
     for i, record in enumerate(records):
@@ -102,6 +104,6 @@ def load_caption_records(path) -> list[CaptionRecord]:
                 records.append(read_config(CaptionRecord, json.loads(line), "record"))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: bad record ({exc})") from None
-            except ConfigError as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
     return records

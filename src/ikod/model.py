@@ -18,32 +18,25 @@ directly, with no full-size temporaries.
 from __future__ import annotations
 
 import math
-import numbers
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 
 import numpy as np
 
-from .numerics import _NOT_FINITE, Rng, _cache_aligned_empty
-from .numerics import softmax_causal_block, softmax_rows
+from .numerics import _NOT_FINITE, Rng, _cache_aligned_empty, _require_type, require_array
+from .numerics import require_int, require_seed, softmax_causal_block, softmax_rows
 
 __all__ = [
     "CapacityError",
-    "ConfigError",
     "FullOutput",
     "LayeredKvCache",
     "ModelConfig",
     "StepOutput",
     "TinyDecoder",
-    "TraceError",
     "json_fields",
     "make_image_embeddings",
     "read_config",
-    "require_float",
-    "require_int",
-    "require_member",
-    "require_seed",
     "sinusoidal_positions",
 ]
 
@@ -52,92 +45,25 @@ class CapacityError(RuntimeError):
     """The sequence no longer fits in the cache."""
 
 
-class ConfigError(ValueError):
-    """Model configuration violates an invariant."""
-
-
-class TraceError(ValueError):
-    """Attention rows or a recorded cache do not match the positions they claim."""
-
-
-def require_int(value, name: str, least: int | None = None) -> int:
-    """value as an int when it is a whole number, and at least least when
-    that is given; booleans, fractions, non-finite numbers, non-numbers and
-    smaller numbers raise a ConfigError naming the field."""
-    try:
-        whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"{name} must be at least {least}, got {int(value)}")
-    return int(value)
-
-
-def require_seed(value, name: str) -> int:
-    """require_int within 0..2**64 - 1, the seeds Rng takes as they are, so
-    no two seeds alias one stream."""
-    seed = require_int(value, name)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{name} must lie in [0, 2**64 - 1], got {seed}")
-    return seed
-
-
-def require_float(value, name: str) -> float:
-    """value as a float when it is a finite number; booleans, null, strings
-    and non-finite numbers raise a ConfigError naming the field."""
-    try:
-        finite = (
-            isinstance(value, numbers.Real)
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-        )
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def require_member(kind: type[Enum], value, name: str):
-    """value as a member of the enum kind; anything else raises a ConfigError
-    naming the field and listing the choices."""
-    try:
-        return kind(value)
-    except ValueError:
-        choices = ", ".join(member.value for member in kind)
-        raise ConfigError(f"{name} must be one of {choices}, got {value!r}") from None
-
-
-def _require_type(value, kind: type, name: str):
-    """value when it is a kind; anything else raises a ValueError naming the
-    argument, checked before any of its attributes is read."""
-    if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
-    return value
-
-
 def read_config(cls, value, name: str):
     """The dataclass cls built from the JSON object value found under the key
     name ("" for a file's top level); fields typed as dataclasses are read the
     same way from nested objects. A non-object, unknown or missing keys and
-    each field's ValueError raise a ConfigError naming the key, as in
+    each field's error raise a ValueError naming the key, as in
     policy.base.k."""
     where, prefix = name or "config", f"{name}." if name else ""
     if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
     declared = {f.name: f for f in fields(cls)}
     unknown = set(value) - set(declared)
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
     missing = [
         key for key, f in declared.items()
         if key not in value and f.default is MISSING and f.default_factory is MISSING
     ]
     if missing:
-        raise ConfigError(f"missing {where} keys: {missing}")
+        raise ValueError(f"missing {where} keys: {missing}")
     types = typing.get_type_hints(cls)
     given = {
         key: read_config(types[key], v, prefix + key) if is_dataclass(types[key]) else v
@@ -146,13 +72,15 @@ def read_config(cls, value, name: str):
     try:
         return cls(**given)
     except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from None
+        raise ValueError(f"{prefix}{exc}") from None
 
 
 def json_fields(obj) -> dict:
     """The dataclass obj as a JSON object, the inverse of read_config: fields
     in declaration order, None left out, enums by value, nested dataclasses
     as objects."""
+    if not is_dataclass(obj) or isinstance(obj, type):
+        raise ValueError(f"obj must be a dataclass instance, got {obj!r}")
     out = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -181,7 +109,7 @@ class ModelConfig:
             object.__setattr__(self, name, require_int(getattr(self, name), name, least))
         object.__setattr__(self, "seed", require_seed(self.seed, "seed"))
         if self.d_model % self.n_heads:
-            raise ConfigError(f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}")
+            raise ValueError(f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}")
 
     @property
     def d_head(self) -> int:
@@ -232,7 +160,7 @@ class LayeredKvCache:
         d_head, capacity = require_int(d_head, "d_head", 0), require_int(capacity, "capacity", 0)
         l_image = require_int(l_image, "l_image", 0)
         if l_image > capacity:
-            raise ConfigError(f"l_image must be at most capacity {capacity}, got {l_image}")
+            raise ValueError(f"l_image must be at most capacity {capacity}, got {l_image}")
         self.keys = np.zeros((n_layers, n_heads, capacity, d_head))
         self.values = np.zeros((n_layers, n_heads, capacity, d_head))
         self.l_image = l_image
@@ -247,9 +175,7 @@ class LayeredKvCache:
         n = self.length
         if n >= self.image_att.shape[2]:
             raise CapacityError(f"cache is full at {n} of {self.image_att.shape[2]} positions")
-        expected = (*self.image_att.shape[:2], n + 1)
-        if rows.shape != expected:
-            raise TraceError(f"expected rows of shape {expected}, got {rows.shape}")
+        rows = require_array(rows, "rows", (*self.image_att.shape[:2], n + 1))
         # An index gather lays the columns out as a boolean-mask gather does,
         # and sums them in its order.
         self.image_att[:, :, n] = np.add.reduce(rows[..., self._image_cols[: n + 1]], axis=-1)
@@ -261,6 +187,7 @@ class LayeredKvCache:
 
 
 def sinusoidal_positions(length: int, width: int) -> np.ndarray:
+    length, width = require_int(length, "length", 0), require_int(width, "width", 0)
     pos = np.arange(length, dtype=np.float64)[:, None]
     i = np.arange(width)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / width)
@@ -376,10 +303,7 @@ class TinyDecoder:
             if not 0 <= token < self.config.vocab_size:
                 raise ValueError(f"token {token} outside vocabulary of {self.config.vocab_size}")
             return self.embedding[token]
-        vec = np.asarray(inp, dtype=np.float64)
-        if vec.shape != (self.config.d_model,):
-            raise ValueError(f"embedding must have shape ({self.config.d_model},), got {vec.shape}")
-        return vec
+        return require_array(inp, "inp", (self.config.d_model,))
 
     def open_position(self, cache: LayeredKvCache) -> int:
         """The position forward_step fills next; CapacityError when the cache is full."""
@@ -431,7 +355,7 @@ class TinyDecoder:
         _require_type(cache, LayeredKvCache, "cache")
         if cache.length != 0:
             raise ValueError(f"cache must be empty, holds {cache.length} positions")
-        if len(inputs) < 1:
+        if len(_require_type(inputs, list, "inputs")) < 1:
             raise ValueError("need at least one position")
         capacity = min(cfg.max_seq, cache.keys.shape[2])
         x = np.array([self.content_embedding(inp) for inp in inputs[:capacity]])
@@ -541,9 +465,7 @@ class TinyDecoder:
         """Causal batch evaluation of a whole prefix; the oracle for the
         incremental path."""
         cfg = self.config
-        e = np.asarray(embeddings, dtype=np.float64)
-        if e.ndim != 2 or e.shape[1] != cfg.d_model:
-            raise ValueError(f"embeddings must have shape (n, {cfg.d_model})")
+        e = require_array(embeddings, "embeddings", ("n", cfg.d_model))
         if not np.isfinite(e).all():  # forward_step's softmax raises on them
             raise ValueError(_NOT_FINITE)
         n = e.shape[0]

@@ -1,14 +1,102 @@
-"""Dense float64 helpers and the seeded generator shared by every module."""
+"""Dense float64 helpers, the seeded generator shared by every module, and
+the argument rules every module checks its inputs with: a malformed argument
+raises a ValueError naming it."""
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
+from enum import Enum
 
 import numpy as np
 
-__all__ = ["Rng", "softmax_causal_block", "softmax_rows"]
+__all__ = [
+    "Rng",
+    "require_array",
+    "require_float",
+    "require_int",
+    "require_member",
+    "require_seed",
+    "softmax_causal_block",
+    "softmax_rows",
+]
+
+
+def require_int(value, name: str, least: int | None = None) -> int:
+    """value as an int when it is a whole number, and at least least when
+    that is given; booleans, arrays, fractions, non-finite numbers,
+    non-numbers and smaller numbers raise a ValueError naming the argument."""
+    try:
+        whole = not isinstance(value, (bool, np.bool_, np.ndarray)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {int(value)}")
+    return int(value)
+
+
+def require_seed(value, name: str) -> int:
+    """require_int within 0..2**64 - 1, the seeds Rng takes as they are, so
+    no two seeds alias one stream."""
+    seed = require_int(value, name)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64 - 1], got {seed}")
+    return seed
+
+
+def require_float(value, name: str) -> float:
+    """value as a float when it is a finite number; booleans, null, strings
+    and non-finite numbers raise a ValueError naming the argument."""
+    try:
+        finite = (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def require_member(kind: type[Enum], value, name: str):
+    """value as a member of the enum kind; anything else raises a ValueError
+    naming the argument and listing the choices."""
+    try:
+        return kind(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in kind)
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}") from None
+
+
+def _require_type(value, kind: type, name: str):
+    """value when it is a kind; anything else raises a ValueError naming the
+    argument, checked before any of its attributes is read."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+    return value
+
+
+def require_array(value, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """np.asarray(value, dtype=dtype), so an array of that dtype is returned
+    as it is, when its dimensions match shape: an int is an exact length and
+    a str names a length of any size. Anything else (None, a scalar, ragged
+    rows, non-numbers, another shape) raises a ValueError naming the
+    argument, before the caller reads any entry."""
+    try:
+        array = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is not None and array.ndim == len(shape) and all(
+        isinstance(want, str) or got == want for got, want in zip(array.shape, shape)
+    ):
+        return array
+    got = "ragged rows or non-numbers" if array is None else f"shape {array.shape}"
+    raise ValueError(f"{name} must be a ({', '.join(map(str, shape))}) array, got {got}")
 
 
 _NOT_FINITE = "matrix entries must be finite"
@@ -21,9 +109,7 @@ def _shifted_exp(m: np.ndarray) -> np.ndarray:
 
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max-subtraction; every row sums to 1."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    m = require_array(m, "m", ("rows", "columns"))
     if not np.isfinite(m).all():
         raise ValueError(_NOT_FINITE)
     e = _shifted_exp(m)
@@ -76,13 +162,6 @@ _WINDOW = 1 << 14
 _STEPS = np.arange(1, _WINDOW + 1, dtype=np.uint64) * _U64_GOLDEN
 
 
-def _block_size(n) -> int:
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return n
-
-
 def _cache_aligned_empty(n: int) -> np.ndarray:
     """An uninitialised float64 array of n values starting on a 64-byte cache
     line. malloc only guarantees 16 bytes, and a matrix that starts mid-line
@@ -104,15 +183,7 @@ class Rng:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        # Only 0..2**64 - 1 is taken as it is: a wider seed would alias the
-        # stream of its low 64 bits, and True would pass for seed 1.
-        if (
-            isinstance(seed, (bool, np.bool_))
-            or not isinstance(seed, (int, np.integer))
-            or not 0 <= seed <= _MASK64
-        ):
-            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed!r}")
-        self.state = int(seed)
+        self.state = require_seed(seed, "seed")
 
     def next_u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK64
@@ -154,7 +225,7 @@ class Rng:
     def next_u64_block(self, n: int) -> np.ndarray:
         """The next n values of next_u64() as a uint64 array, leaving the state
         where n scalar calls would."""
-        out = np.empty(_block_size(n), dtype=np.uint64)
+        out = np.empty(require_int(n, "n", 0), dtype=np.uint64)
         for start, z in self._windows(len(out)):
             out[start : start + len(z)] = z
         return out
@@ -169,15 +240,8 @@ class Rng:
         u = x * 2**-53, and (2u - 1) * s = (x - 2**52) * (s * 2**-52), where
         every step but the last product is exact in both forms.
         """
-        real = isinstance(scale, numbers.Real) and not isinstance(scale, bool)
-        try:
-            finite = real and math.isfinite(scale)
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
-            raise ValueError(f"scale must be a finite number, got {scale!r}")
-        out = _cache_aligned_empty(_block_size(n))
-        factor = np.float64(scale) * 2.0**-52
+        factor = np.float64(require_float(scale, "scale")) * 2.0**-52
+        out = _cache_aligned_empty(require_int(n, "n", 0))
         for start, z in self._windows(len(out)):
             z >>= _U64_11
             x = z.view(np.int64)

@@ -15,7 +15,7 @@ from ikod.attn_analysis import (
     uniform_attention_prediction,
 )
 import ikod.attn_analysis as attn_analysis
-from ikod.model import ConfigError, LayeredKvCache, TraceError
+from ikod.model import LayeredKvCache
 
 
 def _stat_from_generated(series: np.ndarray) -> ImageAttentionStat:
@@ -106,7 +106,7 @@ def test_kde_rejects_bandwidths_that_are_not_positive_and_finite(h):
 
 
 def test_kde_reads_bandwidths_as_numbers():
-    with pytest.raises(ConfigError, match="^h must be a finite number, got '1'$"):
+    with pytest.raises(ValueError, match="^h must be a finite number, got '1'$"):
         kde2d([(0.0, 0.0)], [(0.0, 0.0)], "1")
 
 
@@ -267,7 +267,7 @@ def test_from_trace_marks_the_last_n_generated_text_positions(l_image):
         assert stat.generated.tolist() == want
         assert stat.values.tobytes() == trace.image_att.transpose(2, 0, 1).tobytes()
     for n_generated in (-1, text_len + 1):
-        with pytest.raises(TraceError, match=f"{n_generated} generated tokens"):
+        with pytest.raises(ValueError, match=f"{n_generated} generated tokens"):
             ImageAttentionStat.from_trace(trace, n_generated)
 
 
@@ -275,9 +275,10 @@ def test_from_trace_marks_the_last_n_generated_text_positions(l_image):
 @pytest.mark.parametrize(
     "call, error, problem",
     [
-        (lambda: uniform_attention_prediction(-1, 2, 3), ConfigError,
+        (lambda: uniform_attention_prediction(-1, 2, 3), ValueError,
          "l_image must be at least 0, got -1"),
-        (lambda: kde2d([(0.0, 0.0)], [(0.0, 0.0, 0.0)]), ValueError, "grid must have shape (m, 2)"),
+        (lambda: kde2d([(0.0, 0.0)], [(0.0, 0.0, 0.0)]), ValueError,
+         "grid must be a (m, 2) array, got shape (1, 3)"),
         (lambda: kde2d(np.zeros((0, 2)), [(0.0, 0.0)]), ValueError, "need at least one point"),
         (lambda: degradation_report(
             ImageAttentionStat.from_trace(synthetic_uniform_trace(1, 2, 0), 0)

@@ -7,7 +7,7 @@ from ikod import cli, decode
 from ikod.attn_analysis import ImageAttentionStat, degradation_report, segment_averages
 from ikod.cli import _build_prompt, _read_trace_csv, _write_csv, load_run_config, main
 from ikod.decode import EOS_TOKEN, ikod_generate, prefill
-from ikod.model import ConfigError, TinyDecoder
+from ikod.model import TinyDecoder
 
 BASE_CONFIG = {
     "model": {
@@ -210,6 +210,16 @@ def test_decode_writes_whole_number_policy_values_as_floats(tmp_path):
     assert main(["decode", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
     written = (tmp_path / "x" / "generation.json").read_text()
     assert '"alpha": 2.0' in written and '"beta": 0.0' in written and '"p": 1.0' in written
+
+
+def test_decode_writes_a_whole_number_image_count_as_an_int(tmp_path):
+    runs = []
+    for name, image_count in (("float", 6.0), ("int", 6)):
+        (tmp_path / name).mkdir()
+        path = write_config(tmp_path / name, image_count=image_count)
+        assert main(["decode", "--config", str(path), "--out", str(tmp_path / name / "x")]) == 0
+        runs.append((tmp_path / name / "x" / "generation.json").read_text())
+    assert '"image_count": 6,' in runs[0] and runs[0] == runs[1]
 
 
 def test_decode_capacity_exits_3(tmp_path):
@@ -506,7 +516,7 @@ def test_analyze_rejects_incomplete_trace(tmp_path, capsys, body, problem):
         json.dumps({"request": {"image_count": 1, "prompt_tokens": []}, "result": {"tokens": [3]}})
     )
     (run / "trace.csv").write_text("step,layer,head,att_image\n" + body)
-    with pytest.raises(ConfigError, match=problem):
+    with pytest.raises(ValueError, match=problem):
         _read_trace_csv(run / "trace.csv")
     assert main(["analyze", str(run), "--out", str(tmp_path / "x")]) == 2
     assert problem in capsys.readouterr().err

@@ -14,8 +14,14 @@ from pathlib import Path
 import pytest
 
 import ikod
+from ikod.attn_analysis import kde_peak
 from ikod.cli import RunConfig
-from ikod.model import read_config
+from ikod.decode import BaseStrategy, Prompt, base_select, collaborative_combine, prefill
+from ikod.kv_merge import build_merge_plan
+from ikod.metrics import chair_scores
+from ikod.model import LayeredKvCache, ModelConfig, TinyDecoder, json_fields, read_config
+from ikod.model import sinusoidal_positions
+from ikod.numerics import Rng, softmax_rows
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ikod.__path__))
 
@@ -89,3 +95,64 @@ def test_every_export_is_used_or_documented(name):
         and not re.search(rf"\b{re.escape(n)}\b", readme)
     ]
     assert unused == []
+
+
+def test_capacity_error_is_the_only_exception_class_the_package_defines():
+    """Every other malformed input is a ValueError naming the argument."""
+    defined = {
+        obj
+        for name in MODULES
+        for obj in vars(importlib.import_module(f"ikod.{name}")).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__.startswith("ikod.")
+    }
+    assert defined == {ikod.CapacityError}
+
+
+def tiny_model() -> TinyDecoder:
+    return TinyDecoder(ModelConfig(1, 1, 8, 8, vocab_size=16, max_seq=16))
+
+
+RAGGED = "got ragged rows or non-numbers"
+
+
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (lambda: tiny_model().forward_prompt(tiny_model().new_cache(0), 5),
+         "inputs must be a list, got 5"),
+        (lambda: tiny_model().forward_prompt(tiny_model().new_cache(0), None),
+         "inputs must be a list, got None"),
+        (lambda: sinusoidal_positions("a", 2), "length must be an integer, got 'a'"),
+        (lambda: chair_scores(None), "records must be an Iterable, got None"),
+        (lambda: kde_peak("a"), "h must be a finite number, got 'a'"),
+        (lambda: kde_peak(None), "h must be a finite number, got None"),
+        (lambda: json_fields(None), "obj must be a dataclass instance, got None"),
+        (lambda: LayeredKvCache(1, 1, 0, 1, 0).record(None),
+         "rows must be a (1, 1, 1) array, got shape ()"),
+        (lambda: collaborative_combine(None, None, 1, None),
+         "p_orig must be a (n) array, got shape ()"),
+        (lambda: Rng(0).next_u64_block("3"), "n must be an integer, got '3'"),
+        (lambda: Rng(0).next_u64_block(True), "n must be an integer, got True"),
+        (lambda: softmax_rows("x"), f"m must be a (rows, columns) array, {RAGGED}"),
+        (lambda: base_select("x", BaseStrategy(), None), f"scores must be a (n) array, {RAGGED}"),
+        (lambda: build_merge_plan("x", 0.5),
+         f"scores must be a (n_layers, text_len) array, {RAGGED}"),
+        (lambda: tiny_model().forward_full("x"), f"embeddings must be a (n, 8) array, {RAGGED}"),
+        (lambda: tiny_model().content_embedding("a"), f"inp must be a (8) array, {RAGGED}"),
+        (lambda: prefill(tiny_model(), Prompt("x", (1, 2, 3))),
+         f"image_embeddings must be a (n, 8) array, {RAGGED}"),
+    ],
+    ids=[
+        "forward_prompt-int", "forward_prompt-None", "sinusoidal_positions-str",
+        "chair_scores-None", "kde_peak-str", "kde_peak-None", "json_fields-None", "record-None",
+        "collaborative_combine-None", "next_u64_block-str", "next_u64_block-bool",
+        "softmax_rows-str", "base_select-str", "build_merge_plan-str", "forward_full-str",
+        "content_embedding-str", "prefill-str-images",
+    ],
+)
+def test_a_malformed_argument_is_a_value_error_naming_it(call, problem):
+    """Calls that raised TypeError or AttributeError, returned a value, or
+    passed numpy's message through, naming no argument."""
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        call()

@@ -13,7 +13,7 @@ from ikod.kv_merge import (
     layer_scores,
     merge_cache,
 )
-from ikod.model import CapacityError, ConfigError, LayeredKvCache, ModelConfig, TinyDecoder
+from ikod.model import CapacityError, LayeredKvCache, ModelConfig, TinyDecoder
 from ikod.numerics import Rng
 
 
@@ -273,7 +273,7 @@ def test_compressed_length_grows_with_ratio():
     ids=["anchor-count-string", "anchor-count-fraction", "buckets-string"],
 )
 def test_text_lengths_are_read_as_integers(call, given):
-    with pytest.raises(ConfigError, match=f"^text_len must be an integer, got {given!r}$"):
+    with pytest.raises(ValueError, match=f"^text_len must be an integer, got {given!r}$"):
         call(given)
 
 
@@ -319,10 +319,12 @@ def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_anchors):
         pytest.param([[0, 3, 5], [0, 3, 6]], "within 0..5", id="above-T-3"),  # T-3 = 5
         pytest.param([[], []], "at least one anchor", id="no-anchors"),
         pytest.param([[]], "at least one anchor", id="one-layer-no-anchors"),
-        pytest.param([0, 3, 5], "an \\(n_layers, k\\) array", id="wrong-ndim"),
-        pytest.param(np.zeros((0, 2), dtype=np.int64), "an \\(n_layers, k\\)", id="no-layers"),
+        pytest.param([0, 3, 5], "a \\(n_layers, k\\) array, got shape \\(3,\\)", id="wrong-ndim"),
+        pytest.param(np.zeros((0, 2), dtype=np.int64), "at least one layer", id="no-layers"),
         pytest.param([[0.0, 3.0]], "must be integers", id="not-integers"),
-        pytest.param([[0, 3], [1]], "an \\(n_layers, k\\) array, got ragged rows", id="ragged"),
+        pytest.param(
+            [[0, 3], [1]], "a \\(n_layers, k\\) array, got ragged rows or non-numbers", id="ragged"
+        ),
     ],
 )
 def test_merge_plan_rejects_malformed_anchors(anchors, problem):
@@ -808,7 +810,8 @@ def test_upcoming_scores_add_one_unread_column():
 @pytest.mark.parametrize(
     "call, problem",
     [
-        (lambda: build_merge_plan(np.ones(6), 0.5), "scores must be (n_layers, text_len)"),
+        (lambda: build_merge_plan(np.ones(6), 0.5),
+         "scores must be a (n_layers, text_len) array, got shape (6,)"),
         (lambda: merge_cache(hand_cache(), MergePlan([[0], [1]], 5)),
          "plan layer count does not match the cache"),
     ],

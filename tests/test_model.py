@@ -12,19 +12,15 @@ from ikod.decode import BaseStrategy, DecodePolicy, Mode
 from ikod.kv_merge import AnchorStrategy, layer_scores
 from ikod.model import (
     CapacityError,
-    ConfigError,
     LayeredKvCache,
     ModelConfig,
     TinyDecoder,
-    TraceError,
     _column_blocks,
     _row_times,
     make_image_embeddings,
     read_config,
-    require_float,
-    require_int,
 )
-from ikod.numerics import Rng, _cache_aligned_empty
+from ikod.numerics import Rng, _cache_aligned_empty, require_float, require_int
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -41,13 +37,13 @@ def test_config_derives_d_head():
 
 
 def test_config_rejects_inconsistent_dims():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         ModelConfig(n_layers=1, n_heads=3, d_model=8, d_ff=8, vocab_size=4, max_seq=8)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         ModelConfig(n_layers=0, n_heads=2, d_model=8, d_ff=8, vocab_size=4, max_seq=8)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=8, vocab_size=4, max_seq=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=8, vocab_size=1, max_seq=8)
 
 
@@ -326,7 +322,7 @@ def test_forward_query_reads_its_position_as_an_integer():
     cache = model.new_cache(0)
     model.forward_step(cache, 1)
     keys, values = cache.keys[:, :, :1], cache.values[:, :, :1]
-    with pytest.raises(ConfigError, match="^position must be an integer, got 2.5$"):
+    with pytest.raises(ValueError, match="^position must be an integer, got 2.5$"):
         model.forward_query(keys, values, 2.5, 1)
 
 
@@ -352,7 +348,7 @@ def test_forward_step_checks_the_merged_view_shapes():
 
 def test_forward_step_rejects_a_boolean_token():
     model = TinyDecoder(small_config())
-    with pytest.raises(ConfigError, match="^token must be an integer, got True$"):
+    with pytest.raises(ValueError, match="^token must be an integer, got True$"):
         model.forward_step(model.new_cache(0), True)
 
 
@@ -390,7 +386,8 @@ def test_trace_requires_continuous_recording():
     cache = LayeredKvCache(2, 2, 4, 3, 0)
     model.forward_step(cache, 1)
     out = model.forward_step(cache, 2)
-    with pytest.raises(TraceError):
+    problem = r"^rows must be a \(2, 2, 3\) array, got shape \(2, 2, 2\)$"
+    with pytest.raises(ValueError, match=problem):
         cache.record(out.attention_rows)  # duplicate row no longer matches the next position
     model.forward_step(cache, 3)
     with pytest.raises(CapacityError, match="full at 3"):
@@ -411,7 +408,7 @@ def test_trace_requires_continuous_recording():
     ],
 )
 def test_cache_rejects_sizes_it_cannot_hold(sizes, name):
-    with pytest.raises(ConfigError, match=name):
+    with pytest.raises(ValueError, match=name):
         LayeredKvCache(*sizes)
 
 
@@ -470,14 +467,14 @@ def test_trace_summaries_equal_the_stored_row_reductions(n_layers, n_heads, n_ro
 
 @pytest.mark.parametrize("name", ["n_layers", "n_heads", "max_seq", "seed"])
 def test_config_rejects_booleans(name):
-    with pytest.raises(ConfigError, match=name):
+    with pytest.raises(ValueError, match=name):
         small_config(**{name: True})
 
 
 def test_config_rejects_non_numbers():
-    with pytest.raises(ConfigError, match="d_model"):
+    with pytest.raises(ValueError, match="d_model"):
         small_config(d_model=None)
-    with pytest.raises(ConfigError, match="d_ff"):
+    with pytest.raises(ValueError, match="d_ff"):
         small_config(d_ff="16")
 
 
@@ -491,7 +488,7 @@ def test_require_int_accepts_whole_numbers(value):
     "value", [2.7, True, np.bool_(False), None, "3", [3], float("inf"), float("nan")]
 )
 def test_require_int_rejects_non_integers(value):
-    with pytest.raises(ConfigError, match="field must be an integer"):
+    with pytest.raises(ValueError, match="field must be an integer"):
         require_int(value, "field")
 
 
@@ -506,7 +503,7 @@ def test_require_float_accepts_finite_numbers(value):
     [True, np.bool_(True), None, "0.1", [0.1], float("inf"), -float("inf"), float("nan"), 10**400],
 )
 def test_require_float_rejects_non_finite_and_non_numbers(value):
-    with pytest.raises(ConfigError, match="field must be a finite number"):
+    with pytest.raises(ValueError, match="field must be a finite number"):
         require_float(value, "field")
 
 
@@ -560,16 +557,16 @@ def test_config_objects_round_trip_through_their_json(obj):
 @pytest.mark.parametrize(
     "call, error, problem",
     [
-        (lambda model: make_image_embeddings(-1, 8, 0), ConfigError,
+        (lambda model: make_image_embeddings(-1, 8, 0), ValueError,
          "count must be at least 0, got -1"),
-        (lambda model: make_image_embeddings(1, 0, 0), ConfigError,
+        (lambda model: make_image_embeddings(1, 0, 0), ValueError,
          "d_model must be at least 1, got 0"),
         (lambda model: model.content_embedding(np.zeros(3)), ValueError,
-         "embedding must have shape (8,), got (3,)"),
+         "inp must be a (8) array, got shape (3,)"),
         (lambda model: model.forward_query(np.zeros((2, 2, 1, 4)), np.zeros((2, 2, 1, 4)), 32, 1),
          CapacityError, "position 32 outside capacity 32"),
         (lambda model: model.forward_full(np.zeros((2, 3))), ValueError,
-         "embeddings must have shape (n, 8)"),
+         "embeddings must be a (n, 8) array, got shape (2, 3)"),
         (lambda model: model.forward_full(np.zeros((0, 8))), ValueError,
          "need at least one position"),
         (lambda model: model.forward_full(np.zeros((33, 8))), CapacityError,

@@ -1,11 +1,22 @@
 import math
+import re
+from enum import Enum
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ikod.numerics import Rng, softmax_causal_block, softmax_rows
+from ikod.numerics import (
+    Rng,
+    require_array,
+    require_float,
+    require_int,
+    require_member,
+    require_seed,
+    softmax_causal_block,
+    softmax_rows,
+)
 
 
 def test_softmax_symmetry():
@@ -62,10 +73,22 @@ def test_rng_reference_stream():
     assert rng.next_u64() == 0x6E789E6AA1B965F4
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, True, np.bool_(False), 1.5, 2.0, "3", None])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, True, np.bool_(False), 1.5, "3", None])
 def test_rng_rejects_seeds_it_would_not_take_as_they_are(seed):
-    with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, 2\*\*64 - 1\], got "):
+    """A seed outside 0..2**64 - 1 would alias the stream of its low 64
+    bits, and True would pass for seed 1."""
+    if type(seed) is int:
+        problem = rf"^seed must lie in \[0, 2\*\*64 - 1\], got {seed}$"
+    else:
+        problem = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=problem):
         Rng(seed)
+
+
+def test_rng_takes_a_whole_float_seed_as_that_integer():
+    # As ModelConfig.seed and DecodePolicy.seed read it.
+    rng = Rng(2.0)
+    assert type(rng.state) is int and rng.next_u64() == Rng(2).next_u64()
 
 
 def test_rng_takes_numpy_integer_seeds_at_the_range_ends():
@@ -149,10 +172,12 @@ def test_u64_block_matches_the_scalar_stream(seed):
 def test_uniform_block_rejects_bad_sizes():
     rng = Rng(3)
     for draw in (lambda n: rng.next_uniform_block(n, 1.0), rng.next_u64_block):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be at least 0, got -1$"):
             draw(-1)
-        with pytest.raises(TypeError):
-            draw(2.5)
+        for n in (2.5, "3", None, True):
+            problem = f"^n must be an integer, got {re.escape(repr(n))}$"
+            with pytest.raises(ValueError, match=problem):
+                draw(n)
     assert rng.state == 3
     assert rng.next_uniform_block(np.int64(4), 1.0).shape == (4,)
     assert rng.state == (3 + 4 * _GOLDEN) % 2**64
@@ -169,5 +194,120 @@ def test_uniform_block_takes_a_finite_number_as_its_scale(scale):
 
 
 def test_softmax_rows_rejects_an_array_that_is_not_2d():
-    with pytest.raises(ValueError, match=r"^expected a 2-d array, got shape \(3,\)$"):
+    problem = r"^m must be a \(rows, columns\) array, got shape \(3,\)$"
+    with pytest.raises(ValueError, match=problem):
         softmax_rows(np.zeros(3))
+
+
+class Colour(str, Enum):
+    RED = "red"
+    BLUE = "blue"
+
+
+# Each argument rule, called with the name "arg" and, where it takes one, a
+# least value of 1 or an (n, 3) shape.
+RULES = {
+    "int": lambda value: require_int(value, "arg", 1),
+    "seed": lambda value: require_seed(value, "arg"),
+    "float": lambda value: require_float(value, "arg"),
+    "member": lambda value: require_member(Colour, value, "arg"),
+    "array": lambda value: require_array(value, "arg", ("n", 3)),
+}
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+fractions = finite_floats.filter(lambda x: not x.is_integer())
+# Malformed for every rule: booleans, None, numeric strings, non-finite
+# numbers, ragged lists and arrays of one or three dimensions.
+malformed_for_all = st.one_of(
+    st.booleans(),
+    st.sampled_from([np.bool_(True), None, math.nan, math.inf, -math.inf, np.float64(math.nan)]),
+    st.integers().map(str),
+    finite_floats.map(repr),
+    st.lists(st.lists(finite_floats, max_size=4), min_size=2, max_size=4).filter(
+        lambda rows: len({len(row) for row in rows}) > 1
+    ),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    .filter(lambda shape: len(shape) != 2)
+    .map(np.ones),
+)
+malformed = st.one_of(
+    st.tuples(st.just("int"), malformed_for_all | fractions | st.integers(max_value=0)),
+    st.tuples(
+        st.just("seed"),
+        malformed_for_all | fractions | st.integers(max_value=-1) | st.integers(min_value=2**64),
+    ),
+    st.tuples(st.just("float"), malformed_for_all | st.integers(min_value=2**1024)),
+    st.tuples(st.just("member"), malformed_for_all | fractions | st.integers() | st.text()),
+    st.tuples(
+        st.just("array"),
+        malformed_for_all
+        | fractions
+        | st.integers()
+        | st.tuples(st.integers(0, 3), st.integers(0, 5).filter(lambda k: k != 3)).map(np.ones),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=malformed)
+def test_each_rule_names_a_malformed_argument(case):
+    rule, value = case
+    with pytest.raises(ValueError, match="^arg must "):
+        RULES[rule](value)
+
+
+# (rule, well-formed value, the value the rule returns for it)
+well_formed = st.one_of(
+    st.integers(1, 2**70).map(lambda v: ("int", v, v)),
+    st.integers(1, 2**53).map(lambda v: ("int", float(v), v)),
+    st.integers(1, 2**63 - 1).map(lambda v: ("int", np.int64(v), v)),
+    st.integers(0, 2**64 - 1).map(lambda v: ("seed", v, v)),
+    st.integers(0, 2**64 - 1).map(lambda v: ("seed", np.uint64(v), v)),
+    finite_floats.map(lambda v: ("float", v, v)),
+    st.integers(-(2**70), 2**70).map(lambda v: ("float", v, float(v))),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(
+        lambda v: ("float", np.float32(v), float(v))
+    ),
+    st.sampled_from(Colour).map(lambda c: ("member", c.value, c)),
+    st.lists(st.lists(finite_floats, min_size=3, max_size=3), min_size=1, max_size=4).map(
+        lambda rows: ("array", rows, np.array(rows, dtype=np.float64).reshape(-1, 3))
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=well_formed)
+def test_each_rule_returns_a_well_formed_argument_converted(case):
+    rule, value, want = case
+    got = RULES[rule](value)
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
+def test_require_array_returns_an_array_of_its_dtype_as_it_is():
+    given = np.arange(6.0).reshape(2, 3)
+    assert require_array(given, "a", ("n", 3)) is given
+    mask = np.zeros(4, dtype=bool)
+    assert require_array(mask, "mask", (4,), dtype=bool) is mask
+    anchors = require_array([[0, 2]], "anchors", ("n_layers", "k"), dtype=None)
+    assert anchors.dtype.kind == "i"
+
+
+@pytest.mark.parametrize(
+    "value, problem",
+    [
+        (np.zeros(3), "shape (3,)"),
+        (np.zeros((2, 4)), "shape (2, 4)"),
+        ([[1.0, 2.0, 3.0], [4.0]], "ragged rows or non-numbers"),
+        ([["x", 1.0, 2.0]], "ragged rows or non-numbers"),
+        (None, "shape ()"),
+    ],
+)
+def test_require_array_names_the_dimensions_it_wants(value, problem):
+    want = f"^rows must be a \\(n, 3\\) array, got {re.escape(problem)}$"
+    with pytest.raises(ValueError, match=want):
+        require_array(value, "rows", ("n", 3))
