@@ -4,9 +4,9 @@ metrics."""
 
 from .attn_analysis import (
     ImageAttentionStat,
-    SegmentSummary,
     degradation_report,
     kde2d,
+    read_trace_csv,
     segment_averages,
     synthetic_uniform_trace,
     uniform_attention_prediction,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -12,10 +14,10 @@ from .numerics import _require_type, require_array, require_float, require_int
 
 __all__ = [
     "ImageAttentionStat",
-    "SegmentSummary",
     "degradation_report",
     "kde2d",
     "kde_peak",
+    "read_trace_csv",
     "segment_averages",
     "synthetic_uniform_trace",
     "trace_image_attention",
@@ -25,18 +27,18 @@ __all__ = [
 
 @dataclass
 class ImageAttentionStat:
-    """Per recorded step, per layer, per head: attention mass on image tokens."""
+    """Per recorded step, per layer, per head: attention mass on image tokens,
+    the last n_generated steps those whose query is a generated token."""
 
     values: np.ndarray  # (n_steps, n_layers, n_heads)
-    generated: np.ndarray  # (n_steps,) True where the step's query is a generated token
+    n_generated: int
 
     def __post_init__(self):
-        values = _require_type(self.values, np.ndarray, "values")
-        generated = _require_type(self.generated, np.ndarray, "generated")
-        if values.ndim != 3 or generated.shape != values.shape[:1] or generated.dtype != bool:
+        self.values = require_array(self.values, "values", ("n_steps", "n_layers", "n_heads"))
+        self.n_generated = require_int(self.n_generated, "n_generated", 0)
+        if self.n_generated > len(self.values):
             raise ValueError(
-                "values must be an (n_steps, n_layers, n_heads) array and generated its "
-                f"(n_steps,) booleans, got shapes {values.shape} and {generated.shape}"
+                f"n_generated must be at most {len(self.values)}, got {self.n_generated}"
             )
 
     @classmethod
@@ -50,8 +52,12 @@ class ImageAttentionStat:
             raise ValueError(
                 f"{n_generated} generated tokens do not fit the cache's {text_len} text positions"
             )
-        values = cache.image_att[:, :, :n].transpose(2, 0, 1).copy()
-        return cls(values=values, generated=np.arange(n) >= n - n_generated)
+        return cls(cache.image_att[:, :, :n].transpose(2, 0, 1).copy(), n_generated)
+
+    @property
+    def generated(self) -> slice:
+        """The generated steps, as a slice of the step axis (values[-0:] is every step)."""
+        return slice(len(self.values) - self.n_generated, len(self.values))
 
     @property
     def att_avg(self) -> np.ndarray:
@@ -59,34 +65,19 @@ class ImageAttentionStat:
         return self.values.mean(axis=(1, 2))
 
 
-@dataclass(frozen=True)
-class SegmentSummary:
-    att_first: float
-    att_last: float
-    segment_len: int
-
-
-def segment_averages(stat: ImageAttentionStat, layer: int, head: int) -> SegmentSummary:
-    """Mean image attention over the first and last 20% of generated steps.
-
-    The window is floor(0.2 * L) steps, so at least five generated tokens are
-    required for it to be non-empty.
-    """
-    _require_type(stat, ImageAttentionStat, "stat")
-    layer, head = require_int(layer, "layer"), require_int(head, "head")
-    for name, index, size in zip(("layer", "head"), (layer, head), stat.values.shape[1:]):
-        if not 0 <= index < size:
-            raise ValueError(f"{name} must lie in [0, {size - 1}], got {index}")
-    series = stat.values[stat.generated, layer, head]
-    n = series.size
+def segment_averages(stat: ImageAttentionStat) -> list[tuple[int, int, float, float, int]]:
+    """The rows of segments.csv: per layer/head cell in row-major order, the
+    mean image attention over the first and last 20% of generated steps. The
+    window is floor(0.2 * L) steps, so at least five generated tokens are
+    required for it to be non-empty."""
+    n = _require_type(stat, ImageAttentionStat, "stat").n_generated
     if n < 5:
         raise ValueError(f"segments undefined for {n} generated tokens (need >= 5)")
     w = n // 5  # floor(0.2 * n)
-    return SegmentSummary(
-        att_first=float(series[:w].mean()),
-        att_last=float(series[-w:].mean()),
-        segment_len=w,
-    )
+    _, n_layers, n_heads = stat.values.shape
+    cells = [(li, h) for li in range(n_layers) for h in range(n_heads)]
+    series = [stat.values[stat.generated, li, h] for li, h in cells]
+    return [(*cell, float(s[:w].mean()), float(s[-w:].mean()), w) for cell, s in zip(cells, series)]
 
 
 def uniform_attention_prediction(l_image: int, l_others: int, l_gen: int) -> float:
@@ -167,18 +158,55 @@ def degradation_report(stat: ImageAttentionStat) -> list[tuple[float, float]]:
     return [((t + 1) / n, float(att[t])) for t in range(n)]
 
 
-def trace_image_attention(
-    cache: LayeredKvCache, n_generated: int
-) -> list[tuple[int, int, int, float]]:
-    """Flat (step, layer, head, att_image) rows for every recorded position."""
-    stat = ImageAttentionStat.from_trace(cache, n_generated)
-    n_steps, n_layers, n_heads = stat.values.shape
+TRACE_HEADER = ["step", "layer", "head", "att_image"]
+
+
+def trace_image_attention(stat: ImageAttentionStat) -> list[tuple[int, int, int, float]]:
+    """The rows of trace.csv: (step, layer, head, att_image) per cell, row-major."""
+    values = _require_type(stat, ImageAttentionStat, "stat").values
+    n_steps, n_layers, n_heads = values.shape
     return [
-        (s, li, h, float(stat.values[s, li, h]))
+        (s, li, h, float(values[s, li, h]))
         for s in range(n_steps)
         for li in range(n_layers)
         for h in range(n_heads)
     ]
+
+
+def _cell(entry) -> str:
+    """A trace row's cell, or the end of the file for None."""
+    return "the end of the file" if entry is None else "step %d, layer %d, head %d" % entry[:3]
+
+
+def read_trace_csv(path) -> np.ndarray:
+    """trace.csv back into an (n_steps, n_layers, n_heads) array. Row r (1 is
+    the first under the header) must hold the r-th cell, in row-major order,
+    of the shape that the file's largest indices give."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = reader if header == TRACE_HEADER else ()  # unread under another header
+            entries = [(int(s), int(li), int(h), float(a)) for s, li, h, a in rows]
+    except FileNotFoundError:
+        raise ValueError(f"file not found: {path}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed trace ({exc})") from None
+    if header != TRACE_HEADER:
+        raise ValueError(f"{path}: not a trace file (header {header})")
+    if not entries:
+        raise ValueError(f"{path}: empty trace")
+    if min(min(e[:3]) for e in entries) < 0:
+        raise ValueError(f"{path}: negative step, layer or head index")
+    n_steps, n_layers, n_heads = shape = tuple(max(e[i] for e in entries) + 1 for i in range(3))
+    # Lazy, so an index as large as 10**12 fails here before anything is sized by it.
+    cells = ((s, li, h) for s in range(n_steps) for li in range(n_layers) for h in range(n_heads))
+    for row, (entry, cell) in enumerate(itertools.zip_longest(entries, cells), start=1):
+        if entry is None or entry[:3] != cell:
+            raise ValueError(f"{path}: row {row} should be {_cell(cell)}, found {_cell(entry)}")
+        if not math.isfinite(entry[3]):
+            raise ValueError(f"{path}: non-finite att_image {entry[3]!r} at {_cell(entry)}")
+    return np.array([e[3] for e in entries]).reshape(shape)
 
 
 def synthetic_uniform_trace(

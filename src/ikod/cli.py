@@ -11,7 +11,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,10 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .attn_analysis import (
+    TRACE_HEADER,
     ImageAttentionStat,
     _require_bandwidth,
     degradation_report,
     kde2d,
+    read_trace_csv,
     segment_averages,
     synthetic_uniform_trace,
     trace_image_attention,
@@ -142,11 +143,8 @@ def cmd_decode(args) -> int:
             "result": {"per_step": per_step, "tokens": result.tokens},
         },
     )
-    _write_csv(
-        out_dir / "trace.csv",
-        ["step", "layer", "head", "att_image"],
-        trace_image_attention(result.cache, len(result.tokens)),
-    )
+    stat = ImageAttentionStat.from_trace(result.cache, len(result.tokens))
+    _write_csv(out_dir / "trace.csv", TRACE_HEADER, trace_image_attention(stat))
     if args.emit_merge_plans:
         plan_dir = out_dir / "merge_plans"
         plan_dir.mkdir(exist_ok=True)
@@ -158,48 +156,6 @@ def cmd_decode(args) -> int:
                 _write_json(plan_dir / f"step_{i + 1:04d}.json", doc)
     print(f"generated {len(result.tokens)} tokens -> {out_dir}")
     return 0
-
-
-def _read_trace_csv(path: Path) -> np.ndarray:
-    """Trace CSV back into an (n_steps, n_layers, n_heads) array."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header == ["step", "layer", "head", "att_image"]:
-                entries = [(int(s), int(li), int(h), float(a)) for s, li, h, a in reader]
-            else:
-                entries = None  # rows under another header are never read
-    except FileNotFoundError:
-        raise ValueError(f"file not found: {path}") from None
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed trace ({exc})") from None
-    if entries is None:
-        raise ValueError(f"{path}: not a trace file (header {header})")
-    if not entries:
-        raise ValueError(f"{path}: empty trace")
-    if min(min(e[:3]) for e in entries) < 0:
-        raise ValueError(f"{path}: negative step, layer or head index")
-    cells: dict[tuple[int, int, int], float] = {}
-    for s, li, h, a in entries:
-        if (s, li, h) in cells:
-            raise ValueError(f"{path}: duplicate cell step {s}, layer {li}, head {h}")
-        if not math.isfinite(a):
-            raise ValueError(
-                f"{path}: non-finite att_image {a!r} at step {s}, layer {li}, head {h}"
-            )
-        cells[s, li, h] = a
-    shape = tuple(max(cell[i] for cell in cells) + 1 for i in range(3))
-    order = sorted(cells)
-    # Counted before anything is sized by an index. Sorted cells sit at flat
-    # row-major indices 0, 1, 2, ... up to the first missing cell.
-    if len(order) != math.prod(shape):
-        _, n_layers, n_heads = shape
-        flat = ((s * n_layers + li) * n_heads + h for s, li, h in order)
-        i = next((i for i, f in enumerate(flat) if f != i), len(order))
-        s, li, h = i // (n_layers * n_heads), i // n_heads % n_layers, i % n_heads
-        raise ValueError(f"{path}: missing cell step {s}, layer {li}, head {h}")
-    return np.array([cells[c] for c in order]).reshape(shape)
 
 
 def _read_run(run_dir: Path) -> ImageAttentionStat:
@@ -215,13 +171,13 @@ def _read_run(run_dir: Path) -> ImageAttentionStat:
     for name, value in (("request.prompt_tokens", prompt_tokens), ("result.tokens", tokens)):
         if not isinstance(value, list):
             raise ValueError(f"{name} must be a JSON array, got {value!r}")
-    values = _read_trace_csv(run_dir / "trace.csv")
+    values = read_trace_csv(run_dir / "trace.csv")
     steps = image_count + len(prompt_tokens) + len(tokens)
     if values.shape[0] != steps:
         raise ValueError(
             f"{run_dir}/trace.csv holds {values.shape[0]} steps, generation.json describes {steps}"
         )
-    return ImageAttentionStat(values=values, generated=np.arange(steps) >= steps - len(tokens))
+    return ImageAttentionStat(values, len(tokens))
 
 
 def cmd_analyze(args) -> int:
@@ -253,14 +209,8 @@ def cmd_analyze(args) -> int:
 
     n_gen = len(report)
     if n_gen >= 5:
-        _, n_layers, n_heads = stat.values.shape
-        cells = [(li, h) for li in range(n_layers) for h in range(n_heads)]
-        summaries = [segment_averages(stat, li, h) for li, h in cells]
-        _write_csv(
-            out_dir / "segments.csv",
-            ["layer", "head", "att_first", "att_last", "segment_len"],
-            [(*cell, s.att_first, s.att_last, s.segment_len) for cell, s in zip(cells, summaries)],
-        )
+        header = ["layer", "head", "att_first", "att_last", "segment_len"]
+        _write_csv(out_dir / "segments.csv", header, segment_averages(stat))
     else:
         print(
             f"warning: only {n_gen} generated tokens, segment summary omitted (needs >= 5)",

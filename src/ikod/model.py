@@ -482,6 +482,8 @@ class TinyDecoder:
             k = (x @ lw.w_k).reshape(n, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
             v = (x @ lw.w_v).reshape(n, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
             scores = np.einsum("hqd,hkd->hqk", q, k) * scale
+            if not (np.isfinite(scores) | ~causal).all():  # the masked entries are never read
+                raise ValueError(_NOT_FINITE)
             scores = np.where(causal, scores, -np.inf)
             w = np.exp(scores - scores.max(axis=-1, keepdims=True))
             att_li = w / w.sum(axis=-1, keepdims=True)

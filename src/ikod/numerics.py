@@ -85,10 +85,12 @@ def require_array(value, name: str, shape: tuple, dtype=np.float64) -> np.ndarra
     """np.asarray(value, dtype=dtype), so an array of that dtype is returned
     as it is, when its dimensions match shape: an int is an exact length and
     a str names a length of any size. Anything else (None, a scalar, ragged
-    rows, non-numbers, another shape) raises a ValueError naming the
-    argument, before the caller reads any entry."""
+    rows, non-numbers such as strings, another shape) raises a ValueError
+    naming the argument, before the caller reads any entry. Of an ndarray
+    only the dtype is read before the conversion."""
     try:
-        array = np.asarray(value, dtype=dtype)
+        given = value if isinstance(value, np.ndarray) else np.asarray(value)
+        array = None if given.dtype.kind in "SU" else np.asarray(given, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         array = None
     if array is not None and array.ndim == len(shape) and all(
@@ -110,6 +112,8 @@ def _shifted_exp(m: np.ndarray) -> np.ndarray:
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max-subtraction; every row sums to 1."""
     m = require_array(m, "m", ("rows", "columns"))
+    if m.shape[1] == 0:
+        raise ValueError(f"m must have at least one column, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(_NOT_FINITE)
     e = _shifted_exp(m)

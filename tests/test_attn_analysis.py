@@ -1,55 +1,62 @@
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ikod.attn_analysis import (
+    TRACE_HEADER,
     ImageAttentionStat,
     degradation_report,
     kde2d,
     kde_peak,
+    read_trace_csv,
     segment_averages,
     synthetic_uniform_trace,
     trace_image_attention,
     uniform_attention_prediction,
 )
 import ikod.attn_analysis as attn_analysis
+from ikod.cli import _write_csv
 from ikod.model import LayeredKvCache
 
 
 def _stat_from_generated(series: np.ndarray) -> ImageAttentionStat:
-    return ImageAttentionStat(
-        values=np.asarray(series, dtype=np.float64).reshape(-1, 1, 1),
-        generated=np.ones(len(series), dtype=bool),
-    )
+    return ImageAttentionStat(np.asarray(series, dtype=np.float64).reshape(-1, 1, 1), len(series))
 
 
 def test_segment_averages_windows_of_two():
     series = np.linspace(0.1, 1.0, 10)  # v1..v10 scaled
-    summary = segment_averages(_stat_from_generated(series), 0, 0)
-    assert summary.segment_len == 2
-    assert summary.att_first == pytest.approx(series[:2].mean())
-    assert summary.att_last == pytest.approx(series[-2:].mean())
+    [(layer, head, att_first, att_last, segment_len)] = segment_averages(
+        _stat_from_generated(series)
+    )
+    assert (layer, head, segment_len) == (0, 0, 2)
+    assert att_first == pytest.approx(series[:2].mean())
+    assert att_last == pytest.approx(series[-2:].mean())
 
 
 def test_segment_averages_constant_series():
-    summary = segment_averages(_stat_from_generated(np.full(12, 0.37)), 0, 0)
-    assert summary.att_first == pytest.approx(0.37)
-    assert summary.att_last == pytest.approx(0.37)
+    [(_, _, att_first, att_last, _)] = segment_averages(_stat_from_generated(np.full(12, 0.37)))
+    assert att_first == pytest.approx(0.37)
+    assert att_last == pytest.approx(0.37)
 
 
 def test_segment_averages_minimum_length_windows_of_one():
     series = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
-    summary = segment_averages(_stat_from_generated(series), 0, 0)
-    assert summary.segment_len == 1
-    assert summary.att_first == pytest.approx(0.5)
-    assert summary.att_last == pytest.approx(0.1)
+    [(_, _, att_first, att_last, segment_len)] = segment_averages(_stat_from_generated(series))
+    assert segment_len == 1
+    assert att_first == pytest.approx(0.5)
+    assert att_last == pytest.approx(0.1)
 
 
 def test_segment_averages_rejects_short_series():
     with pytest.raises(ValueError):
-        segment_averages(_stat_from_generated(np.ones(4)), 0, 0)
+        segment_averages(_stat_from_generated(np.ones(4)))
 
 
 def test_uniform_prediction_hand_cases():
@@ -164,7 +171,7 @@ def test_degradation_column_passes_through_monotone_series():
 
 def test_trace_table_covers_every_cell():
     trace = synthetic_uniform_trace(2, 2, 3, n_layers=2, n_heads=3)
-    rows = trace_image_attention(trace, 3)
+    rows = trace_image_attention(ImageAttentionStat.from_trace(trace, 3))
     assert len(rows) == 7 * 2 * 3
     steps = {r[0] for r in rows}
     assert steps == set(range(7))
@@ -175,8 +182,9 @@ def test_trace_table_covers_every_cell():
     [
         (lambda: ImageAttentionStat.from_trace(None, 1), "cache must be a LayeredKvCache"),
         (lambda: degradation_report(None), "stat must be an ImageAttentionStat"),
+        (lambda: trace_image_attention(None), "stat must be an ImageAttentionStat"),
     ],
-    ids=["from_trace", "degradation_report"],
+    ids=["from_trace", "degradation_report", "trace_image_attention"],
 )
 def test_analysis_names_an_input_of_the_wrong_type(call, problem):
     with pytest.raises(ValueError, match=f"^{problem}, got None$"):
@@ -189,7 +197,7 @@ def test_from_trace_reads_n_generated_as_an_integer(n_generated):
     with pytest.raises(ValueError, match="n_generated must be an integer"):
         ImageAttentionStat.from_trace(trace, n_generated)
     with pytest.raises(ValueError, match="n_generated must be an integer"):
-        trace_image_attention(trace, n_generated)
+        ImageAttentionStat(np.zeros((7, 1, 1)), n_generated)
 
 
 @pytest.mark.parametrize("name", ["l_image", "l_others", "l_gen", "n_layers", "n_heads"])
@@ -205,23 +213,6 @@ def test_synthetic_uniform_trace_rejects_an_empty_layer_or_head_axis():
     for name in ("n_layers", "n_heads"):
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             synthetic_uniform_trace(2, 2, 3, **{name: 0})
-
-
-@pytest.mark.parametrize(
-    "layer, head, message",
-    [
-        (-1, 0, r"layer must lie in \[0, 1\], got -1"),
-        (9, 0, r"layer must lie in \[0, 1\], got 9"),
-        (0, -1, r"head must lie in \[0, 2\], got -1"),
-        (0, 3, r"head must lie in \[0, 2\], got 3"),
-        (0.5, 0, "layer must be an integer"),
-        (0, True, "head must be an integer"),
-    ],
-)
-def test_segment_averages_rejects_cells_outside_the_stat(layer, head, message):
-    stat = ImageAttentionStat.from_trace(synthetic_uniform_trace(2, 2, 8, 2, 3), 8)
-    with pytest.raises(ValueError, match=message):
-        segment_averages(stat, layer, head)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +233,7 @@ def test_from_trace_reads_each_position_of_the_layer_major_record():
         trace.record(rng.uniform(size=(2, 3, n + 1)))
     stat = ImageAttentionStat.from_trace(trace, 2)
     assert stat.values.shape == (6, 2, 3)
-    table = trace_image_attention(trace, 2)
+    table = trace_image_attention(stat)
     for s, li, h, att in table:
         assert att == stat.values[s, li, h] == trace.image_att[li, h, s]
     assert [r[:3] for r in table] == [
@@ -264,7 +255,9 @@ def test_from_trace_marks_the_last_n_generated_text_positions(l_image):
     for n_generated in (0, 1, text_len):
         stat = ImageAttentionStat.from_trace(trace, n_generated)
         want = [False] * (l_image + text_len - n_generated) + [True] * n_generated
-        assert stat.generated.tolist() == want
+        marked = np.zeros(l_image + text_len, dtype=bool)
+        marked[stat.generated] = True
+        assert marked.tolist() == want
         assert stat.values.tobytes() == trace.image_att.transpose(2, 0, 1).tobytes()
     for n_generated in (-1, text_len + 1):
         with pytest.raises(ValueError, match=f"{n_generated} generated tokens"):
@@ -283,9 +276,63 @@ def test_from_trace_marks_the_last_n_generated_text_positions(l_image):
         (lambda: degradation_report(
             ImageAttentionStat.from_trace(synthetic_uniform_trace(1, 2, 0), 0)
         ), ValueError, "need at least one generated token"),
+        (lambda: ImageAttentionStat(np.zeros((3, 2)), 0), ValueError,
+         "values must be a (n_steps, n_layers, n_heads) array, got shape (3, 2)"),
+        (lambda: ImageAttentionStat(np.zeros((3, 1, 1)), -1), ValueError,
+         "n_generated must be at least 0, got -1"),
+        (lambda: ImageAttentionStat(np.zeros((3, 1, 1)), 4), ValueError,
+         "n_generated must be at most 3, got 4"),
     ],
-    ids=["uniform-negative-length", "kde-grid-shape", "kde-no-points", "report-no-generated"],
+    ids=["uniform-negative-length", "kde-grid-shape", "kde-no-points", "report-no-generated",
+         "stat-values-shape", "stat-negative-generated", "stat-too-many-generated"],
 )
 def test_analysis_errors_pin_their_messages(call, error, problem):
     with pytest.raises(error, match=f"^{re.escape(problem)}$"):
         call()
+
+
+@pytest.mark.parametrize("n_generated", [0, 1, 3])
+def test_generated_slices_the_last_n_generated_steps(n_generated):
+    values = np.arange(3.0).reshape(3, 1, 1)
+    stat = ImageAttentionStat(values, n_generated)
+    assert values[stat.generated, 0, 0].tolist() == values[3 - n_generated :, 0, 0].tolist()
+    assert stat.values is values
+
+
+# Finite float64 traces: hypothesis' floats include +-0.0, subnormals and
+# values near the largest float.
+traces = arrays(
+    np.float64,
+    array_shapes(min_dims=3, max_dims=3, max_side=4),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=traces, where=st.integers(min_value=0))
+@example(values=np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308]).reshape(2, 1, 2), where=1)
+def test_trace_csv_reads_back_what_it_wrote_and_only_in_that_order(values, where):
+    rows = trace_image_attention(ImageAttentionStat(values, 0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        _write_csv(path, TRACE_HEADER, rows)
+        written = path.read_bytes()
+        read = read_trace_csv(path)
+        assert read.shape == values.shape and read.tobytes() == values.tobytes()
+        _write_csv(path, TRACE_HEADER, trace_image_attention(ImageAttentionStat(read, 0)))
+        assert path.read_bytes() == written
+        if len(rows) < 2:
+            return
+        i = where % (len(rows) - 1)
+        # (rows, the 0-based index of the first row out of order)
+        corrupted = [
+            (rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2 :], i),  # adjacent rows swapped
+            (rows[: i + 1] + rows[i:], i + 1),  # row i repeated
+            (rows[:i] + rows[i + 1 :], i),  # row i, not the last, dropped
+        ]
+        for bad, first in corrupted:
+            _write_csv(path, TRACE_HEADER, bad)
+            s, li, h, _ = rows[first]
+            want = f"row {first + 1} should be step {s}, layer {li}, head {h}, found "
+            with pytest.raises(ValueError, match=want):
+                read_trace_csv(path)

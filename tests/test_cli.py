@@ -4,8 +4,13 @@ import json
 import pytest
 
 from ikod import cli, decode
-from ikod.attn_analysis import ImageAttentionStat, degradation_report, segment_averages
-from ikod.cli import _build_prompt, _read_trace_csv, _write_csv, load_run_config, main
+from ikod.attn_analysis import (
+    ImageAttentionStat,
+    degradation_report,
+    read_trace_csv,
+    segment_averages,
+)
+from ikod.cli import _build_prompt, _write_csv, load_run_config, main
 from ikod.decode import EOS_TOKEN, ikod_generate, prefill
 from ikod.model import TinyDecoder
 
@@ -498,10 +503,26 @@ def test_analyze_empty_trace_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "body, problem",
     [
-        ("0,0,0,0.5\n0,0,1,0.5\n1,0,0,0.5\n", "missing cell step 1, layer 0, head 1"),
-        # Counted before any array is sized by the step index.
-        ("0,0,0,0.5\n1000000000000,0,0,0.5\n", "missing cell step 1, layer 0, head 0"),
-        ("0,0,0,0.5\n0,0,0,0.25\n", "duplicate cell step 0, layer 0, head 0"),
+        # Each id names the cell that is missing or repeated.
+        pytest.param(
+            "0,0,0,0.5\n0,0,1,0.5\n1,0,0,0.5\n",
+            "row 4 should be step 1, layer 0, head 1, found the end of the file",
+            id="0,0,0,0.5\n0,0,1,0.5\n1,0,0,0.5\n-missing cell step 1, layer 0, head 1",
+        ),
+        # Rejected before any array is sized by the step index.
+        pytest.param(
+            "0,0,0,0.5\n1000000000000,0,0,0.5\n",
+            "row 2 should be step 1, layer 0, head 0, found step 1000000000000, layer 0, head 0",
+            id="0,0,0,0.5\n1000000000000,0,0,0.5\n-missing cell step 1, layer 0, head 0",
+        ),
+        pytest.param(
+            "0,0,0,0.5\n0,0,0,0.25\n",
+            "row 2 should be the end of the file, found step 0, layer 0, head 0",
+            id="0,0,0,0.5\n0,0,0,0.25\n-duplicate cell step 0, layer 0, head 0",
+        ),
+        # Rows in another order than decode writes them.
+        ("1,0,0,0.5\n0,0,0,0.5\n",
+         "row 1 should be step 0, layer 0, head 0, found step 1, layer 0, head 0"),
         ("0,0,-1,0.5\n", "negative"),
         # Non-finite cells in the last, generated, step.
         ("0,0,0,0.5\n1,0,0,nan\n", "non-finite att_image nan at step 1, layer 0, head 0"),
@@ -517,7 +538,7 @@ def test_analyze_rejects_incomplete_trace(tmp_path, capsys, body, problem):
     )
     (run / "trace.csv").write_text("step,layer,head,att_image\n" + body)
     with pytest.raises(ValueError, match=problem):
-        _read_trace_csv(run / "trace.csv")
+        read_trace_csv(run / "trace.csv")
     assert main(["analyze", str(run), "--out", str(tmp_path / "x")]) == 2
     assert problem in capsys.readouterr().err
 
@@ -577,11 +598,10 @@ def test_analyze_run_dir_matches_the_library_on_the_generation(tmp_path, policy)
     _write_csv(
         expected / "degradation.csv", ["relative_position", "att_avg"], degradation_report(stat)
     )
-    summaries = [(li, h, segment_averages(stat, li, h)) for li in (0, 1) for h in (0, 1)]
     _write_csv(
         expected / "segments.csv",
         ["layer", "head", "att_first", "att_last", "segment_len"],
-        [(li, h, s.att_first, s.att_last, s.segment_len) for li, h, s in summaries],
+        segment_averages(stat),
     )
     for name in ("degradation.csv", "segments.csv"):
         assert (out / name).read_bytes() == (expected / name).read_bytes()

@@ -779,7 +779,7 @@ NOT_A_CACHE = "cache must be a LayeredKvCache, got None"
 @pytest.mark.parametrize(
     "call, problem",
     [
-        (lambda model, cache: segment_averages(None, 0, 0),
+        (lambda model, cache: segment_averages(None),
          "stat must be an ImageAttentionStat, got None"),
         (lambda model, cache: merge_cache(None, MergePlan([[0]], 3)), NOT_A_CACHE),
         (lambda model, cache: model.forward_step(None, 1), NOT_A_CACHE),
@@ -816,10 +816,9 @@ NO_TOKENS = "tokens must be a list or tuple of token ids, got None"
         (lambda model: build_merge_plan(np.ones((2, 6)), 0.5, "random", "x"),
          "rng must be a Rng, got 'x'"),
         (lambda model: degradation_report(ImageAttentionStat(None, None)),
-         "values must be a ndarray, got None"),
+         "values must be a (n_steps, n_layers, n_heads) array, got shape ()"),
         (lambda model: ImageAttentionStat(np.zeros((3, 1, 1)), np.ones(2, dtype=bool)),
-         "values must be an (n_steps, n_layers, n_heads) array and generated its (n_steps,) "
-         "booleans, got shapes (3, 1, 1) and (2,)"),
+         "n_generated must be an integer, got array([ True,  True])"),
     ],
     ids=["prefill-tokens", "check_request-tokens", "base_select-rng", "build_merge_plan-rng",
          "stat-values", "stat-generated"],

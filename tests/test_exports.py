@@ -11,12 +11,14 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ikod
 from ikod.attn_analysis import kde_peak
 from ikod.cli import RunConfig
-from ikod.decode import BaseStrategy, Prompt, base_select, collaborative_combine, prefill
+from ikod.decode import BaseStrategy, Prompt, base_select, collaborative_combine
+from ikod.decode import plausibility_mask, prefill
 from ikod.kv_merge import build_merge_plan
 from ikod.metrics import chair_scores
 from ikod.model import LayeredKvCache, ModelConfig, TinyDecoder, json_fields, read_config
@@ -142,13 +144,22 @@ RAGGED = "got ragged rows or non-numbers"
         (lambda: tiny_model().content_embedding("a"), f"inp must be a (8) array, {RAGGED}"),
         (lambda: prefill(tiny_model(), Prompt("x", (1, 2, 3))),
          f"image_embeddings must be a (n, 8) array, {RAGGED}"),
+        # Finite embeddings whose attention scores overflow.
+        (lambda: tiny_model().forward_full(np.full((1, 8), 1e308)),
+         "matrix entries must be finite"),
+        (lambda: softmax_rows(np.zeros((2, 0))),
+         "m must have at least one column, got shape (2, 0)"),
+        (lambda: plausibility_mask(["0.5", "0.2"], 0.1), f"p_orig must be a (n) array, {RAGGED}"),
+        (lambda: softmax_rows(np.array([["1", "2"]])),
+         f"m must be a (rows, columns) array, {RAGGED}"),
     ],
     ids=[
         "forward_prompt-int", "forward_prompt-None", "sinusoidal_positions-str",
         "chair_scores-None", "kde_peak-str", "kde_peak-None", "json_fields-None", "record-None",
         "collaborative_combine-None", "next_u64_block-str", "next_u64_block-bool",
         "softmax_rows-str", "base_select-str", "build_merge_plan-str", "forward_full-str",
-        "content_embedding-str", "prefill-str-images",
+        "content_embedding-str", "prefill-str-images", "forward_full-overflowing-scores",
+        "softmax_rows-no-columns", "plausibility_mask-numeric-strings", "softmax_rows-str-array",
     ],
 )
 def test_a_malformed_argument_is_a_value_error_naming_it(call, problem):

@@ -243,7 +243,10 @@ malformed = st.one_of(
         malformed_for_all
         | fractions
         | st.integers()
-        | st.tuples(st.integers(0, 3), st.integers(0, 5).filter(lambda k: k != 3)).map(np.ones),
+        | st.tuples(st.integers(0, 3), st.integers(0, 5).filter(lambda k: k != 3)).map(np.ones)
+        # Numbers written as strings, as lists and as str or bytes arrays.
+        | st.lists(st.lists(finite_floats.map(repr), min_size=3, max_size=3), min_size=1)
+        .flatmap(lambda rows: st.sampled_from([rows, np.array(rows), np.array(rows, dtype=bytes)])),
     ),
 )
 
