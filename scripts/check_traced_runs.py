@@ -24,7 +24,7 @@ import sys
 # method changes one of them. Prefill runs the prompt through
 # forward_prompt, so forward_step counts decoded tokens only, and
 # forward_prompt takes its softmax a block of positions at a time
-# (softmax_causal_block), so softmax_rows counts decode-time rows only.
+# (_softmax_causal_block), so softmax_rows counts decode-time rows only.
 # sweep_grid's grid points replay the decoded prefixes they share from
 # the prefill's step tree instead of calling forward_step again. A
 # merged query runs inside the forward_step that feeds the previous

@@ -35,11 +35,7 @@ class ImageAttentionStat:
 
     def __post_init__(self):
         self.values = require_array(self.values, "values", ("n_steps", "n_layers", "n_heads"))
-        self.n_generated = require_int(self.n_generated, "n_generated", 0)
-        if self.n_generated > len(self.values):
-            raise ValueError(
-                f"n_generated must be at most {len(self.values)}, got {self.n_generated}"
-            )
+        self.n_generated = require_int(self.n_generated, "n_generated", 0, len(self.values))
 
     @classmethod
     def from_trace(cls, cache: LayeredKvCache, n_generated: int) -> "ImageAttentionStat":
@@ -103,9 +99,7 @@ def _require_bandwidth(value, name: str) -> float:
     """value as a kde2d bandwidth: a positive finite float whose peak density
     (kde_peak) is finite too; anything else raises a ValueError naming the
     argument."""
-    h = require_float(value, name)
-    if h <= 0.0:
-        raise ValueError(f"{name} must be positive and finite, got {h}")
+    h = require_float(value, name, above=0.0)
     if math.isinf(kde_peak(h)):
         raise ValueError(f"{name} {h} is too small: the peak density 1/(2*pi*h**2) overflows")
     return h

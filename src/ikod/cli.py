@@ -183,8 +183,7 @@ def _read_run(run_dir: Path) -> ImageAttentionStat:
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     # Every argument is checked before the first file is written.
-    if not 1 <= args.kde_grid <= KDE_GRID_MAX:
-        raise ValueError(f"--kde-grid must be between 1 and {KDE_GRID_MAX}, got {args.kde_grid}")
+    require_int(args.kde_grid, "--kde-grid", 1, KDE_GRID_MAX)
     _require_bandwidth(args.bandwidth, "--bandwidth")
     if args.synthetic_uniform:
         require_int(args.image_count, "--image-count", 0)

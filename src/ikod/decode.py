@@ -8,13 +8,14 @@ embedding, same position). It combines the two probability vectors as
 p_orig + alpha * p_aug restricted to tokens whose original probability is
 at least beta times the original maximum. The merged query for the next
 pick needs nothing the step produces but the token's own key/value rows,
-and its plan reads only recorded scores. So once a token is picked, the
-loop plans and merges for it, and feeds it through one forward_step that
+and its plan reads only recorded scores. So when the model runs a picked
+token's step, the loop first plans and merges for it, and one forward_step
 runs both queries layer by layer, each weight matrix applied to both while
-it is hot. Only the first pick, and a step replayed from the step tree
-(below), run the merged query on its own. The merged view lives in one
-block per generation: each merge rebuilds only the buckets whose bounds
-changed since the last one, and never mutates the live cache.
+it is hot. The first pick, and a pick after a step replayed from the step
+tree (below), plan over the cache and run the merged query on its own. The
+merged view lives in one block per generation: each merge rebuilds only
+the buckets whose bounds changed since the last one, and never mutates the
+live cache.
 
 The image and prompt positions are run once by prefill(), and every
 generation forks the resulting Prefill: each fork copies the prompt's
@@ -27,6 +28,7 @@ copy it bit for bit, so a sweep also decodes each shared token prefix once.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,7 +36,6 @@ import numpy as np
 
 from .kv_merge import (
     AnchorStrategy,
-    CompressedCache,
     _require_anchor_ratio,
     build_merge_plan,
     layer_scores,
@@ -88,37 +89,20 @@ class BaseStrategy:
     temperature: float | None = None
 
     def __post_init__(self):
-        checks = {"k": require_int, "p": require_float, "temperature": require_float}
+        checks = {
+            "k": lambda k: require_int(k, "k", 1),
+            "p": lambda p: require_float(p, "p", above=0.0, most=1.0),
+            "temperature": lambda t: require_float(t, "temperature", above=0.0),
+        }
         for name, check in checks.items():
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, check(getattr(self, name), name))
+                object.__setattr__(self, name, check(getattr(self, name)))
         if self.kind not in ("greedy", "top_k", "top_p"):
             raise ValueError(f"kind must be greedy, top_k or top_p, got {self.kind!r}")
         for name, kind in (("k", "top_k"), ("p", "top_p")):
-            if getattr(self, name) is not None and self.kind != kind:
-                raise ValueError(f"{name} must be unset for {self.kind}")
-        if self.kind == "top_k" and (self.k is None or self.k < 1):
-            raise ValueError("k must be at least 1 for top_k")
-        if self.kind == "top_p" and (self.p is None or not 0.0 < self.p <= 1.0):
-            raise ValueError("p must lie in (0, 1] for top_p")
-        if self.temperature is not None and self.temperature <= 0.0:
-            raise ValueError("temperature must be positive and finite")
-
-
-def _require_alpha(value) -> float:
-    """value as a non-negative finite float, or a ValueError naming alpha."""
-    alpha = require_float(value, "alpha")
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative and finite")
-    return alpha
-
-
-def _require_beta(value) -> float:
-    """value as a float in [0, 1], or a ValueError naming beta."""
-    beta = require_float(value, "beta")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    return beta
+            wanted = self.kind == kind
+            if (getattr(self, name) is not None) != wanted:
+                raise ValueError(f"{name} must be {'set' if wanted else 'unset'} for {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +123,8 @@ class DecodePolicy:
         max_new_tokens = require_int(self.max_new_tokens, "max_new_tokens", 1)
         object.__setattr__(self, "max_new_tokens", max_new_tokens)
         object.__setattr__(self, "seed", require_seed(self.seed, "seed"))
-        object.__setattr__(self, "alpha", _require_alpha(self.alpha))
-        object.__setattr__(self, "beta", _require_beta(self.beta))
+        object.__setattr__(self, "alpha", require_float(self.alpha, "alpha", least=0.0))
+        object.__setattr__(self, "beta", require_float(self.beta, "beta", 0.0, 1.0))
         object.__setattr__(self, "anchor_ratio", _require_anchor_ratio(self.anchor_ratio))
 
     def to_json_dict(self) -> dict:
@@ -153,7 +137,7 @@ def plausibility_mask(p_orig, beta: float) -> np.ndarray:
     beta = 0 keeps everything; beta = 1 keeps only argmax ties. The argmax is
     always kept. p_orig must be a non-empty 1-D array of finite numbers.
     """
-    beta = _require_beta(beta)
+    beta = require_float(beta, "beta", 0.0, 1.0)
     p = require_array(p_orig, "p_orig", ("n",))
     if p.size == 0 or not np.isfinite(p).all():
         raise ValueError("p_orig must be a non-empty 1-D array of finite numbers")
@@ -165,7 +149,7 @@ def collaborative_combine(p_orig, p_aug, alpha: float, v_head) -> np.ndarray:
     p_orig = require_array(p_orig, "p_orig", ("n",))
     p_aug = require_array(p_aug, "p_aug", p_orig.shape)
     v_head = require_array(v_head, "v_head", p_orig.shape, dtype=bool)
-    alpha = _require_alpha(alpha)
+    alpha = require_float(alpha, "alpha", least=0.0)
     return np.where(v_head, p_orig + alpha * p_aug, 0.0)
 
 
@@ -278,27 +262,23 @@ class _StepTree:
         self.blocks: tuple[np.ndarray, ...] | None = None
 
     def step(self, model: TinyDecoder, cache: LayeredKvCache, parent: int | None,
-             token: int, merged: CompressedCache | None = None
+             token: int, merge_ahead: Callable[[], tuple] | None = None
              ) -> tuple[int | None, np.ndarray, tuple | None]:
         """Feed token to cache after the history at row parent (None: a
-        history the tree does not hold). merged, when given, is a merge for
-        the position token takes, whose last row the step fills; a step the
-        model runs also runs the merged query on it (forward_step's merged).
-        Returns the token's row, or None, the logits that follow it, and the
-        merged query's (logits, rows), or None when it did not run."""
+        history the tree does not hold). merge_ahead, when given, returns the
+        (keys, values) of a merge for the position token takes, whose last row
+        the step fills; only a step the model runs calls it, and runs the
+        merged query on it too (forward_step's merged). Returns the token's
+        row, or None, the logits that follow it, and the merged query's
+        (logits, rows), or None when it did not run."""
         row = None if parent is None else self.children.get((parent, token))
         if row is not None:
             pos = model.open_position(cache)
             for view, block in zip(cache.position(pos), self.blocks):
                 view[...] = block[row]
             cache.length = pos + 1
-            if merged is not None:
-                merged.keys[:, :, -1] = cache.keys[:, :, pos]
-                merged.values[:, :, -1] = cache.values[:, :, pos]
             return row, self.blocks[-1][row], None
-        out = model.forward_step(
-            cache, token, None if merged is None else (merged.keys, merged.values)
-        )
+        out = model.forward_step(cache, token, None if merge_ahead is None else merge_ahead())
         cfg, row = model.config, len(self.children)
         if parent is None or row == cfg.max_seq:
             return None, out.logits, out.merged
@@ -423,14 +403,20 @@ def ikod_generate(
         )
         merged = merge_cache(cache, plan, merged, upcoming)
 
+    def merge_ahead() -> tuple[np.ndarray, np.ndarray]:
+        # The next pick's merged query is the token being fed at its
+        # position, and its plan reads only recorded scores: merge for it
+        # before the step that feeds the token, which runs the query too.
+        plan_merge(upcoming=True)
+        return merged.keys, merged.values
+
     for i in range(policy.max_new_tokens):
         p_orig = _softmax_vec(logits)
         scores = p_orig
         p_aug = v_head = aug_att = anchors = None  # baseline runs no merged path
         if policy.mode is not Mode.BASELINE:
-            if merged is None:  # the first pick plans over the prompt
+            if aug is None:  # no model step ran it: the first pick, or one after a replay
                 plan_merge(upcoming=False)
-            if aug is None:  # no full step ran it: the first pick, or a replayed step
                 aug = model.forward_query(
                     merged.keys, merged.values, cache.length - 1, current_input
                 )
@@ -446,12 +432,8 @@ def ikod_generate(
         token = base_select(scores, policy.base, rng)
         steps.append(Step(token, p_orig, p_aug, v_head, aug_att, anchors))
         last = token == EOS_TOKEN or i == policy.max_new_tokens - 1
-        if merged is not None and not last:
-            # The next pick's merged query is this token at this position,
-            # and its plan reads only recorded scores: merge for it now and
-            # run it through the step that feeds the token.
-            plan_merge(upcoming=True)
-        node, logits, aug = prompt.tree.step(model, cache, node, token, None if last else merged)
+        ahead = None if last or policy.mode is Mode.BASELINE else merge_ahead
+        node, logits, aug = prompt.tree.step(model, cache, node, token, ahead)
         current_input = token
         if last:
             break

@@ -129,12 +129,8 @@ def layer_scores(cache: LayeredKvCache, upcoming: bool = False) -> np.ndarray:
 
 
 def _require_anchor_ratio(value) -> float:
-    """value as a float in (0, 1]; anything else raises a ValueError naming
-    anchor_ratio."""
-    anchor_ratio = require_float(value, "anchor_ratio")
-    if not 0.0 < anchor_ratio <= 1.0:
-        raise ValueError("anchor_ratio must lie in (0, 1]")
-    return anchor_ratio
+    """value as a float in (0, 1]; anything else is a ValueError naming it."""
+    return require_float(value, "anchor_ratio", most=1.0, above=0.0)
 
 
 def anchor_count(text_len: int, anchor_ratio: float) -> int:

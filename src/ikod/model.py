@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .numerics import _NOT_FINITE, Rng, _cache_aligned_empty, _require_type, require_array
-from .numerics import require_int, require_seed, softmax_causal_block, softmax_rows
+from .numerics import _softmax_causal_block, require_int, require_seed, softmax_rows
 
 __all__ = [
     "CapacityError",
@@ -348,7 +348,7 @@ class TinyDecoder:
         a matrix larger than _ROW_TIMES_BYTES one column block at a time for
         every row, so each block is read from memory once per layer.
         Attention runs a block of positions at a time: each score is the dot
-        _attend takes, the softmax is softmax_causal_block, and each row mixes
+        _attend takes, the softmax is _softmax_causal_block, and each row mixes
         its values through _mix, as _attend does.
         """
         cfg = self.config
@@ -380,7 +380,7 @@ class TinyDecoder:
             for start, att in blocks:
                 end = att.shape[-1]
                 scores = np.einsum("phd,htd->pht", q[start:end], keys[:, :end]) * scale
-                softmax_causal_block(scores, start, att[:, li])
+                _softmax_causal_block(scores, start, att[:, li])
                 for p in range(start, end):
                     mixed[p] = _mix(att[p - start, li, :, : p + 1], values[:, : p + 1])
             x = x + _row_times(mixed, lw.w_o)

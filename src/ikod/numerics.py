@@ -17,38 +17,39 @@ __all__ = [
     "require_int",
     "require_member",
     "require_seed",
-    "softmax_causal_block",
     "softmax_rows",
 ]
 
 
-def require_int(value, name: str, least: int | None = None) -> int:
-    """value as an int when it is a whole number, and at least least when
-    that is given; booleans, arrays, fractions, non-finite numbers,
-    non-numbers and smaller numbers raise a ValueError naming the argument."""
+def require_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """value as an int when it is a whole number in least..most, each bound
+    optional; booleans, arrays, fractions, non-finite numbers, non-numbers
+    and numbers out of range raise a ValueError naming the argument."""
     try:
         whole = not isinstance(value, (bool, np.bool_, np.ndarray)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
     if least is not None and value < least:
-        raise ValueError(f"{name} must be at least {least}, got {int(value)}")
-    return int(value)
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
+    return value
 
 
 def require_seed(value, name: str) -> int:
     """require_int within 0..2**64 - 1, the seeds Rng takes as they are, so
     no two seeds alias one stream."""
-    seed = require_int(value, name)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"{name} must lie in [0, 2**64 - 1], got {seed}")
-    return seed
+    return require_int(value, name, 0, 2**64 - 1)
 
 
-def require_float(value, name: str) -> float:
-    """value as a float when it is a finite number; booleans, null, strings
-    and non-finite numbers raise a ValueError naming the argument."""
+def require_float(value, name: str, least: float | None = None, most: float | None = None,
+                  above: float | None = None) -> float:
+    """value as a float when it is a finite number at least least, above above
+    and at most most, each bound optional; booleans, null, strings, non-finite
+    numbers and numbers out of range raise a ValueError naming the argument."""
     try:
         finite = (
             isinstance(value, numbers.Real)
@@ -59,7 +60,14 @@ def require_float(value, name: str) -> float:
         finite = False
     if not finite:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if above is not None and value <= above:
+        raise ValueError(f"{name} must be above {above}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
+    return value
 
 
 def require_member(kind: type[Enum], value, name: str):
@@ -85,12 +93,12 @@ def require_array(value, name: str, shape: tuple, dtype=np.float64) -> np.ndarra
     """np.asarray(value, dtype=dtype), so an array of that dtype is returned
     as it is, when its dimensions match shape: an int is an exact length and
     a str names a length of any size. Anything else (None, a scalar, ragged
-    rows, non-numbers such as strings, another shape) raises a ValueError
-    naming the argument, before the caller reads any entry. Of an ndarray
-    only the dtype is read before the conversion."""
+    rows, non-numbers such as strings, objects or complex numbers, another
+    shape) raises a ValueError naming the argument, before the caller reads
+    any entry. Of an ndarray only the dtype is read before the conversion."""
     try:
         given = value if isinstance(value, np.ndarray) else np.asarray(value)
-        array = None if given.dtype.kind in "SU" else np.asarray(given, dtype=dtype)
+        array = None if given.dtype.kind in "SUOc" else np.asarray(given, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         array = None
     if array is not None and array.ndim == len(shape) and all(
@@ -120,7 +128,7 @@ def softmax_rows(m) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_causal_block(scores: np.ndarray, first: int, out: np.ndarray) -> None:
+def _softmax_causal_block(scores: np.ndarray, first: int, out: np.ndarray) -> None:
     """softmax_rows of each position's own columns, for a block of positions.
 
     scores holds the (n, heads, columns) scores of positions first ..

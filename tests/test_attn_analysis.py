@@ -101,13 +101,13 @@ def test_kde_integrates_to_one():
 def test_kde_input_validation():
     with pytest.raises(ValueError):
         kde2d([], [(0.0, 0.0)])
-    with pytest.raises(ValueError, match=r"^h must be positive and finite, got 0\.0$"):
+    with pytest.raises(ValueError, match=r"^h must be above 0\.0, got 0\.0$"):
         kde2d([(0.0, 0.0)], [(0.0, 0.0)], h=0.0)
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -0.5])
 def test_kde_rejects_bandwidths_that_are_not_positive_and_finite(h):
-    rule = "be positive and finite" if math.isfinite(h) else "be a finite number"
+    rule = "be above 0.0" if math.isfinite(h) else "be a finite number"
     with pytest.raises(ValueError, match=f"^h must {rule}, got {h}$"):
         kde2d([(0.0, 0.0)], [(0.0, 0.0)], h=h)
 

@@ -157,12 +157,12 @@ def test_decode_rejects_malformed_fields(tmp_path, capsys, overrides, field):
     [
         ({"mode": "fast"}, "policy.mode must be one of baseline, ikod, ikod_no_od, got 'fast'"),
         ({"anchor_strategy": None}, "policy.anchor_strategy must be one of"),
-        ({"beta": 1.5}, "policy.beta must lie in [0, 1]"),
+        ({"beta": 1.5}, "policy.beta must be at most 1.0, got 1.5"),
         ({"max_new_tokens": 0}, "policy.max_new_tokens must be at least 1"),
         ({"base": {"kind": "beam"}},
          "policy.base.kind must be greedy, top_k or top_p, got 'beam'"),
-        ({"base": {"kind": "top_k"}}, "policy.base.k must be at least 1 for top_k"),
-        ({"base": {"kind": "top_p", "p": 1.5}}, "policy.base.p must lie in (0, 1] for top_p"),
+        ({"base": {"kind": "top_k"}}, "policy.base.k must be set for top_k"),
+        ({"base": {"kind": "top_p", "p": 1.5}}, "policy.base.p must be at most 1.0, got 1.5"),
         ({"base": {"kind": "greedy", "p": 0.5}}, "policy.base.p must be unset for greedy"),
         ({"base": {"kind": "top_p", "p": 1, "temperature": 0}}, "policy.base.temperature must be"),
         ({"gamma": 1}, "unknown policy keys: ['gamma']"),
@@ -375,7 +375,7 @@ def test_baseline_decode_writes_no_plan_files(tmp_path):
 )
 def test_decode_rejects_seeds_outside_the_generator_range(tmp_path, capsys, seed, where, field):
     """The generator keeps a seed's low 64 bits; a seed it would alias to
-    another exits 2 naming the field and the range, before any file."""
+    another exits 2 naming the field and the bound it breaks, before any file."""
     argv = []
     if where == "--seed":
         path, argv = write_config(tmp_path), ["--seed", str(seed)]
@@ -384,7 +384,8 @@ def test_decode_rejects_seeds_outside_the_generator_range(tmp_path, capsys, seed
     else:
         path = write_config(tmp_path, **{where: {"seed": seed}})
     assert main(["decode", "--config", str(path), "--out", str(tmp_path / "x"), *argv]) == 2
-    assert f"error: {field} must lie in [0, 2**64 - 1], got {seed}\n" in capsys.readouterr().err
+    bound = "at least 0" if seed < 0 else f"at most {2**64 - 1}"
+    assert f"error: {field} must be {bound}, got {seed}\n" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -676,8 +677,8 @@ def test_sweep_rejects_non_finite_alpha(tmp_path, capsys, alpha):
          "got 'low'"),
         ("--alphas", "1,inf", "--alphas: alpha must be a finite number, got inf"),
         ("--alphas", "1,x", "--alphas: bad list value"),
-        ("--lambdas", "0.5,0", "--lambdas: anchor_ratio must lie in (0, 1]"),
-        ("--betas", "1.5", "--betas: beta must lie in [0, 1]"),
+        ("--lambdas", "0.5,0", "--lambdas: anchor_ratio must be above 0.0, got 0.0"),
+        ("--betas", "1.5", "--betas: beta must be at most 1.0, got 1.5"),
     ],
 )
 def test_sweep_grid_errors_name_the_flag(tmp_path, capsys, flag, value, problem):

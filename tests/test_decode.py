@@ -61,7 +61,8 @@ def test_plausibility_mask_rejects_what_is_not_a_finite_distribution(p_orig):
     "beta, message",
     [("0.5", "beta must be a finite number"), (None, "beta must be a finite number"),
      (True, "beta must be a finite number"), (np.nan, "beta must be a finite number, got nan"),
-     (1.5, r"beta must lie in \[0, 1\]")],
+     (1.5, r"beta must be at most 1\.0, got 1\.5"),
+     (-0.5, r"beta must be at least 0\.0, got -0\.5")],
 )
 def test_plausibility_mask_rejects_a_beta_that_is_not_a_number_in_range(beta, message):
     with pytest.raises(ValueError, match=message):
@@ -201,14 +202,21 @@ def test_base_select_never_picks_a_zero_score_token(scores, base, u):
 def test_base_strategy_validation():
     with pytest.raises(ValueError):
         BaseStrategy(kind="beam")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be at least 1, got 0$"):
         BaseStrategy(kind="top_k", k=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be set for top_k$"):
+        BaseStrategy(kind="top_k")
+    with pytest.raises(ValueError, match=r"^p must be above 0\.0, got 0\.0$"):
         BaseStrategy(kind="top_p", p=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p must be set for top_p$"):
+        BaseStrategy(kind="top_p")
+    with pytest.raises(ValueError, match=r"^temperature must be above 0\.0, got -1\.0$"):
         BaseStrategy(kind="top_k", k=5, temperature=-1.0)
-    with pytest.raises(ValueError, match="^temperature must be positive and finite$"):
+    with pytest.raises(ValueError, match=r"^temperature must be above 0\.0, got 0\.0$"):
         BaseStrategy(kind="top_p", p=0.9, temperature=0.0)
+    # A value out of range is named before a field its kind does not read.
+    with pytest.raises(ValueError, match=r"^p must be at most 1\.0, got 1\.5$"):
+        BaseStrategy(kind="greedy", p=1.5)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match=f"^temperature must be a finite number, got {bad}$"):
             BaseStrategy(kind="top_p", p=0.9, temperature=bad)
@@ -234,8 +242,8 @@ def test_base_strategy_rejects_fields_its_kind_does_not_read(given, problem):
 
 @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), -0.5])
 def test_policy_rejects_negative_and_non_finite_alpha(alpha):
-    rule = "be non-negative and finite" if alpha < 0 else f"be a finite number, got {alpha}"
-    with pytest.raises(ValueError, match=f"^alpha must {rule}$"):
+    rule = "be at least 0.0" if alpha < 0 else "be a finite number"
+    with pytest.raises(ValueError, match=f"^alpha must {rule}, got {alpha}$"):
         DecodePolicy(alpha=alpha)
 
 
@@ -694,7 +702,8 @@ def test_policy_rejects_booleans_and_non_numbers(field, build):
 def test_seeds_outside_the_generator_range_are_rejected(seed):
     """Were a seed's low 64 bits kept, -1 would alias 2**64 - 1 and 2**64 + 5
     would alias 5; the configs and the image draw refuse such seeds instead."""
-    message = rf"^seed must lie in \[0, 2\*\*64 - 1\], got {seed}$"
+    bound = "at least 0" if seed < 0 else f"at most {2**64 - 1}"
+    message = f"^seed must be {bound}, got {seed}$"
     for build in (
         lambda s: make_model(seed=s),
         lambda s: DecodePolicy(seed=s),
@@ -736,8 +745,8 @@ def test_combine_rejects_a_mask_of_another_shape():
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
 def test_combine_rejects_negative_and_non_finite_alpha(alpha):
-    rule = "be non-negative and finite" if alpha < 0 else f"be a finite number, got {alpha}"
-    with pytest.raises(ValueError, match=f"^alpha must {rule}$"):
+    rule = "be at least 0.0" if alpha < 0 else "be a finite number"
+    with pytest.raises(ValueError, match=f"^alpha must {rule}, got {alpha}$"):
         collaborative_combine([0.5, 0.5], [0.5, 0.5], alpha, [True, True])
 
 
@@ -816,7 +825,7 @@ NO_TOKENS = "tokens must be a list or tuple of token ids, got None"
         (lambda model: build_merge_plan(np.ones((2, 6)), 0.5, "random", "x"),
          "rng must be a Rng, got 'x'"),
         (lambda model: degradation_report(ImageAttentionStat(None, None)),
-         "values must be a (n_steps, n_layers, n_heads) array, got shape ()"),
+         "values must be a (n_steps, n_layers, n_heads) array, got ragged rows or non-numbers"),
         (lambda model: ImageAttentionStat(np.zeros((3, 1, 1)), np.ones(2, dtype=bool)),
          "n_generated must be an integer, got array([ True,  True])"),
     ],

@@ -131,9 +131,9 @@ RAGGED = "got ragged rows or non-numbers"
         (lambda: kde_peak(None), "h must be a finite number, got None"),
         (lambda: json_fields(None), "obj must be a dataclass instance, got None"),
         (lambda: LayeredKvCache(1, 1, 0, 1, 0).record(None),
-         "rows must be a (1, 1, 1) array, got shape ()"),
+         f"rows must be a (1, 1, 1) array, {RAGGED}"),
         (lambda: collaborative_combine(None, None, 1, None),
-         "p_orig must be a (n) array, got shape ()"),
+         f"p_orig must be a (n) array, {RAGGED}"),
         (lambda: Rng(0).next_u64_block("3"), "n must be an integer, got '3'"),
         (lambda: Rng(0).next_u64_block(True), "n must be an integer, got True"),
         (lambda: softmax_rows("x"), f"m must be a (rows, columns) array, {RAGGED}"),
@@ -152,6 +152,9 @@ RAGGED = "got ragged rows or non-numbers"
         (lambda: plausibility_mask(["0.5", "0.2"], 0.1), f"p_orig must be a (n) array, {RAGGED}"),
         (lambda: softmax_rows(np.array([["1", "2"]])),
          f"m must be a (rows, columns) array, {RAGGED}"),
+        (lambda: plausibility_mask(np.array(["0.5", "0.2"], dtype=object), 0.1),
+         f"p_orig must be a (n) array, {RAGGED}"),
+        (lambda: plausibility_mask([0.5 + 0j, 0.2], 0.1), f"p_orig must be a (n) array, {RAGGED}"),
     ],
     ids=[
         "forward_prompt-int", "forward_prompt-None", "sinusoidal_positions-str",
@@ -160,6 +163,7 @@ RAGGED = "got ragged rows or non-numbers"
         "softmax_rows-str", "base_select-str", "build_merge_plan-str", "forward_full-str",
         "content_embedding-str", "prefill-str-images", "forward_full-overflowing-scores",
         "softmax_rows-no-columns", "plausibility_mask-numeric-strings", "softmax_rows-str-array",
+        "plausibility_mask-object-strings", "plausibility_mask-complex",
     ],
 )
 def test_a_malformed_argument_is_a_value_error_naming_it(call, problem):

@@ -339,8 +339,8 @@ def test_merge_plan_rejects_malformed_anchors(anchors, problem):
         ("text_len", 8.5, "text_len must be an integer"),
         ("text_len", True, "text_len must be an integer"),
         ("text_len", 2, "no mergeable range"),
-        ("anchor_ratio", 0.0, "anchor_ratio must lie in"),
-        ("anchor_ratio", 1.5, "anchor_ratio must lie in"),
+        ("anchor_ratio", 0.0, r"anchor_ratio must be above 0\.0, got 0\.0"),
+        ("anchor_ratio", 1.5, r"anchor_ratio must be at most 1\.0, got 1\.5"),
         ("anchor_ratio", float("nan"), "anchor_ratio must be a finite number"),
         ("anchor_ratio", "0.5", "anchor_ratio must be a finite number"),
         ("strategy", "x", "strategy must be one of low_attention, high_attention, random"),

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from ikod.numerics import (
     Rng,
+    _softmax_causal_block,
     require_array,
     require_float,
     require_int,
     require_member,
     require_seed,
-    softmax_causal_block,
     softmax_rows,
 )
 
@@ -52,7 +52,7 @@ def test_causal_block_is_softmax_rows_of_each_positions_own_columns(first, n, he
     later = np.arange(first + n) > np.arange(first, first + n)[:, None]
     scores[np.broadcast_to(later[:, None], scores.shape)] = np.nan
     out = np.empty_like(scores)
-    softmax_causal_block(scores.copy(), first, out)
+    _softmax_causal_block(scores.copy(), first, out)
     for i in range(n):
         own = first + i + 1
         assert out[i, :, :own].tobytes() == softmax_rows(scores[i, :, :own]).tobytes()
@@ -64,7 +64,7 @@ def test_causal_block_rejects_a_non_finite_entry_a_row_reads(bad):
     scores = np.zeros((3, 2, 5))
     scores[1, 1, 3] = bad  # position 3 reads columns 0..3
     with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-        softmax_causal_block(scores, 2, np.empty_like(scores))
+        _softmax_causal_block(scores, 2, np.empty_like(scores))
 
 
 def test_rng_reference_stream():
@@ -78,7 +78,8 @@ def test_rng_rejects_seeds_it_would_not_take_as_they_are(seed):
     """A seed outside 0..2**64 - 1 would alias the stream of its low 64
     bits, and True would pass for seed 1."""
     if type(seed) is int:
-        problem = rf"^seed must lie in \[0, 2\*\*64 - 1\], got {seed}$"
+        bound = "at least 0" if seed < 0 else f"at most {2**64 - 1}"
+        problem = f"^seed must be {bound}, got {seed}$"
     else:
         problem = f"^seed must be an integer, got {re.escape(repr(seed))}$"
     with pytest.raises(ValueError, match=problem):
@@ -204,18 +205,22 @@ class Colour(str, Enum):
     BLUE = "blue"
 
 
-# Each argument rule, called with the name "arg" and, where it takes one, a
-# least value of 1 or an (n, 3) shape.
+# Each argument rule, called with the name "arg" and, where it takes them,
+# bounds or an (n, 3) shape.
 RULES = {
     "int": lambda value: require_int(value, "arg", 1),
+    "bounded_int": lambda value: require_int(value, "arg", -3, 5),
     "seed": lambda value: require_seed(value, "arg"),
     "float": lambda value: require_float(value, "arg"),
+    "closed_float": lambda value: require_float(value, "arg", least=-1.0, most=1.0),
+    "open_float": lambda value: require_float(value, "arg", above=0.0, most=1.0),
     "member": lambda value: require_member(Colour, value, "arg"),
     "array": lambda value: require_array(value, "arg", ("n", 3)),
 }
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 fractions = finite_floats.filter(lambda x: not x.is_integer())
+above_one = st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)
 # Malformed for every rule: booleans, None, numeric strings, non-finite
 # numbers, ragged lists and arrays of one or three dimensions.
 malformed_for_all = st.one_of(
@@ -233,10 +238,32 @@ malformed_for_all = st.one_of(
 malformed = st.one_of(
     st.tuples(st.just("int"), malformed_for_all | fractions | st.integers(max_value=0)),
     st.tuples(
+        st.just("bounded_int"),
+        malformed_for_all
+        | fractions
+        | st.sampled_from([-4, 6, -4.0, np.int64(6)])
+        | st.integers(max_value=-4)
+        | st.integers(min_value=6),
+    ),
+    st.tuples(
         st.just("seed"),
         malformed_for_all | fractions | st.integers(max_value=-1) | st.integers(min_value=2**64),
     ),
     st.tuples(st.just("float"), malformed_for_all | st.integers(min_value=2**1024)),
+    st.tuples(
+        st.just("closed_float"),
+        malformed_for_all
+        | st.sampled_from([np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0), -2, 2])
+        | st.floats(max_value=-1.0, exclude_max=True, allow_infinity=False)
+        | above_one,
+    ),
+    st.tuples(
+        st.just("open_float"),
+        malformed_for_all
+        | st.sampled_from([0.0, -0.0, 0, np.nextafter(1.0, 2.0)])
+        | st.floats(max_value=0.0, allow_infinity=False, allow_nan=False)
+        | above_one,
+    ),
     st.tuples(st.just("member"), malformed_for_all | fractions | st.integers() | st.text()),
     st.tuples(
         st.just("array"),
@@ -244,9 +271,18 @@ malformed = st.one_of(
         | fractions
         | st.integers()
         | st.tuples(st.integers(0, 3), st.integers(0, 5).filter(lambda k: k != 3)).map(np.ones)
-        # Numbers written as strings, as lists and as str or bytes arrays.
+        # Numbers written as strings, as lists and as str, bytes or object arrays.
         | st.lists(st.lists(finite_floats.map(repr), min_size=3, max_size=3), min_size=1)
-        .flatmap(lambda rows: st.sampled_from([rows, np.array(rows), np.array(rows, dtype=bytes)])),
+        .flatmap(lambda rows: st.sampled_from([
+            rows, np.array(rows), np.array(rows, dtype=bytes), np.array(rows, dtype=object)
+        ]))
+        # Complex numbers, as lists and as arrays, even with no imaginary part.
+        | st.lists(
+            st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                     min_size=3, max_size=3),
+            min_size=1,
+        ).flatmap(lambda rows: st.sampled_from([rows, np.array(rows)]))
+        | st.lists(st.lists(finite_floats.map(complex), min_size=3, max_size=3), min_size=1),
     ),
 )
 
@@ -264,6 +300,8 @@ well_formed = st.one_of(
     st.integers(1, 2**70).map(lambda v: ("int", v, v)),
     st.integers(1, 2**53).map(lambda v: ("int", float(v), v)),
     st.integers(1, 2**63 - 1).map(lambda v: ("int", np.int64(v), v)),
+    st.integers(-3, 5).map(lambda v: ("bounded_int", v, v)),
+    st.sampled_from([-3, 5]).map(lambda v: ("bounded_int", float(v), v)),
     st.integers(0, 2**64 - 1).map(lambda v: ("seed", v, v)),
     st.integers(0, 2**64 - 1).map(lambda v: ("seed", np.uint64(v), v)),
     finite_floats.map(lambda v: ("float", v, v)),
@@ -271,6 +309,10 @@ well_formed = st.one_of(
     st.floats(width=32, allow_nan=False, allow_infinity=False).map(
         lambda v: ("float", np.float32(v), float(v))
     ),
+    st.floats(-1.0, 1.0).map(lambda v: ("closed_float", v, v)),
+    st.sampled_from([-1.0, 1.0, -1, 1]).map(lambda v: ("closed_float", v, float(v))),
+    st.floats(0.0, 1.0, exclude_min=True).map(lambda v: ("open_float", v, v)),
+    st.sampled_from([5e-324, 1.0, 1]).map(lambda v: ("open_float", v, float(v))),
     st.sampled_from(Colour).map(lambda c: ("member", c.value, c)),
     st.lists(st.lists(finite_floats, min_size=3, max_size=3), min_size=1, max_size=4).map(
         lambda rows: ("array", rows, np.array(rows, dtype=np.float64).reshape(-1, 3))
@@ -291,6 +333,29 @@ def test_each_rule_returns_a_well_formed_argument_converted(case):
         assert got == want
 
 
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (lambda: require_int(-4, "arg", -3, 5), "arg must be at least -3, got -4"),
+        (lambda: require_int(6.0, "arg", -3, 5), "arg must be at most 5, got 6"),
+        (lambda: require_float(-1.5, "arg", least=-1.0, most=1.0),
+         "arg must be at least -1.0, got -1.5"),
+        (lambda: require_float(0, "arg", above=0.0, most=1.0), "arg must be above 0.0, got 0.0"),
+        (lambda: require_float(1.5, "arg", above=0.0, most=1.0),
+         "arg must be at most 1.0, got 1.5"),
+        # least is checked before above, and above before most.
+        (lambda: require_float(-1.0, "arg", least=0.0, above=0.0),
+         "arg must be at least 0.0, got -1.0"),
+        (lambda: require_float(2.0, "arg", most=1.0, above=3.0), "arg must be above 3.0, got 2.0"),
+    ],
+    ids=["int-least", "int-most", "float-least", "float-above", "float-most",
+         "float-least-before-above", "float-above-before-most"],
+)
+def test_a_bounded_rule_names_the_bound_a_value_breaks(call, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        call()
+
+
 def test_require_array_returns_an_array_of_its_dtype_as_it_is():
     given = np.arange(6.0).reshape(2, 3)
     assert require_array(given, "a", ("n", 3)) is given
@@ -307,7 +372,8 @@ def test_require_array_returns_an_array_of_its_dtype_as_it_is():
         (np.zeros((2, 4)), "shape (2, 4)"),
         ([[1.0, 2.0, 3.0], [4.0]], "ragged rows or non-numbers"),
         ([["x", 1.0, 2.0]], "ragged rows or non-numbers"),
-        (None, "shape ()"),
+        (None, "ragged rows or non-numbers"),
+        (2.0, "shape ()"),
     ],
 )
 def test_require_array_names_the_dimensions_it_wants(value, problem):
