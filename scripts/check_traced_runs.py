@@ -26,7 +26,7 @@ import sys
 # forward_prompt takes its softmax a block of positions at a time
 # (_softmax_causal_block), so softmax_rows counts decode-time rows only.
 # sweep_grid's grid points replay the decoded prefixes they share from
-# the prefill's step tree instead of calling forward_step again. A
+# the Prefill's step records instead of calling forward_step again. A
 # merged query runs inside the forward_step that feeds the previous
 # pick, so forward_query counts only each generation's first pick and
 # the picks after a replayed step.

@@ -28,7 +28,6 @@ from .decode import (
     Prompt,
     Step,
     base_select,
-    check_request,
     collaborative_combine,
     ikod_generate,
     plausibility_mask,

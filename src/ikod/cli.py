@@ -28,9 +28,10 @@ from .attn_analysis import (
     synthetic_uniform_trace,
     trace_image_attention,
 )
-from .cost import growth_rate_closed_form, growth_rate_exact, ikod_flops, original_flops
+from .cost import _check_positive, growth_rate_closed_form, growth_rate_exact, ikod_flops
+from .cost import original_flops
 from .decode import DecodePolicy, Mode, Prompt, check_counts, ikod_generate, prefill
-from .kv_merge import MergePlan
+from .kv_merge import MergePlan, _require_anchor_ratio
 from .metrics import BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores, load_caption_records
 from .model import CapacityError, ModelConfig, TinyDecoder, make_image_embeddings, read_config
 from .numerics import require_int, require_seed
@@ -237,17 +238,23 @@ def _parse_list(text: str, convert):
         raise ValueError(f"bad list value: {exc}") from None
 
 
+def _flagged(flag: str, call, *args, **kwargs):
+    """call(*args, **kwargs), whose ValueError names the flag that carried
+    the arguments."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _sweep_axis(text: str | None, flag: str, policy: DecodePolicy, name: str) -> list:
     """The values of the policy field name listed by the sweep flag, each
     checked as that field of policy, with errors naming the flag; the
     policy's own value when the flag is absent."""
     if not text:
         return [getattr(policy, name)]
-    convert = str if name == "anchor_strategy" else float
-    try:
-        return [getattr(replace(policy, **{name: v}), name) for v in _parse_list(text, convert)]
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+    values = _flagged(flag, _parse_list, text, str if name == "anchor_strategy" else float)
+    return [getattr(_flagged(flag, replace, policy, **{name: v}), name) for v in values]
 
 
 def cmd_sweep(args) -> int:
@@ -325,10 +332,13 @@ def _report(doc: dict, out: str | None) -> int:
 
 
 def cmd_flops(args) -> int:
+    _flagged("--layers", _check_positive, n_layers=args.layers)
+    _flagged("--seq-len", _check_positive, seq_len=args.seq_len)
+    _flagged("--hidden", _check_positive, hidden=args.hidden)
+    _flagged("--text-len", _check_positive, text_len=args.text_len)
+    _flagged("--lam", _require_anchor_ratio, args.lam)
     if args.text_len >= args.seq_len:
-        raise ValueError(
-            f"text length {args.text_len} must be smaller than sequence length {args.seq_len}"
-        )
+        raise ValueError(f"--text-len {args.text_len} must be smaller than --seq-len {args.seq_len}")
     try:
         doc = {
             "original": original_flops(args.layers, args.seq_len, args.hidden),
@@ -354,10 +364,10 @@ def cmd_metrics(args) -> int:
         chair_s, chair_i = chair_scores(records)
         doc.update({"chair_s": chair_s, "chair_i": chair_i, "records": len(records)})
     if args.binary:
-        counts = _parse_list(args.binary, int)
+        counts = _flagged("--binary", _parse_list, args.binary, int)
         if len(counts) != 4:
             raise ValueError("--binary needs four comma-separated counts: tp,fp,fn,tn")
-        m = binary_metrics(BinaryOutcomes(*counts))
+        m = _flagged("--binary", lambda: binary_metrics(BinaryOutcomes(*counts)))
         doc.update(
             {"accuracy": m.accuracy, "precision": m.precision, "recall": m.recall, "f1": m.f1}
         )

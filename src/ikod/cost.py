@@ -67,9 +67,9 @@ def ikod_flops(n_layers, seq_len, hidden, text_len, anchor_ratio):
     """Total FLOPs of the dual-path step: the original pass plus the pass over
     the merged length."""
     n_hat = compressed_len(seq_len, text_len, anchor_ratio)
-    return original_flops(n_layers, seq_len, hidden) + n_layers * (
-        24 * n_hat * hidden**2 + 4 * n_hat**2 * hidden
-    )
+    # Rounding can merge every position away (n_hat 0.0): that pass costs 0.0.
+    merged = original_flops(n_layers, n_hat, hidden) if n_hat else 0.0
+    return original_flops(n_layers, seq_len, hidden) + merged
 
 
 def growth_rate_exact(n_layers, seq_len, hidden, text_len, anchor_ratio):

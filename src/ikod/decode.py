@@ -11,8 +11,8 @@ pick needs nothing the step produces but the token's own key/value rows,
 and its plan reads only recorded scores. So when the model runs a picked
 token's step, the loop first plans and merges for it, and one forward_step
 runs both queries layer by layer, each weight matrix applied to both while
-it is hot. The first pick, and a pick after a step replayed from the step
-tree (below), plan over the cache and run the merged query on its own. The
+it is hot. The first pick, and a pick after a step replayed from the
+Prefill (below), plan over the cache and run the merged query on its own. The
 merged view lives in one block per generation: each merge rebuilds only
 the buckets whose bounds changed since the last one, and never mutates the
 live cache.
@@ -20,8 +20,8 @@ live cache.
 The image and prompt positions are run once by prefill(), and every
 generation forks the resulting Prefill: each fork copies the prompt's
 key/value rows and recorded image attention into a fresh cache, so a policy
-sweep over one prompt prefills it once. The Prefill's step tree keeps
-what forward_step wrote for each token history a fork decoded, and later forks
+sweep over one prompt prefills it once. The Prefill also keeps what
+forward_step wrote for each token history a fork decoded, and later forks
 copy it bit for bit, so a sweep also decodes each shared token prefix once.
 """
 
@@ -56,7 +56,6 @@ __all__ = [
     "Step",
     "base_select",
     "check_counts",
-    "check_request",
     "collaborative_combine",
     "ikod_generate",
     "plausibility_mask",
@@ -246,66 +245,28 @@ def _prompt_images(model: TinyDecoder, prompt: Prompt) -> np.ndarray:
     return require_array(prompt.image_embeddings, "image_embeddings", ("n", model.config.d_model))
 
 
-class _StepTree:
-    """The decoded steps of the generations forked from one Prefill. Row r
-    holds what forward_step wrote for one token fed after the history of its
-    parent row (-1 is the prompt): the position's K/V rows and image_att
-    entries, and the logits that follow.
-
-    Rows, numbered in recording order, live in one max_seq-row block per
-    field, allocated at the first record; once full, the tree records nothing
-    more and keeps replaying. Like an Rng, a tree has one owner.
-    """
-
-    def __init__(self):
-        self.children: dict[tuple[int, int], int] = {}
-        self.blocks: tuple[np.ndarray, ...] | None = None
-
-    def step(self, model: TinyDecoder, cache: LayeredKvCache, parent: int | None,
-             token: int, merge_ahead: Callable[[], tuple] | None = None
-             ) -> tuple[int | None, np.ndarray, tuple | None]:
-        """Feed token to cache after the history at row parent (None: a
-        history the tree does not hold). merge_ahead, when given, returns the
-        (keys, values) of a merge for the position token takes, whose last row
-        the step fills; only a step the model runs calls it, and runs the
-        merged query on it too (forward_step's merged). Returns the token's
-        row, or None, the logits that follow it, and the merged query's
-        (logits, rows), or None when it did not run."""
-        row = None if parent is None else self.children.get((parent, token))
-        if row is not None:
-            pos = model.open_position(cache)
-            for view, block in zip(cache.position(pos), self.blocks):
-                view[...] = block[row]
-            cache.length = pos + 1
-            return row, self.blocks[-1][row], None
-        out = model.forward_step(cache, token, None if merge_ahead is None else merge_ahead())
-        cfg, row = model.config, len(self.children)
-        if parent is None or row == cfg.max_seq:
-            return None, out.logits, out.merged
-        if self.blocks is None:
-            kv = (cfg.n_layers, cfg.n_heads, cfg.d_head)
-            shapes = (kv, kv, kv[:2], (cfg.vocab_size,))
-            self.blocks = tuple(np.empty((cfg.max_seq, *shape)) for shape in shapes)
-        for view, block in zip((*cache.position(cache.length - 1), out.logits), self.blocks):
-            block[row] = view
-        self.children[(parent, token)] = row
-        return row, out.logits, out.merged
-
-
 @dataclass(frozen=True)
 class Prefill:
     """The image and prompt positions of one Prompt, run through the model
     once into a prompt-sized cache whose arrays stay read-only. Each
     generation given a Prefill forks it (see fork) instead of running the
-    prompt again, and replays from the step tree every token history an
-    earlier fork decoded. The tree holds at most max_seq steps. Like an Rng,
-    a Prefill has one owner: its generations run one after another."""
+    prompt again, and replays (see step) every token history an earlier fork
+    decoded. Like an Rng, a Prefill has one owner: its generations run one
+    after another.
+
+    Step record r holds what forward_step wrote for one token fed after the
+    history of its parent record (-1 is the prompt): the position's K/V rows
+    and image_att entries, and the logits that follow. step_rows maps (parent,
+    token) to r, in recording order; step_blocks holds one max_seq-row block
+    per field, allocated at the first record, and once full nothing more is
+    recorded."""
 
     model: TinyDecoder
     cache: LayeredKvCache
     logits: np.ndarray  # predicting the first new token
     last_input: int  # last prompt token, the merged path's first query
-    tree: _StepTree = field(default_factory=_StepTree, repr=False, compare=False)
+    step_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    step_blocks: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def fork(self) -> LayeredKvCache:
         """A fresh cache holding the prompt's key/value rows and recorded image
@@ -317,6 +278,36 @@ class Prefill:
         cache.image_att[:, :, :n] = prompt.image_att
         cache.length = n
         return cache
+
+    def step(self, cache: LayeredKvCache, parent: int | None, token: int,
+             merge_ahead: Callable[[], tuple] | None = None
+             ) -> tuple[int | None, np.ndarray, tuple | None]:
+        """Feed token to cache, a fork, after the history at record parent
+        (None: a history with no record). merge_ahead, when given, returns the
+        (keys, values) of a merge for the position token takes, whose last row
+        the step fills; only a step the model runs calls it, and runs the
+        merged query on it too (forward_step's merged). Returns the token's
+        record, or None, the logits that follow it, and the merged query's
+        (logits, rows), or None when it did not run."""
+        row = None if parent is None else self.step_rows.get((parent, token))
+        if row is not None:
+            pos = self.model.open_position(cache)
+            for view, block in zip(cache.position(pos), self.step_blocks):
+                view[...] = block[row]
+            cache.length = pos + 1
+            return row, self.step_blocks[-1][row], None
+        out = self.model.forward_step(cache, token, None if merge_ahead is None else merge_ahead())
+        cfg, row = self.model.config, len(self.step_rows)
+        if parent is None or row == cfg.max_seq:
+            return None, out.logits, out.merged
+        if not self.step_blocks:
+            kv = (cfg.n_layers, cfg.n_heads, cfg.d_head)
+            shapes = (kv, kv, kv[:2], (cfg.vocab_size,))
+            self.step_blocks.extend(np.empty((cfg.max_seq, *shape)) for shape in shapes)
+        for view, block in zip((*cache.position(cache.length - 1), out.logits), self.step_blocks):
+            block[row] = view
+        self.step_rows[(parent, token)] = row
+        return row, out.logits, out.merged
 
 
 def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
@@ -339,24 +330,10 @@ def prefill(model: TinyDecoder, prompt: Prompt) -> Prefill:
     return Prefill(model, cache, logits, tokens[-1])
 
 
-def check_request(model: TinyDecoder, prompt: Prompt | Prefill, policy: DecodePolicy) -> None:
-    """Raise the error ikod_generate would raise for this request before it
-    runs any forward step: ValueError or CapacityError."""
-    _require_type(model, TinyDecoder, "model")
-    if isinstance(prompt, Prefill):
-        if prompt.model is not model:
-            raise ValueError("prefill was computed by a different model")
-        n_image, l_others = prompt.cache.l_image, prompt.cache.length - prompt.cache.l_image
-    elif isinstance(prompt, Prompt):
-        n_image, l_others = _prompt_images(model, prompt).shape[0], len(prompt.tokens)
-    else:
-        raise ValueError(f"prompt must be a Prompt or a Prefill, got {prompt!r}")
-    check_counts(model.config.max_seq, n_image, l_others, policy)
-
-
 def check_counts(max_seq: int, n_image: int, l_others: int, policy: DecodePolicy) -> None:
-    """check_request on the counts alone: a prompt of n_image image and
-    l_others text positions, for a model of max_seq positions."""
+    """Raise the error ikod_generate would raise before any forward step, for a
+    prompt of n_image image and l_others text positions on a model of max_seq
+    positions: ValueError or CapacityError."""
     _require_type(policy, DecodePolicy, "policy")
     if l_others < 1:
         raise ValueError("prompt needs at least one text token")
@@ -379,13 +356,22 @@ def ikod_generate(
 
     prompt is either a Prefill of this model or a Prompt, which is prefilled
     first; either way the generation forks the Prefill. Only a Prefill the
-    caller holds records the steps it decodes in its tree. Every emitted token
+    caller holds records the steps it decodes. Every emitted token
     (the final one and the end token included) is fed back through the
     incremental path, so the cache records the image attention of each
     generated token and is identical across modes for equal token sequences.
     """
-    check_request(model, prompt, policy)
-    node = -1  # the history's row in the prompt's step tree
+    _require_type(model, TinyDecoder, "model")
+    if isinstance(prompt, Prefill):
+        if prompt.model is not model:
+            raise ValueError("prefill was computed by a different model")
+        n_image, l_others = prompt.cache.l_image, prompt.cache.length - prompt.cache.l_image
+    elif isinstance(prompt, Prompt):
+        n_image, l_others = _prompt_images(model, prompt).shape[0], len(prompt.tokens)
+    else:
+        raise ValueError(f"prompt must be a Prompt or a Prefill, got {prompt!r}")
+    check_counts(model.config.max_seq, n_image, l_others, policy)
+    node = -1  # the history's row in the Prefill's step records
     if isinstance(prompt, Prompt):
         # No other generation can reach this Prefill, so it records nothing.
         prompt, node = prefill(model, prompt), None
@@ -433,7 +419,7 @@ def ikod_generate(
         steps.append(Step(token, p_orig, p_aug, v_head, aug_att, anchors))
         last = token == EOS_TOKEN or i == policy.max_new_tokens - 1
         ahead = None if last or policy.mode is Mode.BASELINE else merge_ahead
-        node, logits, aug = prompt.tree.step(model, cache, node, token, ahead)
+        node, logits, aug = prompt.step(cache, node, token, ahead)
         current_input = token
         if last:
             break

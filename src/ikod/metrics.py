@@ -94,8 +94,12 @@ def load_caption_records(path) -> list[CaptionRecord]:
     """One JSON object per line: {"mentioned": [...], "ground_truth": [...]},
     read as read_config reads a config, so a non-object, unknown or missing
     keys and non-array labels raise a ValueError naming the line and key."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        raise ValueError(f"file not found: {path}") from None
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

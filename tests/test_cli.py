@@ -320,7 +320,7 @@ def test_plan_files_are_the_plans_the_decode_loop_built(tmp_path, monkeypatch, c
     """decode --emit-merge-plans writes each pick's plan from its step record:
     step_{i}.json is, byte for byte, the i-th plan build_merge_plan returned
     inside the loop, over text of the prompt and the picks before it. The
-    replay case decodes on a shared Prefill whose step tree already holds
+    replay case decodes on a shared Prefill whose step records already hold
     every step."""
     overrides = {**PLAN_CASES[case]}
     overrides["policy"] = {**overrides["policy"], "anchor_strategy": strategy}
@@ -336,7 +336,7 @@ def test_plan_files_are_the_plans_the_decode_loop_built(tmp_path, monkeypatch, c
             ikod_generate(model, prefix, policy)
             built.clear()
             result = ikod_generate(model, prefix, policy)
-            assert len(prefix.tree.children) == len(result.tokens)  # no step decoded afresh
+            assert len(prefix.step_rows) == len(result.tokens)  # no step decoded afresh
             return result
 
         monkeypatch.setattr(cli, "ikod_generate", replayed)
@@ -850,6 +850,12 @@ def run_dir(tmp_path, generation: str, trace: str | None) -> str:
     return str(run)
 
 
+def flops_argv(**flags) -> list[str]:
+    """An ikod flops command line: the hand case with these flags changed."""
+    values = {"layers": "2", "seq_len": "8", "hidden": "4", "text_len": "4", "lam": "0.5", **flags}
+    return ["flops", *(item for k, v in values.items() for item in (f"--{k.replace('_', '-')}", v))]
+
+
 ONE_TOKEN_RUN = json.dumps(
     {"request": {"image_count": 0, "prompt_tokens": [1]}, "result": {"tokens": [2]}}
 )
@@ -883,10 +889,30 @@ def json_file(tmp_path, text: str) -> str:
          "ground truth file must hold a JSON array of token ids"),
         (lambda tmp: ["metrics", "--binary", "1,2,3"],
          "--binary needs four comma-separated counts: tp,fp,fn,tn"),
+        (lambda tmp: ["metrics", "--binary", "1,x,3,4"],
+         "--binary: bad list value: invalid literal for int() with base 10: 'x'"),
+        (lambda tmp: ["metrics", "--binary=-1,0,0,0"], "--binary: tp must be at least 0, got -1"),
+        (lambda tmp: ["metrics", "--binary", "0,0,0,0"], "--binary: no outcomes"),
+        (lambda tmp: ["metrics", "--records", str(tmp / "missing.jsonl")],
+         "file not found: {tmp}/missing.jsonl"),
+        (lambda tmp: flops_argv(lam="0"), "--lam: anchor_ratio must be above 0.0, got 0.0"),
+        (lambda tmp: flops_argv(lam="nan"), "--lam: anchor_ratio must be a finite number, got nan"),
+        (lambda tmp: flops_argv(layers="0"),
+         "--layers: n_layers must be a positive finite number, got 0"),
+        (lambda tmp: flops_argv(seq_len="-1"),
+         "--seq-len: seq_len must be a positive finite number, got -1"),
+        (lambda tmp: flops_argv(hidden="0"),
+         "--hidden: hidden must be a positive finite number, got 0"),
+        (lambda tmp: flops_argv(text_len="0"),
+         "--text-len: text_len must be a positive finite number, got 0"),
+        (lambda tmp: flops_argv(text_len="8", seq_len="8"),
+         "--text-len 8 must be smaller than --seq-len 8"),
     ],
     ids=["config-image-count", "config-invalid-json", "trace-header", "trace-missing",
          "trace-malformed-row", "generation-malformed", "ground-truth-not-array",
-         "binary-three-counts"],
+         "binary-three-counts", "binary-not-a-count", "binary-negative", "binary-no-outcomes",
+         "records-missing", "flops-lam-zero", "flops-lam-nan", "flops-layers", "flops-seq-len",
+         "flops-hidden", "flops-text-len", "flops-text-not-shorter"],
 )
 def test_cli_errors_pin_their_messages(tmp_path, capsys, argv, problem):
     out = tmp_path / "out"

@@ -46,6 +46,15 @@ def test_growth_rate_exact_hand_case():
     assert ikod_flops(2, 8, 4, 4, 0.5) == pytest.approx(8192 + 5760)
 
 
+def test_a_merged_pass_rounded_to_no_positions_costs_nothing():
+    """A tiny anchor ratio rounds the merged length to 0.0, a valid input whose
+    merged pass adds 0.0 to the original one."""
+    for n, text, lam in ((8, 8, 1e-300), (1 << 60, (1 << 60) - 1, 1e-20)):
+        assert compressed_len(n, text, lam) == 0.0
+        total = ikod_flops(2, n, 4, text, lam)
+        assert type(total) is float and total == original_flops(2, n, 4) + 0.0
+
+
 def test_growth_rate_full_ratio_costs_one_extra_pass():
     assert growth_rate_exact(3, 16, 8, 6, 1.0) == pytest.approx(1.0)
     assert growth_rate_closed_form(16, 8, 6, 1.0) == pytest.approx(1.0)

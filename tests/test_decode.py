@@ -535,7 +535,7 @@ def policy_sequences(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=prompts(), sequence=policy_sequences())
 def test_forked_prefill_matches_fresh_generation(case, sequence):
-    """Later generations replay from the step tree what earlier ones decoded;
+    """Later generations replay from the Prefill what earlier ones decoded;
     each still equals its own run on a fresh prefill, bit for bit."""
     model, prompt = case
     prefix = prefill(model, prompt)
@@ -601,7 +601,7 @@ def assert_matches_unfused(model, prompt, source, policy) -> GenerationResult:
 def test_fused_generation_matches_the_unfused_loop(case, sequence):
     """Running each step's merged query through the step that feeds the
     previous pick changes no byte and no random draw: over policy sequences
-    on one shared Prefill (so later generations replay steps from its tree)
+    on one shared Prefill (so later generations replay steps it recorded)
     every generation equals the loop that runs the two paths apart."""
     model, prompt = case
     prefix = prefill(model, prompt)
@@ -614,7 +614,7 @@ def test_fused_generation_matches_the_unfused_loop_in_every_mode_and_strategy():
     """A d_head = 1 model with a small vocabulary, so sampled runs end on the
     end token early, in every mode, strategy and base, at one new token and
     at twelve; each policy twice on one Prefill, missing and then hitting
-    its step tree."""
+    its step records."""
     cfg = ModelConfig(n_layers=2, n_heads=3, d_model=3, d_ff=8, vocab_size=6, max_seq=24, seed=0)
     model = TinyDecoder(cfg)
     prompt = Prompt(make_image_embeddings(5, 3, 2), (1, 4, 2, 5))
@@ -760,7 +760,7 @@ def test_combine_reads_alpha_as_the_policy_does(alpha):
 def test_a_request_that_is_not_a_prompt_is_rejected_by_name():
     model = make_model()
     with pytest.raises(ValueError, match="^prompt must be a Prompt or a Prefill, got 'hi'$"):
-        decode.check_request(model, "hi", DecodePolicy())
+        ikod_generate(model, "hi", DecodePolicy())
 
 
 NOT_A_MODEL = "model must be a TinyDecoder, got 'm'"
@@ -769,12 +769,11 @@ NOT_A_MODEL = "model must be a TinyDecoder, got 'm'"
 @pytest.mark.parametrize(
     "call, problem",
     [
-        (lambda model, prompt: decode.check_request("m", prompt, DecodePolicy()), NOT_A_MODEL),
         (lambda model, prompt: ikod_generate("m", prompt, DecodePolicy()), NOT_A_MODEL),
         (lambda model, prompt: prefill("m", prompt), NOT_A_MODEL),
         (lambda model, prompt: prefill(model, "hi"), "prompt must be a Prompt, got 'hi'"),
     ],
-    ids=["check_request-model", "ikod_generate-model", "prefill-model", "prefill-prompt"],
+    ids=["ikod_generate-model", "prefill-model", "prefill-prompt"],
 )
 def test_a_request_names_a_model_or_prompt_of_the_wrong_type(call, problem):
     model = make_model()
@@ -818,8 +817,6 @@ NO_TOKENS = "tokens must be a list or tuple of token ids, got None"
     "call, problem",
     [
         (lambda model: prefill(model, Prompt(np.zeros((0, 16)), None)), NO_TOKENS),
-        (lambda model: decode.check_request(model, Prompt(np.zeros((0, 16)), None), DecodePolicy()),
-         NO_TOKENS),
         (lambda model: base_select(np.ones(3), BaseStrategy("top_k", k=1), "x"),
          "rng must be a Rng, got 'x'"),
         (lambda model: build_merge_plan(np.ones((2, 6)), 0.5, "random", "x"),
@@ -829,7 +826,7 @@ NO_TOKENS = "tokens must be a list or tuple of token ids, got None"
         (lambda model: ImageAttentionStat(np.zeros((3, 1, 1)), np.ones(2, dtype=bool)),
          "n_generated must be an integer, got array([ True,  True])"),
     ],
-    ids=["prefill-tokens", "check_request-tokens", "base_select-rng", "build_merge_plan-rng",
+    ids=["prefill-tokens", "base_select-rng", "build_merge_plan-rng",
          "stat-values", "stat-generated"],
 )
 def test_library_calls_name_a_malformed_field_or_rng(call, problem):
@@ -1075,13 +1072,13 @@ def test_shared_prefill_decodes_each_token_prefix_once(monkeypatch):
         assert len(calls) - before == len(new)
         decoded |= new
     assert len(calls) - before == 0  # a repeated policy runs no forward step
-    assert len(calls) == len(decoded) == len(prefix.tree.children)
+    assert len(calls) == len(decoded) == len(prefix.step_rows)
     assert len(decoded) < sum(len(r.tokens) for r in expected)  # some prefixes were shared
 
 
 def test_a_prompt_request_records_no_steps(monkeypatch):
     """No other generation can reach a Prompt request's own Prefill, so its
-    tree stays empty and unallocated."""
+    step records stay empty and unallocated."""
     model = make_model()
     made = []
     real_prefill = decode.prefill
@@ -1089,7 +1086,7 @@ def test_a_prompt_request_records_no_steps(monkeypatch):
     for mode in Mode:
         ikod_generate(model, make_prompt(model), DecodePolicy(mode=mode, max_new_tokens=6))
     assert len(made) == len(Mode)
-    assert all(p.tree.blocks is None and not p.tree.children for p in made)
+    assert all(not p.step_blocks and not p.step_rows for p in made)
 
 
 def test_step_tree_fills_to_max_seq_rows_then_keeps_replaying(monkeypatch):
@@ -1107,28 +1104,28 @@ def test_step_tree_fills_to_max_seq_rows_then_keeps_replaying(monkeypatch):
     for policy in sampled:
         alone = ikod_generate(model, prefill(model, prompt), policy)
         assert_same_generation(ikod_generate(model, prefix, policy), alone, policy)
-    assert len(prefix.tree.children) == model.config.max_seq
-    assert list(prefix.tree.children.values()) == list(range(len(prefix.tree.children)))
-    for block in prefix.tree.blocks:
+    assert len(prefix.step_rows) == model.config.max_seq
+    assert list(prefix.step_rows.values()) == list(range(len(prefix.step_rows)))
+    for block in prefix.step_blocks:
         assert len(block) == model.config.max_seq
-    # The first generation recorded its whole path into an empty tree.
+    # The first generation recorded its whole path into empty records.
     calls = count_forward_steps(monkeypatch)
     ikod_generate(model, prefix, sampled[0])
     assert calls == []
-    assert len(prefix.tree.children) == model.config.max_seq
+    assert len(prefix.step_rows) == model.config.max_seq
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=prompts(), policy=policies, extra=st.integers(-3, 2))
 def test_decoding_never_exceeds_max_seq(case, policy, extra):
-    """Around capacity, a Prompt and a Prefill whose tree already holds the
+    """Around capacity, a Prompt and a Prefill whose records already hold the
     path both raise CapacityError before any step, or both stay in max_seq."""
     model, prompt = case
     max_seq = model.config.max_seq
     room = max_seq - len(prompt.image_embeddings) - len(prompt.tokens)
     prefix = prefill(model, prompt)
     warm = ikod_generate(model, prefix, replace(policy, max_new_tokens=room))
-    used = len(prefix.tree.children)
+    used = len(prefix.step_rows)
     requested = replace(policy, max_new_tokens=max(1, room + extra))
     outcomes = []
     for source in (prompt, prefix):
@@ -1136,7 +1133,7 @@ def test_decoding_never_exceeds_max_seq(case, policy, extra):
             outcomes.append(ikod_generate(model, source, requested))
         except CapacityError:
             outcomes.append(CapacityError)
-    assert len(prefix.tree.children) == used == len(warm.tokens)
+    assert len(prefix.step_rows) == used == len(warm.tokens)
     if requested.max_new_tokens > room:
         assert outcomes == [CapacityError, CapacityError]
         return
@@ -1157,7 +1154,7 @@ def test_replayed_step_raises_where_forward_step_would(case, policy, data):
     k = data.draw(st.integers(0, len(tokens) - 1), label="step")
     parent = -1
     for token in tokens[:k]:
-        parent = prefix.tree.children[(parent, token)]
+        parent = prefix.step_rows[(parent, token)]
     length = len(prompt.image_embeddings) + len(prompt.tokens) + k
     cache_room = data.draw(st.integers(0, 1), label="cache room")
     outcomes = []
@@ -1169,7 +1166,7 @@ def test_replayed_step_raises_where_forward_step_would(case, policy, data):
             model.forward_step(cache, inp)
         try:
             if replay:
-                logits = prefix.tree.step(model, cache, parent, tokens[k])[1]
+                logits = prefix.step(cache, parent, tokens[k])[1]
             else:
                 logits = model.forward_step(cache, tokens[k]).logits
         except CapacityError as exc:
