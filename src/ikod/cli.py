@@ -116,7 +116,7 @@ def _build_model(cfg: ModelConfig) -> TinyDecoder:
 
 def cmd_decode(args) -> int:
     rc = load_run_config(args.config)
-    policy = rc.policy if args.seed is None else replace(rc.policy, seed=args.seed)
+    policy = rc.policy
     out_dir = Path(args.out)
     check_counts(rc.model.max_seq, rc.image_count, len(rc.prompt_tokens), policy)
     model = _build_model(rc.model)
@@ -152,8 +152,8 @@ def cmd_decode(args) -> int:
         for i, step in enumerate(result.steps):
             if step.anchors is not None:  # a baseline pick runs no plan
                 # Pick i's plan spans the prompt text and the i picks before it.
-                plan = MergePlan(step.anchors, len(rc.prompt_tokens) + i)
-                doc = plan.to_json_dict(policy.anchor_ratio, policy.anchor_strategy)
+                doc = MergePlan(step.anchors, len(rc.prompt_tokens) + i).to_json_dict()
+                doc.update(anchor_ratio=policy.anchor_ratio, strategy=policy.anchor_strategy.value)
                 _write_json(plan_dir / f"step_{i + 1:04d}.json", doc)
     print(f"generated {len(result.tokens)} tokens -> {out_dir}")
     return 0
@@ -186,6 +186,8 @@ def cmd_analyze(args) -> int:
     # Every argument is checked before the first file is written.
     require_int(args.kde_grid, "--kde-grid", 1, KDE_GRID_MAX)
     _require_bandwidth(args.bandwidth, "--bandwidth")
+    if args.synthetic_uniform and args.run_dir:
+        raise ValueError("pass a decode output directory or --synthetic-uniform, not both")
     if args.synthetic_uniform:
         require_int(args.image_count, "--image-count", 0)
         require_int(args.other_count, "--other-count", 0)
@@ -259,23 +261,22 @@ def _sweep_axis(text: str | None, flag: str, policy: DecodePolicy, name: str) ->
 
 def cmd_sweep(args) -> int:
     rc = load_run_config(args.config)
-    base_policy = rc.policy if args.seed is None else replace(rc.policy, seed=args.seed)
     axes = (
         (args.lambdas, "--lambdas", "anchor_ratio"),
         (args.alphas, "--alphas", "alpha"),
         (args.betas, "--betas", "beta"),
         (args.strategies, "--strategies", "anchor_strategy"),
     )
-    grid = list(itertools.product(*(_sweep_axis(t, f, base_policy, n) for t, f, n in axes)))
+    grid = list(itertools.product(*(_sweep_axis(t, f, rc.policy, n) for t, f, n in axes)))
     if not grid:
         raise ValueError("empty sweep grid")
 
     policies = [
-        replace(base_policy, anchor_ratio=lam, alpha=alpha, beta=beta, anchor_strategy=strat)
+        replace(rc.policy, anchor_ratio=lam, alpha=alpha, beta=beta, anchor_strategy=strat)
         for lam, alpha, beta, strat in grid
     ]
     if args.include_baseline:
-        policies = [replace(base_policy, mode=Mode.BASELINE)] + policies
+        policies = [replace(rc.policy, mode=Mode.BASELINE)] + policies
 
     gt_tokens: set[str] | None = None
     if args.ground_truth_tokens:
@@ -322,12 +323,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _report(doc: dict, out: str | None) -> int:
-    """Print the JSON report doc, and also write it to out when given."""
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+def _report(doc: dict) -> int:
+    """Print the JSON report doc."""
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
@@ -354,7 +352,7 @@ def cmd_flops(args) -> int:
         raise ValueError(
             "--layers, --seq-len, --hidden and --text-len give costs too large for a float"
         ) from None
-    return _report(doc, args.out)
+    return _report(doc)
 
 
 def cmd_metrics(args) -> int:
@@ -373,7 +371,7 @@ def cmd_metrics(args) -> int:
         )
     if not doc:
         raise ValueError("nothing to compute: pass --records and/or --binary")
-    return _report(doc, args.out)
+    return _report(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decode", help="run one generation and write its artifacts")
     d.add_argument("--config", required=True, help="run config JSON")
     d.add_argument("--out", required=True, help="output directory")
-    d.add_argument("--seed", type=int, help="override the policy seed")
     d.add_argument("--emit-merge-plans", action="store_true", help="write per-step merge plans")
     d.set_defaults(func=cmd_decode)
 
@@ -414,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--betas", help="comma-separated beta values")
     s.add_argument("--strategies", help="comma-separated anchor strategies")
     s.add_argument("--include-baseline", action="store_true", help="prepend a baseline row")
-    s.add_argument("--seed", type=int, help="override the policy seed")
     s.add_argument("--ground-truth-tokens", help="JSON array of token ids for hallucination rates")
     s.set_defaults(func=cmd_sweep)
 
@@ -424,13 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--hidden", type=int, required=True)
     f.add_argument("--text-len", type=int, required=True)
     f.add_argument("--lam", type=float, required=True, help="anchor ratio")
-    f.add_argument("--out", help="also write the JSON report here")
     f.set_defaults(func=cmd_flops)
 
     m = sub.add_parser("metrics", help="hallucination and binary classification metrics")
     m.add_argument("--records", help="JSONL caption records")
     m.add_argument("--binary", help="tp,fp,fn,tn counts")
-    m.add_argument("--out", help="also write the JSON report here")
     m.set_defaults(func=cmd_metrics)
     return parser
 
@@ -442,8 +436,12 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # a file or directory the command cannot read or write
+        reason = f"cannot use {exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
 
 

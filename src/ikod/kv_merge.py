@@ -65,12 +65,10 @@ class MergePlan:
         ):
             object.__setattr__(self, name, value)
 
-    def to_json_dict(self, anchor_ratio: float, strategy: AnchorStrategy) -> dict:
-        """The merge_plans/ format: this plan with the anchor_ratio and
-        strategy of the policy that built it, which the plan does not store."""
+    def to_json_dict(self) -> dict:
+        """This plan in the merge_plans/ format, less its policy's anchor_ratio
+        and strategy, which the plan does not store and its writer adds."""
         return {
-            "anchor_ratio": _require_anchor_ratio(anchor_ratio),
-            "strategy": require_member(AnchorStrategy, strategy, "strategy").value,
             "text_len": self.text_len,
             "layers": [
                 {

@@ -307,8 +307,11 @@ class TinyDecoder:
 
     def open_position(self, cache: LayeredKvCache) -> int:
         """The position forward_step fills next; CapacityError when the cache is full."""
-        _require_type(cache, LayeredKvCache, "cache")
-        pos, capacity = cache.length, min(self.config.max_seq, cache.keys.shape[2])
+        cfg, shape = self.config, _require_type(cache, LayeredKvCache, "cache").keys.shape
+        sizes = (cfg.n_layers, cfg.n_heads, shape[2], cfg.d_head)
+        if shape != sizes:  # shapes only: every step runs this
+            raise ValueError(f"cache must be of the model's shape {sizes}, got {shape}")
+        pos, capacity = cache.length, min(cfg.max_seq, shape[2])
         if pos >= capacity:
             raise CapacityError(f"cache is full at {pos} of {capacity} positions")
         return pos
@@ -352,11 +355,11 @@ class TinyDecoder:
         its values through _mix, as _attend does.
         """
         cfg = self.config
-        _require_type(cache, LayeredKvCache, "cache")
-        if cache.length != 0:
+        if _require_type(cache, LayeredKvCache, "cache").length != 0:
             raise ValueError(f"cache must be empty, holds {cache.length} positions")
         if len(_require_type(inputs, list, "inputs")) < 1:
             raise ValueError("need at least one position")
+        self.open_position(cache)  # the cache has the model's sizes
         capacity = min(cfg.max_seq, cache.keys.shape[2])
         x = np.array([self.content_embedding(inp) for inp in inputs[:capacity]])
         n = len(x)

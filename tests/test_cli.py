@@ -355,7 +355,9 @@ def test_plan_files_are_the_plans_the_decode_loop_built(tmp_path, monkeypatch, c
     prompt_len = len(load_run_config(cfg).prompt_tokens)
     for i, (path, plan) in enumerate(zip(files, built)):
         assert plan.text_len == prompt_len + i
-        doc = plan.to_json_dict(BASE_CONFIG["policy"]["anchor_ratio"], strategy)
+        # The plan's own fields, and the anchor_ratio and strategy of its policy.
+        doc = plan.to_json_dict()
+        doc.update(anchor_ratio=BASE_CONFIG["policy"]["anchor_ratio"], strategy=strategy)
         written = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == written.encode("utf-8")
 
@@ -370,20 +372,16 @@ def test_baseline_decode_writes_no_plan_files(tmp_path):
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
 @pytest.mark.parametrize(
     "where, field",
-    [("model", "model.seed"), ("policy", "policy.seed"), ("image_seed", "image_seed"),
-     ("--seed", "seed")],
+    [("model", "model.seed"), ("policy", "policy.seed"), ("image_seed", "image_seed")],
 )
 def test_decode_rejects_seeds_outside_the_generator_range(tmp_path, capsys, seed, where, field):
     """The generator keeps a seed's low 64 bits; a seed it would alias to
     another exits 2 naming the field and the bound it breaks, before any file."""
-    argv = []
-    if where == "--seed":
-        path, argv = write_config(tmp_path), ["--seed", str(seed)]
-    elif where == "image_seed":
+    if where == "image_seed":
         path = write_config(tmp_path, image_seed=seed)
     else:
         path = write_config(tmp_path, **{where: {"seed": seed}})
-    assert main(["decode", "--config", str(path), "--out", str(tmp_path / "x"), *argv]) == 2
+    assert main(["decode", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     bound = "at least 0" if seed < 0 else f"at most {2**64 - 1}"
     assert f"error: {field} must be {bound}, got {seed}\n" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
@@ -740,21 +738,13 @@ def test_sweep_rejects_non_integer_ground_truth(tmp_path, capsys, tokens, proble
     assert not out.exists()
 
 
-def test_flops_reproduces_hand_case(tmp_path, capsys):
-    out_file = tmp_path / "cost.json"
-    code = main(
-        [
-            "flops", "--layers", "2", "--seq-len", "8", "--hidden", "4",
-            "--text-len", "4", "--lam", "0.5", "--out", str(out_file),
-        ]
-    )
-    assert code == 0
+def test_flops_reproduces_hand_case(capsys):
+    assert main(flops_argv()) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["original"] == 8192
     assert doc["ikod"] == 8192 + 5760
     assert doc["exact_g"] == 0.703125
     assert doc["closed_g"] == 0.703125
-    assert json.loads(out_file.read_text()) == doc
 
 
 def test_flops_full_ratio_costs_one_pass(capsys):
@@ -828,11 +818,10 @@ def test_metrics_record_errors_name_the_key_or_type(tmp_path, capsys, line, prob
     records = tmp_path / "records.jsonl"
     good = '{"mentioned": ["dog"], "ground_truth": ["dog"]}'
     records.write_text(good + "\n" + line + "\n", encoding="utf-8")
-    out = tmp_path / "report.json"
-    assert main(["metrics", "--records", str(records), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    assert main(["metrics", "--records", str(records)]) == 2
+    out, err = capsys.readouterr()
     assert f"error: {records}:2: {problem}" in err and "Traceback" not in err
-    assert not out.exists()
+    assert out == ""  # no report
 
 
 def test_metrics_without_inputs_exits_2():
@@ -860,6 +849,13 @@ ONE_TOKEN_RUN = json.dumps(
     {"request": {"image_count": 0, "prompt_tokens": [1]}, "result": {"tokens": [2]}}
 )
 TRACE_HEADER = "step,layer,head,att_image\n"
+
+
+def trace_dir_run(tmp_path) -> str:
+    """A decode output directory whose trace.csv is a directory."""
+    run = run_dir(tmp_path, ONE_TOKEN_RUN, None)
+    (tmp_path / "run" / "trace.csv").mkdir()
+    return run
 
 
 def json_file(tmp_path, text: str) -> str:
@@ -907,25 +903,40 @@ def json_file(tmp_path, text: str) -> str:
          "--text-len: text_len must be a positive finite number, got 0"),
         (lambda tmp: flops_argv(text_len="8", seq_len="8"),
          "--text-len 8 must be smaller than --seq-len 8"),
+        (lambda tmp: ["decode", "--config", str(tmp)], "cannot use {tmp}: Is a directory"),
+        (lambda tmp: ["metrics", "--records", str(tmp)], "cannot use {tmp}: Is a directory"),
+        (lambda tmp: ["sweep", "--config", str(write_config(tmp)),
+                      "--ground-truth-tokens", str(tmp)],
+         "cannot use {tmp}: Is a directory"),
+        (lambda tmp: ["analyze", trace_dir_run(tmp)],
+         "cannot use {tmp}/run/trace.csv: Is a directory"),
+        (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, None), "--synthetic-uniform"],
+         "pass a decode output directory or --synthetic-uniform, not both"),
     ],
     ids=["config-image-count", "config-invalid-json", "trace-header", "trace-missing",
          "trace-malformed-row", "generation-malformed", "ground-truth-not-array",
          "binary-three-counts", "binary-not-a-count", "binary-negative", "binary-no-outcomes",
          "records-missing", "flops-lam-zero", "flops-lam-nan", "flops-layers", "flops-seq-len",
-         "flops-hidden", "flops-text-len", "flops-text-not-shorter"],
+         "flops-hidden", "flops-text-len", "flops-text-not-shorter", "config-directory",
+         "records-directory", "ground-truth-directory", "trace-directory", "analyze-both-inputs"],
 )
 def test_cli_errors_pin_their_messages(tmp_path, capsys, argv, problem):
-    out = tmp_path / "out"
-    assert main([*argv(tmp_path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {problem.format(tmp=tmp_path)}\n"
+    """Each error exits 2 with one message line, and writes no output: no
+    --out directory (decode, analyze, sweep) and no report (flops, metrics)."""
+    argv, out = argv(tmp_path), tmp_path / "out"
+    if argv[0] in ("decode", "analyze", "sweep"):
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {problem.format(tmp=tmp_path)}\n")
     assert not out.exists()
 
 
-def test_metrics_writes_its_report_to_out(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    assert main(["metrics", "--binary", "1,2,3,4", "--out", str(out)]) == 0
+def test_metrics_writes_its_report_to_out(capsys):
+    """The report goes to stdout, as sorted JSON indented by 2 ending in a
+    newline, so redirecting it gives the report file."""
+    assert main(["metrics", "--binary", "1,2,3,4"]) == 0
     printed = capsys.readouterr().out
-    assert out.read_text(encoding="utf-8") == printed
+    assert printed == json.dumps(json.loads(printed), indent=2, sort_keys=True) + "\n"
     precision, recall = 1 / 3, 1 / 4
     f1 = 2 * precision * recall / (precision + recall)
     assert json.loads(printed) == {

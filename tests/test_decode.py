@@ -1180,3 +1180,28 @@ def test_replayed_step_raises_where_forward_step_would(case, policy, data):
         ))
     assert outcomes[0] == outcomes[1]
     assert cache_room or outcomes[0] is CapacityError
+
+
+@pytest.mark.parametrize(
+    "sizes", [(1, 2, 4), (3, 2, 4), (2, 1, 4), (2, 2, 5)],
+    ids=["fewer-layers", "more-layers", "fewer-heads", "wider-heads"],
+)
+def test_a_cache_of_other_sizes_is_rejected_before_any_row_is_written(sizes):
+    """forward_step, forward_prompt and a replayed step reject a cache whose
+    layer, head or d_head count is not the model's, naming the cache, and
+    write no row of it."""
+    model = TinyDecoder(ModelConfig(2, 2, 8, 16, vocab_size=16, max_seq=8))
+    prefix = prefill(model, Prompt(np.zeros((0, 8)), (1, 2, 3)))
+    token = ikod_generate(model, prefix, DecodePolicy(max_new_tokens=1)).tokens[0]
+    runs = {
+        "forward_step": lambda cache: model.forward_step(cache, 1),
+        "forward_prompt": lambda cache: model.forward_prompt(cache, [1, 2]),
+        "replay": lambda cache: prefix.step(cache, -1, token),
+    }
+    for name, run in runs.items():
+        cache = LayeredKvCache(*sizes, 8, 0)
+        problem = f"cache must be of the model's shape (2, 2, 8, 4), got {cache.keys.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            run(cache)
+        assert cache.length == 0, name
+        assert not cache.keys.any() and not cache.values.any(), name

@@ -17,8 +17,8 @@ import pytest
 import ikod
 from ikod.attn_analysis import kde_peak
 from ikod.cli import RunConfig
-from ikod.decode import BaseStrategy, Prompt, base_select, collaborative_combine
-from ikod.decode import plausibility_mask, prefill
+from ikod.decode import BaseStrategy, DecodePolicy, Prompt, base_select, collaborative_combine
+from ikod.decode import ikod_generate, plausibility_mask, prefill
 from ikod.kv_merge import build_merge_plan
 from ikod.metrics import chair_scores
 from ikod.model import LayeredKvCache, ModelConfig, TinyDecoder, json_fields, read_config
@@ -118,6 +118,15 @@ def tiny_model() -> TinyDecoder:
 RAGGED = "got ragged rows or non-numbers"
 
 
+def replay_into(cache):
+    """Prefill.step's replay of a recorded first step of tiny_model into cache."""
+    model = tiny_model()
+    prefix = prefill(model, Prompt(np.zeros((0, 8)), (1, 2, 3)))
+    token = ikod_generate(model, prefix, DecodePolicy(max_new_tokens=1)).tokens[0]
+    assert (-1, token) in prefix.step_rows
+    return prefix.step(cache, -1, token)
+
+
 @pytest.mark.parametrize(
     "call, problem",
     [
@@ -155,6 +164,14 @@ RAGGED = "got ragged rows or non-numbers"
         (lambda: plausibility_mask(np.array(["0.5", "0.2"], dtype=object), 0.1),
          f"p_orig must be a (n) array, {RAGGED}"),
         (lambda: plausibility_mask([0.5 + 0j, 0.2], 0.1), f"p_orig must be a (n) array, {RAGGED}"),
+        (lambda: tiny_model().forward_step(LayeredKvCache(2, 1, 8, 16, 0), 1),
+         "cache must be of the model's shape (1, 1, 16, 8), got (2, 1, 16, 8)"),
+        (lambda: tiny_model().forward_step(LayeredKvCache(1, 2, 4, 16, 0), 1),
+         "cache must be of the model's shape (1, 1, 16, 8), got (1, 2, 16, 4)"),
+        (lambda: tiny_model().forward_prompt(LayeredKvCache(1, 1, 5, 16, 0), [1]),
+         "cache must be of the model's shape (1, 1, 16, 8), got (1, 1, 16, 5)"),
+        (lambda: replay_into(LayeredKvCache(2, 1, 8, 16, 0)),
+         "cache must be of the model's shape (1, 1, 16, 8), got (2, 1, 16, 8)"),
     ],
     ids=[
         "forward_prompt-int", "forward_prompt-None", "sinusoidal_positions-str",
@@ -164,6 +181,8 @@ RAGGED = "got ragged rows or non-numbers"
         "content_embedding-str", "prefill-str-images", "forward_full-overflowing-scores",
         "softmax_rows-no-columns", "plausibility_mask-numeric-strings", "softmax_rows-str-array",
         "plausibility_mask-object-strings", "plausibility_mask-complex",
+        "forward_step-cache-layers", "forward_step-cache-heads", "forward_prompt-cache-d_head",
+        "prefill_step-cache-layers",
     ],
 )
 def test_a_malformed_argument_is_a_value_error_naming_it(call, problem):

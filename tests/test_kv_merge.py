@@ -294,11 +294,12 @@ def test_merge_cache_rejects_mismatched_layout():
 
 def test_merge_plan_json_shape():
     plan = build_merge_plan(np.array([[0.4, 0.2, 0.6, 0.0, 0.0]]), 0.4)
-    doc = plan.to_json_dict(0.4, AnchorStrategy.LOW_ATTENTION)
+    doc = plan.to_json_dict()
     assert doc["layers"][0]["protected"] == [3, 4]
     assert doc["layers"][0]["anchors"] == [1]
     assert doc["layers"][0]["buckets"] == [[0, 2]]
-    assert doc["strategy"] == "low_attention"
+    # The policy's anchor_ratio and strategy are the writer's to add.
+    assert sorted(doc) == ["layers", "text_len"]
 
 
 def fixed_case(n_layers, n_heads, d_head, l_image, T, layer_anchors):
@@ -339,30 +340,20 @@ def test_merge_plan_rejects_malformed_anchors(anchors, problem):
         ("text_len", 8.5, "text_len must be an integer"),
         ("text_len", True, "text_len must be an integer"),
         ("text_len", 2, "no mergeable range"),
-        ("anchor_ratio", 0.0, r"anchor_ratio must be above 0\.0, got 0\.0"),
-        ("anchor_ratio", 1.5, r"anchor_ratio must be at most 1\.0, got 1\.5"),
-        ("anchor_ratio", float("nan"), "anchor_ratio must be a finite number"),
-        ("anchor_ratio", "0.5", "anchor_ratio must be a finite number"),
-        ("strategy", "x", "strategy must be one of low_attention, high_attention, random"),
     ],
 )
 def test_merge_plan_rejects_malformed_scalars(field, value, problem):
-    # text_len is the plan's own; the policy's anchor_ratio and strategy are
-    # read when the plan is written.
-    given = dict(text_len=8, anchor_ratio=0.5, strategy="low_attention")
-    given[field] = value
+    # text_len is the plan's one scalar; the policy that built it holds the rest.
     with pytest.raises(ValueError, match=problem):
-        plan = MergePlan([[0, 3]], given["text_len"])
-        plan.to_json_dict(given["anchor_ratio"], given["strategy"])
+        MergePlan([[0, 3]], **{field: value})
 
 
 def test_merge_plan_reads_its_scalars():
     plan = MergePlan([[0, 3]], 8.0)
     assert type(plan.text_len) is int
-    doc = plan.to_json_dict(1, "random")
+    doc = plan.to_json_dict()
     assert [layer["protected"] for layer in doc["layers"]] == [[6, 7]]
-    assert (doc["text_len"], doc["anchor_ratio"], doc["strategy"]) == (8, 1.0, "random")
-    assert type(doc["anchor_ratio"]) is float
+    assert doc["text_len"] == 8 and type(doc["text_len"]) is int
 
 
 def test_merge_plan_keeps_read_only_copies():
@@ -572,7 +563,7 @@ def test_plan_matches_the_per_layer_reference(scores, ratio, strategy, seed):
         assert one_layer_buckets(ts, scores.shape[1]) == layer
     # A plan built by hand from the reference anchors writes the same JSON.
     rebuilt = MergePlan(anchors, plan.text_len)
-    assert rebuilt.to_json_dict(ratio, strategy) == plan.to_json_dict(ratio, strategy)
+    assert rebuilt.to_json_dict() == plan.to_json_dict()
 
 
 @settings(max_examples=100, deadline=None)
