@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LayeredKvCache
-from .numerics import _require_type, require_array, require_float, require_int
+from .numerics import _read_text, _require_type, require_array, require_float, require_int
 
 __all__ = [
     "ImageAttentionStat",
@@ -176,14 +176,11 @@ def read_trace_csv(path) -> np.ndarray:
     """trace.csv back into an (n_steps, n_layers, n_heads) array. Row r (1 is
     the first under the header) must hold the r-th cell, in row-major order,
     of the shape that the file's largest indices give."""
+    reader = csv.reader(_read_text(path, "path"))
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = reader if header == TRACE_HEADER else ()  # unread under another header
-            entries = [(int(s), int(li), int(h), float(a)) for s, li, h, a in rows]
-    except FileNotFoundError:
-        raise ValueError(f"file not found: {path}") from None
+        header = next(reader, None)
+        rows = reader if header == TRACE_HEADER else ()  # unread under another header
+        entries = [(int(s), int(li), int(h), float(a)) for s, li, h, a in rows]
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: malformed trace ({exc})") from None
     if header != TRACE_HEADER:

@@ -34,7 +34,7 @@ from .decode import DecodePolicy, Mode, Prompt, check_counts, ikod_generate, pre
 from .kv_merge import MergePlan, _require_anchor_ratio
 from .metrics import BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores, load_caption_records
 from .model import CapacityError, ModelConfig, TinyDecoder, make_image_embeddings, read_config
-from .numerics import require_int, require_seed
+from .numerics import _read_text, require_int, require_seed
 
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
@@ -42,6 +42,9 @@ EXIT_CAPACITY = 3
 KDE_GRID_MAX = 1000
 # Most positions in a --synthetic-uniform trace, whose time grows with their square.
 SYNTHETIC_POSITIONS_MAX = 1 << 14
+# The analyze flags that only one mode reads, with their defaults under it.
+_MODE_FLAGS = {"kde": {"kde_grid": 41, "bandwidth": 0.5},
+               "synthetic_uniform": {"image_count": 8, "other_count": 4, "gen_count": 16}}
 
 
 _MODEL_SEED = object()  # image_seed's default: the model's seed
@@ -49,7 +52,7 @@ _MODEL_SEED = object()  # image_seed's default: the model's seed
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A decode or sweep config file, read by load_run_config."""
+    """A decode or sweep config file, read by load_run_config; check_counts checks its request."""
 
     model: ModelConfig
     image_count: int = 0
@@ -66,14 +69,12 @@ class RunConfig:
             raise ValueError(f"prompt_tokens must be a JSON array of token ids, got {tokens!r}")
         tokens = tuple(require_int(t, f"prompt_tokens[{i}]") for i, t in enumerate(tokens))
         object.__setattr__(self, "prompt_tokens", tokens)
+        check_counts(self.model.max_seq, self.image_count, len(tokens), self.policy)
 
 
 def _load_json(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ValueError(f"file not found: {path}") from None
+        return json.load(_read_text(path, "path"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
 
@@ -118,7 +119,6 @@ def cmd_decode(args) -> int:
     rc = load_run_config(args.config)
     policy = rc.policy
     out_dir = Path(args.out)
-    check_counts(rc.model.max_seq, rc.image_count, len(rc.prompt_tokens), policy)
     model = _build_model(rc.model)
     result = ikod_generate(model, _build_prompt(rc), policy)
 
@@ -184,6 +184,12 @@ def _read_run(run_dir: Path) -> ImageAttentionStat:
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     # Every argument is checked before the first file is written.
+    for mode, defaults in _MODE_FLAGS.items():
+        for name, default in defaults.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif not getattr(args, mode):
+                raise ValueError(f"--{name.replace('_', '-')} needs --{mode.replace('_', '-')}")
     require_int(args.kde_grid, "--kde-grid", 1, KDE_GRID_MAX)
     _require_bandwidth(args.bandwidth, "--bandwidth")
     if args.synthetic_uniform and args.run_dir:
@@ -284,8 +290,6 @@ def cmd_sweep(args) -> int:
         if not isinstance(gt, list):
             raise ValueError("ground truth file must hold a JSON array of token ids")
         gt_tokens = {str(require_int(t, f"ground truth token [{i}]")) for i, t in enumerate(gt)}
-    for policy in policies:
-        check_counts(rc.model.max_seq, rc.image_count, len(rc.prompt_tokens), policy)
     model = _build_model(rc.model)
     # Every grid point forks this one prefill of the shared prompt.
     prefix = prefill(model, _build_prompt(rc))
@@ -391,16 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("run_dir", nargs="?", help="directory written by decode")
     a.add_argument("--out", required=True, help="output directory")
     a.add_argument("--kde", action="store_true", help="also write a density grid")
-    a.add_argument("--kde-grid", type=int, default=41, help="grid points per axis")
-    a.add_argument("--bandwidth", type=float, default=0.5, help="kernel bandwidth for both axes")
+    a.add_argument("--kde-grid", type=int, help="grid points per axis")
+    a.add_argument("--bandwidth", type=float, help="kernel bandwidth for both axes")
     a.add_argument(
         "--synthetic-uniform",
         action="store_true",
         help="analyze an analytically uniform trace instead of a run directory",
     )
-    a.add_argument("--image-count", type=int, default=8)
-    a.add_argument("--other-count", type=int, default=4)
-    a.add_argument("--gen-count", type=int, default=16)
+    a.add_argument("--image-count", type=int)
+    a.add_argument("--other-count", type=int)
+    a.add_argument("--gen-count", type=int)
     a.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("sweep", help="run a policy grid and tabulate the results")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import read_config
-from .numerics import _require_type, require_int
+from .numerics import _read_text, _require_type, require_int
 
 __all__ = [
     "BinaryMetrics",
@@ -94,20 +94,15 @@ def load_caption_records(path) -> list[CaptionRecord]:
     """One JSON object per line: {"mentioned": [...], "ground_truth": [...]},
     read as read_config reads a config, so a non-object, unknown or missing
     keys and non-array labels raise a ValueError naming the line and key."""
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise ValueError(f"file not found: {path}") from None
     records = []
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(read_config(CaptionRecord, json.loads(line), "record"))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: bad record ({exc})") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    for line_no, line in enumerate(_read_text(path, "path"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(read_config(CaptionRecord, json.loads(line), "record"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{line_no}: bad record ({exc})") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return records

@@ -265,9 +265,6 @@ def make_image_embeddings(count: int, d_model: int, seed: int) -> np.ndarray:
     text-only runs.
     """
     count, d_model = require_int(count, "count", 0), require_int(d_model, "d_model", 1)
-    seed = require_seed(seed, "seed")
-    if count == 0:
-        return np.zeros((0, d_model))
     return _uniform_matrix(Rng(seed), count, d_model, 1.0 / math.sqrt(d_model))
 
 

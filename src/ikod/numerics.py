@@ -4,8 +4,10 @@ raises a ValueError naming it."""
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
+import os
 from enum import Enum
 
 import numpy as np
@@ -87,6 +89,19 @@ def _require_type(value, kind: type, name: str):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
         raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
     return value
+
+
+def _read_text(path, name: str) -> io.StringIO:
+    """The file at path as UTF-8 text, newlines read as open reads them, or
+    open's OSError. A path that is not a str, bytes or os.PathLike (an int is
+    a file descriptor) and bytes that are not UTF-8 raise a ValueError."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValueError(f"{name} must be a file path, got {path!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return io.StringIO(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def require_array(value, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:

@@ -147,13 +147,19 @@ def test_kde_in_blocks_matches_one_block(monkeypatch):
     assert kde2d(pts, grid).tobytes() == whole.tobytes()
 
 
-def test_degradation_matches_uniform_prediction():
-    trace = synthetic_uniform_trace(4, 3, 8)
-    report = degradation_report(ImageAttentionStat.from_trace(trace, 8))
-    assert len(report) == 8
+@given(st.integers(0, 29), st.integers(0, 5), st.integers(1, 40))
+@example(4, 3, 8)
+@example(3, 0, 5)  # its second value is 1.9e-16 off the prediction
+def test_degradation_matches_uniform_prediction(l_image, l_others, l_gen):
+    """The synthetic column is the uniform prediction to within rounding, not
+    exactly: it sums l_image rounded shares 1/n, where the prediction divides
+    l_image by n once."""
+    trace = synthetic_uniform_trace(l_image, l_others, l_gen)
+    report = degradation_report(ImageAttentionStat.from_trace(trace, l_gen))
+    assert len(report) == l_gen
     for t, (rel, att) in enumerate(report, start=1):
-        assert rel == pytest.approx(t / 8)
-        assert att == pytest.approx(uniform_attention_prediction(4, 3, t), rel=1e-13)
+        assert rel == pytest.approx(t / l_gen)
+        assert att == pytest.approx(uniform_attention_prediction(l_image, l_others, t), rel=1e-13)
 
 
 def test_degradation_single_token_has_relative_position_one():

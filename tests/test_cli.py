@@ -12,7 +12,7 @@ from ikod.attn_analysis import (
 )
 from ikod.cli import _build_prompt, _write_csv, load_run_config, main
 from ikod.decode import EOS_TOKEN, ikod_generate, prefill
-from ikod.model import TinyDecoder
+from ikod.model import CapacityError, TinyDecoder
 
 BASE_CONFIG = {
     "model": {
@@ -225,6 +225,22 @@ def test_decode_writes_a_whole_number_image_count_as_an_int(tmp_path):
         assert main(["decode", "--config", str(path), "--out", str(tmp_path / name / "x")]) == 0
         runs.append((tmp_path / name / "x" / "generation.json").read_text())
     assert '"image_count": 6,' in runs[0] and runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "overrides, error, problem",
+    [
+        ({"model": {"max_seq": 10}}, CapacityError,
+         "prompt of 8 plus 8 new tokens exceeds max_seq 10"),
+        ({"prompt_tokens": [5, 9]}, ValueError,
+         "merged decoding needs at least three prompt text tokens"),
+    ],
+)
+def test_load_run_config_raises_the_fit_errors(tmp_path, overrides, error, problem):
+    """A config whose request cannot run is rejected when it is read, before
+    any model is built."""
+    with pytest.raises(error, match=f"^{problem}$"):
+        load_run_config(write_config(tmp_path, **overrides))
 
 
 def test_decode_capacity_exits_3(tmp_path):
@@ -828,14 +844,14 @@ def test_metrics_without_inputs_exits_2():
     assert main(["metrics"]) == 2
 
 
-def run_dir(tmp_path, generation: str, trace: str | None) -> str:
+def run_dir(tmp_path, generation: str | bytes, trace: str | bytes | None) -> str:
     """A decode output directory holding these generation.json and trace.csv
-    texts; no trace.csv when trace is None."""
+    texts (bytes are written as they are); no trace.csv when trace is None."""
     run = tmp_path / "run"
     run.mkdir()
-    (run / "generation.json").write_text(generation, encoding="utf-8")
-    if trace is not None:
-        (run / "trace.csv").write_text(trace, encoding="utf-8")
+    for name, text in (("generation.json", generation), ("trace.csv", trace)):
+        if text is not None:
+            (run / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return str(run)
 
 
@@ -849,6 +865,7 @@ ONE_TOKEN_RUN = json.dumps(
     {"request": {"image_count": 0, "prompt_tokens": [1]}, "result": {"tokens": [2]}}
 )
 TRACE_HEADER = "step,layer,head,att_image\n"
+ONE_TOKEN_TRACE = TRACE_HEADER + "0,0,0,0.5\n1,0,0,0.5\n"  # ONE_TOKEN_RUN's two steps
 
 
 def trace_dir_run(tmp_path) -> str:
@@ -858,10 +875,14 @@ def trace_dir_run(tmp_path) -> str:
     return run
 
 
-def json_file(tmp_path, text: str) -> str:
+def json_file(tmp_path, text: str | bytes) -> str:
+    """tmp_path/given.json holding text (bytes are written as they are)."""
     path = tmp_path / "given.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return str(path)
+
+
+NOT_UTF8 = "not UTF-8 text (invalid start byte at byte 0)"
 
 
 @pytest.mark.parametrize(
@@ -875,7 +896,7 @@ def json_file(tmp_path, text: str) -> str:
         (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, "a,b\n")],
          "{tmp}/run/trace.csv: not a trace file (header ['a', 'b'])"),
         (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, None)],
-         "file not found: {tmp}/run/trace.csv"),
+         "cannot use {tmp}/run/trace.csv: No such file or directory"),
         (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, TRACE_HEADER + "0,0,x,1\n")],
          "{tmp}/run/trace.csv: malformed trace (invalid literal for int() with base 10: 'x')"),
         (lambda tmp: ["analyze", run_dir(tmp, '{"request": {}}', None)],
@@ -890,7 +911,7 @@ def json_file(tmp_path, text: str) -> str:
         (lambda tmp: ["metrics", "--binary=-1,0,0,0"], "--binary: tp must be at least 0, got -1"),
         (lambda tmp: ["metrics", "--binary", "0,0,0,0"], "--binary: no outcomes"),
         (lambda tmp: ["metrics", "--records", str(tmp / "missing.jsonl")],
-         "file not found: {tmp}/missing.jsonl"),
+         "cannot use {tmp}/missing.jsonl: No such file or directory"),
         (lambda tmp: flops_argv(lam="0"), "--lam: anchor_ratio must be above 0.0, got 0.0"),
         (lambda tmp: flops_argv(lam="nan"), "--lam: anchor_ratio must be a finite number, got nan"),
         (lambda tmp: flops_argv(layers="0"),
@@ -912,13 +933,38 @@ def json_file(tmp_path, text: str) -> str:
          "cannot use {tmp}/run/trace.csv: Is a directory"),
         (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, None), "--synthetic-uniform"],
          "pass a decode output directory or --synthetic-uniform, not both"),
+        (lambda tmp: ["decode", "--config", str(tmp / "missing.json")],
+         "cannot use {tmp}/missing.json: No such file or directory"),
+        (lambda tmp: ["decode", "--config", json_file(tmp, b"\xff")],
+         "{tmp}/given.json: " + NOT_UTF8),
+        (lambda tmp: ["metrics", "--records", json_file(tmp, b"\xff")],
+         "{tmp}/given.json: " + NOT_UTF8),
+        (lambda tmp: ["sweep", "--config", str(write_config(tmp)),
+                      "--ground-truth-tokens", json_file(tmp, b"\xff")],
+         "{tmp}/given.json: " + NOT_UTF8),
+        (lambda tmp: ["analyze", run_dir(tmp, b"\xff", None)],
+         "{tmp}/run/generation.json: " + NOT_UTF8),
+        (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, b"\xff")],
+         "{tmp}/run/trace.csv: " + NOT_UTF8),
+        # A run that analyzes, given flags of a mode that is off.
+        (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, ONE_TOKEN_TRACE),
+                      "--image-count", "99", "--gen-count", "3"],
+         "--image-count needs --synthetic-uniform"),
+        (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, ONE_TOKEN_TRACE),
+                      "--kde-grid", "5", "--bandwidth", "0.2"],
+         "--kde-grid needs --kde"),
+        (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, ONE_TOKEN_TRACE), "--bandwidth", "0.2"],
+         "--bandwidth needs --kde"),
     ],
     ids=["config-image-count", "config-invalid-json", "trace-header", "trace-missing",
          "trace-malformed-row", "generation-malformed", "ground-truth-not-array",
          "binary-three-counts", "binary-not-a-count", "binary-negative", "binary-no-outcomes",
          "records-missing", "flops-lam-zero", "flops-lam-nan", "flops-layers", "flops-seq-len",
          "flops-hidden", "flops-text-len", "flops-text-not-shorter", "config-directory",
-         "records-directory", "ground-truth-directory", "trace-directory", "analyze-both-inputs"],
+         "records-directory", "ground-truth-directory", "trace-directory", "analyze-both-inputs",
+         "config-missing", "config-not-utf8", "records-not-utf8", "ground-truth-not-utf8",
+         "generation-not-utf8", "trace-not-utf8", "analyze-counts-without-synthetic",
+         "analyze-kde-grid-without-kde", "analyze-bandwidth-without-kde"],
 )
 def test_cli_errors_pin_their_messages(tmp_path, capsys, argv, problem):
     """Each error exits 2 with one message line, and writes no output: no

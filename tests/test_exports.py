@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import ikod
-from ikod.attn_analysis import kde_peak
+from ikod.attn_analysis import kde_peak, read_trace_csv
 from ikod.cli import RunConfig
 from ikod.decode import BaseStrategy, DecodePolicy, Prompt, base_select, collaborative_combine
 from ikod.decode import ikod_generate, plausibility_mask, prefill
 from ikod.kv_merge import build_merge_plan
-from ikod.metrics import chair_scores
+from ikod.metrics import chair_scores, load_caption_records
 from ikod.model import LayeredKvCache, ModelConfig, TinyDecoder, json_fields, read_config
 from ikod.model import sinusoidal_positions
 from ikod.numerics import Rng, softmax_rows
@@ -172,6 +172,12 @@ def replay_into(cache):
          "cache must be of the model's shape (1, 1, 16, 8), got (1, 1, 16, 5)"),
         (lambda: replay_into(LayeredKvCache(2, 1, 8, 16, 0)),
          "cache must be of the model's shape (1, 1, 16, 8), got (2, 1, 16, 8)"),
+        # open takes an int (and so a bool) as a file descriptor: 0 is stdin.
+        *(
+            (lambda reader=reader, path=path: reader(path), f"path must be a file path, got {path!r}")
+            for reader in (load_caption_records, read_trace_csv)
+            for path in (None, False, 0, 3.5)
+        ),
     ],
     ids=[
         "forward_prompt-int", "forward_prompt-None", "sinusoidal_positions-str",
@@ -183,6 +189,11 @@ def replay_into(cache):
         "plausibility_mask-object-strings", "plausibility_mask-complex",
         "forward_step-cache-layers", "forward_step-cache-heads", "forward_prompt-cache-d_head",
         "prefill_step-cache-layers",
+        *(
+            f"{reader}-{path}"
+            for reader in ("load_caption_records", "read_trace_csv")
+            for path in ("None", "False", "0", "3.5")
+        ),
     ],
 )
 def test_a_malformed_argument_is_a_value_error_naming_it(call, problem):
