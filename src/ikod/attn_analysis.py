@@ -205,8 +205,9 @@ def synthetic_uniform_trace(
 ) -> LayeredKvCache:
     """A cache, with no key/value rows, of l_image image, l_others prompt and
     l_gen generated positions whose every query attended uniformly over the
-    cached positions; its measured image attention matches the uniform-mix
-    prediction exactly."""
+    cached positions. Its measured image attention sums l_image rounded
+    shares 1/n, so it matches the uniform-mix prediction to within rounding
+    (5.2e-16 relative at most for l_image up to 29), not bit for bit."""
     l_image, l_others = require_int(l_image, "l_image", 0), require_int(l_others, "l_others", 0)
     n = l_image + l_others + require_int(l_gen, "l_gen", 0)
     cache = LayeredKvCache(n_layers, n_heads, 0, n, l_image)

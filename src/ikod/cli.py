@@ -2,7 +2,8 @@
 estimates, and metric reports. Everything is deterministic under fixed seeds;
 rerunning a command reproduces its output files byte for byte.
 
-Exit codes: 0 success, 2 usage or config error, 3 capacity error.
+Exit codes: 0 success, 1 standard output closed by its reader, 2 usage or config
+error, 3 capacity error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,6 +38,7 @@ from .metrics import BinaryOutcomes, CaptionRecord, binary_metrics, chair_scores
 from .model import CapacityError, ModelConfig, TinyDecoder, make_image_embeddings, read_config
 from .numerics import _read_text, require_int, require_seed
 
+EXIT_CLOSED_STDOUT = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 # Largest --kde-grid: a 1000 x 1000 grid is a million kde.csv rows.
@@ -45,6 +48,9 @@ SYNTHETIC_POSITIONS_MAX = 1 << 14
 # The analyze flags that only one mode reads, with their defaults under it.
 _MODE_FLAGS = {"kde": {"kde_grid": 41, "bandwidth": 0.5},
                "synthetic_uniform": {"image_count": 8, "other_count": 4, "gen_count": 16}}
+# The arguments that name a file or directory or list values: an empty one names or lists nothing.
+_NOT_EMPTY = ("config", "out", "run_dir", "records", "ground_truth_tokens", "lambdas", "alphas",
+              "betas", "strategies", "binary")
 
 
 _MODEL_SEED = object()  # image_seed's default: the model's seed
@@ -192,7 +198,7 @@ def cmd_analyze(args) -> int:
                 raise ValueError(f"--{name.replace('_', '-')} needs --{mode.replace('_', '-')}")
     require_int(args.kde_grid, "--kde-grid", 1, KDE_GRID_MAX)
     _require_bandwidth(args.bandwidth, "--bandwidth")
-    if args.synthetic_uniform and args.run_dir:
+    if args.synthetic_uniform and args.run_dir is not None:
         raise ValueError("pass a decode output directory or --synthetic-uniform, not both")
     if args.synthetic_uniform:
         require_int(args.image_count, "--image-count", 0)
@@ -206,7 +212,7 @@ def cmd_analyze(args) -> int:
             )
         trace = synthetic_uniform_trace(args.image_count, args.other_count, args.gen_count)
         stat = ImageAttentionStat.from_trace(trace, args.gen_count)
-    elif args.run_dir:
+    elif args.run_dir is not None:
         stat = _read_run(Path(args.run_dir))
     else:
         raise ValueError("pass a decode output directory or --synthetic-uniform")
@@ -259,7 +265,7 @@ def _sweep_axis(text: str | None, flag: str, policy: DecodePolicy, name: str) ->
     """The values of the policy field name listed by the sweep flag, each
     checked as that field of policy, with errors naming the flag; the
     policy's own value when the flag is absent."""
-    if not text:
+    if text is None:
         return [getattr(policy, name)]
     values = _flagged(flag, _parse_list, text, str if name == "anchor_strategy" else float)
     return [getattr(_flagged(flag, replace, policy, **{name: v}), name) for v in values]
@@ -285,7 +291,7 @@ def cmd_sweep(args) -> int:
         policies = [replace(rc.policy, mode=Mode.BASELINE)] + policies
 
     gt_tokens: set[str] | None = None
-    if args.ground_truth_tokens:
+    if args.ground_truth_tokens is not None:
         gt = _load_json(args.ground_truth_tokens)
         if not isinstance(gt, list):
             raise ValueError("ground truth file must hold a JSON array of token ids")
@@ -361,11 +367,11 @@ def cmd_flops(args) -> int:
 
 def cmd_metrics(args) -> int:
     doc: dict = {}
-    if args.records:
+    if args.records is not None:
         records = load_caption_records(args.records)
         chair_s, chair_i = chair_scores(records)
         doc.update({"chair_s": chair_s, "chair_i": chair_i, "records": len(records)})
-    if args.binary:
+    if args.binary is not None:
         counts = _flagged("--binary", _parse_list, args.binary, int)
         if len(counts) != 4:
             raise ValueError("--binary needs four comma-separated counts: tp,fp,fn,tn")
@@ -436,6 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in _NOT_EMPTY:
+            if getattr(args, name, None) == "":
+                flag = name if name == "run_dir" else f"--{name.replace('_', '-')}"
+                raise ValueError(f"{flag} must not be empty")
         return args.func(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -443,6 +453,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader closed stdout; Python's SIGPIPE notes advise this
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit does not raise again
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except OSError as exc:  # a file or directory the command cannot read or write
         reason = f"cannot use {exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {reason}", file=sys.stderr)

@@ -474,21 +474,25 @@ class TinyDecoder:
         if n > cfg.max_seq:
             raise CapacityError(f"length {n} exceeds max_seq {cfg.max_seq}")
         x = e + self.positions[:n]
-        att = np.zeros((cfg.n_layers, cfg.n_heads, n, n))
-        causal = np.tril(np.ones((n, n), dtype=bool))
+        att = np.empty((cfg.n_layers, cfg.n_heads, n, n))
+        later = ~np.tril(np.ones((n, n), dtype=bool))
         scale = 1.0 / math.sqrt(cfg.d_head)
         for li, lw in enumerate(self.layers):
             q = (x @ lw.w_q).reshape(n, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
             k = (x @ lw.w_k).reshape(n, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
             v = (x @ lw.w_v).reshape(n, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
-            scores = np.einsum("hqd,hkd->hqk", q, k) * scale
-            if not (np.isfinite(scores) | ~causal).all():  # the masked entries are never read
+            # One block per layer, softmaxed in place. It keeps einsum's layout (heads
+            # fastest): the row sums follow the layout, and a C-contiguous block sums otherwise.
+            w = np.einsum("hqd,hkd->hqk", q, k)
+            w *= scale
+            if not (np.isfinite(w) | later).all():  # the masked entries are never read
                 raise ValueError(_NOT_FINITE)
-            scores = np.where(causal, scores, -np.inf)
-            w = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            att_li = w / w.sum(axis=-1, keepdims=True)
-            att[li] = att_li
-            z = np.einsum("hqk,hkd->qhd", att_li, v).reshape(n, cfg.d_model)
+            np.copyto(w, -np.inf, where=later)
+            w -= w.max(axis=-1, keepdims=True)
+            np.exp(w, out=w)
+            w /= w.sum(axis=-1, keepdims=True)
+            att[li] = w
+            z = np.einsum("hqk,hkd->qhd", w, v).reshape(n, cfg.d_model)
             x = x + z @ lw.w_o
             x = x + np.maximum(x @ lw.w_ff1, 0.0) @ lw.w_ff2
         return FullOutput(logits=x @ self.unembedding, attention=att)

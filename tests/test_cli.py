@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import sys
 
 import pytest
 
@@ -955,6 +957,23 @@ NOT_UTF8 = "not UTF-8 text (invalid start byte at byte 0)"
          "--kde-grid needs --kde"),
         (lambda tmp: ["analyze", run_dir(tmp, ONE_TOKEN_RUN, ONE_TOKEN_TRACE), "--bandwidth", "0.2"],
          "--bandwidth needs --kde"),
+        # An empty value names no file and lists nothing; it is not an absent flag.
+        (lambda tmp: ["decode", "--config", ""], "--config must not be empty"),
+        (lambda tmp: ["sweep", "--config", ""], "--config must not be empty"),
+        (lambda tmp: ["analyze", ""], "run_dir must not be empty"),
+        (lambda tmp: ["metrics", "--records", "", "--binary", "1,2,3,4"],
+         "--records must not be empty"),
+        (lambda tmp: ["sweep", "--config", str(write_config(tmp)), "--ground-truth-tokens", ""],
+         "--ground-truth-tokens must not be empty"),
+        (lambda tmp: ["sweep", "--config", str(write_config(tmp)), "--lambdas", ""],
+         "--lambdas must not be empty"),
+        (lambda tmp: ["sweep", "--config", str(write_config(tmp)), "--alphas", ""],
+         "--alphas must not be empty"),
+        (lambda tmp: ["sweep", "--config", str(write_config(tmp)), "--betas", ""],
+         "--betas must not be empty"),
+        (lambda tmp: ["sweep", "--config", str(write_config(tmp)), "--strategies", ""],
+         "--strategies must not be empty"),
+        (lambda tmp: ["metrics", "--binary", ""], "--binary must not be empty"),
     ],
     ids=["config-image-count", "config-invalid-json", "trace-header", "trace-missing",
          "trace-malformed-row", "generation-malformed", "ground-truth-not-array",
@@ -964,7 +983,9 @@ NOT_UTF8 = "not UTF-8 text (invalid start byte at byte 0)"
          "records-directory", "ground-truth-directory", "trace-directory", "analyze-both-inputs",
          "config-missing", "config-not-utf8", "records-not-utf8", "ground-truth-not-utf8",
          "generation-not-utf8", "trace-not-utf8", "analyze-counts-without-synthetic",
-         "analyze-kde-grid-without-kde", "analyze-bandwidth-without-kde"],
+         "analyze-kde-grid-without-kde", "analyze-bandwidth-without-kde", "decode-config-empty",
+         "sweep-config-empty", "analyze-run-dir-empty", "records-empty", "ground-truth-empty",
+         "lambdas-empty", "alphas-empty", "betas-empty", "strategies-empty", "binary-empty"],
 )
 def test_cli_errors_pin_their_messages(tmp_path, capsys, argv, problem):
     """Each error exits 2 with one message line, and writes no output: no
@@ -975,6 +996,50 @@ def test_cli_errors_pin_their_messages(tmp_path, capsys, argv, problem):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {problem.format(tmp=tmp_path)}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "sweep", "analyze"])
+def test_an_empty_out_writes_nothing_to_the_working_directory(tmp_path, monkeypatch, capsys,
+                                                              command):
+    """Path('') is the working directory, so an empty --out exits 2 before
+    any file is read or written."""
+    run = tmp_path / "work"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    source = ["--config", str(write_config(tmp_path))] if command != "analyze" else [str(run)]
+    assert main([command, *source, "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: --out must not be empty\n")
+    assert list(run.iterdir()) == []
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def test_a_closed_stdout_exits_1_with_no_message(tmp_path, monkeypatch, capsys):
+    """A report to a stdout whose reader closed it exits 1, prints no error
+    line, and points stdout's descriptor at os.devnull, so the flush at exit
+    does not raise again."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+        assert main(["metrics", "--binary", "1,2,3,4"]) == 1
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 def test_metrics_writes_its_report_to_out(capsys):

@@ -1205,3 +1205,35 @@ def test_a_cache_of_other_sizes_is_rejected_before_any_row_is_written(sizes):
             run(cache)
         assert cache.length == 0, name
         assert not cache.keys.any() and not cache.values.any(), name
+
+
+merged_policies = policies.map(
+    lambda p: replace(p, mode=Mode.IKOD if p.mode is Mode.BASELINE else p.mode, max_new_tokens=6)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=prompts(), policy=merged_policies)
+def test_merged_query_sees_at_least_the_image_attention_of_the_full_one(case, policy):
+    """At layer 0 both paths of a step run the same query, and a merged row's
+    key is its bucket's mean key, so its score is the mean s of the bucket's
+    scores, and exp(mean s) <= sum exp(s). So per head the merged view puts
+    at least the full cache's mass on the image rows, and strictly more when
+    a bucket holds two or more rows, that is when the merged view is shorter."""
+    model, prompt = case
+    l_image, outputs, step = prompt.image_embeddings.shape[0], [], model.forward_step
+
+    def recording_step(cache, inp, merged=None):
+        outputs.append(step(cache, inp, merged))
+        return outputs[-1]
+
+    model.forward_step = recording_step
+    ikod_generate(model, prompt, policy)
+    for out in outputs:
+        if out.merged is None:  # the last pick's step runs no merged query
+            continue
+        rows, merged_rows = out.attention_rows[0], out.merged[1][0]
+        full, merged = rows[:, :l_image].sum(axis=-1), merged_rows[:, :l_image].sum(axis=-1)
+        assert (merged >= full * (1 - 1e-12)).all()
+        if l_image and merged_rows.shape[-1] < rows.shape[-1]:
+            assert (merged > full).all()

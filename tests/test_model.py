@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -379,6 +380,73 @@ def test_causality_future_positions_do_not_affect_past():
     permuted[[4, 5]] = permuted[[5, 4]]
     after = model.forward_full(permuted)
     np.testing.assert_array_equal(base.logits[:4], after.logits[:4])
+
+
+def reference_full(model, embeddings):
+    """forward_full as it ran when each layer's softmax built new (H, n, n)
+    arrays: (logits, attention)."""
+    cfg = model.config
+    n = embeddings.shape[0]
+    x = embeddings + model.positions[:n]
+    att = np.zeros((cfg.n_layers, cfg.n_heads, n, n))
+    causal = np.tril(np.ones((n, n), dtype=bool))
+    scale = 1.0 / math.sqrt(cfg.d_head)
+    for li, lw in enumerate(model.layers):
+        q = (x @ lw.w_q).reshape(n, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
+        k = (x @ lw.w_k).reshape(n, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
+        v = (x @ lw.w_v).reshape(n, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
+        scores = np.einsum("hqd,hkd->hqk", q, k) * scale
+        scores = np.where(causal, scores, -np.inf)
+        w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        att_li = w / w.sum(axis=-1, keepdims=True)
+        att[li] = att_li
+        z = np.einsum("hqk,hkd->qhd", att_li, v).reshape(n, cfg.d_model)
+        x = x + z @ lw.w_o
+        x = x + np.maximum(x @ lw.w_ff1, 0.0) @ lw.w_ff2
+    return x @ model.unembedding, att
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_layers=st.integers(1, 3),
+    n_heads=st.integers(1, 4),
+    d_head=st.integers(1, 6),
+    d_ff=st.integers(1, 24),
+    n=st.integers(1, 40),
+    scale=st.sampled_from([0.01, 1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_layers=1, n_heads=1, d_head=1, d_ff=1, n=1, scale=1.0, seed=0)
+@example(n_layers=2, n_heads=4, d_head=1, d_ff=8, n=40, scale=30.0, seed=1)
+def test_full_pass_keeps_the_bytes_of_its_out_of_place_softmax(
+    n_layers, n_heads, d_head, d_ff, n, scale, seed
+):
+    """The in-place softmax on einsum's block gives the bytes of the
+    expressions it replaced, at every layout einsum picks."""
+    cfg = ModelConfig(n_layers=n_layers, n_heads=n_heads, d_model=n_heads * d_head, d_ff=d_ff,
+                      vocab_size=8, max_seq=n, seed=seed)
+    model = TinyDecoder(cfg)
+    embeddings = np.random.default_rng(seed).normal(size=(n, cfg.d_model)) * scale
+    full = model.forward_full(embeddings)
+    logits, attention = reference_full(model, embeddings)
+    assert full.logits.tobytes() == logits.tobytes()
+    assert full.attention.tobytes() == attention.tobytes()
+
+
+def test_full_pass_holds_its_result_plus_one_block_per_layer():
+    """At decode_long's oracle shape forward_full's traced peak is its
+    (L, H, n, n) result plus about two (H, n, n) blocks (the last layer's
+    and the one being built), under 1.8x the result."""
+    model = TinyDecoder(ModelConfig(n_layers=4, n_heads=4, d_model=128, d_ff=512,
+                                    vocab_size=64, max_seq=336, seed=0))
+    embeddings = np.random.default_rng(0).normal(size=(336, 128))
+    tracemalloc.start()
+    try:
+        attention = model.forward_full(embeddings).attention
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * attention.nbytes
 
 
 def test_trace_requires_continuous_recording():
